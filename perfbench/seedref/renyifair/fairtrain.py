@@ -1,0 +1,509 @@
+"""Min-max training of fair classifiers.
+
+The objective is cross entropy plus ``lam`` times a fairness penalty, and
+every penalty is the inner maximum of a tractable adversarial problem:
+
+* ``dp_discrete``: demographic parity for a d-valued sensitive attribute.
+  The adversary is the second right singular vector ``v`` of the empirical
+  Q matrix between the soft output and the groups; the penalty is
+  ``lam * ||Q v||^2`` and ``v`` is refreshed from an exact SVD before
+  every descent step.
+* ``dp_binary``: demographic parity for a binary attribute.  The adversary
+  is a weight per class with a closed-form maximizer
+  ``w_i = sum_n stilde_n F_i(x_n) / (2 sum_n F_i(x_n))`` (stilde = +/-1),
+  so each outer step is preceded by an exact inner solve.
+* ``eo``: equalized odds; one demographic-parity penalty per true label,
+  each computed on the label-conditioned subset and summed.
+* ``pearson`` / ``hsic``: baseline regularizers on the positive-class soft
+  score, for comparison; both only capture (co)variance-level dependence.
+
+The adversary is held fixed while the parameter gradient is taken, exactly
+matching the alternation of the descent-ascent scheme; nothing
+differentiates through the SVD.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+from . import maxcorr
+from .maxcorr import DEFAULT_MARGINAL_FLOOR
+from .model import Batch, ModelParams, forward, jacobian_probs, loss_and_grad
+
+logger = logging.getLogger(__name__)
+
+FAIRNESS_MODES = ("none", "dp_discrete", "dp_binary", "eo", "pearson", "hsic")
+
+# Below this variance the score column is treated as constant (degenerate
+# but independent) by the baseline penalties.
+VARIANCE_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class HsicConfig:
+    """Kernel choices for the HSIC baseline."""
+
+    score_kernel: str = "linear"
+    sensitive_kernel: str = "delta"
+
+    def __post_init__(self):
+        if self.score_kernel != "linear":
+            raise ValueError(f"unsupported score kernel {self.score_kernel!r}")
+        if self.sensitive_kernel not in ("delta", "linear"):
+            raise ValueError(f"unsupported sensitive kernel {self.sensitive_kernel!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Hyperparameters of one training run."""
+
+    lam: float = 0.0
+    eta: float = 0.1
+    iters: int = 5000
+    fairness_mode: str = "none"
+    batch_size: int | None = None
+    floor: float = DEFAULT_MARGINAL_FLOOR
+    seed: int = 0
+    grad_tol: float = 0.0
+    eo_min_group: int = 30
+    hsic_kernels: HsicConfig = field(default_factory=HsicConfig)
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError("lam must be nonnegative")
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+        if self.iters < 1:
+            raise ValueError("iters must be at least 1")
+        if self.floor <= 0:
+            raise ValueError("floor must be positive")
+        if self.fairness_mode not in FAIRNESS_MODES:
+            raise ValueError(f"unknown fairness mode {self.fairness_mode!r}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be positive when set")
+
+
+@dataclass
+class TrainTrace:
+    """Per-iteration diagnostics plus the final parameters.
+
+    ``sigma2`` is the empirical maximal correlation between the soft output
+    and the sensitive attribute (root sum of squares over label slices in
+    equalized-odds mode); ``adversary`` holds the inner maximizer used for
+    the step (``v``, ``w``, or a per-label dict).
+    """
+
+    iteration: list = field(default_factory=list)
+    loss: list = field(default_factory=list)
+    penalty: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)
+    sigma2: list = field(default_factory=list)
+    adversary: list = field(default_factory=list)
+    final_params: ModelParams | None = None
+    diverged: bool = False
+    stopped_early: bool = False
+
+    def to_csv(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write("iter,loss,penalty,grad_norm,sigma2\n")
+            for row in zip(self.iteration, self.loss, self.penalty,
+                           self.grad_norm, self.sigma2):
+                fh.write(",".join(repr(float(v)) if i else str(int(v))
+                                  for i, v in enumerate(row)) + "\n")
+
+
+def s_tilde(sensitive) -> np.ndarray:
+    """Map group labels {1, 2} to the signs {-1, +1}."""
+    s = np.asarray(sensitive, dtype=np.float64)
+    if np.any((s != 1) & (s != 2)):
+        raise ValueError("binary sensitive labels must be in {1, 2}")
+    return 2.0 * (s - 1.0) - 1.0
+
+
+def inner_w_closed_form(soft_probs, stilde, floor: float = DEFAULT_MARGINAL_FLOOR) -> np.ndarray:
+    """Exact maximizer of the binary inner problem, one weight per class.
+
+    ``w_i = mean(stilde * F_i) / (2 * max(mean(F_i), floor))``; the floor on
+    the denominator keeps the update finite for classes with vanishing
+    predicted mass.  With the floor inactive every ``|w_i| <= 1/2``.
+    """
+    f = np.asarray(soft_probs, dtype=np.float64)
+    st = np.asarray(stilde, dtype=np.float64)
+    if f.ndim != 2 or st.shape != (f.shape[0],):
+        raise ValueError("soft_probs must be N x c with matching stilde")
+    if np.any(np.abs(st) != 1.0):
+        raise ValueError("stilde entries must be +1 or -1")
+    num = (st[:, None] * f).mean(axis=0)
+    den = np.maximum(f.mean(axis=0), floor)
+    return num / (2.0 * den)
+
+
+def _binary_inner_value(soft_probs, stilde, w) -> tuple[float, float]:
+    """Centered inner value and the implied squared correlation.
+
+    Returns ``(q(1-q) - gamma(w), rho_sq)`` where ``gamma`` is the quadratic
+    the inner problem minimizes and ``q`` the empirical P(S=1).  Centering by
+    the independence value ``q(1-q)`` makes the penalty zero for predictors
+    independent of the attribute.
+    """
+    f = np.asarray(soft_probs, dtype=np.float64)
+    st = np.asarray(stilde, dtype=np.float64)
+    m = f.mean(axis=0)
+    t = (st[:, None] * f).mean(axis=0)
+    gamma = float(np.sum(w * w * m) - np.sum(w * t) + 0.25)
+    q = float((st.mean() + 1.0) / 2.0)
+    qq = q * (1.0 - q)
+    centered = qq - gamma
+    rho_sq = centered / qq if qq > 0 else 0.0
+    return centered, rho_sq
+
+
+def _binary_seed(stilde, w, scale: float) -> np.ndarray:
+    """d(penalty)/dF for the binary surrogate at fixed ``w``."""
+    st = np.asarray(stilde, dtype=np.float64)
+    return (np.outer(st, w) - (w * w)[None, :]) * scale
+
+
+def _discrete_penalty(probs, sensitive, floor, n_groups):
+    """SVD inner maximization for one group of samples.
+
+    Returns ``(value, seed, sigma2, v)`` where ``value = ||Q v||^2`` and
+    ``seed`` is d(value)/dF with the adversary ``v`` held fixed.
+    """
+    n = probs.shape[0]
+    qm = maxcorr.empirical_q(probs, sensitive, floor=floor, n_groups=n_groups)
+    svd = maxcorr.svd_small(qm.q)
+    v = svd.right_vectors[:, 1].copy()
+    sigma2 = float(svd.singular_values[1])
+    r = qm.q @ v
+    value = float(r @ r)
+
+    p_class = qm.row_marginal
+    p_group = qm.col_marginal
+    active = probs.mean(axis=0) > floor
+    a = 2.0 * r / np.sqrt(p_class)
+    b = np.where(active, r * r / p_class, 0.0)
+    g = v[np.asarray(sensitive) - 1] / np.sqrt(p_group[np.asarray(sensitive) - 1])
+    seed = (np.outer(g, a) - b[None, :]) / n
+    return value, seed, sigma2, v
+
+
+def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
+    """Squared Pearson correlation between the positive-class score and S.
+
+    Returns the value and its gradient with respect to the soft probability
+    matrix (nonzero only in the positive-class column).  A score column with
+    variance below the floor counts as independent and yields exactly 0.
+    """
+    f = np.asarray(soft_probs, dtype=np.float64)
+    st = s_tilde(sensitive)
+    x = f[:, 1]
+    n = len(x)
+    xc = x - x.mean()
+    yc = st - st.mean()
+    vx = float(np.mean(xc * xc))
+    vy = float(np.mean(yc * yc))
+    seed = np.zeros_like(f)
+    if vx <= VARIANCE_FLOOR or vy <= VARIANCE_FLOOR:
+        return 0.0, seed
+    cxy = float(np.mean(xc * yc))
+    rho = cxy / np.sqrt(vx * vy)
+    drho_dx = (yc - (cxy / vx) * xc) / (n * np.sqrt(vx * vy))
+    seed[:, 1] = 2.0 * rho * drho_dx
+    return float(rho * rho), seed
+
+
+def hsic_penalty(soft_probs, sensitive, kernels: HsicConfig | None = None) -> tuple[float, np.ndarray]:
+    """Biased empirical HSIC between the positive-class score and S.
+
+    With the default kernels (linear on the score, delta on the groups) the
+    statistic reduces to a sum of squared centered within-group score sums;
+    with a linear sensitive kernel it is exactly the squared cross
+    covariance.  Nonnegative, and zero for a constant score.
+    """
+    kernels = kernels or HsicConfig()
+    f = np.asarray(soft_probs, dtype=np.float64)
+    s = np.asarray(sensitive)
+    x = f[:, 1]
+    n = len(x)
+    xc = x - x.mean()
+    seed = np.zeros_like(f)
+    if float(np.mean(xc * xc)) <= VARIANCE_FLOOR:
+        return 0.0, seed
+    if kernels.sensitive_kernel == "linear":
+        st = s_tilde(s)
+        yc = st - st.mean()
+        cov = float(np.mean(xc * yc))
+        seed[:, 1] = 2.0 * cov * yc / n
+        return cov * cov, seed
+    groups = np.unique(s)
+    totals = {g: float(xc[s == g].sum()) for g in groups}
+    counts = {g: int((s == g).sum()) for g in groups}
+    value = sum(t * t for t in totals.values()) / (n * n)
+    mix = sum(totals[g] * counts[g] for g in groups) / n
+    per_sample = np.array([totals[g] for g in s])
+    seed[:, 1] = 2.0 * (per_sample - mix) / (n * n)
+    return float(value), seed
+
+
+@dataclass(frozen=True)
+class CombinedSensitive:
+    """Product encoding of several discrete attributes into one column."""
+
+    values: np.ndarray
+    sizes: tuple[int, ...]
+    tuples: tuple[tuple[int, ...], ...]
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.tuples)
+
+    def decode(self, value: int) -> tuple[int, ...]:
+        return self.tuples[value - 1]
+
+
+def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> CombinedSensitive:
+    """Bijectively merge discrete 1-based columns into a single attribute.
+
+    The first column is the most significant digit, so two binary columns
+    map (1,1),(1,2),(2,1),(2,2) to 1,2,3,4.  ``sizes`` pins the per-column
+    alphabet sizes; by default they are inferred from the column maxima.
+    """
+    cols = [np.asarray(c, dtype=np.int64) for c in columns]
+    if not cols:
+        raise ValueError("need at least one column")
+    n = cols[0].shape[0]
+    if sizes is None:
+        sizes = [int(c.max()) for c in cols]
+    sizes = [int(v) for v in sizes]
+    for c, size in zip(cols, sizes):
+        if c.shape != (n,):
+            raise ValueError("columns must share a common length")
+        if c.min() < 1 or c.max() > size:
+            raise ValueError("column values must lie in 1..size")
+    values = np.zeros(n, dtype=np.int64)
+    for c, size in zip(cols, sizes):
+        values = values * size + (c - 1)
+    values += 1
+
+    tuples = []
+    total = int(np.prod(sizes))
+    for code in range(total):
+        digits = []
+        rem = code
+        for size in reversed(sizes):
+            digits.append(rem % size + 1)
+            rem //= size
+        tuples.append(tuple(reversed(digits)))
+    return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuple(tuples))
+
+
+def _eo_slices(batch: Batch, eo_min_group: int, warned: set) -> list[np.ndarray]:
+    """Index arrays of the label slices large enough for a conditional penalty."""
+    slices = []
+    d = batch.n_groups
+    for y in range(1, batch.n_classes + 1):
+        idx = np.flatnonzero(batch.labels == y)
+        if idx.size == 0:
+            continue
+        group_counts = np.bincount(batch.sensitive[idx] - 1, minlength=d)
+        if group_counts.min() < eo_min_group:
+            if y not in warned:
+                warned.add(y)
+                logger.warning(
+                    "equalized-odds slice y=%d skipped: smallest group has %d "
+                    "samples (< %d)", y, int(group_counts.min()), eo_min_group,
+                )
+            continue
+        slices.append(idx)
+    return slices
+
+
+def _penalty_dp_discrete(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
+    value, seed, sigma2, v = _discrete_penalty(probs, sub.sensitive, cfg.floor, n_groups)
+    return cfg.lam * value, cfg.lam * seed, sigma2, v
+
+
+def _penalty_dp_binary(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
+    st = s_tilde(sub.sensitive)
+    w = inner_w_closed_form(probs, st, cfg.floor)
+    centered, _ = _binary_inner_value(probs, st, w)
+    seed = _binary_seed(st, w, 1.0 / sub.n)
+    qm = maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
+    sigma2 = float(maxcorr.svd_small(qm.q).singular_values[1])
+    return cfg.lam * centered, cfg.lam * seed, sigma2, w
+
+
+def _penalty_eo(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
+    warned = state.setdefault("warned", set())
+    slices = _eo_slices(sub, cfg.eo_min_group, warned)
+    total = 0.0
+    seed = np.zeros_like(probs)
+    sq_sum = 0.0
+    adversaries = {}
+    for idx in slices:
+        y = int(sub.labels[idx[0]])
+        sl_probs = probs[idx]
+        if n_groups == 2:
+            st = s_tilde(sub.sensitive[idx])
+            w = inner_w_closed_form(sl_probs, st, cfg.floor)
+            centered, rho_sq = _binary_inner_value(sl_probs, st, w)
+            seed[idx] += _binary_seed(st, w, 1.0 / idx.size)
+            total += centered
+            sq_sum += max(rho_sq, 0.0)
+            adversaries[y] = w
+        else:
+            value, sl_seed, sigma2, v = _discrete_penalty(
+                sl_probs, sub.sensitive[idx], cfg.floor, n_groups)
+            seed[idx] += sl_seed
+            total += value
+            sq_sum += sigma2 * sigma2
+            adversaries[y] = v
+    return cfg.lam * total, cfg.lam * seed, float(np.sqrt(sq_sum)), adversaries
+
+
+def _penalty_baseline(penalty_fn):
+    def run(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
+        value, seed = penalty_fn(probs, sub, cfg)
+        qm = maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
+        sigma2 = float(maxcorr.svd_small(qm.q).singular_values[1])
+        return cfg.lam * value, cfg.lam * seed, sigma2, None
+    return run
+
+
+def _penalty_none(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
+    qm = maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
+    sigma2 = float(maxcorr.svd_small(qm.q).singular_values[1])
+    return 0.0, None, sigma2, None
+
+
+_PENALTIES = {
+    "none": _penalty_none,
+    "dp_discrete": _penalty_dp_discrete,
+    "dp_binary": _penalty_dp_binary,
+    "eo": _penalty_eo,
+    "pearson": _penalty_baseline(
+        lambda probs, sub, cfg: pearson_penalty(probs, sub.sensitive)),
+    "hsic": _penalty_baseline(
+        lambda probs, sub, cfg: hsic_penalty(probs, sub.sensitive, cfg.hsic_kernels)),
+}
+
+
+def _validate_mode(cfg: TrainConfig, batch: Batch) -> None:
+    d = batch.n_groups
+    if cfg.fairness_mode in ("dp_binary", "pearson", "hsic") and d != 2:
+        raise ValueError(f"{cfg.fairness_mode} requires a binary sensitive attribute, got d={d}")
+    if cfg.fairness_mode == "dp_discrete" and d < 2:
+        raise ValueError("dp_discrete requires at least two sensitive groups")
+
+
+def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
+    """Gradient descent on cross entropy plus the configured fairness penalty.
+
+    Each iteration solves the inner maximization exactly (SVD or closed
+    form), then takes one descent step on the parameters with the adversary
+    fixed.  With ``lam == 0`` the iterate sequence is bitwise identical to
+    plain gradient descent under the same seed.  Runs for ``cfg.iters``
+    steps or until the full objective gradient norm drops to
+    ``cfg.grad_tol``; a non-finite loss stops the run with the trace flagged
+    as diverged.
+    """
+    _validate_mode(cfg, batch)
+    penalty_fn = _PENALTIES[cfg.fairness_mode]
+    n_groups = batch.n_groups
+    state: dict = {}
+    trace = TrainTrace()
+    rng = np.random.default_rng(cfg.seed)
+    order = np.array([], dtype=np.int64)
+    cursor = 0
+
+    def next_batch() -> Batch:
+        nonlocal order, cursor
+        if cfg.batch_size is None or cfg.batch_size >= batch.n:
+            return batch
+        if cursor + cfg.batch_size > len(order):
+            order = rng.permutation(batch.n)
+            cursor = 0
+        idx = order[cursor: cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        return batch.subset(idx)
+
+    theta = params
+    for t in range(cfg.iters):
+        sub = next_batch()
+        probs = forward(theta, sub.features)
+        pen, seed, sigma2, adversary = penalty_fn(probs, sub, cfg, n_groups, state)
+        loss, grad = loss_and_grad(theta, sub)
+        if cfg.lam != 0.0 and seed is not None:
+            grad = grad + jacobian_probs(theta, sub.features)(seed)
+        grad_norm = float(np.linalg.norm(grad))
+
+        if not np.isfinite(loss) or not np.isfinite(grad_norm):
+            trace.diverged = True
+            break
+        trace.iteration.append(t)
+        trace.loss.append(loss)
+        trace.penalty.append(float(pen))
+        trace.grad_norm.append(grad_norm)
+        trace.sigma2.append(sigma2)
+        trace.adversary.append(adversary)
+        if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
+            trace.stopped_early = True
+            break
+        theta = theta.with_theta(theta.theta - cfg.eta * grad)
+    else:
+        # Final diagnostic row at the last iterate (full batch).
+        probs = forward(theta, batch.features)
+        pen, seed, sigma2, adversary = penalty_fn(probs, batch, cfg, n_groups, state)
+        loss, grad = loss_and_grad(theta, batch)
+        if cfg.lam != 0.0 and seed is not None:
+            grad = grad + jacobian_probs(theta, batch.features)(seed)
+        if np.isfinite(loss):
+            trace.iteration.append(cfg.iters)
+            trace.loss.append(loss)
+            trace.penalty.append(float(pen))
+            trace.grad_norm.append(float(np.linalg.norm(grad)))
+            trace.sigma2.append(sigma2)
+            trace.adversary.append(adversary)
+
+    trace.final_params = theta
+    return trace
+
+
+def train_discrete(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
+    """SVD-adversary demographic parity training (d-valued attribute)."""
+    if cfg.fairness_mode != "dp_discrete":
+        raise ValueError("cfg.fairness_mode must be 'dp_discrete'")
+    return train(params, batch, cfg)
+
+
+def train_binary(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
+    """Closed-form-adversary demographic parity training (binary attribute)."""
+    if cfg.fairness_mode != "dp_binary":
+        raise ValueError("cfg.fairness_mode must be 'dp_binary'")
+    return train(params, batch, cfg)
+
+
+def train_equalized_odds(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
+    """Per-label conditional penalty training (equalized odds)."""
+    if cfg.fairness_mode != "eo":
+        raise ValueError("cfg.fairness_mode must be 'eo'")
+    return train(params, batch, cfg)
+
+
+def binary_objective(params: ModelParams, batch: Batch, lam: float, w) -> float:
+    """The binary min-max objective at fixed adversary ``w``.
+
+    Cross entropy plus the uncentered surrogate; used to verify the
+    closed-form inner solve and the envelope property of the outer gradient.
+    """
+    probs = forward(params, batch.features)
+    st = s_tilde(batch.sensitive)
+    w = np.asarray(w, dtype=np.float64)
+    loss, _ = loss_and_grad(params, batch)
+    pen = float(np.mean((st[:, None] * probs) @ w) - np.mean(probs @ (w * w)))
+    return loss + lam * pen
