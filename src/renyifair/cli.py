@@ -33,6 +33,7 @@ import json
 import multiprocessing
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,10 +192,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     rows, failures = _run_tasks(_train_one, tasks, jobs)
     rows.sort(key=lambda r: (r["lambda"], r["seed"], r["split"]))
     write_csv(os.path.join(out_dir, "sweep.csv"), TRAIN_COLUMNS, rows)
-    write_manifest(out_dir, cfg, failures)
-    for f in failures:
-        print(f"FAILED: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish(out_dir, cfg, failures)
 
 
 def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -247,30 +245,29 @@ def cmd_cluster(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     rows, failures = _run_tasks(_cluster_one, tasks, jobs)
     rows.sort(key=lambda r: (r["lambda"], r["seed"]))
     write_csv(os.path.join(out_dir, "sweep.csv"), CLUSTER_COLUMNS, rows)
-    write_manifest(out_dir, cfg, failures)
-    for f in failures:
-        print(f"FAILED: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish(out_dir, cfg, failures)
 
 
 def _run_tasks(fn, tasks, jobs: int):
-    rows: list[dict] = []
-    failures: list[str] = []
+    """Run every task, isolating failures.
+
+    Returns the rows of the runs that succeeded and one
+    ``(summary, traceback)`` pair per failed run.
+    """
+    bundles = [(fn, t) for t in tasks]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_safe_call, [(fn, t) for t in tasks])
-        for task, (ok, payload) in zip(tasks, results):
-            if ok:
-                rows.extend(payload)
-            else:
-                failures.append(f"lam={task[1]} seed={task[2]}: {payload}")
+            results = pool.map(_safe_call, bundles)
     else:
-        for task in tasks:
-            ok, payload = _safe_call((fn, task))
-            if ok:
-                rows.extend(payload)
-            else:
-                failures.append(f"lam={task[1]} seed={task[2]}: {payload}")
+        results = [_safe_call(b) for b in bundles]
+    rows: list[dict] = []
+    failures: list[tuple[str, str]] = []
+    for task, (ok, payload) in zip(tasks, results):
+        if ok:
+            rows.extend(payload)
+        else:
+            message, tb = payload
+            failures.append((f"lam={task[1]} seed={task[2]}: {message}", tb))
     return rows, failures
 
 
@@ -279,7 +276,16 @@ def _safe_call(bundle):
     try:
         return True, fn(task)
     except Exception as exc:  # noqa: BLE001 - runs are isolated; report and continue
-        return False, f"{type(exc).__name__}: {exc}"
+        return False, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
+def _finish(out_dir: str, cfg: ExperimentConfig, failures) -> int:
+    """Write the manifest and report each failure with its traceback on stderr."""
+    write_manifest(out_dir, cfg, [summary for summary, _ in failures])
+    for summary, tb in failures:
+        print(f"FAILED: {summary}", file=sys.stderr)
+        print(tb, end="", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_eval(checkpoint: str, dataset: str, split: str = "test") -> metrics.EvalReport:

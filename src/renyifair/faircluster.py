@@ -37,7 +37,6 @@ class ClusterConfig:
     seed: int = 0
     w_update_mode: str = "per_point"
     init: str = "random_assignment"
-    empty_cluster_policy: str = "keep_center"
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -50,8 +49,6 @@ class ClusterConfig:
             raise ValueError(f"unknown w_update_mode {self.w_update_mode!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init {self.init!r}")
-        if self.empty_cluster_policy != "keep_center":
-            raise ValueError(f"unknown empty_cluster_policy {self.empty_cluster_policy!r}")
 
 
 @dataclass

@@ -19,7 +19,10 @@ every penalty is the inner maximum of a tractable adversarial problem:
 
 The adversary is held fixed while the parameter gradient is taken, exactly
 matching the alternation of the descent-ascent scheme; nothing
-differentiates through the SVD.
+differentiates through the SVD.  Every penalty returns its unscaled value
+and its gradient with respect to the soft outputs; :func:`train` applies
+``lam`` once and pulls the gradient back through the same forward pass that
+gave the cross entropy.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import maxcorr
 from .maxcorr import DEFAULT_MARGINAL_FLOOR
-from .model import Batch, ModelParams, forward, jacobian_probs, loss_and_grad
+from .model import Batch, ModelParams, forward, loss_and_grad, loss_grad_and_vjp
 
 logger = logging.getLogger(__name__)
 
@@ -240,13 +243,12 @@ def hsic_penalty(soft_probs, sensitive, kernels: HsicConfig | None = None) -> tu
         cov = float(np.mean(xc * yc))
         seed[:, 1] = 2.0 * cov * yc / n
         return cov * cov, seed
-    groups = np.unique(s)
-    totals = {g: float(xc[s == g].sum()) for g in groups}
-    counts = {g: int((s == g).sum()) for g in groups}
-    value = sum(t * t for t in totals.values()) / (n * n)
-    mix = sum(totals[g] * counts[g] for g in groups) / n
-    per_sample = np.array([totals[g] for g in s])
-    seed[:, 1] = 2.0 * (per_sample - mix) / (n * n)
+    groups, group_of = np.unique(s, return_inverse=True)
+    totals = [float(xc[s == g].sum()) for g in groups]
+    counts = np.bincount(group_of)
+    value = sum(t * t for t in totals) / (n * n)
+    mix = sum(t * int(k) for t, k in zip(totals, counts)) / n
+    seed[:, 1] = 2.0 * (np.array(totals)[group_of] - mix) / (n * n)
     return float(value), seed
 
 
@@ -323,23 +325,7 @@ def _eo_slices(batch: Batch, eo_min_group: int, warned: set) -> list[np.ndarray]
     return slices
 
 
-def _penalty_dp_discrete(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
-    value, seed, sigma2, v = _discrete_penalty(probs, sub.sensitive, cfg.floor, n_groups)
-    return cfg.lam * value, cfg.lam * seed, sigma2, v
-
-
-def _penalty_dp_binary(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
-    st = s_tilde(sub.sensitive)
-    w = inner_w_closed_form(probs, st, cfg.floor)
-    centered, _ = _binary_inner_value(probs, st, w)
-    seed = _binary_seed(st, w, 1.0 / sub.n)
-    qm = maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
-    sigma2 = float(maxcorr.svd_small(qm.q).singular_values[1])
-    return cfg.lam * centered, cfg.lam * seed, sigma2, w
-
-
-def _penalty_eo(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
-    warned = state.setdefault("warned", set())
+def _penalty_eo(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
     slices = _eo_slices(sub, cfg.eo_min_group, warned)
     total = 0.0
     seed = np.zeros_like(probs)
@@ -363,34 +349,31 @@ def _penalty_eo(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
             total += value
             sq_sum += sigma2 * sigma2
             adversaries[y] = v
-    return cfg.lam * total, cfg.lam * seed, float(np.sqrt(sq_sum)), adversaries
+    return total, seed, float(np.sqrt(sq_sum)), adversaries
 
 
-def _penalty_baseline(penalty_fn):
-    def run(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
-        value, seed = penalty_fn(probs, sub, cfg)
-        qm = maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
-        sigma2 = float(maxcorr.svd_small(qm.q).singular_values[1])
-        return cfg.lam * value, cfg.lam * seed, sigma2, None
-    return run
+def _penalty(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
+    """Unscaled ``(value, seed, sigma2, adversary)`` of the configured penalty.
 
-
-def _penalty_none(probs, sub: Batch, cfg: TrainConfig, n_groups: int, state):
-    qm = maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
-    sigma2 = float(maxcorr.svd_small(qm.q).singular_values[1])
-    return 0.0, None, sigma2, None
-
-
-_PENALTIES = {
-    "none": _penalty_none,
-    "dp_discrete": _penalty_dp_discrete,
-    "dp_binary": _penalty_dp_binary,
-    "eo": _penalty_eo,
-    "pearson": _penalty_baseline(
-        lambda probs, sub, cfg: pearson_penalty(probs, sub.sensitive)),
-    "hsic": _penalty_baseline(
-        lambda probs, sub, cfg: hsic_penalty(probs, sub.sensitive, cfg.hsic_kernels)),
-}
+    ``seed`` is d(value)/dF with the adversary held fixed (None for
+    ``none``).  ``sigma2`` is None where the inner solve does not produce
+    the maximal correlation; the caller then computes it from Q.
+    """
+    mode = cfg.fairness_mode
+    if mode == "dp_discrete":
+        return _discrete_penalty(probs, sub.sensitive, cfg.floor, n_groups)
+    if mode == "dp_binary":
+        st = s_tilde(sub.sensitive)
+        w = inner_w_closed_form(probs, st, cfg.floor)
+        centered, _ = _binary_inner_value(probs, st, w)
+        return centered, _binary_seed(st, w, 1.0 / sub.n), None, w
+    if mode == "eo":
+        return _penalty_eo(probs, sub, cfg, n_groups, warned)
+    if mode == "pearson":
+        return (*pearson_penalty(probs, sub.sensitive), None, None)
+    if mode == "hsic":
+        return (*hsic_penalty(probs, sub.sensitive, cfg.hsic_kernels), None, None)
+    return 0.0, None, None, None
 
 
 def _validate_mode(cfg: TrainConfig, batch: Batch) -> None:
@@ -406,16 +389,18 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
 
     Each iteration solves the inner maximization exactly (SVD or closed
     form), then takes one descent step on the parameters with the adversary
-    fixed.  With ``lam == 0`` the iterate sequence is bitwise identical to
-    plain gradient descent under the same seed.  Runs for ``cfg.iters``
-    steps or until the full objective gradient norm drops to
+    fixed.  One forward pass per step feeds the loss, the penalty and both
+    backward passes (cross entropy, then the penalty's pullback, summed in
+    that order).  With ``lam == 0`` the iterate sequence is bitwise
+    identical to plain gradient descent under the same seed.  Runs for
+    ``cfg.iters`` steps or until the full objective gradient norm drops to
     ``cfg.grad_tol``; a non-finite loss stops the run with the trace flagged
-    as diverged.
+    as diverged.  A run that uses all its steps ends with a diagnostic row
+    at the last iterate on the full batch.
     """
     _validate_mode(cfg, batch)
-    penalty_fn = _PENALTIES[cfg.fairness_mode]
     n_groups = batch.n_groups
-    state: dict = {}
+    warned: set = set()
     trace = TrainTrace()
     rng = np.random.default_rng(cfg.seed)
     order = np.array([], dtype=np.int64)
@@ -432,67 +417,42 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         cursor += cfg.batch_size
         return batch.subset(idx)
 
+    def step(theta: ModelParams, sub: Batch):
+        """Objective gradient at ``theta`` on ``sub`` and its trace row."""
+        probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
+        value, seed, sigma2, adversary = _penalty(probs, sub, cfg, n_groups, warned)
+        if sigma2 is None:
+            sigma2 = maxcorr.second_singular_value(
+                maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups))
+        if cfg.lam != 0.0 and seed is not None:
+            grad = grad + vjp(cfg.lam * seed)
+        return grad, (loss, float(cfg.lam * value), float(np.linalg.norm(grad)), sigma2, adversary)
+
+    def record(t: int, row) -> None:
+        columns = (trace.loss, trace.penalty, trace.grad_norm, trace.sigma2, trace.adversary)
+        trace.iteration.append(t)
+        for column, value in zip(columns, row):
+            column.append(value)
+
     theta = params
     for t in range(cfg.iters):
-        sub = next_batch()
-        probs = forward(theta, sub.features)
-        pen, seed, sigma2, adversary = penalty_fn(probs, sub, cfg, n_groups, state)
-        loss, grad = loss_and_grad(theta, sub)
-        if cfg.lam != 0.0 and seed is not None:
-            grad = grad + jacobian_probs(theta, sub.features)(seed)
-        grad_norm = float(np.linalg.norm(grad))
-
+        grad, row = step(theta, next_batch())
+        loss, _, grad_norm, _, _ = row
         if not np.isfinite(loss) or not np.isfinite(grad_norm):
             trace.diverged = True
             break
-        trace.iteration.append(t)
-        trace.loss.append(loss)
-        trace.penalty.append(float(pen))
-        trace.grad_norm.append(grad_norm)
-        trace.sigma2.append(sigma2)
-        trace.adversary.append(adversary)
+        record(t, row)
         if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
             trace.stopped_early = True
             break
         theta = theta.with_theta(theta.theta - cfg.eta * grad)
     else:
-        # Final diagnostic row at the last iterate (full batch).
-        probs = forward(theta, batch.features)
-        pen, seed, sigma2, adversary = penalty_fn(probs, batch, cfg, n_groups, state)
-        loss, grad = loss_and_grad(theta, batch)
-        if cfg.lam != 0.0 and seed is not None:
-            grad = grad + jacobian_probs(theta, batch.features)(seed)
-        if np.isfinite(loss):
-            trace.iteration.append(cfg.iters)
-            trace.loss.append(loss)
-            trace.penalty.append(float(pen))
-            trace.grad_norm.append(float(np.linalg.norm(grad)))
-            trace.sigma2.append(sigma2)
-            trace.adversary.append(adversary)
+        _, row = step(theta, batch)
+        if np.isfinite(row[0]):
+            record(cfg.iters, row)
 
     trace.final_params = theta
     return trace
-
-
-def train_discrete(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
-    """SVD-adversary demographic parity training (d-valued attribute)."""
-    if cfg.fairness_mode != "dp_discrete":
-        raise ValueError("cfg.fairness_mode must be 'dp_discrete'")
-    return train(params, batch, cfg)
-
-
-def train_binary(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
-    """Closed-form-adversary demographic parity training (binary attribute)."""
-    if cfg.fairness_mode != "dp_binary":
-        raise ValueError("cfg.fairness_mode must be 'dp_binary'")
-    return train(params, batch, cfg)
-
-
-def train_equalized_odds(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
-    """Per-label conditional penalty training (equalized odds)."""
-    if cfg.fairness_mode != "eo":
-        raise ValueError("cfg.fairness_mode must be 'eo'")
-    return train(params, batch, cfg)
 
 
 def binary_objective(params: ModelParams, batch: Batch, lam: float, w) -> float:

@@ -155,11 +155,11 @@ def q_from_joint(joint: JointTable, floor: float = 0.0) -> QMatrix:
     return QMatrix(q=q, row_marginal=row, col_marginal=col)
 
 
-def _one_sided_jacobi(m: np.ndarray, tol: float):
+def _one_sided_jacobi(m: np.ndarray):
     """Orthogonalize the columns of ``m`` by plane rotations.
 
     Returns ``(a, v, converged)`` where ``a = m @ v`` has mutually orthogonal
-    columns (to ``tol`` relative) and ``v`` is orthogonal.
+    columns (to ``_JACOBI_TOL`` relative) and ``v`` is orthogonal.
     """
     a = m.astype(np.float64).copy()
     n_cols = a.shape[1]
@@ -171,7 +171,7 @@ def _one_sided_jacobi(m: np.ndarray, tol: float):
                 alpha = a[:, p] @ a[:, p]
                 beta = a[:, q_] @ a[:, q_]
                 gamma = a[:, p] @ a[:, q_]
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
+                if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
                     continue
                 rotated = True
                 zeta = (beta - alpha) / (2.0 * gamma)
@@ -214,15 +214,13 @@ def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray:
     return u
 
 
-def svd_small(m, tol: float = _JACOBI_TOL) -> SvdResult:
+def svd_small(m) -> SvdResult:
     """Deterministic thin SVD of a small dense matrix.
 
     One-sided Jacobi, capped at 100 sweeps; intended for matrices up to
     64 x 64.  Raises :class:`SvdConvergenceError` with condition diagnostics
     if the sweep cap is hit.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = _as_matrix(m)
     rows, cols = m.shape
     if max(rows, cols) > 64:
@@ -231,7 +229,7 @@ def svd_small(m, tol: float = _JACOBI_TOL) -> SvdResult:
     transposed = cols > rows
     work = m.T if transposed else m
 
-    a, v, converged = _one_sided_jacobi(work, tol)
+    a, v, converged = _one_sided_jacobi(work)
     if not converged:
         gram = work.T @ work
         off = np.abs(gram - np.diag(np.diag(gram))).max()
@@ -245,10 +243,7 @@ def svd_small(m, tol: float = _JACOBI_TOL) -> SvdResult:
     scale = sv.max(initial=0.0)
     cutoff = scale * max(rows, cols) * np.finfo(np.float64).eps
     u = np.zeros_like(a)
-    nonzero = 0
-    for j in np.argsort(-sv, kind="stable"):
-        if sv[j] > cutoff:
-            nonzero += 1
+    nonzero = int(np.count_nonzero(sv > cutoff))
     # Normalize in descending order so completion happens on the tail.
     order = np.argsort(-sv, kind="stable")
     a = a[:, order]
@@ -288,13 +283,18 @@ def svd_small(m, tol: float = _JACOBI_TOL) -> SvdResult:
     )
 
 
-def renyi_discrete(joint: JointTable, floor: float = 0.0) -> float:
-    """Maximal correlation of a discrete joint: second singular value of Q."""
-    qm = q_from_joint(joint, floor=floor)
+def second_singular_value(qm: QMatrix) -> float:
+    """Second singular value of Q, i.e. the maximal correlation it encodes.
+
+    0.0 when Q has fewer than two singular values (one class or one group).
+    """
     sv = svd_small(qm.q).singular_values
-    if len(sv) < 2:
-        return 0.0
-    return float(min(max(sv[1], 0.0), 1.0))
+    return float(sv[1]) if len(sv) > 1 else 0.0
+
+
+def renyi_discrete(joint: JointTable, floor: float = 0.0) -> float:
+    """Maximal correlation of a discrete joint, clamped to [0, 1]."""
+    return min(max(second_singular_value(q_from_joint(joint, floor=floor)), 0.0), 1.0)
 
 
 def renyi_binary(joint: JointTable, floor: float = 0.0) -> RenyiBinaryResult:

@@ -148,9 +148,8 @@ def evaluate(params: ModelParams, batch: Batch,
     preds = hard_predictions(probs)
     acc = float(np.mean(preds == batch.labels))
     d = batch.n_groups
-    qm = maxcorr.empirical_q(probs, batch.sensitive, floor=floor, n_groups=d)
-    sv = maxcorr.svd_small(qm.q).singular_values
-    sigma2 = float(sv[1]) if len(sv) > 1 else 0.0
+    sigma2 = maxcorr.second_singular_value(
+        maxcorr.empirical_q(probs, batch.sensitive, floor=floor, n_groups=d))
     rates = _positive_rates(preds, batch.sensitive, POSITIVE_CLASS)
     pp = p_percent(preds, batch.sensitive) if d == 2 else None
     dp = dp_violation(preds, batch.sensitive) if len(rates) >= 2 else None

@@ -10,6 +10,12 @@ Parameters live in one flat float64 vector so optimizers and checkpoints
 never deal with shapes; gradients are hand-derived and checked against
 central finite differences in the test suite.  No autodiff framework is
 used anywhere.
+
+A training step needs the soft outputs, the cross-entropy gradient and the
+pullback of a penalty through the outputs; :func:`loss_grad_and_vjp`
+returns all of them from one forward pass.  :func:`forward`,
+:func:`loss_and_grad` and :func:`jacobian_probs` are the same pieces one at
+a time.
 """
 
 from __future__ import annotations
@@ -199,8 +205,30 @@ def _backward_from_dlogits(params: ModelParams, x: np.ndarray,
     return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
 
-def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean cross entropy and its gradient with respect to theta."""
+def _pullback(params: ModelParams, x: np.ndarray, probs: np.ndarray,
+              hidden) -> Callable[[np.ndarray], np.ndarray]:
+    """Vector-Jacobian product of the soft outputs of one forward pass."""
+
+    def vjp(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != probs.shape:
+            raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
+        inner = np.sum(u * probs, axis=1, keepdims=True)
+        dlogits = (u - inner) * probs
+        return _backward_from_dlogits(params, x, dlogits, hidden)
+
+    return vjp
+
+
+def loss_grad_and_vjp(
+    params: ModelParams, batch: Batch,
+) -> tuple[np.ndarray, float, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Everything one training step needs, from a single forward pass.
+
+    Returns ``(probs, loss, grad, vjp)``: the soft outputs, the mean cross
+    entropy and its gradient, and the pullback :func:`jacobian_probs`
+    would return.  ``grad`` and each ``vjp(u)`` are separate backward passes.
+    """
     x = batch.features
     n = batch.n
     probs, hidden = _forward_internals(params, x)
@@ -212,7 +240,14 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]
     dlogits = probs.copy()
     dlogits[np.arange(n), y0] -= 1.0
     dlogits /= n
-    return loss, _backward_from_dlogits(params, x, dlogits, hidden)
+    grad = _backward_from_dlogits(params, x, dlogits, hidden)
+    return probs, loss, grad, _pullback(params, x, probs, hidden)
+
+
+def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]:
+    """Mean cross entropy and its gradient with respect to theta."""
+    _, loss, grad, _ = loss_grad_and_vjp(params, batch)
+    return loss, grad
 
 
 def jacobian_probs(params: ModelParams, features) -> Callable[[np.ndarray], np.ndarray]:
@@ -224,17 +259,7 @@ def jacobian_probs(params: ModelParams, features) -> Callable[[np.ndarray], np.n
     ``(u - (u . F) 1) * F`` row by row.
     """
     x = np.asarray(features, dtype=np.float64)
-    probs, hidden = _forward_internals(params, x)
-
-    def vjp(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != probs.shape:
-            raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
-        inner = np.sum(u * probs, axis=1, keepdims=True)
-        dlogits = (u - inner) * probs
-        return _backward_from_dlogits(params, x, dlogits, hidden)
-
-    return vjp
+    return _pullback(params, x, *_forward_internals(params, x))
 
 
 def save_params(params: ModelParams, path) -> None:

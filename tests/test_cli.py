@@ -76,6 +76,20 @@ class TestTrainCommand:
         assert (out / "sweep.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"]
+        # The manifest keeps one line per failure; stderr adds the traceback,
+        # also when the failing run executed in a worker process.
+        for entry in manifest["failures"]:
+            assert "\n" not in entry and entry.startswith("lam=")
+        err = capsys.readouterr().err
+        assert err.count("FAILED: lam=") == 2
+        assert err.count("Traceback (most recent call last)") == 2
+        assert "never_there.spec" in err
+        parallel = tmp_path / "parallel"
+        assert run(["train", "--config", cfg, "--out", parallel, "--jobs", "2"]) == 1
+        assert (parallel / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+        err = capsys.readouterr().err
+        assert err.count("Traceback (most recent call last)") == 2
+        assert "_train_one" in err
 
     def test_bad_lambda_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", lambda_grid=[1.0, 0.5])

@@ -197,6 +197,20 @@ class TestBaselinePenalties:
         expected = sum(x[s == g].sum() ** 2 for g in (1, 2)) / 40 ** 2
         assert abs(value - expected) <= 1e-15
 
+    def test_hsic_delta_kernel_seed_bitwise(self):
+        # Per-sample group totals, gathered one sample at a time.
+        rng = np.random.default_rng(13)
+        n = 2000
+        probs = random_probs(rng, n, 2)
+        s = rng.integers(1, 3, n)
+        _, seed = ft.hsic_penalty(probs, s)
+        x = probs[:, 1] - probs[:, 1].mean()
+        totals = {g: float(x[s == g].sum()) for g in (1, 2)}
+        mix = sum(totals[g] * int((s == g).sum()) for g in (1, 2)) / n
+        expected = 2.0 * (np.array([totals[g] for g in s]) - mix) / (n * n)
+        np.testing.assert_array_equal(seed[:, 1], expected)
+        np.testing.assert_array_equal(seed[:, 0], 0.0)
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(10)
         params = md.init_params("linear", 3, 2, seed=11)
@@ -287,7 +301,7 @@ class TestTrainers:
         p0 = md.init_params("linear", 2, 2, seed=1)
         cfg = ft.TrainConfig(lam=100.0, eta=0.001, iters=1500,
                              fairness_mode="eo", eo_min_group=10, seed=0)
-        trace = ft.train_equalized_odds(p0, batch, cfg)
+        trace = ft.train(p0, batch, cfg)
         assert trace.sigma2[-1] ** 2 <= 0.05
 
     def test_eo_small_slices_skipped_with_warning(self, caplog):
@@ -368,3 +382,108 @@ class TestTrainers:
         w = ft.inner_w_closed_form(varied, stv, 1e-9)
         centered, _ = ft._binary_inner_value(varied, stv, w)
         assert centered >= -1e-12
+
+
+def reference_penalty(probs, sub, cfg, n_groups, warned):
+    """Scaled penalty, scaled seed and sigma2 as each mode computed them when
+    lambda was applied inside every penalty and sigma2 came from an SVD of Q."""
+    lam = cfg.lam
+
+    def sigma2_of_q():
+        qm = mc.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
+        return float(mc.svd_small(qm.q).singular_values[1])
+
+    mode = cfg.fairness_mode
+    if mode == "none":
+        return 0.0, None, sigma2_of_q()
+    if mode == "dp_discrete":
+        value, seed, sigma2, _ = ft._discrete_penalty(probs, sub.sensitive, cfg.floor, n_groups)
+        return lam * value, lam * seed, sigma2
+    if mode == "dp_binary":
+        stv = ft.s_tilde(sub.sensitive)
+        w = ft.inner_w_closed_form(probs, stv, cfg.floor)
+        centered, _ = ft._binary_inner_value(probs, stv, w)
+        return lam * centered, lam * ft._binary_seed(stv, w, 1.0 / sub.n), sigma2_of_q()
+    if mode == "eo":
+        total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
+        for idx in ft._eo_slices(sub, cfg.eo_min_group, warned):
+            if n_groups == 2:
+                stv = ft.s_tilde(sub.sensitive[idx])
+                w = ft.inner_w_closed_form(probs[idx], stv, cfg.floor)
+                centered, rho_sq = ft._binary_inner_value(probs[idx], stv, w)
+                seed[idx] += ft._binary_seed(stv, w, 1.0 / idx.size)
+                total += centered
+                sq_sum += max(rho_sq, 0.0)
+            else:
+                value, sl_seed, sigma2, _ = ft._discrete_penalty(
+                    probs[idx], sub.sensitive[idx], cfg.floor, n_groups)
+                seed[idx] += sl_seed
+                total += value
+                sq_sum += sigma2 * sigma2
+        return lam * total, lam * seed, float(np.sqrt(sq_sum))
+    if mode == "pearson":
+        value, seed = ft.pearson_penalty(probs, sub.sensitive)
+    else:
+        value, seed = ft.hsic_penalty(probs, sub.sensitive, cfg.hsic_kernels)
+    return lam * value, lam * seed, sigma2_of_q()
+
+
+def reference_train(params, batch, cfg):
+    """Descent with three forward passes per step (``forward`` for the
+    penalty, ``loss_and_grad``, ``jacobian_probs``) and the same minibatch
+    schedule as ``ft.train``; returns the last iterate and one
+    ``(loss, penalty, grad_norm, sigma2)`` row per step plus the final row."""
+    rng = np.random.default_rng(cfg.seed)
+    order, cursor = np.array([], dtype=np.int64), 0
+    warned = set()
+
+    def step(theta, sub):
+        probs = md.forward(theta, sub.features)
+        pen, seed, sigma2 = reference_penalty(probs, sub, cfg, batch.n_groups, warned)
+        loss, grad = md.loss_and_grad(theta, sub)
+        if cfg.lam != 0.0 and seed is not None:
+            grad = grad + md.jacobian_probs(theta, sub.features)(seed)
+        return grad, (loss, float(pen), float(np.linalg.norm(grad)), sigma2)
+
+    theta, rows = params, []
+    for _ in range(cfg.iters):
+        sub = batch
+        if cfg.batch_size is not None:
+            if cursor + cfg.batch_size > len(order):
+                order, cursor = rng.permutation(batch.n), 0
+            sub = batch.subset(order[cursor: cursor + cfg.batch_size])
+            cursor += cfg.batch_size
+        grad, row = step(theta, sub)
+        rows.append(row)
+        theta = theta.with_theta(theta.theta - cfg.eta * grad)
+    rows.append(step(theta, batch)[1])
+    return theta, rows
+
+
+def labelled_groups_batch(n, d, seed):
+    """Labels and groups drawn independently, one feature tracking each."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, 3, n)
+    s = rng.integers(1, d + 1, n)
+    x = np.stack([np.where(y == 2, 1.0, -1.0) + rng.normal(size=n),
+                  (s - (d + 1) / 2.0) + rng.normal(size=n),
+                  rng.normal(size=n)], axis=1)
+    return md.Batch(x, y, s)
+
+
+@pytest.mark.parametrize("mode,d", [("none", 2), ("dp_discrete", 2), ("dp_discrete", 3),
+                                    ("dp_binary", 2), ("eo", 2), ("eo", 3),
+                                    ("pearson", 2), ("hsic", 2)])
+@pytest.mark.parametrize("arch,hidden,batch_size", [("linear", 0, None), ("one_hidden", 4, 64)])
+def test_single_pass_step_matches_three_pass_reference_bitwise(mode, d, arch, hidden, batch_size):
+    batch = labelled_groups_batch(300, d, seed=d)
+    p0 = md.init_params(arch, batch.n_features, batch.n_classes, hidden_dim=hidden, seed=1)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode=mode,
+                         batch_size=batch_size, eo_min_group=5, seed=2)
+    trace = ft.train(p0, batch, cfg)
+    theta, rows = reference_train(p0, batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+    np.testing.assert_array_equal(trace.final_params.theta, theta.theta)
+    for got, want in zip((trace.loss, trace.penalty, trace.grad_norm, trace.sigma2), zip(*rows)):
+        np.testing.assert_array_equal(got, want)
+    assert any(p != 0.0 for p in trace.penalty) or mode == "none"
