@@ -173,15 +173,13 @@ def _train_one(args) -> list[dict]:
     base = {
         "lambda": lam, "seed": seed,
         "loss": trace.loss[-1], "penalty": trace.penalty[-1],
-        "grad_norm": trace.grad_norm[-1], "sigma2": trace.sigma2[-1],
+        "grad_norm": trace.grad_norm[-1],
         "iters_run": trace.iteration[-1], "diverged": trace.diverged,
     }
     rows = []
     for split, batch in (("train", train_batch), ("test", test_batch)):
         report = metrics.evaluate(trace.final_params, batch, floor=tcfg.floor)
-        row = _report_row(report, base, split)
-        row["sigma2"] = report.sigma2
-        rows.append(row)
+        rows.append(_report_row(report, base, split))
     return rows
 
 
@@ -204,6 +202,18 @@ def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
         raw = np.loadtxt(name.split(":", 1)[1], delimiter=",", ndmin=2)
         return raw[:, :-1], raw[:, -1].astype(np.int64)
     return data.clustering_view(name)
+
+
+def _cluster_row(lam: float, seed: int, state: faircluster.ClusterState,
+                 trace: faircluster.ClusterTrace) -> dict:
+    """One ``CLUSTER_COLUMNS`` row for a finished fair K-means run."""
+    w_min, w_max, w_mean, w_std = metrics.cluster_fairness(state.proportions, state.counts)
+    return {
+        "lambda": lam, "seed": seed,
+        "kmeans_loss": trace.kmeans_loss[-1], "objective": trace.objective[-1],
+        "w_min": w_min, "w_max": w_max, "w_mean": w_mean, "w_std": w_std,
+        "sweeps": trace.sweep[-1], "converged": trace.converged, "cycled": trace.cycled,
+    }
 
 
 def _cluster_one(args) -> list[dict]:
@@ -229,13 +239,7 @@ def _cluster_one(args) -> list[dict]:
         for c in state.centers:
             fh.write(",".join(repr(float(v)) for v in c) + "\n")
 
-    w_min, w_max, w_mean, w_std = metrics.cluster_fairness(state.proportions, state.counts)
-    return [{
-        "lambda": lam, "seed": seed,
-        "kmeans_loss": trace.kmeans_loss[-1], "objective": trace.objective[-1],
-        "w_min": w_min, "w_max": w_max, "w_mean": w_mean, "w_std": w_std,
-        "sweeps": trace.sweep[-1], "converged": trace.converged, "cycled": trace.cycled,
-    }]
+    return [_cluster_row(lam, seed, state, trace)]
 
 
 def cmd_cluster(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
@@ -305,13 +309,7 @@ def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
         ccfg = faircluster.ClusterConfig(n_clusters=5, lam=float(lam), max_sweeps=200,
                                          seed=seed, init="kmeanspp")
         state, trace = faircluster.fair_kmeans(points, sensitive, ccfg)
-        w_min, w_max, w_mean, w_std = metrics.cluster_fairness(state.proportions, state.counts)
-        rows.append({
-            "lambda": float(lam), "seed": seed,
-            "kmeans_loss": trace.kmeans_loss[-1], "objective": trace.objective[-1],
-            "w_min": w_min, "w_max": w_max, "w_mean": w_mean, "w_std": w_std,
-            "sweeps": trace.sweep[-1], "converged": trace.converged, "cycled": trace.cycled,
-        })
+        rows.append(_cluster_row(float(lam), seed, state, trace))
         for blob in range(5):
             d2 = ((state.centers - centers[blob]) ** 2).sum(axis=1)
             k = int(np.argmin(d2))

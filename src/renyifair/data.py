@@ -16,8 +16,6 @@ Nothing here touches the network: source files are resolved against the
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import logging
 import os
 from dataclasses import dataclass
@@ -244,11 +242,7 @@ class EncodedDataset:
     train: Batch
     test: Batch
     feature_names: tuple[str, ...]
-    label_map: dict
-    sensitive_maps: dict
     sensitive_tuples: tuple
-    norm_mean: np.ndarray
-    norm_std: np.ndarray
 
 
 def _encode_labels(tokens: list[str], spec: DatasetSpec) -> np.ndarray:
@@ -283,37 +277,14 @@ def _sensitive_codes(table: _Table, spec: DatasetSpec, train_table: _Table):
     return columns, maps
 
 
-def _source_files(spec: DatasetSpec, root: str | None) -> list[str]:
-    if spec.split == "files":
-        return [_resolve(spec.train_file, root), _resolve(spec.test_file, root)]
-    return [_resolve(spec.file, root)]
-
-
-def _cache_key(spec: DatasetSpec, root: str | None) -> str:
-    h = hashlib.sha256(repr(spec).encode())
-    for path in _source_files(spec, root):
-        with open(path, "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()[:16]
-
-
-def load_dataset(path_or_spec, root: str | None = None,
-                 cache_dir: str | None = None) -> EncodedDataset:
+def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
     """Parse, split, and encode a dataset per its spec file.
 
     Categorical one-hot category lists, normalization statistics, and
     sensitive/label token maps all come from the training split alone, so
-    altering a test row can never change the training encoding.  With
-    ``cache_dir`` set, the encoded matrices are stored under a content hash
-    of the spec and its source files and reloaded on later calls.
+    altering a test row can never change the training encoding.
     """
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
-    cache_path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, f"{spec.name}_{_cache_key(spec, root)}.npz")
-        if os.path.exists(cache_path):
-            return _read_cache(cache_path, spec)
     train_rows, test_rows = _load_split_rows(spec, root)
     if not train_rows or not test_rows:
         raise ValueError(f"{spec.name}: empty split")
@@ -391,51 +362,12 @@ def load_dataset(path_or_spec, root: str | None = None,
         s_train, s_test = combined_train.values, combined_test.values
         tuples = combined_train.tuples
 
-    encoded = EncodedDataset(
+    return EncodedDataset(
         spec=spec,
         train=Batch(x_train, y_train, s_train),
         test=Batch(x_test, y_test, s_test),
         feature_names=tuple(feature_names),
-        label_map={"positive": spec.positive_label, "positive_class": 2},
-        sensitive_maps=maps,
         sensitive_tuples=tuples,
-        norm_mean=mean,
-        norm_std=std,
-    )
-    if cache_path is not None:
-        _write_cache(cache_path, encoded)
-    return encoded
-
-
-def _write_cache(path: str, enc: EncodedDataset) -> None:
-    meta = json.dumps({
-        "feature_names": list(enc.feature_names),
-        "label_map": enc.label_map,
-        "sensitive_maps": enc.sensitive_maps,
-        "sensitive_tuples": [list(t) for t in enc.sensitive_tuples],
-    })
-    np.savez_compressed(
-        path,
-        x_train=enc.train.features, y_train=enc.train.labels, s_train=enc.train.sensitive,
-        x_test=enc.test.features, y_test=enc.test.labels, s_test=enc.test.sensitive,
-        norm_mean=enc.norm_mean, norm_std=enc.norm_std,
-        meta=np.array(meta),
-    )
-
-
-def _read_cache(path: str, spec: DatasetSpec) -> EncodedDataset:
-    blob = np.load(path, allow_pickle=False)
-    meta = json.loads(str(blob["meta"]))
-    return EncodedDataset(
-        spec=spec,
-        train=Batch(blob["x_train"], blob["y_train"], blob["s_train"]),
-        test=Batch(blob["x_test"], blob["y_test"], blob["s_test"]),
-        feature_names=tuple(meta["feature_names"]),
-        label_map=meta["label_map"],
-        sensitive_maps=meta["sensitive_maps"],
-        sensitive_tuples=tuple(tuple(t) for t in meta["sensitive_tuples"]),
-        norm_mean=blob["norm_mean"],
-        norm_std=blob["norm_std"],
     )
 
 

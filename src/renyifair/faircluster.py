@@ -12,6 +12,11 @@ kept as a switch because it demonstrably oscillates: on a small symmetric
 instance the assignments swap forever between two mirror states, which the
 per-point update escapes.
 
+Only ``per_point`` with ``lam > 0`` needs a point-by-point loop.  In
+``per_sweep`` mode, and at ``lam = 0`` where the balance term vanishes, the
+proportions are fixed for the whole sweep, so every point's choice is one
+row of a single vectorised argmin.
+
 The combined objective (clustering loss minus ``lam`` times the squared
 balance residuals) is not guaranteed monotone under this interleaving, so
 the loop caps the sweep count and stops on assignment cycles as well as on
@@ -129,19 +134,21 @@ def update_proportions_incremental(state: ClusterState, s: int,
     return state
 
 
-def _proportions_from_counts(counts, priv_counts, global_priv):
-    w = np.full(len(counts), global_priv, dtype=np.float64)
+def _tally(assignments, sensitive, k: int, global_priv: float):
+    """Counts, privileged counts and proportions recomputed from assignments."""
+    counts = np.bincount(assignments - 1, minlength=k)
+    priv = np.bincount(assignments - 1, weights=sensitive, minlength=k)
+    w = np.full(k, global_priv, dtype=np.float64)
     nz = counts > 0
-    w[nz] = priv_counts[nz] / counts[nz]
-    return w
+    w[nz] = priv[nz] / counts[nz]
+    return counts.astype(np.int64), priv.astype(np.int64), w
 
 
 def _state_from_assignments(points, sensitive, k: int, assignments) -> ClusterState:
     if assignments.shape != (points.shape[0],) or assignments.min() < 1 or assignments.max() > k:
         raise ValueError("initial assignments must be length N with values in 1..K")
-    counts = np.bincount(assignments - 1, minlength=k)
-    priv = np.bincount(assignments - 1, weights=sensitive, minlength=k)
     global_priv = float(sensitive.mean())
+    counts, priv, w = _tally(assignments, sensitive, k, global_priv)
     centers = np.empty((k, points.shape[1]))
     grand_mean = points.mean(axis=0)
     for j in range(k):
@@ -149,9 +156,9 @@ def _state_from_assignments(points, sensitive, k: int, assignments) -> ClusterSt
     return ClusterState(
         assignments=assignments.astype(np.int64),
         centers=centers,
-        proportions=_proportions_from_counts(counts, priv, global_priv),
-        counts=counts.astype(np.int64),
-        priv_counts=priv.astype(np.int64),
+        proportions=w,
+        counts=counts,
+        priv_counts=priv,
         global_priv=global_priv,
     )
 
@@ -199,9 +206,12 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
     Each sweep scores every point against the current centers with the
     balance-adjusted distance, reassigns it, refreshes the proportions
     (immediately in ``per_point`` mode, after the full pass in
-    ``per_sweep``), then recomputes the centers.  Terminates when a sweep
-    moves nothing, when the assignment vector revisits a previous state
-    (a cycle), or at ``max_sweeps``.
+    ``per_sweep``), then recomputes the centers.  When the proportions are
+    fixed for the sweep (``per_sweep``, or ``lam == 0`` in either mode) the
+    pass is one vectorised argmin followed by one tally; only ``per_point``
+    with ``lam > 0`` walks the points one at a time.  Terminates when a
+    sweep moves nothing, when the assignment vector revisits a previous
+    state (a cycle), or at ``max_sweeps``.
 
     ``initial_assignments`` (1-based) overrides the configured
     initialization; centers start at the implied cluster means.
@@ -227,12 +237,12 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
     # Assignments alone do not determine the dynamics when a cluster is
     # empty (its kept center is history), so the cycle key includes centers.
     seen = {state.assignments.tobytes() + state.centers.tobytes(): 0}
+    per_point = cfg.w_update_mode == "per_point" and cfg.lam != 0
 
     for sweep in range(1, cfg.max_sweeps + 1):
         prev = state.assignments.copy()
         d2 = ((x[:, None, :] - state.centers[None, :, :]) ** 2).sum(axis=2)
-        moves = 0
-        if cfg.w_update_mode == "per_point":
+        if per_point:
             for i in range(n):
                 scores = d2[i] - cfg.lam * (state.proportions - s[i]) ** 2
                 k_new = int(np.argmin(scores)) + 1
@@ -240,20 +250,13 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
                 if k_new != k_old:
                     state.assignments[i] = k_new
                     update_proportions_incremental(state, int(s[i]), k_old, k_new)
-                    moves += 1
         else:
-            w = state.proportions.copy()
-            for i in range(n):
-                scores = d2[i] - cfg.lam * (w - s[i]) ** 2
-                k_new = int(np.argmin(scores)) + 1
-                if k_new != state.assignments[i]:
-                    state.assignments[i] = k_new
-                    moves += 1
-            counts = np.bincount(state.assignments - 1, minlength=cfg.n_clusters)
-            priv = np.bincount(state.assignments - 1, weights=s, minlength=cfg.n_clusters)
-            state.counts = counts.astype(np.int64)
-            state.priv_counts = priv.astype(np.int64)
-            state.proportions = _proportions_from_counts(counts, priv, state.global_priv)
+            scores = d2 - cfg.lam * (state.proportions[None, :] - s[:, None]) ** 2
+            state.assignments = np.argmin(scores, axis=1) + 1
+            state.counts, state.priv_counts, state.proportions = _tally(
+                state.assignments, s, cfg.n_clusters, state.global_priv)
+        # Each point is visited once per sweep, so the moves are the changed entries.
+        moves = int(np.count_nonzero(state.assignments != prev))
 
         for j in range(cfg.n_clusters):
             members = state.assignments == j + 1
@@ -271,7 +274,7 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
             hashlib.sha1(state.assignments.tobytes()).hexdigest()[:16])
 
         key = state.assignments.tobytes() + state.centers.tobytes()
-        if moves == 0 and np.array_equal(prev, state.assignments):
+        if moves == 0:
             trace.converged = True
             break
         if key in seen:

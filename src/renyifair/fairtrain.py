@@ -48,14 +48,11 @@ VARIANCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class HsicConfig:
-    """Kernel choices for the HSIC baseline."""
+    """Sensitive-attribute kernel for the HSIC baseline (the score kernel is linear)."""
 
-    score_kernel: str = "linear"
     sensitive_kernel: str = "delta"
 
     def __post_init__(self):
-        if self.score_kernel != "linear":
-            raise ValueError(f"unsupported score kernel {self.score_kernel!r}")
         if self.sensitive_kernel not in ("delta", "linear"):
             raise ValueError(f"unsupported sensitive kernel {self.sensitive_kernel!r}")
 

@@ -125,25 +125,6 @@ class TestLoadDataset:
         np.testing.assert_array_equal(a.train.features, b.train.features)
         np.testing.assert_array_equal(a.test.features, b.test.features)
 
-    def test_cache_round_trip_and_invalidation(self, mini_dataset, tmp_path):
-        cache = tmp_path / "cache"
-        fresh = data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset),
-                                  cache_dir=str(cache))
-        files = list(cache.glob("*.npz"))
-        assert len(files) == 1
-        cached = data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset),
-                                   cache_dir=str(cache))
-        np.testing.assert_array_equal(fresh.train.features, cached.train.features)
-        np.testing.assert_array_equal(fresh.test.labels, cached.test.labels)
-        assert fresh.feature_names == cached.feature_names
-        assert fresh.sensitive_maps == cached.sensitive_maps
-        # touching the source changes the content hash
-        (mini_dataset / "mini_train.csv").write_text(
-            TRAIN_ROWS.replace("39,", "41,"))
-        data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset),
-                          cache_dir=str(cache))
-        assert len(list(cache.glob("*.npz"))) == 2
-
 
 class TestSplitPolicies:
     def write_single(self, tmp_path, n=20):

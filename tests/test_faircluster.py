@@ -1,5 +1,7 @@
 """Fair K-means: assignment rule, proportion bookkeeping, oscillation demo."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,90 @@ def lloyd_reference(points, k, seed, max_sweeps=100):
             break
         assign = new
     return assign
+
+
+def reference_fair_kmeans(points, sensitive, cfg, initial_assignments=None):
+    """Point-by-point fair K-means: one loop per proportion-update mode.
+
+    Every point is scored and reassigned on its own, in both modes;
+    ``per_point`` refreshes the proportions after each move, ``per_sweep``
+    freezes them for the pass and recounts at its end.  ``fair_kmeans``
+    must match this bit for bit.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    s = np.asarray(sensitive).astype(np.float64)
+    n, k = x.shape[0], cfg.n_clusters
+    if initial_assignments is not None:
+        state = fc._state_from_assignments(
+            x, s, k, np.asarray(initial_assignments, dtype=np.int64))
+    else:
+        state = fc._init_state(x, s, cfg, np.random.default_rng(cfg.seed))
+    trace = fc.ClusterTrace()
+    seen = {state.assignments.tobytes() + state.centers.tobytes(): 0}
+    for sweep in range(1, cfg.max_sweeps + 1):
+        prev = state.assignments.copy()
+        d2 = ((x[:, None, :] - state.centers[None, :, :]) ** 2).sum(axis=2)
+        moves = 0
+        if cfg.w_update_mode == "per_point":
+            for i in range(n):
+                scores = d2[i] - cfg.lam * (state.proportions - s[i]) ** 2
+                k_new = int(np.argmin(scores)) + 1
+                k_old = int(state.assignments[i])
+                if k_new != k_old:
+                    state.assignments[i] = k_new
+                    fc.update_proportions_incremental(state, int(s[i]), k_old, k_new)
+                    moves += 1
+        else:
+            w = state.proportions.copy()
+            for i in range(n):
+                scores = d2[i] - cfg.lam * (w - s[i]) ** 2
+                k_new = int(np.argmin(scores)) + 1
+                if k_new != state.assignments[i]:
+                    state.assignments[i] = k_new
+                    moves += 1
+            counts = np.bincount(state.assignments - 1, minlength=k)
+            priv = np.bincount(state.assignments - 1, weights=s, minlength=k)
+            state.counts = counts.astype(np.int64)
+            state.priv_counts = priv.astype(np.int64)
+            state.proportions = np.full(k, state.global_priv)
+            nz = counts > 0
+            state.proportions[nz] = priv[nz] / counts[nz]
+        for j in range(k):
+            members = state.assignments == j + 1
+            if members.any():
+                state.centers[j] = x[members].mean(axis=0)
+        loss, obj = fc._objective(x, s, state, cfg.lam)
+        trace.sweep.append(sweep)
+        trace.kmeans_loss.append(loss)
+        trace.objective.append(obj)
+        trace.w_std.append(float(np.std(state.proportions[state.counts > 0])))
+        trace.moves.append(moves)
+        trace.assignment_hashes.append(
+            hashlib.sha1(state.assignments.tobytes()).hexdigest()[:16])
+        key = state.assignments.tobytes() + state.centers.tobytes()
+        if moves == 0 and np.array_equal(prev, state.assignments):
+            trace.converged = True
+            break
+        if key in seen:
+            trace.cycled = True
+            trace.cycle_period = sweep - seen[key]
+            break
+        seen[key] = sweep
+    return state, trace
+
+
+def assert_runs_bitwise_equal(got, want):
+    (state, trace), (ref_state, ref_trace) = got, want
+    for name in ("assignments", "centers", "proportions", "counts", "priv_counts"):
+        a, b = getattr(state, name), getattr(ref_state, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    for name in ("sweep", "kmeans_loss", "objective", "w_std", "moves",
+                 "assignment_hashes"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(ref_trace, name),
+                                      err_msg=name)
+    assert (trace.converged, trace.cycled, trace.cycle_period) == \
+        (ref_trace.converged, ref_trace.cycled, ref_trace.cycle_period)
 
 
 class TestAssignPoint:
@@ -136,7 +222,6 @@ class TestFairKmeans:
                                       initial_assignments=COUNTER_A0)
         assert trace.cycled and trace.cycle_period == 2
         # sweep 1 is the mirrored assignment, sweep 2 returns to the start
-        import hashlib
         start_hash = hashlib.sha1(COUNTER_A0.astype(np.int64).tobytes()).hexdigest()[:16]
         mirror = np.array([2, 2, 1, 1], dtype=np.int64)
         mirror_hash = hashlib.sha1(mirror.tobytes()).hexdigest()[:16]
@@ -182,6 +267,54 @@ class TestFairKmeans:
         state, _ = fc.fair_kmeans(points, sensitive, cfg)
         w = state.proportions[state.counts > 0]
         assert w.std() <= 0.01
+
+
+class TestVectorisedPassMatchesReference:
+    """The fixed-proportion pass and the per-point loop against the reference."""
+
+    @pytest.mark.parametrize("mode", fc.W_UPDATE_MODES)
+    @pytest.mark.parametrize("lam", [0.0, 4.0])
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    def test_configured_init(self, mode, lam, init):
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(150, 3))
+        sensitive = rng.integers(0, 2, 150)
+        points[sensitive == 1] += 0.7
+        cfg = fc.ClusterConfig(n_clusters=6, lam=lam, max_sweeps=40, seed=3,
+                               w_update_mode=mode, init=init)
+        assert_runs_bitwise_equal(fc.fair_kmeans(points, sensitive, cfg),
+                                  reference_fair_kmeans(points, sensitive, cfg))
+
+    @pytest.mark.parametrize("mode", fc.W_UPDATE_MODES)
+    @pytest.mark.parametrize("lam", [0.0, 4.0])
+    def test_initially_empty_cluster(self, mode, lam):
+        # Two blobs at +-10 and an empty third cluster whose center starts
+        # at the grand mean (the origin): no point is close enough to join
+        # it, so its center is kept and its proportion stays pinned.
+        rng = np.random.default_rng(12)
+        points = np.concatenate([rng.normal(-10.0, 1.0, size=(40, 2)),
+                                 rng.normal(10.0, 1.0, size=(40, 2))])
+        sensitive = rng.integers(0, 2, 80)
+        a0 = np.repeat([1, 2], 40)
+        a0[::7] = 3 - a0[::7]
+        cfg = fc.ClusterConfig(n_clusters=3, lam=lam, max_sweeps=20,
+                               w_update_mode=mode)
+        got = fc.fair_kmeans(points, sensitive, cfg, initial_assignments=a0)
+        want = reference_fair_kmeans(points, sensitive, cfg, initial_assignments=a0)
+        assert_runs_bitwise_equal(got, want)
+        state = got[0]
+        assert state.counts[2] == 0
+        assert state.proportions[2] == state.global_priv
+        np.testing.assert_array_equal(state.centers[2], points.mean(axis=0))
+
+    @pytest.mark.parametrize("mode", fc.W_UPDATE_MODES)
+    @pytest.mark.parametrize("lam", [0.0, 75.0, 100.0])
+    def test_counterexample(self, mode, lam):
+        cfg = fc.ClusterConfig(n_clusters=2, lam=lam, max_sweeps=30, w_update_mode=mode)
+        assert_runs_bitwise_equal(
+            fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg, initial_assignments=COUNTER_A0),
+            reference_fair_kmeans(COUNTER_X, COUNTER_S, cfg,
+                                  initial_assignments=COUNTER_A0))
 
 
 class TestToyDataset:
