@@ -147,7 +147,6 @@ def _report_row(report: metrics.EvalReport, base: dict, split: str) -> dict:
 
 def _train_one(args) -> list[dict]:
     raw, lam, seed, out_dir = args
-    cfg = ExperimentConfig(raw)
     train_batch, test_batch = _load_train_batches(raw["dataset"])
     arch, hidden = _parse_model(raw.get("model", "linear"))
     params0 = model.init_params(arch, train_batch.n_features, train_batch.n_classes,

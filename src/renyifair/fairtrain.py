@@ -12,8 +12,8 @@ every penalty is the inner maximum of a tractable adversarial problem:
   is a weight per class with a closed-form maximizer
   ``w_i = sum_n stilde_n F_i(x_n) / (2 sum_n F_i(x_n))`` (stilde = +/-1),
   so each outer step is preceded by an exact inner solve.
-* ``eo``: equalized odds; one demographic-parity penalty per true label,
-  each computed on the label-conditioned subset and summed.
+* ``eo``: equalized odds; the same demographic-parity penalty on each
+  label-conditioned subset (closed form when d = 2, SVD otherwise), summed.
 * ``pearson`` / ``hsic``: baseline regularizers on the positive-class soft
   score, for comparison; both only capture (co)variance-level dependence.
 
@@ -23,6 +23,14 @@ differentiates through the SVD.  Every penalty returns its unscaled value
 and its gradient with respect to the soft outputs; :func:`train` applies
 ``lam`` once and pulls the gradient back through the same forward pass that
 gave the cross entropy.
+
+The logged sigma2 comes from the step's own inner solve: the second singular
+value of Q on the SVD route, ``sqrt(max(rho^2, 0))`` on the closed-form
+route, and for ``eo`` the root of the summed squares over label slices.
+``none``, ``pearson`` and ``hsic`` take it from an SVD of the empirical Q.
+The marginal floor clamps Q's marginals on the SVD route and each class's
+predicted mass in the denominator of ``w`` on the closed-form route; while
+it clamps nothing the two routes agree to rounding.
 """
 
 from __future__ import annotations
@@ -47,17 +55,6 @@ VARIANCE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class HsicConfig:
-    """Sensitive-attribute kernel for the HSIC baseline (the score kernel is linear)."""
-
-    sensitive_kernel: str = "delta"
-
-    def __post_init__(self):
-        if self.sensitive_kernel not in ("delta", "linear"):
-            raise ValueError(f"unsupported sensitive kernel {self.sensitive_kernel!r}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run."""
 
@@ -70,7 +67,6 @@ class TrainConfig:
     seed: int = 0
     grad_tol: float = 0.0
     eo_min_group: int = 30
-    hsic_kernels: HsicConfig = field(default_factory=HsicConfig)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -92,9 +88,13 @@ class TrainTrace:
     """Per-iteration diagnostics plus the final parameters.
 
     ``sigma2`` is the empirical maximal correlation between the soft output
-    and the sensitive attribute (root sum of squares over label slices in
-    equalized-odds mode); ``adversary`` holds the inner maximizer used for
-    the step (``v``, ``w``, or a per-label dict).
+    and the sensitive attribute, from the step's inner solve: the second
+    singular value of Q (``dp_discrete``, ``eo`` with d > 2) or the closed
+    form's ``sqrt(max(rho^2, 0))`` (``dp_binary``, ``eo`` with d = 2), as the
+    root sum of squares over label slices for ``eo``; ``none``, ``pearson``
+    and ``hsic`` take it from an SVD of the floored empirical Q.
+    ``adversary`` holds the inner maximizer used for the step (``v``, ``w``,
+    or a per-label dict).
     """
 
     iteration: list = field(default_factory=list)
@@ -192,6 +192,23 @@ def _discrete_penalty(probs, sensitive, floor, n_groups):
     return value, seed, sigma2, v
 
 
+def _dp_penalty(probs, sensitive, floor, n_groups, binary: bool):
+    """Demographic-parity penalty on one set of rows.
+
+    Returns ``(value, seed, sigma2_sq, adversary)``.  The binary route
+    solves the inner maximum in closed form for the weights ``w`` and takes
+    ``sigma2_sq`` as the implied squared correlation, clipped at 0; the SVD
+    route (:func:`_discrete_penalty`) squares the second singular value of Q.
+    """
+    if binary:
+        st = s_tilde(sensitive)
+        w = inner_w_closed_form(probs, st, floor)
+        value, rho_sq = _binary_inner_value(probs, st, w)
+        return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0), w
+    value, seed, sigma2, v = _discrete_penalty(probs, sensitive, floor, n_groups)
+    return value, seed, sigma2 * sigma2, v
+
+
 def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
     """Squared Pearson correlation between the positive-class score and S.
 
@@ -217,15 +234,13 @@ def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
     return float(rho * rho), seed
 
 
-def hsic_penalty(soft_probs, sensitive, kernels: HsicConfig | None = None) -> tuple[float, np.ndarray]:
+def hsic_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
     """Biased empirical HSIC between the positive-class score and S.
 
-    With the default kernels (linear on the score, delta on the groups) the
-    statistic reduces to a sum of squared centered within-group score sums;
-    with a linear sensitive kernel it is exactly the squared cross
-    covariance.  Nonnegative, and zero for a constant score.
+    With a linear kernel on the score and a delta kernel on the groups the
+    statistic reduces to a sum of squared centered within-group score sums.
+    Nonnegative, and zero for a constant score.
     """
-    kernels = kernels or HsicConfig()
     f = np.asarray(soft_probs, dtype=np.float64)
     s = np.asarray(sensitive)
     x = f[:, 1]
@@ -234,12 +249,6 @@ def hsic_penalty(soft_probs, sensitive, kernels: HsicConfig | None = None) -> tu
     seed = np.zeros_like(f)
     if float(np.mean(xc * xc)) <= VARIANCE_FLOOR:
         return 0.0, seed
-    if kernels.sensitive_kernel == "linear":
-        st = s_tilde(s)
-        yc = st - st.mean()
-        cov = float(np.mean(xc * yc))
-        seed[:, 1] = 2.0 * cov * yc / n
-        return cov * cov, seed
     groups, group_of = np.unique(s, return_inverse=True)
     totals = [float(xc[s == g].sum()) for g in groups]
     counts = np.bincount(group_of)
@@ -301,15 +310,18 @@ def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> 
     return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuple(tuples))
 
 
-def _eo_slices(batch: Batch, eo_min_group: int, warned: set) -> list[np.ndarray]:
-    """Index arrays of the label slices large enough for a conditional penalty."""
+def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> list[np.ndarray]:
+    """Index arrays of the label slices large enough for a conditional penalty.
+
+    Groups are counted over the full alphabet ``1..n_groups``, so a slice of
+    a minibatch that lacks a group is skipped like any other small slice.
+    """
     slices = []
-    d = batch.n_groups
     for y in range(1, batch.n_classes + 1):
         idx = np.flatnonzero(batch.labels == y)
         if idx.size == 0:
             continue
-        group_counts = np.bincount(batch.sensitive[idx] - 1, minlength=d)
+        group_counts = np.bincount(batch.sensitive[idx] - 1, minlength=n_groups)
         if group_counts.min() < eo_min_group:
             if y not in warned:
                 warned.add(y)
@@ -322,54 +334,30 @@ def _eo_slices(batch: Batch, eo_min_group: int, warned: set) -> list[np.ndarray]
     return slices
 
 
-def _penalty_eo(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
-    slices = _eo_slices(sub, cfg.eo_min_group, warned)
-    total = 0.0
-    seed = np.zeros_like(probs)
-    sq_sum = 0.0
-    adversaries = {}
-    for idx in slices:
-        y = int(sub.labels[idx[0]])
-        sl_probs = probs[idx]
-        if n_groups == 2:
-            st = s_tilde(sub.sensitive[idx])
-            w = inner_w_closed_form(sl_probs, st, cfg.floor)
-            centered, rho_sq = _binary_inner_value(sl_probs, st, w)
-            seed[idx] += _binary_seed(st, w, 1.0 / idx.size)
-            total += centered
-            sq_sum += max(rho_sq, 0.0)
-            adversaries[y] = w
-        else:
-            value, sl_seed, sigma2, v = _discrete_penalty(
-                sl_probs, sub.sensitive[idx], cfg.floor, n_groups)
-            seed[idx] += sl_seed
-            total += value
-            sq_sum += sigma2 * sigma2
-            adversaries[y] = v
-    return total, seed, float(np.sqrt(sq_sum)), adversaries
-
-
 def _penalty(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
-    """Unscaled ``(value, seed, sigma2, adversary)`` of the configured penalty.
+    """Unscaled ``(value, seed, sigma2_sq, adversary)`` of the configured penalty.
 
     ``seed`` is d(value)/dF with the adversary held fixed (None for
-    ``none``).  ``sigma2`` is None where the inner solve does not produce
-    the maximal correlation; the caller then computes it from Q.
+    ``none``).  ``sigma2_sq`` is the squared maximal correlation from the
+    inner solve, summed over label slices for ``eo``; it is None where no
+    adversary is solved, and the caller then computes sigma2 from Q.
     """
     mode = cfg.fairness_mode
-    if mode == "dp_discrete":
-        return _discrete_penalty(probs, sub.sensitive, cfg.floor, n_groups)
-    if mode == "dp_binary":
-        st = s_tilde(sub.sensitive)
-        w = inner_w_closed_form(probs, st, cfg.floor)
-        centered, _ = _binary_inner_value(probs, st, w)
-        return centered, _binary_seed(st, w, 1.0 / sub.n), None, w
+    if mode in ("dp_discrete", "dp_binary"):
+        return _dp_penalty(probs, sub.sensitive, cfg.floor, n_groups, mode == "dp_binary")
     if mode == "eo":
-        return _penalty_eo(probs, sub, cfg, n_groups, warned)
+        total, seed, sq_sum, adversaries = 0.0, np.zeros_like(probs), 0.0, {}
+        for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned):
+            value, sl_seed, sl_sq, adversaries[int(sub.labels[idx[0]])] = _dp_penalty(
+                probs[idx], sub.sensitive[idx], cfg.floor, n_groups, n_groups == 2)
+            total += value
+            seed[idx] += sl_seed
+            sq_sum += sl_sq
+        return total, seed, sq_sum, adversaries
     if mode == "pearson":
         return (*pearson_penalty(probs, sub.sensitive), None, None)
     if mode == "hsic":
-        return (*hsic_penalty(probs, sub.sensitive, cfg.hsic_kernels), None, None)
+        return (*hsic_penalty(probs, sub.sensitive), None, None)
     return 0.0, None, None, None
 
 
@@ -417,10 +405,12 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     def step(theta: ModelParams, sub: Batch):
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
         probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
-        value, seed, sigma2, adversary = _penalty(probs, sub, cfg, n_groups, warned)
-        if sigma2 is None:
+        value, seed, sigma2_sq, adversary = _penalty(probs, sub, cfg, n_groups, warned)
+        if sigma2_sq is None:
             sigma2 = maxcorr.second_singular_value(
                 maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups))
+        else:
+            sigma2 = float(np.sqrt(sigma2_sq))
         if cfg.lam != 0.0 and seed is not None:
             grad = grad + vjp(cfg.lam * seed)
         return grad, (loss, float(cfg.lam * value), float(np.linalg.norm(grad)), sigma2, adversary)

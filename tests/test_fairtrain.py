@@ -179,15 +179,6 @@ class TestBaselinePenalties:
         joint = np.array([[0.25, 0.0], [0.0, 0.5], [0.25, 0.0]])
         assert abs(mc.renyi_discrete(mc.JointTable(joint)) - 1.0) <= 1e-9
 
-    def test_hsic_linear_kernel_is_squared_cross_covariance(self):
-        rng = np.random.default_rng(8)
-        probs = random_probs(rng, 50, 2)
-        s = rng.integers(1, 3, 50)
-        value, _ = ft.hsic_penalty(probs, s, ft.HsicConfig(sensitive_kernel="linear"))
-        stv = ft.s_tilde(s)
-        cov = np.mean((probs[:, 1] - probs[:, 1].mean()) * (stv - stv.mean()))
-        assert abs(value - cov * cov) <= 1e-12
-
     def test_hsic_delta_kernel_value(self):
         rng = np.random.default_rng(9)
         probs = random_probs(rng, 40, 2)
@@ -386,7 +377,8 @@ class TestTrainers:
 
 def reference_penalty(probs, sub, cfg, n_groups, warned):
     """Scaled penalty, scaled seed and sigma2 as each mode computed them when
-    lambda was applied inside every penalty and sigma2 came from an SVD of Q."""
+    lambda was applied inside every penalty; sigma2 comes from the closed
+    form on the binary route and from an SVD of Q otherwise."""
     lam = cfg.lam
 
     def sigma2_of_q():
@@ -402,11 +394,12 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
     if mode == "dp_binary":
         stv = ft.s_tilde(sub.sensitive)
         w = ft.inner_w_closed_form(probs, stv, cfg.floor)
-        centered, _ = ft._binary_inner_value(probs, stv, w)
-        return lam * centered, lam * ft._binary_seed(stv, w, 1.0 / sub.n), sigma2_of_q()
+        centered, rho_sq = ft._binary_inner_value(probs, stv, w)
+        return (lam * centered, lam * ft._binary_seed(stv, w, 1.0 / sub.n),
+                float(np.sqrt(max(rho_sq, 0.0))))
     if mode == "eo":
         total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
-        for idx in ft._eo_slices(sub, cfg.eo_min_group, warned):
+        for idx in ft._eo_slices(sub, n_groups, cfg.eo_min_group, warned):
             if n_groups == 2:
                 stv = ft.s_tilde(sub.sensitive[idx])
                 w = ft.inner_w_closed_form(probs[idx], stv, cfg.floor)
@@ -424,7 +417,7 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
     if mode == "pearson":
         value, seed = ft.pearson_penalty(probs, sub.sensitive)
     else:
-        value, seed = ft.hsic_penalty(probs, sub.sensitive, cfg.hsic_kernels)
+        value, seed = ft.hsic_penalty(probs, sub.sensitive)
     return lam * value, lam * seed, sigma2_of_q()
 
 
@@ -487,3 +480,60 @@ def test_single_pass_step_matches_three_pass_reference_bitwise(mode, d, arch, hi
     for got, want in zip((trace.loss, trace.penalty, trace.grad_norm, trace.sigma2), zip(*rows)):
         np.testing.assert_array_equal(got, want)
     assert any(p != 0.0 for p in trace.penalty) or mode == "none"
+
+
+def rare_group_batch(n, d, every, seed):
+    """Groups 1..d-1 at random, and group d on every ``every``-th row."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, 3, n)
+    s = np.where(np.arange(n) % every == 0, d, rng.integers(1, d, n))
+    x = np.stack([np.where(y == 2, 1.0, -1.0) + rng.normal(size=n),
+                  s + rng.normal(size=n)], axis=1)
+    return md.Batch(x, y, s)
+
+
+def test_dp_binary_minibatches_lacking_a_group_train_every_step():
+    batch = rare_group_batch(500, 2, every=50, seed=3)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode="dp_binary",
+                         batch_size=32, seed=4)
+    trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+    # A minibatch without the minority group has nothing to correlate with.
+    assert 0.0 in trace.sigma2[:-1]
+    assert all(np.isfinite(trace.sigma2)) and trace.sigma2[-1] > 0.0
+
+
+@pytest.mark.parametrize("eo_min_group", [1, 5])
+def test_eo_minibatch_lacking_the_top_group_skips_its_slices(eo_min_group, caplog):
+    batch = rare_group_batch(600, 3, every=100, seed=5)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=30, fairness_mode="eo",
+                         batch_size=64, eo_min_group=eo_min_group, seed=6)
+    with caplog.at_level(logging.WARNING, logger="renyifair.fairtrain"):
+        trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+    assert any("skipped: smallest group has 0 samples" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("arch,hidden,batch_size", [("linear", 0, None), ("linear", 0, 64),
+                                                    ("one_hidden", 4, None), ("one_hidden", 4, 64)])
+def test_dp_binary_sigma2_matches_svd_of_q(arch, hidden, batch_size, monkeypatch):
+    batch = labelled_groups_batch(300, 2, seed=7)
+    p0 = md.init_params(arch, batch.n_features, batch.n_classes, hidden_dim=hidden, seed=1)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=60, fairness_mode="dp_binary",
+                         batch_size=batch_size, seed=2)
+    inputs = []
+    penalty = ft._penalty
+
+    def recording_penalty(probs, sub, *args):
+        inputs.append((probs, sub.sensitive))
+        return penalty(probs, sub, *args)
+
+    monkeypatch.setattr(ft, "_penalty", recording_penalty)
+    trace = ft.train(p0, batch, cfg)
+    assert len(inputs) == len(trace.sigma2) == cfg.iters + 1
+    for sigma2, (probs, s) in zip(trace.sigma2, inputs):
+        assert probs.mean(axis=0).min() > cfg.floor  # the floor stays inactive
+        svd = mc.second_singular_value(mc.empirical_q(probs, s, floor=cfg.floor, n_groups=2))
+        assert abs(sigma2 ** 2 - svd ** 2) <= 1e-12
+        if svd >= 1e-3:
+            assert abs(sigma2 - svd) <= 1e-9
