@@ -19,10 +19,10 @@ import csv
 import logging
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .fairtrain import combine_sensitive
 from .model import Batch
 
 logger = logging.getLogger(__name__)
@@ -275,6 +275,58 @@ def _sensitive_codes(table: _Table, spec: DatasetSpec, train_table: _Table):
                            spec.name, unknown)
         columns.append(np.array([mapping.get(t, 1) for t in tokens], dtype=np.int64))
     return columns, maps
+
+
+@dataclass(frozen=True)
+class CombinedSensitive:
+    """Product encoding of several discrete attributes into one column."""
+
+    values: np.ndarray
+    sizes: tuple[int, ...]
+    tuples: tuple[tuple[int, ...], ...]
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.tuples)
+
+    def decode(self, value: int) -> tuple[int, ...]:
+        return self.tuples[value - 1]
+
+
+def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> CombinedSensitive:
+    """Bijectively merge discrete 1-based columns into a single attribute.
+
+    The first column is the most significant digit, so two binary columns
+    map (1,1),(1,2),(2,1),(2,2) to 1,2,3,4.  ``sizes`` pins the per-column
+    alphabet sizes; by default they are inferred from the column maxima.
+    """
+    cols = [np.asarray(c, dtype=np.int64) for c in columns]
+    if not cols:
+        raise ValueError("need at least one column")
+    n = cols[0].shape[0]
+    if sizes is None:
+        sizes = [int(c.max()) for c in cols]
+    sizes = [int(v) for v in sizes]
+    for c, size in zip(cols, sizes):
+        if c.shape != (n,):
+            raise ValueError("columns must share a common length")
+        if c.min() < 1 or c.max() > size:
+            raise ValueError("column values must lie in 1..size")
+    values = np.zeros(n, dtype=np.int64)
+    for c, size in zip(cols, sizes):
+        values = values * size + (c - 1)
+    values += 1
+
+    tuples = []
+    total = int(np.prod(sizes))
+    for code in range(total):
+        digits = []
+        rem = code
+        for size in reversed(sizes):
+            digits.append(rem % size + 1)
+            rem //= size
+        tuples.append(tuple(reversed(digits)))
+    return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuple(tuples))
 
 
 def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import maxcorr
-from .maxcorr import DEFAULT_MARGINAL_FLOOR
-from .model import Batch, ModelParams, forward, loss_and_grad, loss_grad_and_vjp
+from .maxcorr import DEFAULT_MARGINAL_FLOOR, GroupIndex
+# ``forward`` is unused here but stays importable as ``fairtrain.forward``:
+# perfbench/smoke.py checks that its tracer wraps this binding.
+from .model import Batch, ModelParams, forward, loss_grad_and_vjp  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +82,10 @@ class TrainConfig:
             raise ValueError(f"unknown fairness mode {self.fairness_mode!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive when set")
+        if self.eo_min_group < 1:
+            raise ValueError(
+                f"eo_min_group must be at least 1, got {self.eo_min_group}: an "
+                "equalized-odds slice needs every sensitive group present")
 
 
 @dataclass
@@ -168,14 +173,17 @@ def _binary_seed(stilde, w, scale: float) -> np.ndarray:
     return (np.outer(st, w) - (w * w)[None, :]) * scale
 
 
-def _discrete_penalty(probs, sensitive, floor, n_groups):
+def _discrete_penalty(probs, sensitive, floor, n_groups, groups: GroupIndex | None = None):
     """SVD inner maximization for one group of samples.
 
     Returns ``(value, seed, sigma2, v)`` where ``value = ||Q v||^2`` and
-    ``seed`` is d(value)/dF with the adversary ``v`` held fixed.
+    ``seed`` is d(value)/dF with the adversary ``v`` held fixed.  ``groups``
+    indexes ``sensitive`` over 1..n_groups; it is built here when not given.
     """
+    if groups is None:
+        groups = maxcorr.group_index(sensitive, n_groups)
     n = probs.shape[0]
-    qm = maxcorr.empirical_q(probs, sensitive, floor=floor, n_groups=n_groups)
+    qm = maxcorr.q_from_groups(probs, groups, floor)
     svd = maxcorr.svd_small(qm.q)
     v = svd.right_vectors[:, 1].copy()
     sigma2 = float(svd.singular_values[1])
@@ -184,28 +192,30 @@ def _discrete_penalty(probs, sensitive, floor, n_groups):
 
     p_class = qm.row_marginal
     p_group = qm.col_marginal
-    active = probs.mean(axis=0) > floor
+    # p_class is the class mean floored, so this is "mean > floor".
+    active = p_class > floor
     a = 2.0 * r / np.sqrt(p_class)
     b = np.where(active, r * r / p_class, 0.0)
-    g = v[np.asarray(sensitive) - 1] / np.sqrt(p_group[np.asarray(sensitive) - 1])
+    g = (v / np.sqrt(p_group))[groups.codes]
     seed = (np.outer(g, a) - b[None, :]) / n
     return value, seed, sigma2, v
 
 
-def _dp_penalty(probs, sensitive, floor, n_groups, binary: bool):
+def _dp_penalty(probs, sensitive, floor, groups: GroupIndex | None):
     """Demographic-parity penalty on one set of rows.
 
-    Returns ``(value, seed, sigma2_sq, adversary)``.  The binary route
-    solves the inner maximum in closed form for the weights ``w`` and takes
-    ``sigma2_sq`` as the implied squared correlation, clipped at 0; the SVD
-    route (:func:`_discrete_penalty`) squares the second singular value of Q.
+    Returns ``(value, seed, sigma2_sq, adversary)``.  Without a group index
+    the inner maximum is solved in closed form for the binary weights ``w``
+    and ``sigma2_sq`` is the implied squared correlation, clipped at 0; with
+    one, the SVD route (:func:`_discrete_penalty`) squares the second
+    singular value of Q.
     """
-    if binary:
+    if groups is None:
         st = s_tilde(sensitive)
         w = inner_w_closed_form(probs, st, floor)
         value, rho_sq = _binary_inner_value(probs, st, w)
         return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0), w
-    value, seed, sigma2, v = _discrete_penalty(probs, sensitive, floor, n_groups)
+    value, seed, sigma2, v = _discrete_penalty(probs, sensitive, floor, groups.n_groups, groups)
     return value, seed, sigma2 * sigma2, v
 
 
@@ -234,80 +244,30 @@ def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
     return float(rho * rho), seed
 
 
-def hsic_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
+def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tuple[float, np.ndarray]:
     """Biased empirical HSIC between the positive-class score and S.
 
     With a linear kernel on the score and a delta kernel on the groups the
     statistic reduces to a sum of squared centered within-group score sums.
-    Nonnegative, and zero for a constant score.
+    Nonnegative, and zero for a constant score.  ``groups`` indexes
+    ``sensitive`` (built here over 1..max when not given); an empty group
+    adds exact zeros.
     """
     f = np.asarray(soft_probs, dtype=np.float64)
-    s = np.asarray(sensitive)
     x = f[:, 1]
     n = len(x)
     xc = x - x.mean()
     seed = np.zeros_like(f)
     if float(np.mean(xc * xc)) <= VARIANCE_FLOOR:
         return 0.0, seed
-    groups, group_of = np.unique(s, return_inverse=True)
-    totals = [float(xc[s == g].sum()) for g in groups]
-    counts = np.bincount(group_of)
+    if groups is None:
+        s = np.asarray(sensitive)
+        groups = maxcorr.group_index(s, int(s.max()))
+    totals = [float(xc[rows].sum()) for rows in groups.rows]
     value = sum(t * t for t in totals) / (n * n)
-    mix = sum(t * int(k) for t, k in zip(totals, counts)) / n
-    seed[:, 1] = 2.0 * (np.array(totals)[group_of] - mix) / (n * n)
+    mix = sum(t * rows.size for t, rows in zip(totals, groups.rows)) / n
+    seed[:, 1] = 2.0 * (np.array(totals)[groups.codes] - mix) / (n * n)
     return float(value), seed
-
-
-@dataclass(frozen=True)
-class CombinedSensitive:
-    """Product encoding of several discrete attributes into one column."""
-
-    values: np.ndarray
-    sizes: tuple[int, ...]
-    tuples: tuple[tuple[int, ...], ...]
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.tuples)
-
-    def decode(self, value: int) -> tuple[int, ...]:
-        return self.tuples[value - 1]
-
-
-def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> CombinedSensitive:
-    """Bijectively merge discrete 1-based columns into a single attribute.
-
-    The first column is the most significant digit, so two binary columns
-    map (1,1),(1,2),(2,1),(2,2) to 1,2,3,4.  ``sizes`` pins the per-column
-    alphabet sizes; by default they are inferred from the column maxima.
-    """
-    cols = [np.asarray(c, dtype=np.int64) for c in columns]
-    if not cols:
-        raise ValueError("need at least one column")
-    n = cols[0].shape[0]
-    if sizes is None:
-        sizes = [int(c.max()) for c in cols]
-    sizes = [int(v) for v in sizes]
-    for c, size in zip(cols, sizes):
-        if c.shape != (n,):
-            raise ValueError("columns must share a common length")
-        if c.min() < 1 or c.max() > size:
-            raise ValueError("column values must lie in 1..size")
-    values = np.zeros(n, dtype=np.int64)
-    for c, size in zip(cols, sizes):
-        values = values * size + (c - 1)
-    values += 1
-
-    tuples = []
-    total = int(np.prod(sizes))
-    for code in range(total):
-        digits = []
-        rem = code
-        for size in reversed(sizes):
-            digits.append(rem % size + 1)
-            rem //= size
-        tuples.append(tuple(reversed(digits)))
-    return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuple(tuples))
 
 
 def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> list[np.ndarray]:
@@ -334,7 +294,32 @@ def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> l
     return slices
 
 
-def _penalty(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
+@dataclass(frozen=True)
+class _RowIndex:
+    """What the penalty needs of one batch's rows; fixed while theta moves.
+
+    ``groups`` indexes the batch's groups (None for ``dp_binary`` and
+    ``eo``).  ``slices`` holds, for ``eo``, each label slice large enough to
+    penalize with its own group index, or None where the binary closed form
+    serves (d = 2).
+    """
+
+    groups: GroupIndex | None
+    slices: tuple[tuple[np.ndarray, GroupIndex | None], ...] = ()
+
+
+def _row_index(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set) -> _RowIndex:
+    mode = cfg.fairness_mode
+    if mode == "dp_binary":
+        return _RowIndex(None)
+    if mode == "eo":
+        return _RowIndex(None, tuple(
+            (idx, None if n_groups == 2 else maxcorr.group_index(sub.sensitive[idx], n_groups))
+            for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)))
+    return _RowIndex(maxcorr.group_index(sub.sensitive, n_groups))
+
+
+def _penalty(probs, sub: Batch, cfg: TrainConfig, index: _RowIndex):
     """Unscaled ``(value, seed, sigma2_sq, adversary)`` of the configured penalty.
 
     ``seed`` is d(value)/dF with the adversary held fixed (None for
@@ -344,12 +329,12 @@ def _penalty(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
     """
     mode = cfg.fairness_mode
     if mode in ("dp_discrete", "dp_binary"):
-        return _dp_penalty(probs, sub.sensitive, cfg.floor, n_groups, mode == "dp_binary")
+        return _dp_penalty(probs, sub.sensitive, cfg.floor, index.groups)
     if mode == "eo":
         total, seed, sq_sum, adversaries = 0.0, np.zeros_like(probs), 0.0, {}
-        for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned):
+        for idx, groups in index.slices:
             value, sl_seed, sl_sq, adversaries[int(sub.labels[idx[0]])] = _dp_penalty(
-                probs[idx], sub.sensitive[idx], cfg.floor, n_groups, n_groups == 2)
+                probs[idx], sub.sensitive[idx], cfg.floor, groups)
             total += value
             seed[idx] += sl_seed
             sq_sum += sl_sq
@@ -357,7 +342,7 @@ def _penalty(probs, sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
     if mode == "pearson":
         return (*pearson_penalty(probs, sub.sensitive), None, None)
     if mode == "hsic":
-        return (*hsic_penalty(probs, sub.sensitive), None, None)
+        return (*hsic_penalty(probs, sub.sensitive, index.groups), None, None)
     return 0.0, None, None, None
 
 
@@ -382,10 +367,14 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     ``cfg.grad_tol``; a non-finite loss stops the run with the trace flagged
     as diverged.  A run that uses all its steps ends with a diagnostic row
     at the last iterate on the full batch.
+
+    The rows each penalty needs (group index, label slices) are indexed once
+    per batch: once per run on the full batch, once per step on minibatches.
     """
     _validate_mode(cfg, batch)
     n_groups = batch.n_groups
     warned: set = set()
+    full_index: list[_RowIndex] = []  # the full batch's, built on first use
     trace = TrainTrace()
     rng = np.random.default_rng(cfg.seed)
     order = np.array([], dtype=np.int64)
@@ -402,13 +391,21 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         cursor += cfg.batch_size
         return batch.subset(idx)
 
+    def row_index(sub: Batch) -> _RowIndex:
+        if sub is not batch:
+            return _row_index(sub, cfg, n_groups, warned)
+        if not full_index:
+            full_index.append(_row_index(batch, cfg, n_groups, warned))
+        return full_index[0]
+
     def step(theta: ModelParams, sub: Batch):
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
         probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
-        value, seed, sigma2_sq, adversary = _penalty(probs, sub, cfg, n_groups, warned)
+        index = row_index(sub)
+        value, seed, sigma2_sq, adversary = _penalty(probs, sub, cfg, index)
         if sigma2_sq is None:
             sigma2 = maxcorr.second_singular_value(
-                maxcorr.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups))
+                maxcorr.q_from_groups(probs, index.groups, cfg.floor))
         else:
             sigma2 = float(np.sqrt(sigma2_sq))
         if cfg.lam != 0.0 and seed is not None:
@@ -441,16 +438,3 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     trace.final_params = theta
     return trace
 
-
-def binary_objective(params: ModelParams, batch: Batch, lam: float, w) -> float:
-    """The binary min-max objective at fixed adversary ``w``.
-
-    Cross entropy plus the uncentered surrogate; used to verify the
-    closed-form inner solve and the envelope property of the outer gradient.
-    """
-    probs = forward(params, batch.features)
-    st = s_tilde(batch.sensitive)
-    w = np.asarray(w, dtype=np.float64)
-    loss, _ = loss_and_grad(params, batch)
-    pen = float(np.mean((st[:, None] * probs) @ w) - np.mean(probs @ (w * w)))
-    return loss + lam * pen

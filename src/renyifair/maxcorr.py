@@ -19,6 +19,11 @@ implemented here and cross-checked in the test suite.
 The SVD is a hand-rolled one-sided Jacobi: the matrices involved never
 exceed 64 x 64 (class count x sensitive-group count), and a dependency-free,
 bit-deterministic decomposition matters more than speed at that size.
+
+Inputs are validated at the API boundary only.  :func:`empirical_q` checks
+shapes, simplex rows and groups on every call; training indexes each
+batch's groups once (:func:`group_index`) and estimates Q on every step with
+:func:`q_from_groups`, which does the same arithmetic without the checks.
 """
 
 from __future__ import annotations
@@ -320,6 +325,40 @@ def renyi_binary(joint: JointTable, floor: float = 0.0) -> RenyiBinaryResult:
     return RenyiBinaryResult(rho=rho, gamma=gamma, w_star=w_star, q_prob=q_prob)
 
 
+@dataclass(frozen=True)
+class GroupIndex:
+    """Where each sensitive group 1..d sits in one sample of N rows.
+
+    ``codes`` is the 0-based group of every row, ``rows[j]`` the indices of
+    the rows in group ``j + 1`` and ``shares[j]`` their fraction of N.
+    ``complete`` is False when a group is empty or a label exceeds d; Q is
+    undefined then.  A training run builds one index per batch and reuses it
+    for every Q estimate on those rows.
+    """
+
+    codes: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    shares: np.ndarray
+    complete: bool
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.rows)
+
+
+def group_index(sensitive, n_groups: int) -> GroupIndex:
+    """Index the 1-based group labels ``sensitive`` over the alphabet 1..n_groups."""
+    s = np.asarray(sensitive)
+    codes = s.astype(int) - 1
+    counts = np.bincount(codes, minlength=n_groups)
+    return GroupIndex(
+        codes=codes,
+        rows=tuple(np.flatnonzero(s == j + 1) for j in range(n_groups)),
+        shares=counts[:n_groups] / s.size,
+        complete=len(counts) == n_groups and bool(np.all(counts > 0)),
+    )
+
+
 def empirical_q(
     soft_probs,
     sensitive,
@@ -336,12 +375,14 @@ def empirical_q(
 
     and ``q_ij = P(Yhat=i|s_j) P(s_j) / sqrt(P(Yhat=i) P(s_j))`` with both
     marginals floored at ``floor`` before the division.
+
+    Validates its inputs, then hands over to :func:`q_from_groups`.
     """
     f = np.asarray(soft_probs, dtype=np.float64)
     s = np.asarray(sensitive)
     if f.ndim != 2:
         raise ValueError("soft_probs must be N x c")
-    n, c = f.shape
+    n = f.shape[0]
     if s.shape != (n,):
         raise ValueError("sensitive length does not match soft_probs")
     if np.any(f < -1e-12):
@@ -351,28 +392,22 @@ def empirical_q(
         worst = np.abs(row_sums - 1.0).max()
         raise ValueError(f"soft_probs rows are off the simplex by {worst:.3e}")
     d = int(n_groups) if n_groups is not None else int(s.max())
-    counts = np.bincount(s.astype(int) - 1, minlength=d)
-    if len(counts) > d or np.any(counts == 0):
-        raise ValueError(f"every sensitive group in 1..{d} must be nonempty")
+    return q_from_groups(f, group_index(s, d), floor)
 
-    pi = counts / n
-    py = f.mean(axis=0)
-    joint = np.empty((c, d))
-    for j in range(d):
-        joint[:, j] = f[s == j + 1].mean(axis=0) * pi[j]
+
+def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> QMatrix:
+    """:func:`empirical_q` for rows already indexed by :func:`group_index`.
+
+    Does not check ``soft_probs``; it raises only when a group is empty.
+    """
+    if not groups.complete:
+        raise ValueError(f"every sensitive group in 1..{groups.n_groups} must be nonempty")
+    pi = groups.shares
+    py = soft_probs.mean(axis=0)
+    joint = np.empty((soft_probs.shape[1], groups.n_groups))
+    for j, rows in enumerate(groups.rows):
+        joint[:, j] = soft_probs.take(rows, axis=0).mean(axis=0) * pi[j]
     py_f = np.maximum(py, floor)
     pi_f = np.maximum(pi, floor)
     q = joint / np.sqrt(np.outer(py_f, pi_f))
     return QMatrix(q=q, row_marginal=py_f, col_marginal=pi_f)
-
-
-def second_right_singular_vector(qm: QMatrix) -> np.ndarray:
-    """Adversarial direction for the fairness penalty.
-
-    The unit vector orthogonal to the top right singular vector of Q that
-    maximizes ``||Q v||^2``; equal-singular-value ties resolve to the vector
-    chosen by the deterministic ordering of :func:`svd_small`.
-    """
-    if qm.q.shape[1] < 2:
-        raise ValueError("need at least two columns for a second singular vector")
-    return svd_small(qm.q).right_vectors[:, 1].copy()

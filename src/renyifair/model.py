@@ -16,6 +16,12 @@ pullback of a penalty through the outputs; :func:`loss_grad_and_vjp`
 returns all of them from one forward pass.  :func:`forward`,
 :func:`loss_and_grad` and :func:`jacobian_probs` are the same pieces one at
 a time.
+
+With a handful of classes a step costs numpy call overhead more than
+arithmetic, so the softmax and pullback reduce each row with c - 1
+column-wise ufunc calls.  That matches numpy's ``axis=1`` reduce bit for bit
+only below 8 columns: from 8 on numpy's pairwise sum unrolls by 8 and adds
+in another order, so wider outputs keep the generic reduce.
 """
 
 from __future__ import annotations
@@ -164,10 +170,30 @@ def _unpack_hidden(params: ModelParams):
     return w1, b1, w2, b2
 
 
+# Widest output reduced column by column (see the module docstring).
+_COLUMNWISE_MAX_C = 7
+
+
+def _row_reduce(ufunc: np.ufunc, m: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(m, axis=1, keepdims=True)``, bit for bit.
+
+    Below 8 columns numpy reduces a row left to right from the ufunc's
+    identity (``0.0 + m[:, 0]`` for a sum, which turns -0.0 into 0.0), and
+    so does the column loop here.
+    """
+    c = m.shape[1]
+    if c > _COLUMNWISE_MAX_C:
+        return ufunc.reduce(m, axis=1, keepdims=True)
+    out = m[:, 0] if ufunc.identity is None else ufunc(ufunc.identity, m[:, 0])
+    for j in range(1, c):
+        out = ufunc(out, m[:, j])
+    return out[:, None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - _row_reduce(np.maximum, logits)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_reduce(np.add, e)
 
 
 def _forward_internals(params: ModelParams, x: np.ndarray):
@@ -213,7 +239,7 @@ def _pullback(params: ModelParams, x: np.ndarray, probs: np.ndarray,
         u = np.asarray(u, dtype=np.float64)
         if u.shape != probs.shape:
             raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
-        inner = np.sum(u * probs, axis=1, keepdims=True)
+        inner = _row_reduce(np.add, u * probs)
         dlogits = (u - inner) * probs
         return _backward_from_dlogits(params, x, dlogits, hidden)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import binary_objective
 from renyifair import cli, data, faircluster as fc, fairtrain as ft
 from renyifair import maxcorr as mc, metrics as mt, model as md
 
@@ -168,7 +169,7 @@ def test_c03_gradient_correctness():
         bbatch = md.Batch(x, y, groups % 2 + 1)
         _, lgrad = md.loss_and_grad(params, bbatch)
         full = lgrad + md.jacobian_probs(params, x)(lam * ft._binary_seed(stv, w, 1.0 / n))
-        ref = fd_grad(lambda t: ft.binary_objective(params.with_theta(t), bbatch, lam, w),
+        ref = fd_grad(lambda t: binary_objective(params.with_theta(t), bbatch, lam, w),
                       params.theta.copy())
         assert np.abs(full - ref).max() / max(np.abs(ref).max(), 1e-12) <= 1e-4
 

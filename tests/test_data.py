@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renyifair import data
 
@@ -214,3 +215,28 @@ class TestSynthYequalsS:
             joint[y - 1, s - 1] += 1
         rho = mc.renyi_discrete(mc.JointTable(joint / joint.sum()))
         assert abs(rho - 1.0) <= 1e-9
+
+
+class TestCombineSensitive:
+    def test_two_binary_columns(self):
+        a = np.array([1, 1, 2, 2])
+        b = np.array([1, 2, 1, 2])
+        combo = data.combine_sensitive([a, b])
+        np.testing.assert_array_equal(combo.values, [1, 2, 3, 4])
+        assert combo.alphabet_size == 4
+        assert combo.tuples == ((1, 1), (1, 2), (2, 1), (2, 2))
+
+    def test_single_column_identity(self):
+        col = np.array([3, 1, 2])
+        combo = data.combine_sensitive([col])
+        np.testing.assert_array_equal(combo.values, col)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+                    min_size=1, max_size=30))
+    def test_three_binary_round_trip(self, rows):
+        cols = [np.array([r[j] for r in rows]) for j in range(3)]
+        combo = data.combine_sensitive(cols, sizes=[2, 2, 2])
+        assert combo.alphabet_size == 8
+        for i, value in enumerate(combo.values):
+            assert combo.decode(int(value)) == rows[i]

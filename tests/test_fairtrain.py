@@ -4,8 +4,8 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from oracles import binary_objective
 from renyifair import data, maxcorr as mc, model as md, fairtrain as ft
 
 
@@ -133,7 +133,7 @@ class TestPenaltyGradients:
         _, loss_grad = md.loss_and_grad(params, batch)
         grad = loss_grad + md.jacobian_probs(params, batch.features)(
             lam * ft._binary_seed(stv, w, 1.0 / batch.n))
-        ref = fd_grad(lambda t: ft.binary_objective(params.with_theta(t), batch, lam, w),
+        ref = fd_grad(lambda t: binary_objective(params.with_theta(t), batch, lam, w),
                       params.theta.copy())
         assert np.abs(grad - ref).max() / max(np.abs(ref).max(), 1e-12) <= 1e-4
 
@@ -214,31 +214,6 @@ class TestBaselinePenalties:
             ref = fd_grad(lambda t: fn(md.forward(params.with_theta(t), x))[0],
                           params.theta.copy())
             assert np.abs(grad - ref).max() / max(np.abs(ref).max(), 1e-12) <= 1e-4
-
-
-class TestCombineSensitive:
-    def test_two_binary_columns(self):
-        a = np.array([1, 1, 2, 2])
-        b = np.array([1, 2, 1, 2])
-        combo = ft.combine_sensitive([a, b])
-        np.testing.assert_array_equal(combo.values, [1, 2, 3, 4])
-        assert combo.alphabet_size == 4
-        assert combo.tuples == ((1, 1), (1, 2), (2, 1), (2, 2))
-
-    def test_single_column_identity(self):
-        col = np.array([3, 1, 2])
-        combo = ft.combine_sensitive([col])
-        np.testing.assert_array_equal(combo.values, col)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
-                    min_size=1, max_size=30))
-    def test_three_binary_round_trip(self, rows):
-        cols = [np.array([r[j] for r in rows]) for j in range(3)]
-        combo = ft.combine_sensitive(cols, sizes=[2, 2, 2])
-        assert combo.alphabet_size == 8
-        for i, value in enumerate(combo.values):
-            assert combo.decode(int(value)) == rows[i]
 
 
 def tiny_batch(n=240, seed=0):
@@ -537,3 +512,45 @@ def test_dp_binary_sigma2_matches_svd_of_q(arch, hidden, batch_size, monkeypatch
         assert abs(sigma2 ** 2 - svd ** 2) <= 1e-12
         if svd >= 1e-3:
             assert abs(sigma2 - svd) <= 1e-9
+
+
+def test_eo_min_group_below_one_rejected_and_one_trains():
+    for eo_min_group in (0, -1):
+        with pytest.raises(ValueError, match="eo_min_group must be at least 1"):
+            ft.TrainConfig(fairness_mode="eo", eo_min_group=eo_min_group)
+    batch = rare_group_batch(600, 3, every=100, seed=5)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=10, fairness_mode="eo",
+                         batch_size=64, eo_min_group=1, seed=6)
+    trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+
+
+@pytest.mark.parametrize("mode,d", [("none", 2), ("pearson", 2), ("hsic", 2),
+                                    ("dp_discrete", 2), ("dp_discrete", 3)])
+def test_minibatch_lacking_a_group_still_raises(mode, d):
+    batch = rare_group_batch(500, d, every=50, seed=3)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode=mode,
+                         batch_size=32, seed=4)
+    with pytest.raises(ValueError, match=f"every sensitive group in 1..{d} must be nonempty"):
+        ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+
+
+@pytest.mark.parametrize("mode", ["none", "dp_discrete", "eo", "pearson", "hsic"])
+@pytest.mark.parametrize("batch_size", [None, 64])
+def test_group_index_built_once_per_batch(mode, batch_size, monkeypatch):
+    batch = labelled_groups_batch(300, 3 if mode in ("dp_discrete", "eo") else 2, seed=1)
+    built = []
+    group_index = mc.group_index
+
+    def counting_group_index(sensitive, n_groups):
+        built.append(len(sensitive))
+        return group_index(sensitive, n_groups)
+
+    monkeypatch.setattr(mc, "group_index", counting_group_index)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=6, fairness_mode=mode,
+                         batch_size=batch_size, eo_min_group=5, seed=2)
+    trace = ft.train(md.init_params("linear", 3, 2, seed=1), batch, cfg)
+    assert trace.iteration == list(range(cfg.iters + 1))
+    per_batch = 2 if mode == "eo" else 1  # eo: one index per label slice
+    batches = 1 if batch_size is None else cfg.iters + 1  # + the final full-batch row
+    assert len(built) == per_batch * batches

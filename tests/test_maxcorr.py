@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import second_right_singular_vector
 from renyifair import maxcorr as mc
 
 
@@ -259,17 +260,71 @@ class TestEmpiricalQ:
             mc.empirical_q(probs, np.array([1, 2]))
 
 
+def masked_empirical_q(f, s, floor, d):
+    """Q built with one boolean mask per group and a bincount of the groups."""
+    n, c = f.shape
+    pi = np.bincount(s - 1, minlength=d) / n
+    joint = np.empty((c, d))
+    for j in range(d):
+        joint[:, j] = f[s == j + 1].mean(axis=0) * pi[j]
+    py_f = np.maximum(f.mean(axis=0), floor)
+    pi_f = np.maximum(pi, floor)
+    return joint / np.sqrt(np.outer(py_f, pi_f)), py_f, pi_f
+
+
+class TestGroupIndex:
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    @pytest.mark.parametrize("rows", [None, 64])
+    def test_q_from_groups_bitwise_equals_empirical_q(self, d, rows):
+        from renyifair import model as md
+        rng = np.random.default_rng(d)
+        n = 400
+        s = rng.permutation(np.arange(n) % d) + 1
+        batch = md.Batch(rng.normal(size=(n, 3)), rng.integers(1, 4, n), s)
+        if rows is not None:
+            batch = batch.subset(rng.permutation(n)[:rows])
+        probs = md.forward(md.init_params("linear", 3, 3, seed=d), batch.features)
+        groups = mc.group_index(batch.sensitive, d)
+        assert groups.complete and groups.n_groups == d
+        for floor in (1e-6, 0.2):  # 0.2 clamps every share at d = 10
+            got = mc.q_from_groups(probs, groups, floor)
+            public = mc.empirical_q(probs, batch.sensitive, floor=floor, n_groups=d)
+            want = masked_empirical_q(probs, batch.sensitive, floor, d)
+            for qm in (got, public):
+                for field, ref in zip(("q", "row_marginal", "col_marginal"), want):
+                    assert getattr(qm, field).tobytes() == ref.tobytes(), field
+
+    def test_index_fields(self):
+        groups = mc.group_index(np.array([2, 1, 3, 1, 2, 1]), 3)
+        np.testing.assert_array_equal(groups.codes, [1, 0, 2, 0, 1, 0])
+        assert [r.tolist() for r in groups.rows] == [[1, 3, 5], [0, 4], [2]]
+        np.testing.assert_array_equal(groups.shares, [0.5, 2 / 6, 1 / 6])
+        assert groups.complete
+
+    @pytest.mark.parametrize("s,d", [([1, 1, 1, 1], 2), ([1, 3, 1, 3], 3), ([1, 2, 3, 1], 2)])
+    def test_incomplete_index_raises_the_empirical_q_error(self, s, d):
+        s = np.array(s)
+        probs = np.full((4, 2), 0.5)
+        groups = mc.group_index(s, d)
+        assert not groups.complete
+        message = f"every sensitive group in 1..{d} must be nonempty"
+        with pytest.raises(ValueError, match=message):
+            mc.q_from_groups(probs, groups, 1e-6)
+        with pytest.raises(ValueError, match=message):
+            mc.empirical_q(probs, s, n_groups=d)
+
+
 class TestSecondRightSingularVector:
     def test_identity_tie_break(self):
         qm = mc.QMatrix(np.eye(2), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        np.testing.assert_allclose(mc.second_right_singular_vector(qm),
+        np.testing.assert_allclose(second_right_singular_vector(qm),
                                    [0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("q", [np.full((2, 2), 0.5),
                                    np.array([[0.8, 0.2], [0.2, 0.8]])])
     def test_contrast_direction(self, q):
         qm = mc.QMatrix(q, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        v = mc.second_right_singular_vector(qm)
+        v = second_right_singular_vector(qm)
         target = np.array([1.0, -1.0]) / np.sqrt(2)
         assert min(np.abs(v - target).max(), np.abs(v + target).max()) <= 1e-12
 
@@ -278,7 +333,7 @@ class TestSecondRightSingularVector:
         jt = random_joint(rng, 5, 4)
         qm = mc.q_from_joint(jt)
         res = mc.svd_small(qm.q)
-        v = mc.second_right_singular_vector(qm)
+        v = second_right_singular_vector(qm)
         assert abs(v @ res.right_vectors[:, 0]) <= 1e-9
         attained = v @ (qm.q.T @ qm.q) @ v
         assert abs(attained - res.singular_values[1] ** 2) <= 1e-9

@@ -149,6 +149,79 @@ class TestJacobianProbs:
         np.testing.assert_allclose(md.jacobian_probs(params, x)(u), expected, atol=1e-12)
 
 
+class _UfuncSpy:
+    """Stands in for a ufunc and records whether it was reduced or called."""
+
+    def __init__(self, ufunc):
+        self.ufunc = ufunc
+        self.identity = ufunc.identity
+        self.used = []
+
+    def reduce(self, *args, **kwargs):
+        self.used.append("reduce")
+        return self.ufunc.reduce(*args, **kwargs)
+
+    def __call__(self, *args):
+        self.used.append("call")
+        return self.ufunc(*args)
+
+
+def awkward_matrix(rng, n, c):
+    """Mixed magnitudes plus signed zeros, the inputs where order shows."""
+    m = rng.normal(size=(n, c)) * 10.0 ** rng.integers(-6, 6, size=(n, c))
+    m[rng.random((n, c)) < 0.1] = -0.0
+    m[rng.random((n, c)) < 0.1] = 0.0
+    return m
+
+
+class TestRowReductions:
+    """The small-c column loop must give the bits of numpy's ``axis=1`` path."""
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 7])
+    def test_softmax_and_pullback_bitwise_equal_axis1_formulas(self, c):
+        rng = np.random.default_rng(c)
+        for arch, hid in (("linear", 0), ("one_hidden", 4)):
+            params = md.init_params(arch, 3, c, hidden_dim=hid, seed=c)
+            x = 3.0 * rng.normal(size=(500, 3))
+            logits = 20.0 * rng.normal(size=(500, c))
+            z = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            assert md._softmax(logits).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+            probs, hidden = md._forward_internals(params, x)
+            u = awkward_matrix(rng, 500, c)
+            dlogits = (u - np.sum(u * probs, axis=1, keepdims=True)) * probs
+            want = md._backward_from_dlogits(params, x, dlogits, hidden)
+            assert md.jacobian_probs(params, x)(u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 7])
+    def test_column_loop_below_eight(self, c):
+        m = awkward_matrix(np.random.default_rng(c), 300, c)
+        for ufunc in (np.add, np.maximum):
+            spy = _UfuncSpy(ufunc)
+            got = md._row_reduce(spy, m)
+            assert "reduce" not in spy.used
+            assert got.tobytes() == ufunc.reduce(m, axis=1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("c", [8, 10])
+    def test_generic_reduce_from_eight(self, c):
+        rng = np.random.default_rng(c)
+        m = awkward_matrix(rng, 300, c)
+        for ufunc in (np.add, np.maximum):
+            spy = _UfuncSpy(ufunc)
+            got = md._row_reduce(spy, m)
+            assert spy.used == ["reduce"]
+            assert got.tobytes() == ufunc.reduce(m, axis=1, keepdims=True).tobytes()
+        # Here a left-to-right column loop would round differently.
+        loop = m[:, :1] + 0.0
+        for j in range(1, c):
+            loop = loop + m[:, j:j + 1]
+        assert loop.tobytes() != np.add.reduce(m, axis=1, keepdims=True).tobytes()
+        logits = 20.0 * rng.normal(size=(300, c))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert md._softmax(logits).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 3)])
     def test_round_trip(self, tmp_path, arch, hid):
