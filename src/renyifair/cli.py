@@ -52,6 +52,10 @@ CLUSTER_COLUMNS = (
 
 DEFAULT_LAMBDA_GRID = [0.0] + [10.0 ** e for e in range(-3, 4)]
 
+# A ``--jobs N`` worker's copy of the sweep's data, set once per worker by
+# the pool initializer (see ``_run_tasks``).
+_worker_data = None
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -145,9 +149,9 @@ def _report_row(report: metrics.EvalReport, base: dict, split: str) -> dict:
     return row
 
 
-def _train_one(args) -> list[dict]:
+def _train_one(args, batches) -> list[dict]:
     raw, lam, seed, out_dir = args
-    train_batch, test_batch = _load_train_batches(raw["dataset"])
+    train_batch, test_batch = batches or _load_train_batches(raw["dataset"])
     arch, hidden = _parse_model(raw.get("model", "linear"))
     params0 = model.init_params(arch, train_batch.n_features, train_batch.n_classes,
                                 hidden_dim=hidden, seed=seed)
@@ -186,7 +190,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(cfg.raw, lam, seed, out_dir)
              for lam in cfg.lambda_grid for seed in cfg.seeds]
-    rows, failures = _run_tasks(_train_one, tasks, jobs)
+    rows, failures = _run_tasks(_train_one, _load_train_batches, cfg.raw["dataset"],
+                                tasks, jobs)
     rows.sort(key=lambda r: (r["lambda"], r["seed"], r["split"]))
     write_csv(os.path.join(out_dir, "sweep.csv"), TRAIN_COLUMNS, rows)
     return _finish(out_dir, cfg, failures)
@@ -198,8 +203,15 @@ def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
         return points, sensitive
     if name.startswith("csv:"):
         # raw numeric CSV: coordinate columns followed by a 0/1 sensitive column
-        raw = np.loadtxt(name.split(":", 1)[1], delimiter=",", ndmin=2)
-        return raw[:, :-1], raw[:, -1].astype(np.int64)
+        path = name.split(":", 1)[1]
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        sensitive = raw[:, -1]
+        bad = np.flatnonzero((sensitive != 0) & (sensitive != 1))
+        if bad.size:
+            raise ValueError(
+                f"{path}: sensitive column {raw.shape[1]} (the last) must hold 0 or 1, "
+                f"found {sensitive[bad[0]]!r} in data row {bad[0] + 1}")
+        return raw[:, :-1], sensitive.astype(np.int64)
     return data.clustering_view(name)
 
 
@@ -215,9 +227,9 @@ def _cluster_row(lam: float, seed: int, state: faircluster.ClusterState,
     }
 
 
-def _cluster_one(args) -> list[dict]:
+def _cluster_one(args, view) -> list[dict]:
     raw, lam, seed, out_dir = args
-    points, sensitive = _load_cluster_view(raw["dataset"])
+    points, sensitive = view or _load_cluster_view(raw["dataset"])
     ccfg = faircluster.ClusterConfig(
         n_clusters=int(raw["n_clusters"]),
         lam=lam,
@@ -245,24 +257,34 @@ def cmd_cluster(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(cfg.raw, lam, seed, out_dir)
              for lam in cfg.lambda_grid for seed in cfg.seeds]
-    rows, failures = _run_tasks(_cluster_one, tasks, jobs)
+    rows, failures = _run_tasks(_cluster_one, _load_cluster_view, cfg.raw["dataset"],
+                                tasks, jobs)
     rows.sort(key=lambda r: (r["lambda"], r["seed"]))
     write_csv(os.path.join(out_dir, "sweep.csv"), CLUSTER_COLUMNS, rows)
     return _finish(out_dir, cfg, failures)
 
 
-def _run_tasks(fn, tasks, jobs: int):
-    """Run every task, isolating failures.
+def _run_tasks(fn, load, dataset: str, tasks, jobs: int):
+    """Load the sweep's data once, then run every task on it, isolating failures.
+
+    ``fn(task, loaded)`` gets the loaded data as an argument in a serial
+    sweep.  Under ``jobs > 1`` each worker receives it once through the
+    pool initializer, so it is never pickled per task.  If the load fails,
+    ``loaded`` is None: every task loads again and reports the failure with
+    its own traceback, as a run that failed on its own would.
 
     Returns the rows of the runs that succeeded and one
     ``(summary, traceback)`` pair per failed run.
     """
-    bundles = [(fn, t) for t in tasks]
+    try:
+        loaded = load(dataset)
+    except Exception:  # noqa: BLE001 - each task retries and reports the failure
+        loaded = None
     if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_safe_call, bundles)
+        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(loaded,)) as pool:
+            results = pool.map(_call_in_worker, [(fn, t) for t in tasks])
     else:
-        results = [_safe_call(b) for b in bundles]
+        results = [_safe_call(fn, t, loaded) for t in tasks]
     rows: list[dict] = []
     failures: list[tuple[str, str]] = []
     for task, (ok, payload) in zip(tasks, results):
@@ -274,10 +296,19 @@ def _run_tasks(fn, tasks, jobs: int):
     return rows, failures
 
 
-def _safe_call(bundle):
+def _init_worker(loaded) -> None:
+    global _worker_data
+    _worker_data = loaded
+
+
+def _call_in_worker(bundle):
     fn, task = bundle
+    return _safe_call(fn, task, _worker_data)
+
+
+def _safe_call(fn, task, loaded):
     try:
-        return True, fn(task)
+        return True, fn(task, loaded)
     except Exception as exc:  # noqa: BLE001 - runs are isolated; report and continue
         return False, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 

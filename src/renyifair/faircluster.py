@@ -12,10 +12,18 @@ kept as a switch because it demonstrably oscillates: on a small symmetric
 instance the assignments swap forever between two mirror states, which the
 per-point update escapes.
 
-Only ``per_point`` with ``lam > 0`` needs a point-by-point loop.  In
-``per_sweep`` mode, and at ``lam = 0`` where the balance term vanishes, the
-proportions are fixed for the whole sweep, so every point's choice is one
-row of a single vectorised argmin.
+Each sweep takes one of two routes, and both give the same bits as
+scoring the points one at a time:
+
+* ``per_sweep`` mode, and either mode at ``lam = 0`` (where the balance
+  term vanishes): the proportions are fixed for the whole sweep, so every
+  point's choice is one row of a single vectorised argmin.
+* ``per_point`` mode at ``lam > 0``: a block scan.  The proportions change
+  only when a point moves, so a block of points is scored with one argmin,
+  the first point whose choice differs from its cluster is moved, and the
+  scan resumes after it with refreshed proportions.  Every point before
+  that move saw exactly the proportions the one-at-a-time loop would have
+  used, so nothing else in the block needs redoing.
 
 The combined objective (clustering loss minus ``lam`` times the squared
 balance residuals) is not guaranteed monotone under this interleaving, so
@@ -32,6 +40,15 @@ import numpy as np
 
 W_UPDATE_MODES = ("per_point", "per_sweep")
 INIT_MODES = ("random_assignment", "kmeanspp")
+
+# Points scored per argmin call in a ``per_point`` sweep (see _per_point_pass).
+# Median of 7 interleaved calls on the 10k x 5 census clustering view (K=14,
+# kmeanspp, 8 sweeps, lam 1/10/100; one core of a 2-vCPU Xeon, numpy 2.4.6):
+# 16 -> 0.22-0.23 s, 32 -> 0.20-0.21 s, 64 -> 0.19-0.21 s, 128 -> 0.20-0.23 s,
+# 256 -> 0.24-0.25 s, 512 -> 0.27-0.35 s; the point-by-point loop took 0.73-0.75 s.
+_SCAN_BLOCK = 64
+# Row g of the balance penalty belongs to sensitive value g.
+_GROUP_VALUES = np.array([[0.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -100,14 +117,6 @@ class ClusterTrace:
             for row in zip(self.sweep, self.kmeans_loss, self.objective,
                            self.w_std, self.moves):
                 fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]}\n")
-
-
-def assign_point(x, s: int, centers, proportions, lam: float) -> int:
-    """Best cluster (1-based) for one point; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    diffs = np.asarray(centers, dtype=np.float64) - x
-    scores = np.einsum("kp,kp->k", diffs, diffs) - lam * (np.asarray(proportions) - s) ** 2
-    return int(np.argmin(scores)) + 1
 
 
 def update_proportions_incremental(state: ClusterState, s: int,
@@ -199,6 +208,32 @@ def _objective(points, sensitive, state: ClusterState, lam: float) -> tuple[floa
     return loss, loss - lam * float((resid * resid).sum())
 
 
+def _per_point_pass(d2, s_int, state: ClusterState, lam: float) -> None:
+    """One ``per_point`` sweep as a block scan (see the module docstring).
+
+    ``pen[g]`` is ``lam * (w - g) ** 2``, the same elementwise operations as
+    the one-point score ``d2[i] - lam * (w - s_i) ** 2``, so each scored row
+    is bit-identical to scoring that point alone.
+    """
+    n = d2.shape[0]
+    pen = lam * (state.proportions[None, :] - _GROUP_VALUES) ** 2
+    i = 0
+    while i < n:
+        stop = min(i + _SCAN_BLOCK, n)
+        choice = (d2[i:stop] - pen[s_int[i:stop]]).argmin(axis=1) + 1
+        changed = choice != state.assignments[i:stop]
+        if not changed.any():
+            i = stop
+            continue
+        first = int(changed.argmax())
+        i += first
+        k_old, k_new = int(state.assignments[i]), int(choice[first])
+        state.assignments[i] = k_new
+        update_proportions_incremental(state, int(s_int[i]), k_old, k_new)
+        pen = lam * (state.proportions[None, :] - _GROUP_VALUES) ** 2
+        i += 1
+
+
 def fair_kmeans(points, sensitive, cfg: ClusterConfig,
                 initial_assignments=None) -> tuple[ClusterState, ClusterTrace]:
     """Alternating fair K-means.
@@ -208,10 +243,11 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
     (immediately in ``per_point`` mode, after the full pass in
     ``per_sweep``), then recomputes the centers.  When the proportions are
     fixed for the sweep (``per_sweep``, or ``lam == 0`` in either mode) the
-    pass is one vectorised argmin followed by one tally; only ``per_point``
-    with ``lam > 0`` walks the points one at a time.  Terminates when a
-    sweep moves nothing, when the assignment vector revisits a previous
-    state (a cycle), or at ``max_sweeps``.
+    pass is one vectorised argmin followed by one tally; ``per_point`` with
+    ``lam > 0`` runs the block scan of ``_per_point_pass``, which stops at
+    each move and is exact because the proportions are constant between
+    moves.  Terminates when a sweep moves nothing, when the assignment
+    vector revisits a previous state (a cycle), or at ``max_sweeps``.
 
     ``initial_assignments`` (1-based) overrides the configured
     initialization; centers start at the implied cluster means.
@@ -225,6 +261,7 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
         raise ValueError("sensitive must be length N with values in {0, 1}")
     if cfg.n_clusters > n:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds the number of points {n}")
+    s_int = s.astype(np.int64)
     s = s.astype(np.float64)
 
     rng = np.random.default_rng(cfg.seed)
@@ -243,13 +280,7 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
         prev = state.assignments.copy()
         d2 = ((x[:, None, :] - state.centers[None, :, :]) ** 2).sum(axis=2)
         if per_point:
-            for i in range(n):
-                scores = d2[i] - cfg.lam * (state.proportions - s[i]) ** 2
-                k_new = int(np.argmin(scores)) + 1
-                k_old = int(state.assignments[i])
-                if k_new != k_old:
-                    state.assignments[i] = k_new
-                    update_proportions_incremental(state, int(s[i]), k_old, k_new)
+            _per_point_pass(d2, s_int, state, cfg.lam)
         else:
             scores = d2 - cfg.lam * (state.proportions[None, :] - s[:, None]) ** 2
             state.assignments = np.argmin(scores, axis=1) + 1

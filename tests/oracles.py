@@ -29,3 +29,11 @@ def second_right_singular_vector(qm):
     if qm.q.shape[1] < 2:
         raise ValueError("need at least two columns for a second singular vector")
     return mc.svd_small(qm.q).right_vectors[:, 1].copy()
+
+
+def assign_point(x, s: int, centers, proportions, lam: float) -> int:
+    """Best cluster (1-based) for one point; ties go to the lowest index."""
+    x = np.asarray(x, dtype=np.float64)
+    diffs = np.asarray(centers, dtype=np.float64) - x
+    scores = np.einsum("kp,kp->k", diffs, diffs) - lam * (np.asarray(proportions) - s) ** 2
+    return int(np.argmin(scores)) + 1

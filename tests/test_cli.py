@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from renyifair import cli
+from renyifair import cli, data
 
 
 def write_config(path, **overrides):
@@ -132,6 +132,22 @@ class TestClusterCommand:
         assert run(["cluster", "--config", cfg, "--out", out]) == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("bad", ["0.7", "2", "-1", "nan"])
+    def test_raw_csv_sensitive_column_must_be_zero_or_one(self, tmp_path, bad):
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text(f"0.5,1.5,1\n-0.5,2.5,0\n1.0,0.0,{bad}\n")
+        with pytest.raises(ValueError, match=r"points\.csv: sensitive column 3 "
+                                             r"\(the last\) must hold 0 or 1, .* data row 3"):
+            cli._load_cluster_view(f"csv:{csv_path}")
+        cfg = tmp_path / "cfg.json"
+        with open(cfg, "w") as fh:
+            json.dump({"dataset": f"csv:{csv_path}", "n_clusters": 2,
+                       "lambda_grid": [0.0, 5.0], "seeds": [0]}, fh)
+        assert run(["cluster", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert len(manifest["failures"]) == 2
+        assert all("sensitive column 3" in f for f in manifest["failures"])
+
     def test_lambda_zero_row_matches_plain_kmeans_loss(self, tmp_path):
         from renyifair import faircluster as fc
         cfg = tmp_path / "cfg.json"
@@ -147,6 +163,62 @@ class TestClusterCommand:
         state, trace = fc.fair_kmeans(points, sensitive, fc.ClusterConfig(
             n_clusters=5, lam=0.0, max_sweeps=60, seed=3, init="kmeanspp"))
         assert abs(loss - trace.kmeans_loss[-1]) <= 1e-9
+
+
+MINI_ROWS = "\n".join("%d, %s, %s" % (i, "a" if i % 2 else "b", "yes" if i % 3 else "no")
+                      for i in range(40)) + "\n"
+MINI_SPEC = ("name = mini\ncolumns = v g cls\nlabel = cls\npositive_label = yes\n"
+             "sensitive = g\nsensitive_positive = a\nsplit = head\n"
+             "train_count = 30\ntest_count = 10\nfile = mini.csv\n"
+             "clustering_features = v\nclustering_sensitive = g\n"
+             "clustering_sensitive_positive = a\n")
+
+
+class TestLoadOncePerSweep:
+    """Each sweep reads its dataset once, serial or across worker processes."""
+
+    @pytest.fixture
+    def mini(self, tmp_path, monkeypatch):
+        (tmp_path / "mini.csv").write_text(MINI_ROWS)
+        (tmp_path / "mini.spec").write_text(MINI_SPEC)
+        monkeypatch.setenv("RENYIFAIR_DATA", str(tmp_path))
+        return tmp_path
+
+    def count_calls(self, monkeypatch, tmp_path, name):
+        # Each call appends a line to a file, so calls made in worker
+        # processes are counted too.
+        log = tmp_path / f"{name}.calls"
+        original = getattr(data, name)
+
+        def counted(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write("call\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(data, name, counted)
+        return lambda: len(log.read_text().splitlines()) if log.exists() else 0
+
+    @pytest.mark.parametrize("command, loader, config", [
+        ("train", "load_dataset", {"model": "linear", "fairness_mode": "dp_binary",
+                                   "eta": 0.3, "iters": 10}),
+        ("cluster", "clustering_view", {"n_clusters": 3, "max_sweeps": 10,
+                                        "init": "kmeanspp"}),
+    ])
+    def test_one_load_per_sweep_serial_and_parallel(self, mini, monkeypatch, command,
+                                                    loader, config):
+        cfg = mini / "cfg.json"
+        with open(cfg, "w") as fh:
+            json.dump(dict(config, dataset=str(mini / "mini.spec"),
+                           lambda_grid=[0.0, 5.0], seeds=[0, 1]), fh)
+        calls = self.count_calls(monkeypatch, mini, loader)
+        outputs = []
+        for sweeps, jobs in enumerate(("1", "2"), start=1):
+            out = mini / f"out{jobs}"
+            assert run([command, "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+            assert calls() == sweeps
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) > 4
+        assert outputs[0] == outputs[1]
 
 
 class TestEvalCommand:

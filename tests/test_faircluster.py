@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import assign_point
 from renyifair import faircluster as fc
 
 
@@ -121,14 +122,14 @@ class TestAssignPoint:
     def test_lambda_zero_nearest_center(self):
         centers = np.array([[0.0, 0.0], [4.0, 0.0]])
         w = np.array([0.9, 0.1])
-        assert fc.assign_point([1.0, 0.0], 1, centers, w, 0.0) == 1
-        assert fc.assign_point([3.0, 0.0], 1, centers, w, 0.0) == 2
+        assert assign_point([1.0, 0.0], 1, centers, w, 0.0) == 1
+        assert assign_point([3.0, 0.0], 1, centers, w, 0.0) == 2
 
     def test_equidistant_centers_fairness_decides(self):
         centers = np.array([[-1.0], [1.0]])
         w = np.array([1.0, 0.0])
         # score_1 = d^2 - lam*(1-1)^2 = d^2; score_2 = d^2 - lam
-        assert fc.assign_point([0.0], 1, centers, w, 2.0) == 2
+        assert assign_point([0.0], 1, centers, w, 2.0) == 2
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -141,7 +142,7 @@ class TestAssignPoint:
             lam = float(rng.random() * 10)
             scores = [((x - centers[j]) ** 2).sum() - lam * (w[j] - s) ** 2
                       for j in range(k)]
-            assert fc.assign_point(x, s, centers, w, lam) == int(np.argmin(scores)) + 1
+            assert assign_point(x, s, centers, w, lam) == int(np.argmin(scores)) + 1
 
 
 class TestIncrementalProportions:
@@ -315,6 +316,87 @@ class TestVectorisedPassMatchesReference:
             fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg, initial_assignments=COUNTER_A0),
             reference_fair_kmeans(COUNTER_X, COUNTER_S, cfg,
                                   initial_assignments=COUNTER_A0))
+
+
+def longest_run(flags) -> int:
+    best = run = 0
+    for f in flags:
+        run = run + 1 if f else 0
+        best = max(best, run)
+    return best
+
+
+class TestBlockScanMatchesReference:
+    """The ``per_point`` block scan across block edges, against the reference."""
+
+    B = fc._SCAN_BLOCK
+
+    def run_both(self, points, sensitive, cfg, initial_assignments=None):
+        got = fc.fair_kmeans(points, sensitive, cfg, initial_assignments)
+        assert_runs_bitwise_equal(
+            got, reference_fair_kmeans(points, sensitive, cfg, initial_assignments))
+        return got
+
+    @pytest.mark.parametrize("lam", [4.0, 40.0])
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    @pytest.mark.parametrize("n", [fc._SCAN_BLOCK // 2, 3 * fc._SCAN_BLOCK + 5])
+    def test_below_one_block_and_past_three(self, lam, init, n):
+        # n = B/2 fits in one partial block; n = 3B + 5 ends on a short block.
+        rng = np.random.default_rng(21)
+        points = rng.normal(size=(n, 3))
+        sensitive = rng.integers(0, 2, n)
+        points[sensitive == 1] += 0.5
+        cfg = fc.ClusterConfig(n_clusters=5, lam=lam, max_sweeps=40, seed=4,
+                               init=init)
+        _, trace = self.run_both(points, sensitive, cfg)
+        assert sum(trace.moves) > 0
+
+    def test_moves_on_both_sides_of_a_block_edge(self):
+        # Two far-apart blobs, each point initially in its own blob's cluster
+        # except the last point of the first block and the first of the next.
+        b = self.B
+        rng = np.random.default_rng(22)
+        n = 2 * b + 7
+        a0 = rng.integers(1, 3, n)
+        points = np.where(a0 == 1, -10.0, 10.0)[:, None] + rng.normal(size=(n, 1))
+        sensitive = rng.integers(0, 2, n)
+        a0[[b - 1, b]] = 3 - a0[[b - 1, b]]
+        one = fc.ClusterConfig(n_clusters=2, lam=0.5, max_sweeps=1)
+        state, _ = fc.fair_kmeans(points, sensitive, one, initial_assignments=a0)
+        np.testing.assert_array_equal(np.flatnonzero(state.assignments != a0), [b - 1, b])
+        cfg = fc.ClusterConfig(n_clusters=2, lam=0.5, max_sweeps=20)
+        self.run_both(points, sensitive, cfg, initial_assignments=a0)
+
+    def test_long_runs_of_consecutive_moves(self):
+        # Cluster 1 holds only privileged points (proportion 1) and cluster 2
+        # only the others.  At a large lambda a privileged point prefers the
+        # cluster whose proportion is furthest from 1, which stays cluster 2
+        # while it fills, so more than a block of points in a row moves.
+        b = self.B
+        rng = np.random.default_rng(23)
+        n = 4 * b
+        points = rng.normal(size=(n, 2))
+        sensitive = np.repeat([1, 0], n // 2)
+        a0 = np.repeat([1, 2], n // 2)
+        one = fc.ClusterConfig(n_clusters=2, lam=1000.0, max_sweeps=1)
+        state, _ = fc.fair_kmeans(points, sensitive, one, initial_assignments=a0)
+        assert longest_run(state.assignments != a0) > b
+        cfg = fc.ClusterConfig(n_clusters=2, lam=1000.0, max_sweeps=30)
+        self.run_both(points, sensitive, cfg, initial_assignments=a0)
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
+    def test_census_view_shape(self, lam):
+        # K=14 on z-scored 5-D points with a 2:1 privileged share, as the
+        # census clustering view, at ten blocks and a few points.
+        rng = np.random.default_rng(24)
+        n = 10 * self.B + 3
+        sensitive = (rng.random(n) < 2 / 3).astype(np.int64)
+        points = rng.normal(size=(n, 5)) + 0.4 * sensitive[:, None]
+        points = (points - points.mean(axis=0)) / points.std(axis=0)
+        cfg = fc.ClusterConfig(n_clusters=14, lam=lam, max_sweeps=8, seed=1,
+                               init="kmeanspp")
+        _, trace = self.run_both(points, sensitive, cfg)
+        assert min(trace.moves) > 0
 
 
 class TestToyDataset:
