@@ -3,11 +3,16 @@
 A dataset spec is a plain ``key = value`` text file (see ``specs/`` in the
 repository) describing the source files, column roles, categorical columns,
 label and sensitive encodings, the train/test split policy, and the
-clustering view.  Categorical features are one-hot encoded with category
+clustering view; a key outside that list is an error.  ``load_dataset``
+and ``clustering_view`` read the source files through one reader
+(``_read_source``), which the first splits and the second pools, and take
+each column they use as stripped tokens addressed by name (``_column``).
+Categorical features are one-hot encoded with category
 lists collected from the training split (plus an explicit unseen bucket for
 test-time surprises); continuous features are z-scored with training-split
 statistics only.  Labels map to {1, 2} with 2 the positive class; sensitive
-columns map to {1..d} with 2 the privileged group in the binary case.
+columns map to {1..d} with 2 the privileged group in the binary case.  A
+declared positive token that matches no training row is an error.
 
 Nothing here touches the network: source files are resolved against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -18,7 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -90,7 +95,9 @@ class DatasetSpec:
         if not self.sensitive:
             raise ValueError("at least one sensitive column is required")
         known = set(self.columns) | {r.name for r in self.derive}
-        for col in (self.label, *self.sensitive, *self.categorical, *self.drop):
+        # An empty clustering_sensitive means the spec has no clustering view.
+        clustering = (*self.clustering_features, *filter(None, [self.clustering_sensitive]))
+        for col in (self.label, *self.sensitive, *self.categorical, *self.drop, *clustering):
             if col not in known:
                 raise ValueError(f"column {col!r} not declared in the spec")
 
@@ -111,6 +118,9 @@ def parse_spec(path) -> DatasetSpec:
                 raise ValueError(f"bad spec line (expected key = value): {line!r}")
             key, value = line.split("=", 1)
             raw[key.strip()] = value.strip()
+    unknown = sorted(raw.keys() - {f.name for f in fields(DatasetSpec)})
+    if unknown:
+        raise ValueError(f"{path}: unknown spec keys {', '.join(unknown)}")
 
     def words(key: str) -> tuple[str, ...]:
         return tuple(raw.get(key, "").split())
@@ -155,85 +165,104 @@ def parse_spec(path) -> DatasetSpec:
     )
 
 
-def _read_rows(path, spec: DatasetSpec, skip: int) -> list[list[str]]:
-    delim = _DELIMITERS[spec.delimiter]
-    rows = []
-    with open(path, newline="") as fh:
-        if delim is None:
-            reader = (line.split() for line in fh)
-        else:
-            reader = csv.reader(fh, delimiter=delim)
-        for i, row in enumerate(reader):
-            if i < skip:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            rows.append([tok.strip().strip('"') for tok in row])
-    return rows
+def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> list[list[list[str]]]:
+    """Unstripped field rows of the spec's source files, one list per file.
 
-
-def _resolve(name: str, root: str | None) -> str:
-    if os.path.isabs(name):
-        return name
-    return os.path.join(root if root is not None else data_root(), name)
-
-
-class _Table:
-    """Column-addressable token rows with derived columns applied."""
-
-    def __init__(self, rows: list[list[str]], spec: DatasetSpec):
-        width = len(spec.columns)
-        bad = [r for r in rows if len(r) != width]
-        if bad:
-            raise ValueError(
-                f"{len(bad)} rows have {len(bad[0])} fields, expected {width}")
-        self.index = {c: i for i, c in enumerate(spec.columns)}
-        self.rows = rows
-        for rule in spec.derive:
-            src = self.index[rule.source]
-            pos = set(rule.positive_tokens)
-            self.index[rule.name] = len(self.index)
-            for r in self.rows:
-                r.append("1" if r[src] in pos else "0")
-
-    def column(self, name: str) -> list[str]:
-        i = self.index[name]
-        return [r[i] for r in self.rows]
-
-
-def _drop_missing(rows: list[list[str]], spec: DatasetSpec) -> list[list[str]]:
-    if not spec.missing_token or spec.missing_policy != "drop_row":
-        return rows
-    token = spec.missing_token
-    kept = [r for r in rows if token not in r]
-    if len(kept) < len(rows):
-        logger.info("%s: dropped %d rows with missing values", spec.name, len(rows) - len(kept))
-    return kept
-
-
-def _load_split_rows(spec: DatasetSpec, root: str | None):
+    ``split = files`` reads ``train_file`` then ``test_file``, any other
+    split ``file``.  Skipped and blank rows are left out, a row of the wrong
+    width is an error naming its file and 1-based row number, and under
+    ``drop_row`` the rows holding ``missing_token`` are dropped after
+    ``pool`` has joined the files into one list.
+    """
     if spec.split == "files":
-        train = _read_rows(_resolve(spec.train_file, root), spec, spec.skip_rows)
-        test = _read_rows(_resolve(spec.test_file, root), spec, spec.test_skip_rows)
-        return _drop_missing(train, spec), _drop_missing(test, spec)
-    rows = _drop_missing(_read_rows(_resolve(spec.file, root), spec, spec.skip_rows), spec)
-    n = len(rows)
-    if spec.split == "head":
-        if spec.train_count + spec.test_count > n:
-            raise ValueError("head split larger than the dataset")
-        return rows[: spec.train_count], rows[n - spec.test_count:]
-    if spec.split == "count":
-        if spec.train_count + spec.test_count > n:
-            raise ValueError("count split larger than the dataset")
-        order = np.random.default_rng(spec.split_seed).permutation(n)
-        tr = sorted(order[: spec.train_count])
-        te = sorted(order[spec.train_count: spec.train_count + spec.test_count])
-        return [rows[i] for i in tr], [rows[i] for i in te]
-    n_train = int(round(spec.train_fraction * n))
-    order = np.random.default_rng(spec.split_seed).permutation(n)
-    tr = sorted(order[:n_train])
-    te = sorted(order[n_train:])
-    return [rows[i] for i in tr], [rows[i] for i in te]
+        sources = [(spec.train_file, spec.skip_rows), (spec.test_file, spec.test_skip_rows)]
+    else:
+        sources = [(spec.file, spec.skip_rows)]
+    delim = _DELIMITERS[spec.delimiter]
+    width = len(spec.columns)
+    parts = []
+    for name, skip in sources:
+        # An absolute ``name`` replaces the root.
+        path = os.path.join(data_root() if root is None else root, name)
+        rows = []
+        with open(path, newline="") as fh:
+            if delim is None:
+                reader = (line.split() for line in fh)
+            else:
+                reader = csv.reader(fh, delimiter=delim)
+            for i, row in enumerate(reader):
+                if i < skip or not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
+                rows.append(row)
+        parts.append(rows)
+    if pool:
+        parts = [[row for rows in parts for row in rows]]
+    token = spec.missing_token
+    if not token or spec.missing_policy != "drop_row":
+        return parts
+    for k, rows in enumerate(parts):
+        # A field that strips to the token holds it, so only rows whose
+        # joined text holds it need their fields stripped.
+        kept = [r for r in rows if token not in "".join(r)
+                or token not in [t.strip().strip('"') for t in r]]
+        if len(kept) < len(rows):
+            logger.info("%s: dropped %d rows with missing values",
+                        spec.name, len(rows) - len(kept))
+        parts[k] = kept
+    return parts
+
+
+def _split(spec: DatasetSpec, parts: list[list[list[str]]]):
+    """Train and test rows of the reader's files, per the spec's split policy."""
+    if spec.split == "files":
+        train, test = parts
+    else:
+        rows = parts[0]
+        n = len(rows)
+        if spec.split != "fraction" and spec.train_count + spec.test_count > n:
+            raise ValueError(f"{spec.split} split larger than the dataset")
+        if spec.split == "head":
+            train, test = rows[: spec.train_count], rows[n - spec.test_count:]
+        else:
+            n_train, n_test = spec.train_count, spec.test_count
+            if spec.split == "fraction":
+                n_train = int(round(spec.train_fraction * n))
+                n_test = n - n_train
+            order = np.random.default_rng(spec.split_seed).permutation(n)
+            train = [rows[i] for i in sorted(order[:n_train])]
+            test = [rows[i] for i in sorted(order[n_train: n_train + n_test])]
+    if not train or not test:
+        raise ValueError(f"{spec.name}: empty split")
+    return train, test
+
+
+def _column(rows: list[list[str]], spec: DatasetSpec, name: str) -> list[str]:
+    """Stripped tokens of column ``name``, a derived one built from its source."""
+    for rule in spec.derive:
+        if rule.name == name:
+            positive = set(rule.positive_tokens)
+            return ["1" if t in positive else "0" for t in _column(rows, spec, rule.source)]
+    i = spec.columns.index(name)
+    return [r[i].strip().strip('"') for r in rows]
+
+
+def _encode(tokens: Sequence[str], index: dict[str, int], default: int) -> np.ndarray:
+    """Code ``index[t]`` of each token, ``default`` for tokens not in ``index``."""
+    return np.array([index.get(t, default) for t in tokens], dtype=np.int64)
+
+
+def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
+    try:
+        return np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
+
+
+def _unmatched(spec: DatasetSpec, key: str, token: str, col: str, rows: str) -> ValueError:
+    return ValueError(f"{spec.name}: {key} {token!r} matches no {rows} in column {col!r}")
 
 
 @dataclass(frozen=True)
@@ -243,38 +272,6 @@ class EncodedDataset:
     test: Batch
     feature_names: tuple[str, ...]
     sensitive_tuples: tuple
-
-
-def _encode_labels(tokens: list[str], spec: DatasetSpec) -> np.ndarray:
-    positive = spec.positive_label
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        if spec.strip_label_period:
-            tok = tok.rstrip(".")
-        out[i] = 2 if tok == positive else 1
-    return out
-
-
-def _sensitive_codes(table: _Table, spec: DatasetSpec, train_table: _Table):
-    """Per-column token codes fit on train tokens, applied to ``table``."""
-    columns = []
-    maps = {}
-    for k, col in enumerate(spec.sensitive):
-        train_tokens = train_table.column(col)
-        if k < len(spec.sensitive_positive):
-            pos = spec.sensitive_positive[k]
-            mapping = {tok: (2 if tok == pos else 1)
-                       for tok in sorted(set(train_tokens))}
-        else:
-            mapping = {tok: i + 1 for i, tok in enumerate(sorted(set(train_tokens)))}
-        maps[col] = mapping
-        tokens = table.column(col)
-        unknown = sorted({t for t in tokens if t not in mapping})
-        if unknown:
-            logger.warning("%s: unseen sensitive tokens %s mapped to group 1",
-                           spec.name, unknown)
-        columns.append(np.array([mapping.get(t, 1) for t in tokens], dtype=np.int64))
-    return columns, maps
 
 
 @dataclass(frozen=True)
@@ -337,11 +334,7 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
     altering a test row can never change the training encoding.
     """
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
-    train_rows, test_rows = _load_split_rows(spec, root)
-    if not train_rows or not test_rows:
-        raise ValueError(f"{spec.name}: empty split")
-    train_t = _Table(train_rows, spec)
-    test_t = _Table(test_rows, spec)
+    train, test = _split(spec, _read_source(spec, root))
 
     reserved = {spec.label, *spec.sensitive, *spec.drop}
     feature_cols = [c for c in spec.columns if c not in reserved]
@@ -352,36 +345,25 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
     blocks_test: list[np.ndarray] = []
     continuous_idx: list[int] = []
     for col in feature_cols:
-        tr = train_t.column(col)
-        te = test_t.column(col)
+        tr = _column(train, spec, col)
+        te = _column(test, spec, col)
         if col in categorical:
             cats = sorted(set(tr))
             index = {tok: i for i, tok in enumerate(cats)}
-            width = len(cats) + 1
             feature_names.extend([f"{col}={tok}" for tok in cats] + [f"{col}={UNSEEN}"])
-
-            def onehot(tokens, where):
-                block = np.zeros((len(tokens), width))
-                unseen = 0
-                for i, tok in enumerate(tokens):
-                    j = index.get(tok)
-                    if j is None:
-                        unseen += 1
-                        j = width - 1
-                    block[i, j] = 1.0
+            # Tokens outside the training categories go to the last column.
+            for tokens, blocks, where in ((tr, blocks_train, "train"), (te, blocks_test, "test")):
+                codes = _encode(tokens, index, len(cats))
+                block = np.zeros((len(tokens), len(cats) + 1))
+                block[np.arange(len(tokens)), codes] = 1.0
+                unseen = np.count_nonzero(codes == len(cats))
                 if unseen:
                     logger.warning("%s: %d unseen %r tokens in %s mapped to the unseen bucket",
                                    spec.name, unseen, col, where)
-                return block
-
-            blocks_train.append(onehot(tr, "train"))
-            blocks_test.append(onehot(te, "test"))
+                blocks.append(block)
         else:
-            try:
-                blocks_train.append(np.array([float(t) for t in tr])[:, None])
-                blocks_test.append(np.array([float(t) for t in te])[:, None])
-            except ValueError as exc:
-                raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}")
+            blocks_train.append(_numeric(tr, spec, col)[:, None])
+            blocks_test.append(_numeric(te, spec, col)[:, None])
             continuous_idx.append(len(feature_names))
             feature_names.append(col)
 
@@ -399,12 +381,35 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         x_train = (x_train - mean) / std
         x_test = (x_test - mean) / std
 
-    y_train = _encode_labels(train_t.column(spec.label), spec)
-    y_test = _encode_labels(test_t.column(spec.label), spec)
+    labels = []
+    for rows in (train, test):
+        tokens = _column(rows, spec, spec.label)
+        if spec.strip_label_period:
+            tokens = [t.rstrip(".") for t in tokens]
+        labels.append(_encode(tokens, {spec.positive_label: 2}, 1))
+    if not (labels[0] == 2).any():
+        raise _unmatched(spec, "positive_label", spec.positive_label, spec.label, "training row")
 
-    s_train_cols, maps = _sensitive_codes(train_t, spec, train_t)
-    s_test_cols, _ = _sensitive_codes(test_t, spec, train_t)
-    sizes = [max(maps[col].values()) for col in spec.sensitive]
+    # Each sensitive token map is fit on the training tokens alone.
+    s_train_cols, s_test_cols, sizes = [], [], []
+    for k, col in enumerate(spec.sensitive):
+        tr = _column(train, spec, col)
+        te = _column(test, spec, col)
+        tokens = sorted(set(tr))
+        if k < len(spec.sensitive_positive):
+            pos = spec.sensitive_positive[k]
+            if pos not in tokens:
+                raise _unmatched(spec, "sensitive_positive", pos, col, "training row")
+            index = {tok: (2 if tok == pos else 1) for tok in tokens}
+        else:
+            index = {tok: i + 1 for i, tok in enumerate(tokens)}
+        unknown = sorted(set(te) - index.keys())
+        if unknown:
+            logger.warning("%s: unseen sensitive tokens %s mapped to group 1",
+                           spec.name, unknown)
+        sizes.append(max(index.values()))
+        s_train_cols.append(_encode(tr, index, 1))
+        s_test_cols.append(_encode(te, index, 1))
     if len(spec.sensitive) == 1:
         s_train, s_test = s_train_cols[0], s_test_cols[0]
         tuples = tuple((v,) for v in range(1, sizes[0] + 1))
@@ -416,8 +421,8 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
 
     return EncodedDataset(
         spec=spec,
-        train=Batch(x_train, y_train, s_train),
-        test=Batch(x_test, y_test, s_test),
+        train=Batch(x_train, labels[0], s_train),
+        test=Batch(x_test, labels[1], s_test),
         feature_names=tuple(feature_names),
         sensitive_tuples=tuples,
     )
@@ -433,22 +438,14 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     if not spec.clustering_features or not spec.clustering_sensitive:
         raise ValueError(f"{spec.name}: no clustering view configured")
-    if spec.split == "files":
-        rows = _read_rows(_resolve(spec.train_file, root), spec, spec.skip_rows)
-        rows += _read_rows(_resolve(spec.test_file, root), spec, spec.test_skip_rows)
-    else:
-        rows = _read_rows(_resolve(spec.file, root), spec, spec.skip_rows)
-    rows = _drop_missing(rows, spec)
-    table = _Table(rows, spec)
-
-    cols = []
-    for col in spec.clustering_features:
-        cols.append(np.array([float(t) for t in table.column(col)]))
-    points = np.stack(cols, axis=1)
-    tokens = table.column(spec.clustering_sensitive)
-    sensitive = np.array(
-        [1 if t == spec.clustering_sensitive_positive else 0 for t in tokens],
-        dtype=np.int64)
+    rows = _read_source(spec, root, pool=True)[0]
+    points = np.stack([_numeric(_column(rows, spec, col), spec, col)
+                       for col in spec.clustering_features], axis=1)
+    pos = spec.clustering_sensitive_positive
+    sensitive = _encode(_column(rows, spec, spec.clustering_sensitive), {pos: 1}, 0)
+    if not sensitive.any():
+        raise _unmatched(spec, "clustering_sensitive_positive", pos,
+                         spec.clustering_sensitive, "row")
 
     n = len(rows)
     size = spec.clustering_samples or n
