@@ -7,27 +7,33 @@ Subcommands::
     renyifair eval    --checkpoint params.txt --dataset spec [--split test]
     renyifair demo-toy --out DIR [--seed 0] [--lambdas 0,1000]
 
-Config files are JSON.  A training config names a dataset (a spec file
-path, or ``synth:yequalss:<n>``), a model (``linear`` or
-``one_hidden:<width>``), a fairness mode, and a lambda grid; a clustering
-config names a dataset (spec file with a clustering view, or
-``toy:<seed>``), ``n_clusters``, and a lambda grid.  Dataset spec files
-resolve their source files against the ``RENYIFAIR_DATA`` environment
-variable (default ``./data``).
+Config files are JSON with keys ``dataset``, ``lambda_grid`` and ``seeds``
+plus, for ``train``, ``model`` (``linear`` or ``one_hidden:<width>``) and
+the ``TrainConfig`` fields ``eta``, ``iters``, ``fairness_mode``,
+``batch_size``, ``floor``, ``grad_tol`` and ``eo_min_group``, or, for
+``cluster``, the ``ClusterConfig`` fields ``n_clusters``, ``max_sweeps``,
+``w_update_mode`` and ``init``.  An unknown key, a rejected value or a bad
+model string raises before the output directory is written.  A training
+dataset is a spec file path or ``synth:yequalss:<n>``; a clustering one is
+a spec file with a clustering view, ``toy:<seed>`` or ``csv:<path>``.
+Dataset spec files resolve their source files against the
+``RENYIFAIR_DATA`` environment variable (default ``./data``).
 
 Every run writes a headered ``sweep.csv`` (one row per lambda/seed/split
 with columns covering accuracy, error, p%, DP and EO violations, sigma2,
 NMI, losses and the w statistics), per-run trace CSVs, parameter
 checkpoints in a text format (header line ``arch=... input_dim=...
 n_classes=... hidden_dim=...`` followed by one parameter repr per line),
-and a ``manifest.json`` with the config hash and library versions.
-Outputs contain no timestamps: rerunning a config with the same seeds
-produces byte-identical CSVs.
+and a ``manifest.json`` with the config hash and library versions.  One
+writer, ``write_csv``, renders every CSV.  Outputs contain no timestamps:
+rerunning a config with the same seeds produces byte-identical CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -94,11 +100,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# ``_fmt`` of these exact types, looked up first: the assignments are 10k+ rows.
+_FMT_BY_TYPE = {float: repr, int: str, str: str}
+
+
 def write_csv(path, columns, rows) -> None:
+    """Write ``columns`` as the header, then each row, a sequence in column order."""
+    fmt = _FMT_BY_TYPE.get
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+            fh.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
 
 
 def write_manifest(out_dir, cfg: ExperimentConfig, failures: list[str]) -> None:
@@ -126,6 +138,27 @@ def _parse_model(text: str) -> tuple[str, int]:
     raise ValueError(f"unknown model {text!r} (use 'linear' or 'one_hidden:<width>')")
 
 
+def _as_is(value):
+    return value
+
+
+# The keys each command reads beyond these, with the conversion of each JSON
+# value; a key in neither is an error.  Every key but ``model`` is a field of
+# the command's config dataclass, the one place that holds its default.
+_SWEEP_KEYS = frozenset({"dataset", "lambda_grid", "seeds"})
+_TRAIN_KEYS = {"model": _parse_model, "eta": float, "iters": int, "fairness_mode": _as_is,
+               "batch_size": _as_is, "floor": float, "grad_tol": float, "eo_min_group": int}
+_CLUSTER_KEYS = {"n_clusters": int, "max_sweeps": int, "w_update_mode": _as_is, "init": _as_is}
+
+
+def _config_values(cfg: ExperimentConfig, keys: dict) -> dict:
+    """The converted value of each key of ``keys`` the config sets."""
+    unknown = sorted(cfg.raw.keys() - keys.keys() - _SWEEP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {', '.join(unknown)}")
+    return {key: convert(cfg.raw[key]) for key, convert in keys.items() if key in cfg.raw}
+
+
 def _load_train_batches(name: str) -> tuple[model.Batch, model.Batch]:
     if name.startswith("synth:yequalss:"):
         n = int(name.rsplit(":", 1)[1])
@@ -134,47 +167,22 @@ def _load_train_batches(name: str) -> tuple[model.Batch, model.Batch]:
     return enc.train, enc.test
 
 
-def _report_row(report: metrics.EvalReport, base: dict, split: str) -> dict:
-    row = dict(base)
-    row.update(
-        split=split,
-        accuracy=report.accuracy,
-        error=1.0 - report.accuracy,
-        p_percent=report.p_percent,
-        dp_violation=report.dp_violation,
-        eo_violation=report.eo_violation,
-        sigma2=report.sigma2,
-        nmi=report.nmi,
-    )
-    return row
-
-
-def _train_one(args, batches) -> list[dict]:
-    raw, lam, seed, out_dir = args
-    train_batch, test_batch = batches or _load_train_batches(raw["dataset"])
-    arch, hidden = _parse_model(raw.get("model", "linear"))
+def _train_one(tcfg: fairtrain.TrainConfig, batches, dataset: str, out_dir: str,
+               arch: str, hidden: int) -> list[dict]:
+    train_batch, test_batch = batches or _load_train_batches(dataset)
     params0 = model.init_params(arch, train_batch.n_features, train_batch.n_classes,
-                                hidden_dim=hidden, seed=seed)
-    tcfg = fairtrain.TrainConfig(
-        lam=lam,
-        eta=float(raw.get("eta", 0.1)),
-        iters=int(raw.get("iters", 5000)),
-        fairness_mode=raw.get("fairness_mode", "none"),
-        batch_size=raw.get("batch_size"),
-        floor=float(raw.get("floor", 1e-6)),
-        seed=seed,
-        grad_tol=float(raw.get("grad_tol", 0.0)),
-        eo_min_group=int(raw.get("eo_min_group", 30)),
-    )
+                                hidden_dim=hidden, seed=tcfg.seed)
     trace = fairtrain.train(params0, train_batch, tcfg)
-    tag = f"lam{lam:g}_seed{seed}"
-    trace.to_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
+    tag = f"lam{tcfg.lam:g}_seed{tcfg.seed}"
+    write_csv(os.path.join(out_dir, f"trace_{tag}.csv"),
+              ("iter", "loss", "penalty", "grad_norm", "sigma2"),
+              zip(trace.iteration, trace.loss, trace.penalty, trace.grad_norm, trace.sigma2))
     model.save_params(trace.final_params, os.path.join(out_dir, f"params_{tag}.txt"))
     if trace.diverged:
         raise RuntimeError(f"run {tag} diverged (non-finite loss)")
 
     base = {
-        "lambda": lam, "seed": seed,
+        "lambda": tcfg.lam, "seed": tcfg.seed,
         "loss": trace.loss[-1], "penalty": trace.penalty[-1],
         "grad_norm": trace.grad_norm[-1],
         "iters_run": trace.iteration[-1], "diverged": trace.diverged,
@@ -182,19 +190,19 @@ def _train_one(args, batches) -> list[dict]:
     rows = []
     for split, batch in (("train", train_batch), ("test", test_batch)):
         report = metrics.evaluate(trace.final_params, batch, floor=tcfg.floor)
-        rows.append(_report_row(report, base, split))
+        rows.append(dict(base, split=split, accuracy=report.accuracy,
+                         error=1.0 - report.accuracy, p_percent=report.p_percent,
+                         dp_violation=report.dp_violation, eo_violation=report.eo_violation,
+                         sigma2=report.sigma2, nmi=report.nmi))
     return rows
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    tasks = [(cfg.raw, lam, seed, out_dir)
-             for lam in cfg.lambda_grid for seed in cfg.seeds]
-    rows, failures = _run_tasks(_train_one, _load_train_batches, cfg.raw["dataset"],
-                                tasks, jobs)
-    rows.sort(key=lambda r: (r["lambda"], r["seed"], r["split"]))
-    write_csv(os.path.join(out_dir, "sweep.csv"), TRAIN_COLUMNS, rows)
-    return _finish(out_dir, cfg, failures)
+    values = _config_values(cfg, _TRAIN_KEYS)
+    arch, hidden = values.pop("model", ("linear", 0))
+    return _sweep(cfg, out_dir, jobs, fairtrain.TrainConfig(**values),
+                  functools.partial(_train_one, arch=arch, hidden=hidden),
+                  _load_train_batches, TRAIN_COLUMNS)
 
 
 def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -227,41 +235,44 @@ def _cluster_row(lam: float, seed: int, state: faircluster.ClusterState,
     }
 
 
-def _cluster_one(args, view) -> list[dict]:
-    raw, lam, seed, out_dir = args
-    points, sensitive = view or _load_cluster_view(raw["dataset"])
-    ccfg = faircluster.ClusterConfig(
-        n_clusters=int(raw["n_clusters"]),
-        lam=lam,
-        max_sweeps=int(raw.get("max_sweeps", 200)),
-        seed=seed,
-        w_update_mode=raw.get("w_update_mode", "per_point"),
-        init=raw.get("init", "random_assignment"),
-    )
+def _cluster_one(ccfg: faircluster.ClusterConfig, view, dataset: str,
+                 out_dir: str) -> list[dict]:
+    points, sensitive = view or _load_cluster_view(dataset)
     state, trace = faircluster.fair_kmeans(points, sensitive, ccfg)
-    tag = f"lam{lam:g}_seed{seed}"
-    trace.to_csv(os.path.join(out_dir, f"cluster_trace_{tag}.csv"))
-    with open(os.path.join(out_dir, f"assignments_{tag}.csv"), "w") as fh:
-        fh.write("point_id,cluster\n")
-        for i, k in enumerate(state.assignments):
-            fh.write(f"{i},{k}\n")
-    with open(os.path.join(out_dir, f"centers_{tag}.csv"), "w") as fh:
-        fh.write(",".join(f"x{j}" for j in range(state.centers.shape[1])) + "\n")
-        for c in state.centers:
-            fh.write(",".join(repr(float(v)) for v in c) + "\n")
-
-    return [_cluster_row(lam, seed, state, trace)]
+    tag = f"lam{ccfg.lam:g}_seed{ccfg.seed}"
+    write_csv(os.path.join(out_dir, f"cluster_trace_{tag}.csv"),
+              ("sweep", "kmeans_loss", "objective", "w_std", "moves"),
+              zip(trace.sweep, trace.kmeans_loss, trace.objective, trace.w_std, trace.moves))
+    write_csv(os.path.join(out_dir, f"assignments_{tag}.csv"), ("point_id", "cluster"),
+              enumerate(state.assignments.tolist()))
+    write_csv(os.path.join(out_dir, f"centers_{tag}.csv"),
+              [f"x{j}" for j in range(state.centers.shape[1])], state.centers.tolist())
+    return [_cluster_row(ccfg.lam, ccfg.seed, state, trace)]
 
 
 def cmd_cluster(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    tasks = [(cfg.raw, lam, seed, out_dir)
+    return _sweep(cfg, out_dir, jobs,
+                  faircluster.ClusterConfig(**_config_values(cfg, _CLUSTER_KEYS)),
+                  _cluster_one, _load_cluster_view, CLUSTER_COLUMNS)
+
+
+def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
+           columns) -> int:
+    """Run ``run`` on ``base`` at each lambda and seed; write sweep.csv and the manifest."""
+    dataset = cfg.raw["dataset"]
+    tasks = [dataclasses.replace(base, lam=lam, seed=seed)
              for lam in cfg.lambda_grid for seed in cfg.seeds]
-    rows, failures = _run_tasks(_cluster_one, _load_cluster_view, cfg.raw["dataset"],
-                                tasks, jobs)
-    rows.sort(key=lambda r: (r["lambda"], r["seed"]))
-    write_csv(os.path.join(out_dir, "sweep.csv"), CLUSTER_COLUMNS, rows)
-    return _finish(out_dir, cfg, failures)
+    os.makedirs(out_dir, exist_ok=True)
+    run = functools.partial(run, dataset=dataset, out_dir=out_dir)
+    rows, failures = _run_tasks(run, load, dataset, tasks, jobs)
+    rows.sort(key=lambda r: (r["lambda"], r["seed"], r.get("split", "")))
+    write_csv(os.path.join(out_dir, "sweep.csv"), columns,
+              [[r[c] for c in columns] for r in rows])
+    write_manifest(out_dir, cfg, [summary for summary, _ in failures])
+    for summary, tb in failures:
+        print(f"FAILED: {summary}", file=sys.stderr)
+        print(tb, end="", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _run_tasks(fn, load, dataset: str, tasks, jobs: int):
@@ -292,7 +303,7 @@ def _run_tasks(fn, load, dataset: str, tasks, jobs: int):
             rows.extend(payload)
         else:
             message, tb = payload
-            failures.append((f"lam={task[1]} seed={task[2]}: {message}", tb))
+            failures.append((f"lam={task.lam} seed={task.seed}: {message}", tb))
     return rows, failures
 
 
@@ -313,15 +324,6 @@ def _safe_call(fn, task, loaded):
         return False, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
-def _finish(out_dir: str, cfg: ExperimentConfig, failures) -> int:
-    """Write the manifest and report each failure with its traceback on stderr."""
-    write_manifest(out_dir, cfg, [summary for summary, _ in failures])
-    for summary, tb in failures:
-        print(f"FAILED: {summary}", file=sys.stderr)
-        print(tb, end="", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def cmd_eval(checkpoint: str, dataset: str, split: str = "test") -> metrics.EvalReport:
     params = model.load_params(checkpoint)
     enc = data.load_dataset(dataset)
@@ -339,19 +341,17 @@ def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
         ccfg = faircluster.ClusterConfig(n_clusters=5, lam=float(lam), max_sweeps=200,
                                          seed=seed, init="kmeanspp")
         state, trace = faircluster.fair_kmeans(points, sensitive, ccfg)
-        rows.append(_cluster_row(float(lam), seed, state, trace))
+        row = _cluster_row(float(lam), seed, state, trace)
+        rows.append([row[c] for c in CLUSTER_COLUMNS])
         for blob in range(5):
             d2 = ((state.centers - centers[blob]) ** 2).sum(axis=1)
             k = int(np.argmin(d2))
-            tables.append({"lambda": float(lam), "planted_blob": blob + 1,
-                           "matched_cluster": k + 1,
-                           "proportion": float(state.proportions[k])})
+            tables.append((float(lam), blob + 1, k + 1, float(state.proportions[k])))
     write_csv(os.path.join(out_dir, "sweep.csv"), CLUSTER_COLUMNS, rows)
     write_csv(os.path.join(out_dir, "proportions.csv"),
               ("lambda", "planted_blob", "matched_cluster", "proportion"), tables)
-    for t in tables:
-        print(f"lambda={t['lambda']:g} blob {t['planted_blob']} -> "
-              f"cluster {t['matched_cluster']} proportion {t['proportion']:.3f}")
+    for lam, planted, matched, proportion in tables:
+        print(f"lambda={lam:g} blob {planted} -> cluster {matched} proportion {proportion:.3f}")
     return 0
 
 

@@ -125,6 +125,13 @@ def parse_spec(path) -> DatasetSpec:
     def words(key: str) -> tuple[str, ...]:
         return tuple(raw.get(key, "").split())
 
+    def number(key: str, kind: type):
+        try:
+            return kind(raw.get(key, "0"))
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: {key} must be {expected}, got {raw[key]!r}") from None
+
     derive = []
     for item in words("derive"):
         parts = item.split(":")
@@ -147,21 +154,21 @@ def parse_spec(path) -> DatasetSpec:
         file=raw.get("file", ""),
         train_file=raw.get("train_file", ""),
         test_file=raw.get("test_file", ""),
-        train_count=int(raw.get("train_count", 0)),
-        test_count=int(raw.get("test_count", 0)),
-        train_fraction=float(raw.get("train_fraction", 0.0)),
-        split_seed=int(raw.get("split_seed", 0)),
-        skip_rows=int(raw.get("skip_rows", 0)),
-        test_skip_rows=int(raw.get("test_skip_rows", 0)),
+        train_count=number("train_count", int),
+        test_count=number("test_count", int),
+        train_fraction=number("train_fraction", float),
+        split_seed=number("split_seed", int),
+        skip_rows=number("skip_rows", int),
+        test_skip_rows=number("test_skip_rows", int),
         missing_token=raw.get("missing_token", ""),
         missing_policy=raw.get("missing_policy", "drop_row"),
         normalization=raw.get("normalization", "zscore"),
         strip_label_period=_parse_bool(raw.get("strip_label_period", "false")),
         clustering_features=words("clustering_features"),
-        clustering_samples=int(raw.get("clustering_samples", 0)),
+        clustering_samples=number("clustering_samples", int),
         clustering_sensitive=raw.get("clustering_sensitive", ""),
         clustering_sensitive_positive=raw.get("clustering_sensitive_positive", ""),
-        clustering_seed=int(raw.get("clustering_seed", 0)),
+        clustering_seed=number("clustering_seed", int),
     )
 
 
@@ -169,21 +176,24 @@ def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> lis
     """Unstripped field rows of the spec's source files, one list per file.
 
     ``split = files`` reads ``train_file`` then ``test_file``, any other
-    split ``file``.  Skipped and blank rows are left out, a row of the wrong
-    width is an error naming its file and 1-based row number, and under
-    ``drop_row`` the rows holding ``missing_token`` are dropped after
-    ``pool`` has joined the files into one list.
+    split ``file``, and an unset one is an error.  Skipped and blank rows are
+    left out, a row of the wrong width is an error naming its file and
+    1-based row number, and under ``drop_row`` the rows holding
+    ``missing_token`` are dropped after ``pool`` has joined the files.
     """
     if spec.split == "files":
-        sources = [(spec.train_file, spec.skip_rows), (spec.test_file, spec.test_skip_rows)]
+        sources = [("train_file", spec.skip_rows), ("test_file", spec.test_skip_rows)]
     else:
-        sources = [(spec.file, spec.skip_rows)]
+        sources = [("file", spec.skip_rows)]
+    missing = [key for key, _ in sources if not getattr(spec, key)]
+    if missing:
+        raise ValueError(f"spec {spec.name!r}: split {spec.split!r} needs {' and '.join(missing)}")
     delim = _DELIMITERS[spec.delimiter]
     width = len(spec.columns)
     parts = []
-    for name, skip in sources:
-        # An absolute ``name`` replaces the root.
-        path = os.path.join(data_root() if root is None else root, name)
+    for key, skip in sources:
+        # An absolute file name replaces the root.
+        path = os.path.join(data_root() if root is None else root, getattr(spec, key))
         rows = []
         with open(path, newline="") as fh:
             if delim is None:

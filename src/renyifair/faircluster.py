@@ -90,12 +90,6 @@ class ClusterState:
     priv_counts: np.ndarray
     global_priv: float
 
-    def check_consistent(self) -> None:
-        k = len(self.counts)
-        counts = np.bincount(self.assignments - 1, minlength=k)
-        if not np.array_equal(counts, self.counts):
-            raise AssertionError("counts inconsistent with assignments")
-
 
 @dataclass
 class ClusterTrace:
@@ -110,13 +104,6 @@ class ClusterTrace:
     converged: bool = False
     cycled: bool = False
     cycle_period: int = 0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("sweep,kmeans_loss,objective,w_std,moves\n")
-            for row in zip(self.sweep, self.kmeans_loss, self.objective,
-                           self.w_std, self.moves):
-                fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]}\n")
 
 
 def update_proportions_incremental(state: ClusterState, s: int,

@@ -112,14 +112,6 @@ class TrainTrace:
     diverged: bool = False
     stopped_early: bool = False
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,loss,penalty,grad_norm,sigma2\n")
-            for row in zip(self.iteration, self.loss, self.penalty,
-                           self.grad_norm, self.sigma2):
-                fh.write(",".join(repr(float(v)) if i else str(int(v))
-                                  for i, v in enumerate(row)) + "\n")
-
 
 def s_tilde(sensitive) -> np.ndarray:
     """Map group labels {1, 2} to the signs {-1, +1}."""

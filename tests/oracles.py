@@ -46,6 +46,14 @@ def assign_point(x, s: int, centers, proportions, lam: float) -> int:
     return int(np.argmin(scores)) + 1
 
 
+def check_consistent(state) -> None:
+    """Raise unless a ``ClusterState``'s counts match its assignments."""
+    k = len(state.counts)
+    counts = np.bincount(state.assignments - 1, minlength=k)
+    if not np.array_equal(counts, state.counts):
+        raise AssertionError("counts inconsistent with assignments")
+
+
 # The dataset reader and encoder as they stood before the column-addressed
 # reader replaced them; ``load_dataset`` and ``clustering_view`` must match
 # these bit for bit, dtypes included.

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from renyifair import cli, data
+from renyifair import cli, data, faircluster as fc, fairtrain as ft, metrics as mt, model as md
 
 
 def write_config(path, **overrides):
@@ -95,6 +95,128 @@ class TestTrainCommand:
         cfg = write_config(tmp_path / "cfg.json", lambda_grid=[1.0, 0.5])
         with pytest.raises(ValueError, match="ascending"):
             run(["train", "--config", cfg, "--out", tmp_path / "x"])
+
+
+class TestConfigKeys:
+    """Each config is resolved once, before the output directory is made."""
+
+    def test_unknown_train_keys_named(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", fairnes_mode="dp_binary", lamda_grid=[0.0])
+        with pytest.raises(ValueError, match=r"^unknown config keys fairnes_mode, lamda_grid$"):
+            run(["train", "--config", cfg, "--out", tmp_path / "out"])
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_cluster_keys_named(self, tmp_path):
+        # A training key is unknown to a cluster sweep.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "toy:0", "n_clusters": 3, "max_sweep": 5,
+                                   "eta": 0.1}))
+        with pytest.raises(ValueError, match=r"^unknown config keys eta, max_sweep$"):
+            run(["cluster", "--config", cfg, "--out", tmp_path / "out"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("train", {"eta": -1}, "eta must be positive"),
+        ("train", {"fairness_mode": "dp"}, "unknown fairness mode 'dp'"),
+        ("train", {"model": "cnn"}, "unknown model 'cnn'"),
+        ("train", {"iters": "many"}, "invalid literal for int"),
+        ("cluster", {"w_update_mode": "batch"}, "unknown w_update_mode 'batch'"),
+        ("cluster", {"max_sweeps": 0}, "max_sweeps must be at least 1"),
+    ])
+    def test_bad_values_raise_once_before_output(self, tmp_path, command, overrides, message):
+        if command == "train":
+            cfg = write_config(tmp_path / "cfg.json", **overrides)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(dict({"dataset": "toy:0", "n_clusters": 3}, **overrides)))
+        with pytest.raises(ValueError, match=message):
+            run([command, "--config", cfg, "--out", tmp_path / "out"])
+        assert not (tmp_path / "out").exists()
+
+    def test_loose_json_values_still_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", iters=40.0, eta=1, batch_size=None)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "loose"]) == 0
+        cfg = write_config(tmp_path / "cfg2.json", iters=40, eta=1.0)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "strict"]) == 0
+        loose, strict = tmp_path / "loose", tmp_path / "strict"
+        for name in ("sweep.csv", "trace_lam1_seed0.csv", "params_lam1_seed0.txt"):
+            assert (loose / name).read_bytes() == (strict / name).read_bytes()
+
+
+def read_back(text, like):
+    """Parse one CSV cell the way its in-memory value ``like`` was written."""
+    if like is None:
+        return None if text == "" else text
+    if isinstance(like, (bool, np.bool_)):
+        return {"1": True, "0": False}[text]
+    if isinstance(like, (int, np.integer)):
+        return int(text)
+    if isinstance(like, (float, np.floating)):
+        return float(text)
+    return text
+
+
+def assert_csv(path, header, rows):
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(header)
+    assert len(lines) == len(rows) + 1
+    for line, want in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(want)
+        assert [read_back(text, value) for text, value in zip(cells, want)] == list(want)
+
+
+class TestReadBack:
+    """Every file a sweep writes holds exactly the in-memory trace or state."""
+
+    def test_train_sweep_files(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", seeds=[1])
+        out = tmp_path / "out"
+        assert run(["train", "--config", cfg, "--out", out]) == 0
+        train_batch, test_batch = data.synth_yequalss(300, seed=0), data.synth_yequalss(300, seed=1)
+        sweep = []
+        for lam in (0.0, 1.0):
+            tcfg = ft.TrainConfig(lam=lam, eta=0.3, iters=40, fairness_mode="dp_binary", seed=1)
+            params0 = md.init_params("linear", train_batch.n_features, train_batch.n_classes,
+                                     seed=1)
+            trace = ft.train(params0, train_batch, tcfg)
+            assert_csv(out / f"trace_lam{lam:g}_seed1.csv",
+                       ("iter", "loss", "penalty", "grad_norm", "sigma2"),
+                       list(zip(trace.iteration, trace.loss, trace.penalty, trace.grad_norm,
+                                trace.sigma2)))
+            # sweep.csv sorts each lambda and seed's rows by split name.
+            for split, batch in (("test", test_batch), ("train", train_batch)):
+                rep = mt.evaluate(trace.final_params, batch, floor=tcfg.floor)
+                sweep.append((lam, 1, split, rep.accuracy, 1.0 - rep.accuracy, rep.p_percent,
+                              rep.dp_violation, rep.eo_violation, rep.sigma2, rep.nmi,
+                              trace.loss[-1], trace.penalty[-1], trace.grad_norm[-1],
+                              trace.iteration[-1], trace.diverged))
+        assert_csv(out / "sweep.csv", cli.TRAIN_COLUMNS, sweep)
+
+    def test_cluster_sweep_files(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "toy:0", "n_clusters": 5,
+                                   "lambda_grid": [0.0, 10.0], "max_sweeps": 40,
+                                   "init": "kmeanspp", "seeds": [2]}))
+        out = tmp_path / "out"
+        assert run(["cluster", "--config", cfg, "--out", out]) == 0
+        points, sensitive, _ = fc.toy_dataset(0)
+        sweep = []
+        for lam in (0.0, 10.0):
+            state, trace = fc.fair_kmeans(points, sensitive, fc.ClusterConfig(
+                n_clusters=5, lam=lam, max_sweeps=40, seed=2, init="kmeanspp"))
+            tag = f"lam{lam:g}_seed2"
+            assert_csv(out / f"cluster_trace_{tag}.csv",
+                       ("sweep", "kmeans_loss", "objective", "w_std", "moves"),
+                       list(zip(trace.sweep, trace.kmeans_loss, trace.objective, trace.w_std,
+                                trace.moves)))
+            assert_csv(out / f"assignments_{tag}.csv", ("point_id", "cluster"),
+                       list(enumerate(state.assignments)))
+            assert_csv(out / f"centers_{tag}.csv", ("x0", "x1"), list(state.centers))
+            w = mt.cluster_fairness(state.proportions, state.counts)
+            sweep.append((lam, 2, trace.kmeans_loss[-1], trace.objective[-1], *w,
+                          trace.sweep[-1], trace.converged, trace.cycled))
+        assert_csv(out / "sweep.csv", cli.CLUSTER_COLUMNS, sweep)
 
 
 class TestClusterCommand:

@@ -158,6 +158,35 @@ class TestSpecKeys:
         with pytest.raises(ValueError, match="column 'agee' not declared in the spec"):
             data.parse_spec(tmp_path / "s.spec")
 
+    @pytest.mark.parametrize("key, kind", [
+        ("train_count", "an integer"), ("test_count", "an integer"),
+        ("split_seed", "an integer"), ("skip_rows", "an integer"),
+        ("test_skip_rows", "an integer"), ("clustering_samples", "an integer"),
+        ("clustering_seed", "an integer"), ("train_fraction", "a number"),
+    ])
+    @pytest.mark.parametrize("value", ["", "1.5x"])
+    def test_bad_numeric_value_named_with_key_and_file(self, tmp_path, key, kind, value):
+        (tmp_path / "num.spec").write_text(ADULT_LIKE_SPEC + f"{key} = {value}\n")
+        with pytest.raises(ValueError,
+                           match=rf"num\.spec: {key} must be {kind}, got '{value}'$"):
+            data.parse_spec(tmp_path / "num.spec")
+
+    @pytest.mark.parametrize("split, drop, missing", [
+        ("files", ("train_file",), "train_file"),
+        ("files", ("test_file",), "test_file"),
+        ("files", ("train_file", "test_file"), "train_file and test_file"),
+        ("head", ("file",), "file"),
+        ("count", ("file",), "file"),
+        ("fraction", ("file",), "file"),
+    ])
+    def test_unset_file_key_of_the_split_rejected(self, tmp_path, split, drop, missing):
+        fields = dict(split=split, file="mini_train.csv", train_count=3, test_count=2,
+                      train_fraction=0.5)
+        spec = dataclasses.replace(mini_spec(tmp_path), **dict(fields, **dict.fromkeys(drop, "")))
+        for load in (data.load_dataset, data.clustering_view):
+            with pytest.raises(ValueError, match=f"^spec 'mini': split '{split}' needs {missing}$"):
+                load(spec, root=str(tmp_path))
+
 
 class TestMalformedRows:
     def test_wrong_field_count_names_file_and_row(self, tmp_path):

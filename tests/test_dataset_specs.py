@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import check_consistent
 from renyifair import data, faircluster as fc, fairtrain as ft, metrics as mt, model as md
 
 REPO = Path(__file__).resolve().parent.parent
@@ -85,7 +86,7 @@ class TestAdultSpec:
         assert points.shape == (200, 5)
         state, _ = fc.fair_kmeans(points, sensitive, fc.ClusterConfig(
             n_clusters=4, lam=0.5, max_sweeps=30, seed=0, init="kmeanspp"))
-        state.check_consistent()
+        check_consistent(state)
 
     def test_multi_attribute_spec(self, fake_adult_dir):
         enc = data.load_dataset(REPO / "specs" / "adult_multi.spec",

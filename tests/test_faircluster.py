@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import assign_point
+from oracles import assign_point, check_consistent
 from renyifair import faircluster as fc
 
 
@@ -250,7 +250,7 @@ class TestFairKmeans:
         sensitive = rng.integers(0, 2, 100)
         cfg = fc.ClusterConfig(n_clusters=3, lam=5.0, max_sweeps=50, seed=2)
         state, _ = fc.fair_kmeans(points, sensitive, cfg)
-        state.check_consistent()
+        check_consistent(state)
         nz = state.counts > 0
         np.testing.assert_allclose(
             state.proportions[nz],

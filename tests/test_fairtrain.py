@@ -323,17 +323,6 @@ class TestTrainers:
         assert trace.iteration[-1] < 5000
         assert trace.grad_norm[-1] <= 1e-3
 
-    def test_trace_csv(self, tmp_path):
-        batch = tiny_batch(n=80, seed=10)
-        trace = ft.train(md.zero_params("linear", 2, 2), batch,
-                         ft.TrainConfig(lam=0.5, eta=0.2, iters=5,
-                                        fairness_mode="dp_binary", seed=0))
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,loss,penalty,grad_norm,sigma2"
-        assert len(lines) == len(trace.iteration) + 1
-
     def test_penalty_nonnegative_and_zero_for_constant_predictor(self):
         rng = np.random.default_rng(12)
         probs = np.tile([0.35, 0.65], (50, 1))
