@@ -134,7 +134,10 @@ def _parse_model(text: str) -> tuple[str, int]:
     if text == "linear":
         return "linear", 0
     if text.startswith("one_hidden:"):
-        return "one_hidden", int(text.split(":", 1)[1])
+        width = text.split(":", 1)[1]
+        if not width.isdecimal() or int(width) < 1:
+            raise ValueError(f"model {text!r} needs a positive integer width")
+        return "one_hidden", int(width)
     raise ValueError(f"unknown model {text!r} (use 'linear' or 'one_hidden:<width>')")
 
 

@@ -35,7 +35,9 @@ it clamps nothing the two routes agree to rounding.
 
 from __future__ import annotations
 
+import functools
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +82,9 @@ class TrainConfig:
             raise ValueError("floor must be positive")
         if self.fairness_mode not in FAIRNESS_MODES:
             raise ValueError(f"unknown fairness mode {self.fairness_mode!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when set")
+        if self.batch_size is not None and (
+                not isinstance(self.batch_size, numbers.Integral) or self.batch_size < 1):
+            raise ValueError(f"batch_size must be a positive integer when set, got {self.batch_size!r}")
         if self.eo_min_group < 1:
             raise ValueError(
                 f"eo_min_group must be at least 1, got {self.eo_min_group}: an "
@@ -92,14 +95,8 @@ class TrainConfig:
 class TrainTrace:
     """Per-iteration diagnostics plus the final parameters.
 
-    ``sigma2`` is the empirical maximal correlation between the soft output
-    and the sensitive attribute, from the step's inner solve: the second
-    singular value of Q (``dp_discrete``, ``eo`` with d > 2) or the closed
-    form's ``sqrt(max(rho^2, 0))`` (``dp_binary``, ``eo`` with d = 2), as the
-    root sum of squares over label slices for ``eo``; ``none``, ``pearson``
-    and ``hsic`` take it from an SVD of the floored empirical Q.
-    ``adversary`` holds the inner maximizer used for the step (``v``, ``w``,
-    or a per-label dict).
+    ``sigma2`` is the step's empirical maximal correlation between the soft
+    output and the sensitive attribute, by the rule in the module docstring.
     """
 
     iteration: list = field(default_factory=list)
@@ -107,7 +104,6 @@ class TrainTrace:
     penalty: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     sigma2: list = field(default_factory=list)
-    adversary: list = field(default_factory=list)
     final_params: ModelParams | None = None
     diverged: bool = False
     stopped_early: bool = False
@@ -165,15 +161,12 @@ def _binary_seed(stilde, w, scale: float) -> np.ndarray:
     return (np.outer(st, w) - (w * w)[None, :]) * scale
 
 
-def _discrete_penalty(probs, sensitive, floor, n_groups, groups: GroupIndex | None = None):
-    """SVD inner maximization for one group of samples.
+def _discrete_penalty(probs, groups: GroupIndex, floor):
+    """SVD inner maximization for the rows ``groups`` indexes.
 
     Returns ``(value, seed, sigma2, v)`` where ``value = ||Q v||^2`` and
-    ``seed`` is d(value)/dF with the adversary ``v`` held fixed.  ``groups``
-    indexes ``sensitive`` over 1..n_groups; it is built here when not given.
+    ``seed`` is d(value)/dF with the adversary ``v`` held fixed.
     """
-    if groups is None:
-        groups = maxcorr.group_index(sensitive, n_groups)
     n = probs.shape[0]
     qm = maxcorr.q_from_groups(probs, groups, floor)
     svd = maxcorr.svd_small(qm.q)
@@ -193,22 +186,27 @@ def _discrete_penalty(probs, sensitive, floor, n_groups, groups: GroupIndex | No
     return value, seed, sigma2, v
 
 
-def _dp_penalty(probs, sensitive, floor, groups: GroupIndex | None):
-    """Demographic-parity penalty on one set of rows.
+def _dp_penalty(sensitive, floor, n_groups, closed_form):
+    """Demographic-parity penalty on one set of rows: ``probs -> (value, seed, sigma2_sq)``.
 
-    Returns ``(value, seed, sigma2_sq, adversary)``.  Without a group index
-    the inner maximum is solved in closed form for the binary weights ``w``
-    and ``sigma2_sq`` is the implied squared correlation, clipped at 0; with
-    one, the SVD route (:func:`_discrete_penalty`) squares the second
-    singular value of Q.
+    The rows are indexed here, once: ``s_tilde`` for the binary closed form,
+    the group index for the SVD route.  ``sigma2_sq`` is the square of the
+    sigma2 the module docstring defines, so that ``eo`` can sum it.
     """
-    if groups is None:
+    if closed_form:
         st = s_tilde(sensitive)
-        w = inner_w_closed_form(probs, st, floor)
-        value, rho_sq = _binary_inner_value(probs, st, w)
-        return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0), w
-    value, seed, sigma2, v = _discrete_penalty(probs, sensitive, floor, groups.n_groups, groups)
-    return value, seed, sigma2 * sigma2, v
+
+        def penalty(probs):
+            w = inner_w_closed_form(probs, st, floor)
+            value, rho_sq = _binary_inner_value(probs, st, w)
+            return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0)
+        return penalty
+    groups = maxcorr.group_index(sensitive, n_groups)
+
+    def penalty(probs):
+        value, seed, sigma2, _ = _discrete_penalty(probs, groups, floor)
+        return value, seed, sigma2 * sigma2
+    return penalty
 
 
 def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
@@ -286,64 +284,48 @@ def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> l
     return slices
 
 
-@dataclass(frozen=True)
-class _RowIndex:
-    """What the penalty needs of one batch's rows; fixed while theta moves.
+def _penalty_on(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
+    """The configured penalty on ``sub``'s rows: ``probs -> (value, seed, sigma2)``.
 
-    ``groups`` indexes the batch's groups (None for ``dp_binary`` and
-    ``eo``).  ``slices`` holds, for ``eo``, each label slice large enough to
-    penalize with its own group index, or None where the binary closed form
-    serves (d = 2).
-    """
-
-    groups: GroupIndex | None
-    slices: tuple[tuple[np.ndarray, GroupIndex | None], ...] = ()
-
-
-def _row_index(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set) -> _RowIndex:
-    mode = cfg.fairness_mode
-    if mode == "dp_binary":
-        return _RowIndex(None)
-    if mode == "eo":
-        return _RowIndex(None, tuple(
-            (idx, None if n_groups == 2 else maxcorr.group_index(sub.sensitive[idx], n_groups))
-            for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)))
-    return _RowIndex(maxcorr.group_index(sub.sensitive, n_groups))
-
-
-def _penalty(probs, sub: Batch, cfg: TrainConfig, index: _RowIndex):
-    """Unscaled ``(value, seed, sigma2_sq, adversary)`` of the configured penalty.
-
-    ``seed`` is d(value)/dF with the adversary held fixed (None for
-    ``none``).  ``sigma2_sq`` is the squared maximal correlation from the
-    inner solve, summed over label slices for ``eo``; it is None where no
-    adversary is solved, and the caller then computes sigma2 from Q.
+    ``value`` is unscaled and ``seed`` is d(value)/dF with the adversary held
+    fixed (None for ``none``).  The rows are indexed once here, so the
+    returned function serves every step on ``sub``.
     """
     mode = cfg.fairness_mode
-    if mode in ("dp_discrete", "dp_binary"):
-        return _dp_penalty(probs, sub.sensitive, cfg.floor, index.groups)
-    if mode == "eo":
-        total, seed, sq_sum, adversaries = 0.0, np.zeros_like(probs), 0.0, {}
-        for idx, groups in index.slices:
-            value, sl_seed, sl_sq, adversaries[int(sub.labels[idx[0]])] = _dp_penalty(
-                probs[idx], sub.sensitive[idx], cfg.floor, groups)
-            total += value
-            seed[idx] += sl_seed
-            sq_sum += sl_sq
-        return total, seed, sq_sum, adversaries
-    if mode == "pearson":
-        return (*pearson_penalty(probs, sub.sensitive), None, None)
-    if mode == "hsic":
-        return (*hsic_penalty(probs, sub.sensitive, index.groups), None, None)
-    return 0.0, None, None, None
-
-
-def _validate_mode(cfg: TrainConfig, batch: Batch) -> None:
-    d = batch.n_groups
-    if cfg.fairness_mode in ("dp_binary", "pearson", "hsic") and d != 2:
-        raise ValueError(f"{cfg.fairness_mode} requires a binary sensitive attribute, got d={d}")
-    if cfg.fairness_mode == "dp_discrete" and d < 2:
+    if mode in ("dp_binary", "pearson", "hsic") and n_groups != 2:
+        raise ValueError(f"{mode} requires a binary sensitive attribute, got d={n_groups}")
+    if mode == "dp_discrete" and n_groups < 2:
         raise ValueError("dp_discrete requires at least two sensitive groups")
+    if mode in ("dp_binary", "dp_discrete"):
+        dp = _dp_penalty(sub.sensitive, cfg.floor, n_groups, mode == "dp_binary")
+
+        def penalty(probs):
+            value, seed, sigma2_sq = dp(probs)
+            return value, seed, float(np.sqrt(sigma2_sq))
+        return penalty
+    if mode == "eo":
+        slices = [(idx, _dp_penalty(sub.sensitive[idx], cfg.floor, n_groups, n_groups == 2))
+                  for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)]
+
+        def penalty(probs):
+            total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
+            for idx, dp in slices:
+                value, sl_seed, sl_sq = dp(probs[idx])
+                total += value
+                seed[idx] += sl_seed
+                sq_sum += sl_sq
+            return total, seed, float(np.sqrt(sq_sum))
+        return penalty
+    groups = maxcorr.group_index(sub.sensitive, n_groups)
+    baseline = {"none": lambda probs: (0.0, None),
+                "pearson": lambda probs: pearson_penalty(probs, sub.sensitive),
+                "hsic": lambda probs: hsic_penalty(probs, sub.sensitive, groups)}[mode]
+
+    def penalty(probs):
+        value, seed = baseline(probs)
+        return value, seed, maxcorr.second_singular_value(
+            maxcorr.q_from_groups(probs, groups, cfg.floor))
+    return penalty
 
 
 def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
@@ -360,13 +342,12 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     as diverged.  A run that uses all its steps ends with a diagnostic row
     at the last iterate on the full batch.
 
-    The rows each penalty needs (group index, label slices) are indexed once
-    per batch: once per run on the full batch, once per step on minibatches.
+    The rows each penalty needs (signs, group index, label slices) are
+    indexed once per batch: once per run on the full batch, once per step on
+    minibatches.
     """
-    _validate_mode(cfg, batch)
     n_groups = batch.n_groups
     warned: set = set()
-    full_index: list[_RowIndex] = []  # the full batch's, built on first use
     trace = TrainTrace()
     rng = np.random.default_rng(cfg.seed)
     order = np.array([], dtype=np.int64)
@@ -383,37 +364,28 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         cursor += cfg.batch_size
         return batch.subset(idx)
 
-    def row_index(sub: Batch) -> _RowIndex:
-        if sub is not batch:
-            return _row_index(sub, cfg, n_groups, warned)
-        if not full_index:
-            full_index.append(_row_index(batch, cfg, n_groups, warned))
-        return full_index[0]
+    @functools.cache
+    def full_penalty():
+        return _penalty_on(batch, cfg, n_groups, warned)
 
     def step(theta: ModelParams, sub: Batch):
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
         probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
-        index = row_index(sub)
-        value, seed, sigma2_sq, adversary = _penalty(probs, sub, cfg, index)
-        if sigma2_sq is None:
-            sigma2 = maxcorr.second_singular_value(
-                maxcorr.q_from_groups(probs, index.groups, cfg.floor))
-        else:
-            sigma2 = float(np.sqrt(sigma2_sq))
+        penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, n_groups, warned)
+        value, seed, sigma2 = penalty(probs)
         if cfg.lam != 0.0 and seed is not None:
             grad = grad + vjp(cfg.lam * seed)
-        return grad, (loss, float(cfg.lam * value), float(np.linalg.norm(grad)), sigma2, adversary)
+        return grad, (loss, float(cfg.lam * value), float(np.linalg.norm(grad)), sigma2)
 
     def record(t: int, row) -> None:
-        columns = (trace.loss, trace.penalty, trace.grad_norm, trace.sigma2, trace.adversary)
         trace.iteration.append(t)
-        for column, value in zip(columns, row):
+        for column, value in zip((trace.loss, trace.penalty, trace.grad_norm, trace.sigma2), row):
             column.append(value)
 
     theta = params
     for t in range(cfg.iters):
         grad, row = step(theta, next_batch())
-        loss, _, grad_norm, _, _ = row
+        loss, _, grad_norm, _ = row
         if not np.isfinite(loss) or not np.isfinite(grad_norm):
             trace.diverged = True
             break

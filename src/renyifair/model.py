@@ -300,14 +300,28 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Read a :func:`save_params` checkpoint.
+
+    A header item that is not ``key=value``, or a missing or non-integer
+    shape, raises a ValueError naming the file and the key.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        fields = dict(item.split("=", 1) for item in header.split())
+        header = fh.readline().split()
         theta = np.array([float(line) for line in fh if line.strip()])
-    return ModelParams(
-        arch=fields["arch"],
-        theta=theta,
-        input_dim=int(fields["input_dim"]),
-        n_classes=int(fields["n_classes"]),
-        hidden_dim=int(fields["hidden_dim"]),
-    )
+    fields = {}
+    for item in header:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"checkpoint {path}: header item {item!r} is not key=value")
+        fields[key] = value
+
+    def field(key, convert=int):
+        if key not in fields:
+            raise ValueError(f"checkpoint {path}: header lacks {key!r}")
+        try:
+            return convert(fields[key])
+        except ValueError:
+            raise ValueError(f"checkpoint {path}: header {key}={fields[key]!r} is not an integer") from None
+
+    return ModelParams(arch=field("arch", str), theta=theta, input_dim=field("input_dim"),
+                       n_classes=field("n_classes"), hidden_dim=field("hidden_dim"))

@@ -173,7 +173,7 @@ def test_c03_gradient_correctness():
                       params.theta.copy())
         assert np.abs(full - ref).max() / max(np.abs(ref).max(), 1e-12) <= 1e-4
 
-        _, seed, _, v = ft._discrete_penalty(probs, groups, 1e-9, d)
+        _, seed, _, v = ft._discrete_penalty(probs, mc.group_index(groups, d), 1e-9)
         pen_grad = md.jacobian_probs(params, x)(lam * seed)
 
         def penalty(theta):

@@ -120,6 +120,10 @@ class TestConfigKeys:
         ("train", {"fairness_mode": "dp"}, "unknown fairness mode 'dp'"),
         ("train", {"model": "cnn"}, "unknown model 'cnn'"),
         ("train", {"iters": "many"}, "invalid literal for int"),
+        ("train", {"batch_size": 32.0}, "batch_size must be a positive integer when set, got 32.0"),
+        ("train", {"model": "one_hidden:0"}, "model 'one_hidden:0' needs a positive integer width"),
+        ("train", {"model": "one_hidden:-2"}, "model 'one_hidden:-2' needs a positive integer width"),
+        ("train", {"model": "one_hidden:x"}, "model 'one_hidden:x' needs a positive integer width"),
         ("cluster", {"w_update_mode": "batch"}, "unknown w_update_mode 'batch'"),
         ("cluster", {"max_sweeps": 0}, "max_sweeps must be at least 1"),
     ])

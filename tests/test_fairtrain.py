@@ -109,7 +109,7 @@ class TestPenaltyGradients:
         x = rng.normal(size=(30, 3))
         s = rng.integers(1, 4, 30)
         probs = md.forward(params, x)
-        _, seed, _, v = ft._discrete_penalty(probs, s, 1e-9, 3)
+        _, seed, _, v = ft._discrete_penalty(probs, mc.group_index(s, 3), 1e-9)
         lam = 3.0
         grad = md.jacobian_probs(params, x)(lam * seed)
 
@@ -331,7 +331,7 @@ class TestTrainers:
         w = ft.inner_w_closed_form(probs, stv, 1e-9)
         centered, _ = ft._binary_inner_value(probs, stv, w)
         assert abs(centered) <= 1e-12
-        value, _, sigma2, _ = ft._discrete_penalty(probs, s, 1e-9, 2)
+        value, _, sigma2, _ = ft._discrete_penalty(probs, mc.group_index(s, 2), 1e-9)
         assert value <= 1e-12 and sigma2 <= 1e-9
         varied = random_probs(rng, 50, 2)
         w = ft.inner_w_closed_form(varied, stv, 1e-9)
@@ -353,7 +353,8 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
     if mode == "none":
         return 0.0, None, sigma2_of_q()
     if mode == "dp_discrete":
-        value, seed, sigma2, _ = ft._discrete_penalty(probs, sub.sensitive, cfg.floor, n_groups)
+        value, seed, sigma2, _ = ft._discrete_penalty(
+            probs, mc.group_index(sub.sensitive, n_groups), cfg.floor)
         return lam * value, lam * seed, sigma2
     if mode == "dp_binary":
         stv = ft.s_tilde(sub.sensitive)
@@ -373,7 +374,7 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
                 sq_sum += max(rho_sq, 0.0)
             else:
                 value, sl_seed, sigma2, _ = ft._discrete_penalty(
-                    probs[idx], sub.sensitive[idx], cfg.floor, n_groups)
+                    probs[idx], mc.group_index(sub.sensitive[idx], n_groups), cfg.floor)
                 seed[idx] += sl_seed
                 total += value
                 sq_sum += sigma2 * sigma2
@@ -486,13 +487,17 @@ def test_dp_binary_sigma2_matches_svd_of_q(arch, hidden, batch_size, monkeypatch
     cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=60, fairness_mode="dp_binary",
                          batch_size=batch_size, seed=2)
     inputs = []
-    penalty = ft._penalty
+    penalty_on = ft._penalty_on
 
-    def recording_penalty(probs, sub, *args):
-        inputs.append((probs, sub.sensitive))
-        return penalty(probs, sub, *args)
+    def recording_penalty_on(sub, *args):
+        penalty = penalty_on(sub, *args)
 
-    monkeypatch.setattr(ft, "_penalty", recording_penalty)
+        def recording_penalty(probs):
+            inputs.append((probs, sub.sensitive))
+            return penalty(probs)
+        return recording_penalty
+
+    monkeypatch.setattr(ft, "_penalty_on", recording_penalty_on)
     trace = ft.train(p0, batch, cfg)
     assert len(inputs) == len(trace.sigma2) == cfg.iters + 1
     for sigma2, (probs, s) in zip(trace.sigma2, inputs):
@@ -524,18 +529,24 @@ def test_minibatch_lacking_a_group_still_raises(mode, d):
         ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
 
 
-@pytest.mark.parametrize("mode", ["none", "dp_discrete", "eo", "pearson", "hsic"])
+@pytest.mark.parametrize("mode,d,module,builder", [
+    ("none", 2, mc, "group_index"), ("dp_discrete", 3, mc, "group_index"),
+    ("eo", 3, mc, "group_index"), ("pearson", 2, mc, "group_index"),
+    ("hsic", 2, mc, "group_index"), ("dp_binary", 2, ft, "s_tilde"), ("eo", 2, ft, "s_tilde"),
+], ids=["none", "dp_discrete", "eo", "pearson", "hsic", "dp_binary", "eo-binary"])
 @pytest.mark.parametrize("batch_size", [None, 64])
-def test_group_index_built_once_per_batch(mode, batch_size, monkeypatch):
-    batch = labelled_groups_batch(300, 3 if mode in ("dp_discrete", "eo") else 2, seed=1)
+def test_group_index_built_once_per_batch(mode, d, module, builder, batch_size, monkeypatch):
+    """The rows' group index, or the binary closed form's signs, is built
+    once per batch, not once per step."""
+    batch = labelled_groups_batch(300, d, seed=1)
     built = []
-    group_index = mc.group_index
+    build = getattr(module, builder)
 
-    def counting_group_index(sensitive, n_groups):
+    def counting_build(sensitive, *args):
         built.append(len(sensitive))
-        return group_index(sensitive, n_groups)
+        return build(sensitive, *args)
 
-    monkeypatch.setattr(mc, "group_index", counting_group_index)
+    monkeypatch.setattr(module, builder, counting_build)
     cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=6, fairness_mode=mode,
                          batch_size=batch_size, eo_min_group=5, seed=2)
     trace = ft.train(md.init_params("linear", 3, 2, seed=1), batch, cfg)

@@ -1,5 +1,7 @@
 """Soft classifiers: forward contracts, analytic gradients, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,17 @@ class TestCheckpoints:
         assert loaded.input_dim == params.input_dim
         assert loaded.hidden_dim == params.hidden_dim
         np.testing.assert_array_equal(loaded.theta, params.theta)
+
+    @pytest.mark.parametrize("header,message", [
+        ("arch=linear input_dim=5 n_classes=2", r"header lacks 'hidden_dim'"),
+        ("arch=linear input_dim=5 n_classes 2 hidden_dim=0", r"header item 'n_classes' is not key=value"),
+        ("arch=linear input_dim=five n_classes=2 hidden_dim=0", r"header input_dim='five' is not an integer"),
+    ])
+    def test_malformed_header_names_file_and_key(self, tmp_path, header, message):
+        path = tmp_path / "params.txt"
+        path.write_text(header + "\n" + "0.0\n" * 12)
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: {message}$"):
+            md.load_params(path)
 
     def test_deterministic_init(self):
         a = md.init_params("one_hidden", 4, 3, hidden_dim=5, seed=1)
