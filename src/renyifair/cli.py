@@ -12,10 +12,11 @@ plus, for ``train``, ``model`` (``linear`` or ``one_hidden:<width>``) and
 the ``TrainConfig`` fields ``eta``, ``iters``, ``fairness_mode``,
 ``batch_size``, ``floor``, ``grad_tol`` and ``eo_min_group``, or, for
 ``cluster``, the ``ClusterConfig`` fields ``n_clusters``, ``max_sweeps``,
-``w_update_mode`` and ``init``.  An unknown key, a rejected value or a bad
-model string raises before the output directory is written.  A training
-dataset is a spec file path or ``synth:yequalss:<n>``; a clustering one is
-a spec file with a clustering view, ``toy:<seed>`` or ``csv:<path>``.
+``w_update_mode`` and ``init``.  An unknown key, a rejected value (such as
+a fractional value of an integer key) or a bad model string raises, naming
+the key, before the output directory is written.  A training dataset is a
+spec file path or ``synth:yequalss:<n>``; a clustering one is a spec file
+with a clustering view, ``toy:<seed>`` or ``csv:<path>``.
 Dataset spec files resolve their source files against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
 
@@ -78,7 +79,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self) -> list[int]:
-        return [int(s) for s in self.raw.get("seeds", [0])]
+        return [_convert("seeds", _integer, s) for s in self.raw.get("seeds", [0])]
 
     def config_hash(self) -> str:
         text = json.dumps(self.raw, sort_keys=True)
@@ -145,13 +146,29 @@ def _as_is(value):
     return value
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a float with a fractional part (``40.0`` passes, ``2.7`` not)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _convert(key: str, convert, value):
+    """``convert(value)``, naming the config key in any ValueError."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from exc
+
+
 # The keys each command reads beyond these, with the conversion of each JSON
 # value; a key in neither is an error.  Every key but ``model`` is a field of
 # the command's config dataclass, the one place that holds its default.
 _SWEEP_KEYS = frozenset({"dataset", "lambda_grid", "seeds"})
-_TRAIN_KEYS = {"model": _parse_model, "eta": float, "iters": int, "fairness_mode": _as_is,
-               "batch_size": _as_is, "floor": float, "grad_tol": float, "eo_min_group": int}
-_CLUSTER_KEYS = {"n_clusters": int, "max_sweeps": int, "w_update_mode": _as_is, "init": _as_is}
+_TRAIN_KEYS = {"model": _parse_model, "eta": float, "iters": _integer, "fairness_mode": _as_is,
+               "batch_size": _as_is, "floor": float, "grad_tol": float, "eo_min_group": _integer}
+_CLUSTER_KEYS = {"n_clusters": _integer, "max_sweeps": _integer, "w_update_mode": _as_is,
+                 "init": _as_is}
 
 
 def _config_values(cfg: ExperimentConfig, keys: dict) -> dict:
@@ -159,7 +176,8 @@ def _config_values(cfg: ExperimentConfig, keys: dict) -> dict:
     unknown = sorted(cfg.raw.keys() - keys.keys() - _SWEEP_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {', '.join(unknown)}")
-    return {key: convert(cfg.raw[key]) for key, convert in keys.items() if key in cfg.raw}
+    return {key: _convert(key, convert, cfg.raw[key]) for key, convert in keys.items()
+            if key in cfg.raw}
 
 
 def _load_train_batches(name: str) -> tuple[model.Batch, model.Batch]:

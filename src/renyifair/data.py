@@ -102,8 +102,7 @@ class DatasetSpec:
                 raise ValueError(f"column {col!r} not declared in the spec")
 
 
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_spec(path) -> DatasetSpec:
@@ -131,6 +130,13 @@ def parse_spec(path) -> DatasetSpec:
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ValueError(f"{path}: {key} must be {expected}, got {raw[key]!r}") from None
+
+    def flag(key: str) -> bool:
+        try:
+            return _BOOLEANS[raw.get(key, "false").lower()]
+        except KeyError:
+            raise ValueError(f"{path}: {key} must be one of 1/0, true/false, yes/no, "
+                             f"got {raw[key]!r}") from None
 
     derive = []
     for item in words("derive"):
@@ -163,7 +169,7 @@ def parse_spec(path) -> DatasetSpec:
         missing_token=raw.get("missing_token", ""),
         missing_policy=raw.get("missing_policy", "drop_row"),
         normalization=raw.get("normalization", "zscore"),
-        strip_label_period=_parse_bool(raw.get("strip_label_period", "false")),
+        strip_label_period=flag("strip_label_period"),
         clustering_features=words("clustering_features"),
         clustering_samples=number("clustering_samples", int),
         clustering_sensitive=raw.get("clustering_sensitive", ""),

@@ -13,17 +13,22 @@ where gamma is the minimum of the separable quadratic
 
     sum_i w_i^2 P(a=i) - sum_i w_i (P(a=i, b=1) - P(a=i, b=0)) + 1/4,
 
-attained at w_i = (P(a=i, b=1) - P(a=i, b=0)) / (2 P(a=i)).  Both routes are
-implemented here and cross-checked in the test suite.
+attained at w_i = (P(a=i, b=1) - P(a=i, b=0)) / (2 P(a=i)).  This module
+implements the SVD route.  The closed form lives where training runs it, on
+soft classifier outputs (``fairtrain.inner_w_closed_form`` and
+``fairtrain._binary_inner_value``); the test suite checks it against
+:func:`renyi_discrete`.
 
 The SVD is a hand-rolled one-sided Jacobi: the matrices involved never
 exceed 64 x 64 (class count x sensitive-group count), and a dependency-free,
 bit-deterministic decomposition matters more than speed at that size.
 
-Inputs are validated at the API boundary only.  :func:`empirical_q` checks
-shapes, simplex rows and groups on every call; training indexes each
-batch's groups once (:func:`group_index`) and estimates Q on every step with
+Inputs are validated at the API boundary only.  :func:`q_from_joint` checks
+a joint table and :func:`empirical_q` shapes, simplex rows, groups and
+marginals on every call; training indexes each batch's groups once
+(:func:`group_index`) and estimates Q on every step with
 :func:`q_from_groups`, which does the same arithmetic without the checks.
+:class:`QMatrix` itself is a plain record of the arrays its builders compute.
 """
 
 from __future__ import annotations
@@ -53,42 +58,6 @@ def _as_matrix(probs) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class JointTable:
-    """Joint probability table of two discrete variables.
-
-    ``probs[i, j] = P(a = i+1, b = j+1)``.  Entries must be nonnegative and
-    sum to 1 within 1e-9.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.probs)
-        if np.any(m < 0):
-            raise ValueError("joint table has negative entries")
-        total = m.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"joint table sums to {total!r}, not 1")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "probs", m)
-
-    @property
-    def c(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.probs.shape[1]
-
-    def row_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def col_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-
-@dataclass(frozen=True)
 class QMatrix:
     """Normalized joint ``q_ij = P(a=i, b=j) / sqrt(P(a=i) P(b=j))``.
 
@@ -100,19 +69,6 @@ class QMatrix:
     q: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
-
-    def __post_init__(self):
-        q = _as_matrix(self.q)
-        rm = np.asarray(self.row_marginal, dtype=np.float64)
-        cm = np.asarray(self.col_marginal, dtype=np.float64)
-        if rm.shape != (q.shape[0],) or cm.shape != (q.shape[1],):
-            raise ValueError("marginal shapes do not match q")
-        if np.any(rm <= 0) or np.any(cm <= 0):
-            raise ValueError("marginals must be strictly positive")
-        for name, arr in (("q", q), ("row_marginal", rm), ("col_marginal", cm)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -131,33 +87,25 @@ class SvdResult:
     right_vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class RenyiBinaryResult:
-    """Closed-form maximal correlation against a binary variable.
+def q_from_joint(joint, floor: float = 0.0) -> QMatrix:
+    """Build the normalized Q matrix from a c x d joint probability table.
 
-    ``w_star`` minimizes the separable quadratic whose minimum ``gamma``
-    yields ``rho = sqrt(1 - gamma / (q_prob * (1 - q_prob)))`` with
-    ``q_prob = P(b=1)``.
+    ``joint[i, j] = P(a = i+1, b = j+1)``; entries must be nonnegative and
+    sum to 1 within 1e-9.  Marginals are clamped below at ``floor`` before
+    the square root; with the default ``floor=0`` a zero marginal is
+    rejected instead.
     """
-
-    rho: float
-    gamma: float
-    w_star: np.ndarray
-    q_prob: float
-
-
-def q_from_joint(joint: JointTable, floor: float = 0.0) -> QMatrix:
-    """Build the normalized Q matrix from a joint table.
-
-    Marginals are clamped below at ``floor`` before the square root; with the
-    default ``floor=0`` a zero marginal is rejected instead.
-    """
-    row = np.maximum(joint.row_marginal(), floor)
-    col = np.maximum(joint.col_marginal(), floor)
+    p = np.ascontiguousarray(_as_matrix(joint))
+    if np.any(p < 0):
+        raise ValueError("joint table has negative entries")
+    total = p.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"joint table sums to {float(total)!r}, not 1")
+    row = np.maximum(p.sum(axis=1), floor)
+    col = np.maximum(p.sum(axis=0), floor)
     if np.any(row <= 0) or np.any(col <= 0):
         raise ValueError("joint table has a zero marginal after flooring")
-    q = joint.probs / np.sqrt(np.outer(row, col))
-    return QMatrix(q=q, row_marginal=row, col_marginal=col)
+    return QMatrix(q=p / np.sqrt(np.outer(row, col)), row_marginal=row, col_marginal=col)
 
 
 def _one_sided_jacobi(m: np.ndarray):
@@ -297,32 +245,9 @@ def second_singular_value(qm: QMatrix) -> float:
     return float(sv[1]) if len(sv) > 1 else 0.0
 
 
-def renyi_discrete(joint: JointTable, floor: float = 0.0) -> float:
-    """Maximal correlation of a discrete joint, clamped to [0, 1]."""
+def renyi_discrete(joint, floor: float = 0.0) -> float:
+    """Maximal correlation of a c x d joint table (see :func:`q_from_joint`), clamped to [0, 1]."""
     return min(max(second_singular_value(q_from_joint(joint, floor=floor)), 0.0), 1.0)
-
-
-def renyi_binary(joint: JointTable, floor: float = 0.0) -> RenyiBinaryResult:
-    """Closed-form maximal correlation when the column variable is binary.
-
-    Column 0 is ``b = 0`` and column 1 is ``b = 1``.  Agrees with
-    :func:`renyi_discrete` on the same joint to 1e-9.
-    """
-    if joint.d != 2:
-        raise ValueError(f"renyi_binary requires a binary column variable, got d={joint.d}")
-    p = np.maximum(joint.row_marginal(), floor)
-    if np.any(p <= 0):
-        raise ValueError("zero class marginal after flooring")
-    col = joint.col_marginal()
-    q_prob = float(col[1])
-    if not 0.0 < q_prob < 1.0:
-        raise ValueError(f"P(b=1)={q_prob} must lie strictly inside (0, 1)")
-    diff = joint.probs[:, 1] - joint.probs[:, 0]
-    w_star = diff / (2.0 * p)
-    gamma = float(np.sum(w_star * w_star * p) - np.sum(w_star * diff) + 0.25)
-    # Floating point can push the argument slightly negative at independence.
-    rho = float(np.sqrt(max(0.0, 1.0 - gamma / (q_prob * (1.0 - q_prob)))))
-    return RenyiBinaryResult(rho=rho, gamma=gamma, w_star=w_star, q_prob=q_prob)
 
 
 @dataclass(frozen=True)
@@ -376,7 +301,8 @@ def empirical_q(
     and ``q_ij = P(Yhat=i|s_j) P(s_j) / sqrt(P(Yhat=i) P(s_j))`` with both
     marginals floored at ``floor`` before the division.
 
-    Validates its inputs, then hands over to :func:`q_from_groups`.
+    Validates its inputs, then hands over to :func:`q_from_groups`; a class
+    whose floored predicted mass is not positive (``floor <= 0``) raises.
     """
     f = np.asarray(soft_probs, dtype=np.float64)
     s = np.asarray(sensitive)
@@ -392,7 +318,11 @@ def empirical_q(
         worst = np.abs(row_sums - 1.0).max()
         raise ValueError(f"soft_probs rows are off the simplex by {worst:.3e}")
     d = int(n_groups) if n_groups is not None else int(s.max())
-    return q_from_groups(f, group_index(s, d), floor)
+    qm = q_from_groups(f, group_index(s, d), floor)
+    if np.any(qm.row_marginal <= 0):
+        raise ValueError(f"marginals must be strictly positive: a class has no "
+                         f"predicted mass left at floor={floor!r}")
+    return qm
 
 
 def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> QMatrix:

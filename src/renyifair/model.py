@@ -302,12 +302,13 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     """Read a :func:`save_params` checkpoint.
 
-    A header item that is not ``key=value``, or a missing or non-integer
-    shape, raises a ValueError naming the file and the key.
+    A header item that is not ``key=value``, a missing or non-integer shape,
+    a body line that is not a number or a body of the wrong length raises a
+    ValueError naming the file and the key, the 1-based line or the counts.
     """
     with open(path) as fh:
         header = fh.readline().split()
-        theta = np.array([float(line) for line in fh if line.strip()])
+        body = [(number, line.strip()) for number, line in enumerate(fh, start=2) if line.strip()]
     fields = {}
     for item in header:
         key, eq, value = item.partition("=")
@@ -323,5 +324,15 @@ def load_params(path) -> ModelParams:
         except ValueError:
             raise ValueError(f"checkpoint {path}: header {key}={fields[key]!r} is not an integer") from None
 
-    return ModelParams(arch=field("arch", str), theta=theta, input_dim=field("input_dim"),
-                       n_classes=field("n_classes"), hidden_dim=field("hidden_dim"))
+    shape = dict(arch=field("arch", str), input_dim=field("input_dim"),
+                 n_classes=field("n_classes"), hidden_dim=field("hidden_dim"))
+    theta = np.empty(len(body))
+    for k, (number, text) in enumerate(body):
+        try:
+            theta[k] = float(text)
+        except ValueError:
+            raise ValueError(f"checkpoint {path}: line {number} {text!r} is not a number") from None
+    try:
+        return ModelParams(theta=theta, **shape)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None

@@ -3,6 +3,7 @@
 import csv
 import logging
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,47 @@ def second_right_singular_vector(qm):
     if qm.q.shape[1] < 2:
         raise ValueError("need at least two columns for a second singular vector")
     return mc.svd_small(qm.q).right_vectors[:, 1].copy()
+
+
+@dataclass(frozen=True)
+class RenyiBinaryResult:
+    """Closed-form maximal correlation against a binary variable.
+
+    ``w_star`` minimizes the separable quadratic whose minimum ``gamma``
+    yields ``rho = sqrt(1 - gamma / (q_prob * (1 - q_prob)))`` with
+    ``q_prob = P(b=1)``.
+    """
+
+    rho: float
+    gamma: float
+    w_star: np.ndarray
+    q_prob: float
+
+
+def renyi_binary(joint) -> RenyiBinaryResult:
+    """The paper's binary closed form, computed from a c x 2 joint table.
+
+    The trainer computes the same closed form from soft outputs
+    (``fairtrain.inner_w_closed_form``); this copy is the test reference.
+
+    Column 0 is ``b = 0`` and column 1 is ``b = 1``.  Agrees with
+    ``maxcorr.renyi_discrete`` on the same joint to 1e-9.
+    """
+    p_joint = np.ascontiguousarray(joint, dtype=np.float64)
+    if p_joint.ndim != 2 or p_joint.shape[1] != 2:
+        raise ValueError(f"renyi_binary requires a binary column variable, got shape {p_joint.shape}")
+    p = p_joint.sum(axis=1)
+    if np.any(p <= 0):
+        raise ValueError("zero class marginal")
+    q_prob = float(p_joint.sum(axis=0)[1])
+    if not 0.0 < q_prob < 1.0:
+        raise ValueError(f"P(b=1)={q_prob} must lie strictly inside (0, 1)")
+    diff = p_joint[:, 1] - p_joint[:, 0]
+    w_star = diff / (2.0 * p)
+    gamma = float(np.sum(w_star * w_star * p) - np.sum(w_star * diff) + 0.25)
+    # Floating point can push the argument slightly negative at independence.
+    rho = float(np.sqrt(max(0.0, 1.0 - gamma / (q_prob * (1.0 - q_prob)))))
+    return RenyiBinaryResult(rho=rho, gamma=gamma, w_star=w_star, q_prob=q_prob)
 
 
 def assign_point(x, s: int, centers, proportions, lam: float) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import binary_objective
+from oracles import binary_objective, renyi_binary
 from renyifair import cli, data, faircluster as fc, fairtrain as ft
 from renyifair import maxcorr as mc, metrics as mt, model as md
 
@@ -27,7 +27,7 @@ def report(criterion: str, detail: str = ""):
 
 def random_joint(rng, c, d):
     m = rng.random((c, d)) + 1e-3
-    return mc.JointTable(m / m.sum())
+    return m / m.sum()
 
 
 def gram_jacobi_second_singular(m, sweeps=200):
@@ -102,7 +102,7 @@ def test_c01_estimator_equivalence():
     for _ in range(1000):
         jt = random_joint(rng, int(rng.integers(2, 9)), 2)
         worst_binary = max(worst_binary,
-                           abs(mc.renyi_binary(jt).rho - mc.renyi_discrete(jt)))
+                           abs(renyi_binary(jt).rho - mc.renyi_discrete(jt)))
     assert worst_binary <= 1e-9
 
     worst_oracle = 0.0
@@ -112,10 +112,31 @@ def test_c01_estimator_equivalence():
         worst_oracle = max(worst_oracle,
                            abs(mc.renyi_discrete(jt) - gram_jacobi_second_singular(q)))
     assert worst_oracle <= 1e-9
+
+    # The closed form the trainer runs, on soft outputs F with both groups
+    # present, against the SVD route on the sample's joint mean_n F[n, i] [s_n = j].
+    worst_sq = worst_trained = 0.0
+    for _ in range(1000):
+        n, c = int(rng.integers(20, 201)), int(rng.integers(2, 9))
+        s = rng.permutation(np.arange(n) % 2) + 1
+        shift = rng.normal(scale=rng.uniform(0, 3), size=c)
+        logits = rng.normal(size=(n, c)) + np.outer(s == 2, shift)
+        f = np.exp(logits)
+        f /= f.sum(axis=1, keepdims=True)
+        st = ft.s_tilde(s)
+        _, rho_sq = ft._binary_inner_value(f, st, ft.inner_w_closed_form(f, st, 1e-12))
+        joint = np.stack([f[s == 1].sum(axis=0), f[s == 2].sum(axis=0)], axis=1) / n
+        sigma2 = mc.renyi_discrete(joint)
+        worst_sq = max(worst_sq, abs(rho_sq - sigma2 ** 2))
+        if sigma2 >= 1e-3:
+            worst_trained = max(worst_trained, abs(np.sqrt(max(rho_sq, 0.0)) - sigma2))
+    assert worst_sq <= 1e-12
+    assert worst_trained <= 1e-9
     elapsed = time.time() - start
     assert elapsed <= 30.0
     report("c01 estimator-equivalence",
-           f"(binary gap {worst_binary:.2e}, oracle gap {worst_oracle:.2e}, {elapsed:.1f}s)")
+           f"(binary gap {worst_binary:.2e}, oracle gap {worst_oracle:.2e}, "
+           f"trainer gap {worst_trained:.2e} (squares {worst_sq:.2e}), {elapsed:.1f}s)")
 
 
 def test_c02_independence_characterization():
@@ -123,7 +144,7 @@ def test_c02_independence_characterization():
     for _ in range(200):
         p = rng.random(int(rng.integers(2, 7))) + 0.05
         q = rng.random(int(rng.integers(2, 7))) + 0.05
-        jt = mc.JointTable(np.outer(p / p.sum(), q / q.sum()))
+        jt = np.outer(p / p.sum(), q / q.sum())
         assert mc.renyi_discrete(jt) <= 1e-9
     for _ in range(200):
         k = int(rng.integers(2, 7))
@@ -131,7 +152,7 @@ def test_c02_independence_characterization():
         mass = rng.random(k) + 0.05
         joint = np.zeros((k, k))
         joint[np.arange(k), perm] = mass / mass.sum()
-        assert abs(mc.renyi_discrete(mc.JointTable(joint)) - 1.0) <= 1e-9
+        assert abs(mc.renyi_discrete(joint) - 1.0) <= 1e-9
     for _ in range(200):
         jt = random_joint(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         qm = mc.q_from_joint(jt)

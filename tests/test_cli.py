@@ -126,6 +126,12 @@ class TestConfigKeys:
         ("train", {"model": "one_hidden:x"}, "model 'one_hidden:x' needs a positive integer width"),
         ("cluster", {"w_update_mode": "batch"}, "unknown w_update_mode 'batch'"),
         ("cluster", {"max_sweeps": 0}, "max_sweeps must be at least 1"),
+        ("train", {"iters": 2.7}, "config key 'iters': expected an integer, got 2.7"),
+        ("train", {"eo_min_group": 30.5}, "config key 'eo_min_group': expected an integer, got 30.5"),
+        ("train", {"seeds": [0.9]}, "config key 'seeds': expected an integer, got 0.9"),
+        ("cluster", {"n_clusters": 3.5}, "config key 'n_clusters': expected an integer, got 3.5"),
+        ("cluster", {"max_sweeps": 2.5}, "config key 'max_sweeps': expected an integer, got 2.5"),
+        ("cluster", {"seeds": [0, 1.5]}, "config key 'seeds': expected an integer, got 1.5"),
     ])
     def test_bad_values_raise_once_before_output(self, tmp_path, command, overrides, message):
         if command == "train":

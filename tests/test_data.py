@@ -213,7 +213,7 @@ class TestSynthYequalsS:
         joint = np.zeros((2, 2))
         for y, s in zip(batch.labels, batch.sensitive):
             joint[y - 1, s - 1] += 1
-        rho = mc.renyi_discrete(mc.JointTable(joint / joint.sum()))
+        rho = mc.renyi_discrete(joint / joint.sum())
         assert abs(rho - 1.0) <= 1e-9
 
 

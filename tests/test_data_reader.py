@@ -171,6 +171,21 @@ class TestSpecKeys:
                            match=rf"num\.spec: {key} must be {kind}, got '{value}'$"):
             data.parse_spec(tmp_path / "num.spec")
 
+    @pytest.mark.parametrize("value, want", [
+        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("No", False), ("0", False),
+    ])
+    def test_boolean_value_in_any_case(self, tmp_path, value, want):
+        (tmp_path / "b.spec").write_text(ADULT_LIKE_SPEC + f"strip_label_period = {value}\n")
+        assert data.parse_spec(tmp_path / "b.spec").strip_label_period is want
+
+    @pytest.mark.parametrize("value", ["ture", "", "on"])
+    def test_bad_boolean_value_named_with_key_and_file(self, tmp_path, value):
+        (tmp_path / "b.spec").write_text(ADULT_LIKE_SPEC + f"strip_label_period = {value}\n")
+        with pytest.raises(ValueError, match=rf"b\.spec: strip_label_period must be one of "
+                                             rf"1/0, true/false, yes/no, got '{value}'$"):
+            data.parse_spec(tmp_path / "b.spec")
+
     @pytest.mark.parametrize("split, drop, missing", [
         ("files", ("train_file",), "train_file"),
         ("files", ("test_file",), "test_file"),

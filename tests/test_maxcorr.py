@@ -1,10 +1,10 @@
-"""Maximal-correlation core: Q construction, Jacobi SVD, both evaluators."""
+"""Maximal-correlation core: Q construction, Jacobi SVD, the SVD evaluator against the closed form."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import second_right_singular_vector
+from oracles import renyi_binary, second_right_singular_vector
 from renyifair import maxcorr as mc
 
 
@@ -12,7 +12,7 @@ def random_joint(rng, c, d, zero_mass=False):
     m = rng.random((c, d)) + 1e-3
     if zero_mass:
         m[rng.integers(c), rng.integers(d)] = 0.0
-    return mc.JointTable(m / m.sum())
+    return m / m.sum()
 
 
 def gram_jacobi_sigmas(m, sweeps=200):
@@ -43,42 +43,46 @@ def gram_jacobi_sigmas(m, sweeps=200):
     return np.sort(np.sqrt(np.maximum(np.diag(g), 0.0)))[::-1]
 
 
-class TestJointTable:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sums to"):
-            mc.JointTable(np.array([[0.5, 0.4], [0.2, 0.2]]))
+class TestJointChecks:
+    """``q_from_joint`` is the one validating joint -> Q builder."""
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            mc.JointTable(np.array([[1.1, -0.1], [0.0, 0.0]]))
+    @pytest.mark.parametrize("evaluate", [mc.q_from_joint, mc.renyi_discrete])
+    @pytest.mark.parametrize("joint, message", [
+        (np.array([0.5, 0.5]), "expected a 2-D table"),
+        (np.array([[1.1, -0.1], [0.0, 0.0]]), "negative entries"),
+        (np.array([[0.5, 0.4], [0.2, 0.2]]), "sums to 1.3, not 1"),
+    ])
+    def test_rejects_malformed_table(self, evaluate, joint, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(joint)
 
     def test_marginals(self):
-        jt = mc.JointTable(np.array([[0.4, 0.1], [0.1, 0.4]]))
-        np.testing.assert_allclose(jt.row_marginal(), [0.5, 0.5])
-        np.testing.assert_allclose(jt.col_marginal(), [0.5, 0.5])
+        qm = mc.q_from_joint(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        np.testing.assert_allclose(qm.row_marginal, [0.5, 0.5])
+        np.testing.assert_allclose(qm.col_marginal, [0.5, 0.5])
 
 
 class TestQFromJoint:
     def test_independent_uniform(self):
-        jt = mc.JointTable(np.full((2, 2), 0.25))
+        jt = np.full((2, 2), 0.25)
         np.testing.assert_allclose(mc.q_from_joint(jt).q, np.full((2, 2), 0.5))
 
     def test_deterministic_bijection(self):
-        jt = mc.JointTable(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        jt = np.array([[0.5, 0.0], [0.0, 0.5]])
         np.testing.assert_allclose(mc.q_from_joint(jt).q, np.eye(2))
 
     def test_direct_formula(self):
-        jt = mc.JointTable(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        jt = np.array([[0.4, 0.1], [0.1, 0.4]])
         np.testing.assert_allclose(mc.q_from_joint(jt).q,
                                    [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
 
     def test_zero_marginal_rejected(self):
-        jt = mc.JointTable(np.array([[0.5, 0.5], [0.0, 0.0]]))
+        jt = np.array([[0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(ValueError, match="zero marginal"):
             mc.q_from_joint(jt)
 
     def test_floor_unblocks_zero_marginal(self):
-        jt = mc.JointTable(np.array([[0.5, 0.5], [0.0, 0.0]]))
+        jt = np.array([[0.5, 0.5], [0.0, 0.0]])
         qm = mc.q_from_joint(jt, floor=1e-6)
         assert np.all(np.isfinite(qm.q))
 
@@ -136,14 +140,14 @@ class TestSvdSmall:
 
 class TestRenyiDiscrete:
     def test_independent_uniform_is_zero(self):
-        assert mc.renyi_discrete(mc.JointTable(np.full((2, 2), 0.25))) <= 1e-9
+        assert mc.renyi_discrete(np.full((2, 2), 0.25)) <= 1e-9
 
     def test_bijection_is_one(self):
-        jt = mc.JointTable(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        jt = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert abs(mc.renyi_discrete(jt) - 1.0) <= 1e-9
 
     def test_symmetric_example(self):
-        jt = mc.JointTable(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        jt = np.array([[0.4, 0.1], [0.1, 0.4]])
         assert abs(mc.renyi_discrete(jt) - 0.6) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -166,7 +170,7 @@ class TestRenyiDiscrete:
         rng = np.random.default_rng(seed)
         jt = random_joint(rng, 4, 3)
         rho = mc.renyi_discrete(jt)
-        perm = mc.JointTable(jt.probs[rng.permutation(4)][:, rng.permutation(3)])
+        perm = jt[rng.permutation(4)][:, rng.permutation(3)]
         assert abs(mc.renyi_discrete(perm) - rho) <= 1e-12
 
     def test_product_joint_is_independent(self):
@@ -175,22 +179,22 @@ class TestRenyiDiscrete:
             p = rng.random(4) + 0.05
             q = rng.random(3) + 0.05
             p, q = p / p.sum(), q / q.sum()
-            jt = mc.JointTable(np.outer(p, q))
+            jt = np.outer(p, q)
             assert mc.renyi_discrete(jt) <= 1e-9
 
 
 class TestRenyiBinary:
     def test_worked_example(self):
-        jt = mc.JointTable(np.array([[0.4, 0.1], [0.1, 0.4]]))
-        res = mc.renyi_binary(jt)
+        jt = np.array([[0.4, 0.1], [0.1, 0.4]])
+        res = renyi_binary(jt)
         np.testing.assert_allclose(res.w_star, [-0.3, 0.3], atol=1e-15)
         assert abs(res.gamma - 0.16) <= 1e-12
         assert abs(res.rho - 0.6) <= 1e-12
         assert res.q_prob == 0.5
 
     def test_perfect_dependence(self):
-        jt = mc.JointTable(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        res = mc.renyi_binary(jt)
+        jt = np.array([[0.5, 0.0], [0.0, 0.5]])
+        res = renyi_binary(jt)
         assert abs(res.rho - 1.0) <= 1e-12
         assert abs(res.gamma) <= 1e-12
 
@@ -199,8 +203,8 @@ class TestRenyiBinary:
         p = rng.random(5) + 0.1
         p /= p.sum()
         q = 0.37
-        jt = mc.JointTable(np.outer(p, [1 - q, q]))
-        res = mc.renyi_binary(jt)
+        jt = np.outer(p, [1 - q, q])
+        res = renyi_binary(jt)
         assert res.rho <= 1e-9
         assert abs(res.gamma - q * (1 - q)) <= 1e-12
 
@@ -208,19 +212,19 @@ class TestRenyiBinary:
         rng = np.random.default_rng(5)
         for _ in range(50):
             jt = random_joint(rng, rng.integers(2, 8), 2)
-            assert mc.renyi_binary(jt).gamma <= 0.25 + 1e-12
+            assert renyi_binary(jt).gamma <= 0.25 + 1e-12
 
     def test_requires_binary(self):
-        jt = mc.JointTable(np.full((2, 3), 1 / 6))
+        jt = np.full((2, 3), 1 / 6)
         with pytest.raises(ValueError, match="binary"):
-            mc.renyi_binary(jt)
+            renyi_binary(jt)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     def test_agrees_with_svd_route(self, seed, c):
         rng = np.random.default_rng(seed)
         jt = random_joint(rng, c, 2)
-        assert abs(mc.renyi_binary(jt).rho - mc.renyi_discrete(jt)) <= 1e-9
+        assert abs(renyi_binary(jt).rho - mc.renyi_discrete(jt)) <= 1e-9
 
 
 class TestEmpiricalQ:
@@ -246,13 +250,22 @@ class TestEmpiricalQ:
         hist = np.zeros((c, d))
         for yi, si in zip(y, s):
             hist[yi, si - 1] += 1.0
-        jt = mc.JointTable(hist / n)
+        jt = hist / n
         oracle = mc.q_from_joint(jt, floor=1e-12)
         np.testing.assert_allclose(qm.q, oracle.q, atol=1e-12)
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError, match="nonempty"):
             mc.empirical_q(np.full((4, 2), 0.5), np.array([1, 1, 1, 1]), n_groups=2)
+
+    def test_floor_zero_rejects_class_without_mass(self):
+        probs = np.tile([1.0, 0.0], (4, 1))
+        s = np.array([1, 2, 1, 2])
+        # The 0/0 in Q warns before the check rejects the floored marginal.
+        with pytest.raises(ValueError, match="marginals must be strictly positive"), \
+                np.errstate(invalid="ignore"):
+            mc.empirical_q(probs, s, floor=0.0)
+        assert np.all(np.isfinite(mc.empirical_q(probs, s).q))
 
     def test_rejects_off_simplex(self):
         probs = np.array([[0.6, 0.6], [0.5, 0.5]])

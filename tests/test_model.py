@@ -247,6 +247,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: {message}$"):
             md.load_params(path)
 
+    @pytest.mark.parametrize("body,message", [
+        ("0.5\n\nabc\n0.0\n", r"line 4 'abc' is not a number"),
+        ("0.5\n0.25\n", r"theta has length 2, expected 6"),
+    ])
+    def test_malformed_body_names_file_and_line_or_counts(self, tmp_path, body, message):
+        path = tmp_path / "params.txt"
+        path.write_text("arch=linear input_dim=2 n_classes=2 hidden_dim=0\n" + body)
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(path))}: {message}$"):
+            md.load_params(path)
+
     def test_deterministic_init(self):
         a = md.init_params("one_hidden", 4, 3, hidden_dim=5, seed=1)
         b = md.init_params("one_hidden", 4, 3, hidden_dim=5, seed=1)
