@@ -72,7 +72,8 @@ class ExperimentConfig:
 
     @property
     def lambda_grid(self) -> list[float]:
-        grid = [float(v) for v in self.raw.get("lambda_grid", DEFAULT_LAMBDA_GRID)]
+        grid = [_convert("lambda_grid", float, v)
+                for v in self.raw.get("lambda_grid", DEFAULT_LAMBDA_GRID)]
         if not grid or any(v < 0 for v in grid) or sorted(grid) != grid:
             raise ValueError("lambda_grid must be nonempty, nonnegative, ascending")
         return grid
@@ -154,11 +155,12 @@ def _integer(value) -> int:
 
 
 def _convert(key: str, convert, value):
-    """``convert(value)``, naming the config key in any ValueError."""
+    """``convert(value)``, naming the config key or ``--flag`` in any ValueError."""
     try:
         return convert(value)
     except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from exc
+        source = key if key.startswith("--") else f"config key {key!r}"
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 # The keys each command reads beyond these, with the conversion of each JSON
@@ -407,7 +409,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seeds is not None:
             raw = dict(cfg.raw)
-            raw["seeds"] = [int(s) for s in args.seeds.split(",")]
+            raw["seeds"] = [_convert("--seeds", _integer, s) for s in args.seeds.split(",")]
             cfg = ExperimentConfig(raw)
         runner = cmd_train if args.command == "train" else cmd_cluster
         return runner(cfg, args.out, jobs=args.jobs)
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         return 0
     if args.command == "demo-toy":
-        lambdas = [float(v) for v in args.lambdas.split(",")]
+        lambdas = [_convert("--lambdas", float, v) for v in args.lambdas.split(",")]
         return cmd_demo_toy(args.out, seed=args.seed, lambdas=lambdas)
     return 2
 

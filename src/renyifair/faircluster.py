@@ -159,6 +159,23 @@ def _state_from_assignments(points, sensitive, k: int, assignments) -> ClusterSt
     )
 
 
+def _sq_distances(points, centers) -> np.ndarray:
+    """``((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)``, bit for bit.
+
+    numpy sums fewer than 8 features left to right from 0.0, so below 8 the
+    N x K matrix is accumulated one feature at a time without the N x K x p
+    temporary; from 8 on its pairwise sum adds in another order and the
+    generic expression stays.
+    """
+    if points.shape[1] >= 8:
+        return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        d = points[:, j, None] - centers[None, :, j]
+        d2 += d * d
+    return d2
+
+
 def _init_state(points, sensitive, cfg: ClusterConfig, rng) -> ClusterState:
     n, _ = points.shape
     k = cfg.n_clusters
@@ -166,7 +183,7 @@ def _init_state(points, sensitive, cfg: ClusterConfig, rng) -> ClusterState:
         assignments = rng.integers(0, k, size=n) + 1
     else:
         centers = _kmeanspp_centers(points, k, rng)
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(points, centers)
         assignments = np.argmin(d2, axis=1) + 1
     return _state_from_assignments(points, sensitive, k, assignments.astype(np.int64))
 
@@ -265,7 +282,7 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
 
     for sweep in range(1, cfg.max_sweeps + 1):
         prev = state.assignments.copy()
-        d2 = ((x[:, None, :] - state.centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(x, state.centers)
         if per_point:
             _per_point_pass(d2, s_int, state, cfg.lam)
         else:

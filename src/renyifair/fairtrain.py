@@ -46,7 +46,7 @@ from . import maxcorr
 from .maxcorr import DEFAULT_MARGINAL_FLOOR, GroupIndex
 # ``forward`` is unused here but stays importable as ``fairtrain.forward``:
 # perfbench/smoke.py checks that its tracer wraps this binding.
-from .model import Batch, ModelParams, forward, loss_grad_and_vjp  # noqa: F401
+from .model import Batch, ModelParams, _column_mean, forward, loss_grad_and_vjp  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -130,9 +130,7 @@ def inner_w_closed_form(soft_probs, stilde, floor: float = DEFAULT_MARGINAL_FLOO
         raise ValueError("soft_probs must be N x c with matching stilde")
     if np.any(np.abs(st) != 1.0):
         raise ValueError("stilde entries must be +1 or -1")
-    num = (st[:, None] * f).mean(axis=0)
-    den = np.maximum(f.mean(axis=0), floor)
-    return num / (2.0 * den)
+    return _maximizer(*_binary_means(f, st), floor)
 
 
 def _binary_inner_value(soft_probs, stilde, w) -> tuple[float, float]:
@@ -145,10 +143,22 @@ def _binary_inner_value(soft_probs, stilde, w) -> tuple[float, float]:
     """
     f = np.asarray(soft_probs, dtype=np.float64)
     st = np.asarray(stilde, dtype=np.float64)
-    m = f.mean(axis=0)
-    t = (st[:, None] * f).mean(axis=0)
+    return _centered_value(*_binary_means(f, st), w, float((st.mean() + 1.0) / 2.0))
+
+
+def _binary_means(f, st):
+    """``(mean(F), mean(stilde * F))`` down the columns: all the closed form reads of F."""
+    return _column_mean(f), _column_mean(st[:, None] * f)
+
+
+def _maximizer(m, t, floor):
+    """``w`` of :func:`inner_w_closed_form` from the two column means."""
+    return t / (2.0 * np.maximum(m, floor))
+
+
+def _centered_value(m, t, w, q):
+    """:func:`_binary_inner_value` from the column means and ``q = P(S=1)``."""
     gamma = float(np.sum(w * w * m) - np.sum(w * t) + 0.25)
-    q = float((st.mean() + 1.0) / 2.0)
     qq = q * (1.0 - q)
     centered = qq - gamma
     rho_sq = centered / qq if qq > 0 else 0.0
@@ -189,16 +199,20 @@ def _discrete_penalty(probs, groups: GroupIndex, floor):
 def _dp_penalty(sensitive, floor, n_groups, closed_form):
     """Demographic-parity penalty on one set of rows: ``probs -> (value, seed, sigma2_sq)``.
 
-    The rows are indexed here, once: ``s_tilde`` for the binary closed form,
-    the group index for the SVD route.  ``sigma2_sq`` is the square of the
-    sigma2 the module docstring defines, so that ``eo`` can sum it.
+    The rows are indexed here, once: ``s_tilde`` and its share of group 2
+    for the binary closed form, the group index for the SVD route.  Each
+    closed-form step takes the two column means once, for both ``w`` and
+    the value.  ``sigma2_sq`` is the square of the sigma2 the module
+    docstring defines, so that ``eo`` can sum it.
     """
     if closed_form:
         st = s_tilde(sensitive)
+        q = float((st.mean() + 1.0) / 2.0)
 
         def penalty(probs):
-            w = inner_w_closed_form(probs, st, floor)
-            value, rho_sq = _binary_inner_value(probs, st, w)
+            m, t = _binary_means(probs, st)
+            w = _maximizer(m, t, floor)
+            value, rho_sq = _centered_value(m, t, w, q)
             return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0)
         return penalty
     groups = maxcorr.group_index(sensitive, n_groups)

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _column_mean
+
 # Probability-scale floor applied to estimated marginals before any division
 # or square root; keeps early-training Q estimates finite when a class has
 # near-zero predicted mass.
@@ -333,10 +335,10 @@ def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> Q
     if not groups.complete:
         raise ValueError(f"every sensitive group in 1..{groups.n_groups} must be nonempty")
     pi = groups.shares
-    py = soft_probs.mean(axis=0)
+    py = _column_mean(soft_probs)
     joint = np.empty((soft_probs.shape[1], groups.n_groups))
     for j, rows in enumerate(groups.rows):
-        joint[:, j] = soft_probs.take(rows, axis=0).mean(axis=0) * pi[j]
+        joint[:, j] = _column_mean(soft_probs.take(rows, axis=0)) * pi[j]
     py_f = np.maximum(py, floor)
     pi_f = np.maximum(pi, floor)
     q = joint / np.sqrt(np.outer(py_f, pi_f))

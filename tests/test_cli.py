@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,8 @@ class TestConfigKeys:
         ("cluster", {"n_clusters": 3.5}, "config key 'n_clusters': expected an integer, got 3.5"),
         ("cluster", {"max_sweeps": 2.5}, "config key 'max_sweeps': expected an integer, got 2.5"),
         ("cluster", {"seeds": [0, 1.5]}, "config key 'seeds': expected an integer, got 1.5"),
+        ("train", {"lambda_grid": [0, "x"]},
+         "config key 'lambda_grid': could not convert string to float: 'x'"),
     ])
     def test_bad_values_raise_once_before_output(self, tmp_path, command, overrides, message):
         if command == "train":
@@ -141,6 +144,22 @@ class TestConfigKeys:
             cfg.write_text(json.dumps(dict({"dataset": "toy:0", "n_clusters": 3}, **overrides)))
         with pytest.raises(ValueError, match=message):
             run([command, "--config", cfg, "--out", tmp_path / "out"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seeds", "0.5"], "--seeds: invalid literal for int() with base 10: '0.5'"),
+        (["cluster", "--seeds", "0,x"], "--seeds: invalid literal for int() with base 10: 'x'"),
+        (["demo-toy", "--lambdas", "0,x"], "--lambdas: could not convert string to float: 'x'"),
+    ])
+    def test_bad_flag_value_named_before_output(self, tmp_path, argv, message):
+        if argv[0] == "train":
+            argv = argv + ["--config", write_config(tmp_path / "cfg.json")]
+        elif argv[0] == "cluster":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"dataset": "toy:0", "n_clusters": 3}))
+            argv = argv + ["--config", cfg]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(argv + ["--out", tmp_path / "out"])
         assert not (tmp_path / "out").exists()
 
     def test_loose_json_values_still_accepted(self, tmp_path):

@@ -318,6 +318,28 @@ class TestVectorisedPassMatchesReference:
                                   initial_assignments=COUNTER_A0))
 
 
+class TestSquaredDistances:
+    """The per-feature accumulation must give the bits of the N x K x p sum."""
+
+    @staticmethod
+    def points(rng, n, p):
+        # Mixed magnitudes, so that a different summation order shows.
+        return rng.normal(size=(n, p)) * 10.0 ** rng.integers(-4, 4, size=(n, p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+    def test_bitwise_equal_generic_expression(self, p):
+        rng = np.random.default_rng(p)
+        x, centers = self.points(rng, 500, p), self.points(rng, 14, p)
+        want = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assert fc._sq_distances(x, centers).tobytes() == want.tobytes()
+        loop = np.zeros_like(want)
+        for j in range(p):
+            d = x[:, j, None] - centers[None, :, j]
+            loop += d * d
+        # From 8 features on numpy's pairwise sum adds in another order.
+        assert (loop.tobytes() == want.tobytes()) == (p < 8)
+
+
 def longest_run(flags) -> int:
     best = run = 0
     for f in flags:

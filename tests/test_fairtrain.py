@@ -102,6 +102,32 @@ class TestInnerWClosedForm:
         assert np.abs(t - 2.0 * w * m).max() <= 1e-8
 
 
+class TestClosedFormPenalty:
+    """The training penalty takes each column mean once; its bits must equal
+    the public closed form's, with the floor active or not."""
+
+    @pytest.mark.parametrize("floor_active", [False, True])
+    @pytest.mark.parametrize("c", [2, 3, 7, 9])
+    def test_bitwise_equal_public_closed_form(self, c, floor_active):
+        rng = np.random.default_rng(10 * c + floor_active)
+        n, floor = 400, 1e-6
+        probs = random_probs(rng, n, c)
+        if floor_active:
+            probs[:, 0] *= 1e-9
+            probs /= probs.sum(axis=1, keepdims=True)
+        assert (probs.mean(axis=0) < floor).any() == floor_active
+        sensitive = rng.integers(1, 3, n)
+        value, seed, sigma2_sq = ft._dp_penalty(sensitive, floor, 2, True)(probs)
+        stv = ft.s_tilde(sensitive)
+        w = ft.inner_w_closed_form(probs, stv, floor)
+        centered, rho_sq = ft._binary_inner_value(probs, stv, w)
+        m, t = probs.mean(axis=0), (stv[:, None] * probs).mean(axis=0)
+        assert w.tobytes() == (t / (2.0 * np.maximum(m, floor))).tobytes()
+        assert np.float64(value).tobytes() == np.float64(centered).tobytes()
+        assert np.float64(sigma2_sq).tobytes() == np.float64(max(rho_sq, 0.0)).tobytes()
+        assert seed.tobytes() == ft._binary_seed(stv, w, 1.0 / n).tobytes()
+
+
 class TestPenaltyGradients:
     def test_discrete_penalty_fixed_v_matches_fd(self):
         rng = np.random.default_rng(5)

@@ -163,6 +163,10 @@ class _UfuncSpy:
         self.used.append("reduce")
         return self.ufunc.reduce(*args, **kwargs)
 
+    def accumulate(self, *args, **kwargs):
+        self.used.append("accumulate")
+        return self.ufunc.accumulate(*args, **kwargs)
+
     def __call__(self, *args):
         self.used.append("call")
         return self.ufunc(*args)
@@ -222,6 +226,80 @@ class TestRowReductions:
         logits = 20.0 * rng.normal(size=(300, c))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert md._softmax(logits).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+
+def special_columns(m):
+    """``m`` with an all -0.0 first column, an inf in the second and a nan in the last."""
+    m = m.copy()
+    m[:, 0] = -0.0
+    m[-1, 1] = np.inf
+    m[0, -1] = np.nan
+    return m
+
+
+class TestColumnReductions:
+    """The running accumulate must give the bits of numpy's ``axis=0`` reduce."""
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 2000])
+    @pytest.mark.parametrize("c", [2, 3, 5, 7, 11])
+    def test_bitwise_equal_axis0_reduce(self, c, n):
+        m = awkward_matrix(np.random.default_rng(100 * c + n), n, c)
+        for case in (m, special_columns(m)):
+            for ufunc in (np.add, np.maximum):
+                spy = _UfuncSpy(ufunc)
+                got = md._column_reduce(spy, case)
+                if c <= md._ACCUMULATE_MAX_C:
+                    assert spy.used == ["accumulate"] + (["call"] if ufunc.identity is not None else [])
+                else:
+                    assert spy.used == ["reduce"]
+                assert got.tobytes() == ufunc.reduce(case, axis=0).tobytes()
+            assert md._column_mean(case).tobytes() == case.mean(axis=0).tobytes()
+            assert md._column_reduce(np.add, case).tobytes() == case.sum(axis=0).tobytes()
+            # The running sum has numpy's bits at every width; past
+            # _ACCUMULATE_MAX_C it is only slower.
+            running = 0.0 + np.add.accumulate(case, axis=0)[-1]
+            assert running.tobytes() == case.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("layout", ["one column", "6 columns", "10 columns", "fortran",
+                                        "strided rows", "column slice", "zero rows"])
+    def test_generic_reduce_otherwise(self, layout):
+        m = awkward_matrix(np.random.default_rng(5), 300, 4)
+        case = {"one column": m[:, :1].copy(),
+                "6 columns": awkward_matrix(np.random.default_rng(6), 300, 6),
+                "10 columns": awkward_matrix(np.random.default_rng(10), 300, 10),
+                "fortran": np.asfortranarray(m),
+                "strided rows": m[::2],
+                "column slice": m[:, 1:3],
+                "zero rows": m[:0]}[layout]
+        spy = _UfuncSpy(np.add)
+        got = md._column_reduce(spy, case)
+        assert spy.used == ["reduce"]
+        assert got.tobytes() == case.sum(axis=0).tobytes()
+        if case.shape[0]:
+            assert md._column_mean(case).tobytes() == case.mean(axis=0).tobytes()
+
+    def test_one_column_from_nine_rows_needs_the_generic_reduce(self):
+        # numpy sums a single contiguous column pairwise, so a running sum
+        # rounds differently there.
+        m = awkward_matrix(np.random.default_rng(1), 300, 1)
+        assert np.add.accumulate(m, axis=0)[-1].tobytes() != m.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 4), ("one_hidden", 9)])
+    def test_backward_bitwise_equal_axis0_sums(self, arch, hid):
+        rng = np.random.default_rng(hid)
+        params = md.init_params(arch, 3, 3, hidden_dim=hid, seed=hid)
+        x = 3.0 * rng.normal(size=(500, 3))
+        probs, hidden = md._forward_internals(params, x)
+        dlogits = awkward_matrix(rng, 500, 3)
+        got = md._backward_from_dlogits(params, x, dlogits, hidden)
+        if arch == "linear":
+            want = np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
+        else:
+            w1, b1, w2, b2 = md._unpack_hidden(params)
+            dhidden = (dlogits @ w2) * (1.0 - hidden * hidden)
+            want = np.concatenate([(dhidden.T @ x).ravel(), dhidden.sum(axis=0),
+                                   (dlogits.T @ hidden).ravel(), dlogits.sum(axis=0)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoints:
