@@ -7,6 +7,11 @@ Subcommands::
     renyifair eval    --checkpoint params.txt --dataset spec [--split test]
     renyifair demo-toy --out DIR [--seed 0] [--lambdas 0,1000]
 
+Every command also takes ``--log-level`` (``DEBUG``, ``INFO``, ``WARNING``
+or ``ERROR``; default ``WARNING``), the least severe of the package's log
+records to print to stderr: ``INFO`` adds the dataset reader's count of
+dropped rows to its unseen-token warnings.  No output file depends on it.
+
 Config files are JSON with keys ``dataset``, ``lambda_grid`` and ``seeds``
 plus, for ``train``, ``model`` (``linear`` or ``one_hidden:<width>``) and
 the ``TrainConfig`` fields ``eta``, ``iters``, ``fairness_mode``,
@@ -33,10 +38,12 @@ rerunning a config with the same seeds produces byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import sys
@@ -382,29 +389,54 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="renyifair",
                                      description="Fairness experiments via maximal correlation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="least severe log record printed to stderr (default WARNING)")
 
     for name in ("train", "cluster"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=[common])
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated seed overrides")
         p.add_argument("--jobs", type=int, default=1, help="parallel runs")
 
-    p = sub.add_parser("eval")
+    p = sub.add_parser("eval", parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="dataset spec file")
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.add_argument("--out", default=None, help="optional JSON output path")
 
-    p = sub.add_parser("demo-toy")
+    p = sub.add_parser("demo-toy", parents=[common])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambdas", default="0,1000", help="comma-separated lambda values")
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Print the package's log records at ``level`` and above to stderr while inside."""
+    logger = logging.getLogger("renyifair")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    with _log_to_stderr(args.log_level):
+        return _run(args)
+
+
+def _run(args) -> int:
     if args.command in ("train", "cluster"):
         cfg = load_config(args.config)
         if args.seeds is not None:

@@ -5,12 +5,19 @@ repository) describing the source files, column roles, categorical columns,
 label and sensitive encodings, the train/test split policy, and the
 clustering view; a key outside that list is an error.  ``load_dataset``
 and ``clustering_view`` read the source files through one reader
-(``_read_source``), which the first splits and the second pools, and take
-each column they use as stripped tokens addressed by name (``_column``).
-Categorical features are one-hot encoded with category
-lists collected from the training split (plus an explicit unseen bucket for
-test-time surprises); continuous features are z-scored with training-split
-statistics only.  Labels map to {1, 2} with 2 the positive class; sensitive
+(``_read_source``), which the first splits and the second pools.  The
+reader is columnar: it reads each file whole and checks every line's
+delimiter count; ``_columns`` then joins a block of lines, splits it with
+one ``str.split`` and keeps a stride of the fields for each column a
+caller uses.  A file holding a ``"`` or a carriage return still goes
+through ``csv.reader``, and the ``whitespace`` delimiter through
+``str.split`` per line.  Each distinct token is stripped of blanks and
+quotes once, numeric columns are parsed with ``float`` straight from the
+raw tokens, and the one-hot blocks are written into one preallocated
+matrix.  Categorical features are one-hot encoded
+with category lists collected from the training split (plus an explicit
+unseen bucket for test-time surprises); continuous features are z-scored
+with training-split statistics only.  Labels map to {1, 2} with 2 the positive class; sensitive
 columns map to {1..d} with 2 the privileged group in the binary case.  A
 declared positive token that matches no training row is an error.
 
@@ -24,6 +31,7 @@ import csv
 import logging
 import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +44,8 @@ DATA_ROOT_ENV = "RENYIFAIR_DATA"
 
 _DELIMITERS = {"comma": ",", "semicolon": ";", "whitespace": None}
 UNSEEN = "<unseen>"
+# Lines split at a time by the columnar reader.
+_BLOCK = 4096
 
 
 def data_root() -> str:
@@ -178,14 +188,64 @@ def parse_spec(path) -> DatasetSpec:
     )
 
 
-def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> list[list[list[str]]]:
-    """Unstripped field rows of the spec's source files, one list per file.
+def _read_file(path: str, delim: str | None, width: int, skip: int) -> list:
+    """Kept records of one source file, after its first ``skip`` rows.
+
+    Unquoted delimited text, the common case, is read whole and comes back
+    as its lines, each holding ``width - 1`` delimiters.  Text that holds a
+    ``"`` or a carriage return still goes through ``csv.reader``, the only
+    parser here of quoted fields and of ``\\r`` line ends, and
+    whitespace-delimited text through ``str.split``; their records come
+    back as field rows.
+    """
+    with open(path, newline="") as fh:
+        text = "" if delim is None else fh.read()
+        if delim is None or '"' in text or "\r" in text:
+            fh.seek(0)
+            if delim is None:
+                reader = (line.split() for line in fh)
+            else:
+                reader = csv.reader(fh, delimiter=delim)
+            rows = []
+            for i, row in enumerate(reader):
+                if i < skip or not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
+                rows.append(row)
+            return rows
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty tail after a final newline, not a blank row
+    lines = lines[skip:]
+    counts = list(map(str.count, lines, repeat(delim)))
+    if width == 1 or counts.count(width - 1) < len(lines):
+        # Blank lines (whose count is right when width is 1) or rows of the
+        # wrong width: go line by line.
+        kept = []
+        for i, (line, count) in enumerate(zip(lines, counts), start=skip):
+            if not line.strip():
+                continue
+            if count != width - 1:
+                raise ValueError(f"{path}: row {i + 1} has {count + 1} fields, expected {width}")
+            kept.append(line)
+        lines = kept
+    return lines
+
+
+def _is_lines(records: list) -> bool:
+    return bool(records) and isinstance(records[0], str)
+
+
+def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> list[list]:
+    """Records of the spec's source files, one list per file (see ``_read_file``).
 
     ``split = files`` reads ``train_file`` then ``test_file``, any other
     split ``file``, and an unset one is an error.  Skipped and blank rows are
     left out, a row of the wrong width is an error naming its file and
-    1-based row number, and under ``drop_row`` the rows holding
-    ``missing_token`` are dropped after ``pool`` has joined the files.
+    1-based row number, and under ``drop_row`` the records holding
+    ``missing_token`` as a stripped field are dropped after ``pool`` has
+    joined the files.
     """
     if spec.split == "files":
         sources = [("train_file", spec.skip_rows), ("test_file", spec.test_skip_rows)]
@@ -195,44 +255,34 @@ def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> lis
     if missing:
         raise ValueError(f"spec {spec.name!r}: split {spec.split!r} needs {' and '.join(missing)}")
     delim = _DELIMITERS[spec.delimiter]
-    width = len(spec.columns)
-    parts = []
-    for key, skip in sources:
-        # An absolute file name replaces the root.
-        path = os.path.join(data_root() if root is None else root, getattr(spec, key))
-        rows = []
-        with open(path, newline="") as fh:
-            if delim is None:
-                reader = (line.split() for line in fh)
-            else:
-                reader = csv.reader(fh, delimiter=delim)
-            for i, row in enumerate(reader):
-                if i < skip or not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != width:
-                    raise ValueError(
-                        f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
-                rows.append(row)
-        parts.append(rows)
+    # An absolute file name replaces the root.
+    parts = [_read_file(os.path.join(data_root() if root is None else root, getattr(spec, key)),
+                        delim, len(spec.columns), skip) for key, skip in sources]
     if pool:
-        parts = [[row for rows in parts for row in rows]]
+        if len({_is_lines(p) for p in parts if p}) > 1:
+            parts = [[r.split(delim) for r in p] if _is_lines(p) else p for p in parts]
+        parts = [[r for records in parts for r in records]]
     token = spec.missing_token
     if not token or spec.missing_policy != "drop_row":
         return parts
-    for k, rows in enumerate(parts):
-        # A field that strips to the token holds it, so only rows whose
-        # joined text holds it need their fields stripped.
-        kept = [r for r in rows if token not in "".join(r)
-                or token not in [t.strip().strip('"') for t in r]]
-        if len(kept) < len(rows):
+    for k, records in enumerate(parts):
+        # A field that strips to the token holds it, so only records whose
+        # text holds it need their fields stripped.
+        if _is_lines(records):
+            kept = [r for r in records if token not in r
+                    or token not in map(_strip, r.split(delim))]
+        else:
+            kept = [r for r in records if token not in "".join(r)
+                    or token not in map(_strip, r)]
+        if len(kept) < len(records):
             logger.info("%s: dropped %d rows with missing values",
-                        spec.name, len(rows) - len(kept))
+                        spec.name, len(records) - len(kept))
         parts[k] = kept
     return parts
 
 
-def _split(spec: DatasetSpec, parts: list[list[list[str]]]):
-    """Train and test rows of the reader's files, per the spec's split policy."""
+def _split(spec: DatasetSpec, parts: list[list]):
+    """Train and test records of the reader's files, per the spec's split policy."""
     if spec.split == "files":
         train, test = parts
     else:
@@ -255,24 +305,71 @@ def _split(spec: DatasetSpec, parts: list[list[list[str]]]):
     return train, test
 
 
-def _column(rows: list[list[str]], spec: DatasetSpec, name: str) -> list[str]:
-    """Stripped tokens of column ``name``, a derived one built from its source."""
-    for rule in spec.derive:
-        if rule.name == name:
-            positive = set(rule.positive_tokens)
-            return ["1" if t in positive else "0" for t in _column(rows, spec, rule.source)]
-    i = spec.columns.index(name)
-    return [r[i].strip().strip('"') for r in rows]
+def _columns(records: list, spec: DatasetSpec, names) -> dict[str, list[str]]:
+    """Raw tokens of each column in ``names``, a derived one built from its source.
+
+    Lines are split ``_BLOCK`` at a time by one ``str.split`` of the joined
+    block, and column ``i`` of a block is the stride ``[i::width]`` of its
+    fields; only the columns asked for are kept, so the fields of the
+    others never pile up.
+    """
+    rules = {rule.name: rule for rule in reversed(spec.derive)}  # the first of a name wins
+    raw: dict[str, list[str]] = {_source(name, rules): [] for name in names}
+    width = len(spec.columns)
+    wanted = [(spec.columns.index(name), tokens) for name, tokens in raw.items()]
+    if _is_lines(records):
+        delim = _DELIMITERS[spec.delimiter]
+        for start in range(0, len(records), _BLOCK):
+            fields = delim.join(records[start:start + _BLOCK]).split(delim)
+            for i, tokens in wanted:
+                tokens += fields[i::width]
+    else:
+        for i, tokens in wanted:
+            tokens += [r[i] for r in records]
+    return {name: _derived(name, rules, raw) for name in names}
 
 
-def _encode(tokens: Sequence[str], index: dict[str, int], default: int) -> np.ndarray:
-    """Code ``index[t]`` of each token, ``default`` for tokens not in ``index``."""
-    return np.array([index.get(t, default) for t in tokens], dtype=np.int64)
+def _source(name: str, rules: dict[str, DeriveRule]) -> str:
+    """The source-file column that column ``name`` is derived from, or ``name`` itself."""
+    return _source(rules[name].source, rules) if name in rules else name
+
+
+def _derived(name: str, rules: dict[str, DeriveRule], raw: dict[str, list[str]]) -> list[str]:
+    """Tokens of column ``name``, built by its derive rules from the raw source column."""
+    rule = rules.get(name)
+    if rule is None:
+        return raw[name]
+    tokens = _derived(rule.source, rules, raw)
+    positive = set(rule.positive_tokens)
+    code = {t: "1" if _strip(t) in positive else "0" for t in set(tokens)}
+    return list(map(code.__getitem__, tokens))
+
+
+def _strip(token: str) -> str:
+    return token.strip().strip('"')
+
+
+def _distinct(tokens: Sequence[str]) -> set[str]:
+    """The stripped tokens, each distinct raw token stripped once."""
+    return set(map(_strip, set(tokens)))
+
+
+def _encode(tokens: Sequence[str], index: dict[str, int], default: int,
+            clean=_strip) -> np.ndarray:
+    """Code ``index[clean(t)]`` of each raw token, ``default`` where it is not in ``index``."""
+    code = {t: index.get(clean(t), default) for t in set(tokens)}
+    return np.fromiter(map(code.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
+    # ``float`` skips the blanks that ``str.strip`` would; a token it refuses
+    # (quoted, or padded with \x1c-\x1f) takes the stripped route.
     try:
-        return np.array([float(t) for t in tokens])
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        pass
+    try:
+        return np.array([float(_strip(t)) for t in tokens])
     except ValueError as exc:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 
@@ -354,64 +451,69 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
 
     reserved = {spec.label, *spec.sensitive, *spec.drop}
     feature_cols = [c for c in spec.columns if c not in reserved]
+    if not feature_cols:
+        raise ValueError(f"{spec.name}: no feature columns (every column is the label, "
+                         f"a sensitive column or dropped)")
     categorical = set(spec.categorical)
+    names = [*feature_cols, spec.label, *spec.sensitive]
+    train_cols, test_cols = _columns(train, spec, names), _columns(test, spec, names)
 
     feature_names: list[str] = []
-    blocks_train: list[np.ndarray] = []
-    blocks_test: list[np.ndarray] = []
-    continuous_idx: list[int] = []
+    # Per feature column, train then test: the matrix column of each row's
+    # one-hot 1.0, or a continuous column's index and values.
+    onehot: list[tuple[np.ndarray, np.ndarray]] = []
+    numeric: list[tuple[int, tuple[np.ndarray, np.ndarray]]] = []
     for col in feature_cols:
-        tr = _column(train, spec, col)
-        te = _column(test, spec, col)
+        tr, te = train_cols[col], test_cols[col]
         if col in categorical:
-            cats = sorted(set(tr))
+            cats = sorted(_distinct(tr))
             index = {tok: i for i, tok in enumerate(cats)}
+            offset = len(feature_names)
             feature_names.extend([f"{col}={tok}" for tok in cats] + [f"{col}={UNSEEN}"])
             # Tokens outside the training categories go to the last column.
-            for tokens, blocks, where in ((tr, blocks_train, "train"), (te, blocks_test, "test")):
-                codes = _encode(tokens, index, len(cats))
-                block = np.zeros((len(tokens), len(cats) + 1))
-                block[np.arange(len(tokens)), codes] = 1.0
-                unseen = np.count_nonzero(codes == len(cats))
+            codes = []
+            for tokens, where in ((tr, "train"), (te, "test")):
+                code = _encode(tokens, index, len(cats))
+                unseen = np.count_nonzero(code == len(cats))
                 if unseen:
                     logger.warning("%s: %d unseen %r tokens in %s mapped to the unseen bucket",
                                    spec.name, unseen, col, where)
-                blocks.append(block)
+                codes.append(code + offset)
+            onehot.append(tuple(codes))
         else:
-            blocks_train.append(_numeric(tr, spec, col)[:, None])
-            blocks_test.append(_numeric(te, spec, col)[:, None])
-            continuous_idx.append(len(feature_names))
+            numeric.append((len(feature_names), (_numeric(tr, spec, col), _numeric(te, spec, col))))
             feature_names.append(col)
 
-    x_train = np.hstack(blocks_train)
-    x_test = np.hstack(blocks_test)
+    x_train = np.zeros((len(train), len(feature_names)))
+    x_test = np.zeros((len(test), len(feature_names)))
+    for k, x in enumerate((x_train, x_test)):
+        cells, starts = x.reshape(-1), np.arange(len(x)) * x.shape[1]
+        for codes in onehot:
+            cells[starts + codes[k]] = 1.0
+        for j, values in numeric:
+            x[:, j] = values[k]
     # Continuous columns are standardized with train statistics; one-hot
     # blocks stay 0/1.
-    mean = np.zeros(x_train.shape[1])
-    std = np.ones(x_train.shape[1])
-    if spec.normalization == "zscore" and continuous_idx:
-        cols = np.array(continuous_idx)
-        mean[cols] = x_train[:, cols].mean(axis=0)
-        col_std = x_train[:, cols].std(axis=0)
-        std[cols] = np.where(col_std > 0, col_std, 1.0)
-        x_train = (x_train - mean) / std
-        x_test = (x_test - mean) / std
+    if spec.normalization == "zscore" and numeric:
+        cols = np.array([j for j, _ in numeric])
+        block = x_train[:, cols]
+        mean = block.mean(axis=0)
+        std = block.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        for x in (x_train, x_test):
+            x[:, cols] = (x[:, cols] - mean) / std
 
-    labels = []
-    for rows in (train, test):
-        tokens = _column(rows, spec, spec.label)
-        if spec.strip_label_period:
-            tokens = [t.rstrip(".") for t in tokens]
-        labels.append(_encode(tokens, {spec.positive_label: 2}, 1))
+    clean = (lambda t: _strip(t).rstrip(".")) if spec.strip_label_period else _strip
+    labels = [_encode(cols[spec.label], {spec.positive_label: 2}, 1, clean)
+              for cols in (train_cols, test_cols)]
     if not (labels[0] == 2).any():
         raise _unmatched(spec, "positive_label", spec.positive_label, spec.label, "training row")
 
     # Each sensitive token map is fit on the training tokens alone.
     s_train_cols, s_test_cols, sizes = [], [], []
     for k, col in enumerate(spec.sensitive):
-        tr = _column(train, spec, col)
-        te = _column(test, spec, col)
-        tokens = sorted(set(tr))
+        tr, te = train_cols[col], test_cols[col]
+        tokens = sorted(_distinct(tr))
         if k < len(spec.sensitive_positive):
             pos = spec.sensitive_positive[k]
             if pos not in tokens:
@@ -419,7 +521,7 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
             index = {tok: (2 if tok == pos else 1) for tok in tokens}
         else:
             index = {tok: i + 1 for i, tok in enumerate(tokens)}
-        unknown = sorted(set(te) - index.keys())
+        unknown = sorted(_distinct(te) - index.keys())
         if unknown:
             logger.warning("%s: unseen sensitive tokens %s mapped to group 1",
                            spec.name, unknown)
@@ -454,16 +556,17 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     if not spec.clustering_features or not spec.clustering_sensitive:
         raise ValueError(f"{spec.name}: no clustering view configured")
-    rows = _read_source(spec, root, pool=True)[0]
-    points = np.stack([_numeric(_column(rows, spec, col), spec, col)
-                       for col in spec.clustering_features], axis=1)
+    records = _read_source(spec, root, pool=True)[0]
+    cols = _columns(records, spec, [*spec.clustering_features, spec.clustering_sensitive])
+    points = np.stack([_numeric(cols[col], spec, col) for col in spec.clustering_features],
+                      axis=1)
     pos = spec.clustering_sensitive_positive
-    sensitive = _encode(_column(rows, spec, spec.clustering_sensitive), {pos: 1}, 0)
+    sensitive = _encode(cols[spec.clustering_sensitive], {pos: 1}, 0)
     if not sensitive.any():
         raise _unmatched(spec, "clustering_sensitive_positive", pos,
                          spec.clustering_sensitive, "row")
 
-    n = len(rows)
+    n = len(records)
     size = spec.clustering_samples or n
     if size > n:
         raise ValueError(f"{spec.name}: clustering_samples={size} exceeds {n} rows")

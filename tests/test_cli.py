@@ -325,6 +325,41 @@ MINI_SPEC = ("name = mini\ncolumns = v g cls\nlabel = cls\npositive_label = yes\
              "clustering_sensitive_positive = a\n")
 
 
+class TestLogLevel:
+    """``--log-level`` decides what reaches stderr, and no output file moves with it."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"model": "linear", "fairness_mode": "dp_binary", "eta": 0.3, "iters": 10}),
+        ("cluster", {"n_clusters": 3, "max_sweeps": 10, "init": "kmeanspp"}),
+    ])
+    def test_info_prints_the_drop_count_and_leaves_outputs_alone(self, tmp_path, monkeypatch,
+                                                                 capsys, command, config):
+        (tmp_path / "mini.csv").write_text(MINI_ROWS + "40, ?, yes\n41, a, ?\n")
+        (tmp_path / "mini.spec").write_text(MINI_SPEC + "missing_token = ?\n")
+        monkeypatch.setenv("RENYIFAIR_DATA", str(tmp_path))
+        cfg = tmp_path / "cfg.json"
+        with open(cfg, "w") as fh:
+            json.dump(dict(config, dataset=str(tmp_path / "mini.spec"),
+                           lambda_grid=[0.0, 5.0], seeds=[0]), fh)
+        outputs, stderr = [], []
+        for flags in ([], ["--log-level", "INFO"], ["--log-level", "WARNING"]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert run([command, "--config", cfg, "--out", out, *flags]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            stderr.append(capsys.readouterr().err)
+        assert "INFO renyifair.data: mini: dropped 2 rows with missing values\n" in stderr[1]
+        assert "dropped" not in stderr[0] and "dropped" not in stderr[2]
+        assert {"sweep.csv", "manifest.json"} < outputs[0].keys()
+        assert any(name.startswith(("trace_", "cluster_trace_")) for name in outputs[0])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_unknown_level_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run(["demo-toy", "--out", tmp_path / "out", "--log-level", "CHATTY"])
+        assert "--log-level" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestLoadOncePerSweep:
     """Each sweep reads its dataset once, serial or across worker processes."""
 

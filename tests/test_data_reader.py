@@ -7,11 +7,14 @@ specs, rows and positive tokens must fail with a message that names them.
 """
 
 import dataclasses
+import gc
+import importlib.util
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from renyifair import data
@@ -21,6 +24,17 @@ from test_dataset_specs import BANK_HEADER, fake_adult_row, fake_bank_row, fake_
 REPO = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((REPO / "specs").glob("*.spec")) + sorted(
     (REPO / "perfbench" / "specs").glob("*.spec"))
+
+
+def _import_gen_table():
+    # The benchmark's table generator, loaded by path: perfbench/ is not a package.
+    where = importlib.util.spec_from_file_location("gen_table", REPO / "perfbench" / "gen_table.py")
+    module = importlib.util.module_from_spec(where)
+    where.loader.exec_module(module)
+    return module
+
+
+gen_table = _import_gen_table()
 
 
 def adult_files(tmp_path):
@@ -81,6 +95,58 @@ def shipped(name, write, **changes):
     return build
 
 
+def rewritten(edit, files=("mini_train.csv", "mini_test.csv")):
+    """The mini fixture with ``edit`` applied to the text of ``files``, newlines untranslated."""
+    def build(tmp_path):
+        spec = mini_spec(tmp_path)
+        for name in files:
+            path = tmp_path / name
+            path.write_text(edit(path.read_text()), newline="")
+        return spec
+    return build
+
+
+def skip_short_header(tmp_path):
+    # Two skipped lines: one of a single field, one of two; row 3 is the first record.
+    rows = "\n".join(f"{i}, {'x' if i % 2 else 'y'}, {'1' if i % 3 else '2'}" for i in range(20))
+    (tmp_path / "all.csv").write_text("# export\nv, cat\n" + rows + "\n")
+    (tmp_path / "spec.txt").write_text(
+        "name = s\ncolumns = v cat cls\nlabel = cls\npositive_label = 2\n"
+        "sensitive = cat\ncategorical = cat\nfile = all.csv\nskip_rows = 2\n"
+        "split = head\ntrain_count = 15\ntest_count = 5\nclustering_features = v\n"
+        "clustering_sensitive = cat\nclustering_sensitive_positive = x\n")
+    return data.parse_spec(tmp_path / "spec.txt")
+
+
+def census(name, **changes):
+    # A tiny table from the benchmark's generator: about 2% of rows hold '?',
+    # and the test split, twice the training one, holds categories it lacks.
+    def build(tmp_path):
+        gen_table.generate(3, str(tmp_path), n_train=200, n_test=400)
+        return dataclasses.replace(
+            data.parse_spec(REPO / "perfbench" / "specs" / f"{name}.spec"), **changes)
+    return build
+
+
+# Padding that str.strip removes around a token; float skips all but the
+# \x1c-\x1f separators, which only the stripped route accepts.
+PADDED_ROWS = (" 39\t,\tState-gov , Male, <=50K\n"
+               "50\u2003,\u3000Self-emp, Female , >50K\n"
+               "\x1c38\xa0, Private\t, Male\u2009, >50K\n"
+               "  28  ,Private, Female, <=50K\t\n"
+               "45\x1f,State-gov,Male,<=50K\n"
+               "36, ?, Male, >50K\n")
+
+
+def padded(quoted):
+    def build(tmp_path):
+        rows = PADDED_ROWS
+        if quoted:
+            rows = rows.replace("  28  ,", '"28",').replace(",Private,", ',"Private",')
+        return mini_spec(tmp_path, train_rows=rows)
+    return build
+
+
 LOAD_CASES = {
     "adult": shipped("adult", adult_files),
     "adult_multi": shipped("adult_multi", adult_files),
@@ -92,12 +158,33 @@ LOAD_CASES = {
     "head": split_spec("split = head\ntrain_count = 16\ntest_count = 4\n"),
     "count": split_spec("split = count\ntrain_count = 12\ntest_count = 8\nsplit_seed = 5\n"),
     "fraction": split_spec("split = fraction\ntrain_fraction = 0.75\nsplit_seed = 1\n"),
+    "crlf": rewritten(lambda t: t.replace("\n", "\r\n")),
+    "crlf_train_only": rewritten(lambda t: t.replace("\n", "\r\n"), files=("mini_train.csv",)),
+    "cr_only": rewritten(lambda t: t.replace("\n", "\r")),
+    "no_final_newline": rewritten(lambda t: t.rstrip("\n")),
+    "blank_lines_mid_file": rewritten(lambda t: t.replace("\n", "\n\n   \n\t\n\n", 1)),
+    "missing_token_inside_longer_tokens": rewritten(
+        lambda t: t.replace("State-gov", "State?gov").replace("Private", "??")),
+    "missing_token_quoted": rewritten(lambda t: t.replace(" ?,", ' "?",'),
+                                      files=("mini_train.csv",)),
+    "skip_rows_short_header": skip_short_header,
+    "padded_tokens": padded(quoted=False),
+    "padded_quoted_tokens": padded(quoted=True),
+    "tab_padded_both_files": rewritten(lambda t: t.replace(", ", " ,\t")),
+    "census_wide_tiny": census("census_wide"),
+    "census_wide_pair_tiny": census("census_wide_pair"),
 }
 
 VIEW_CASES = {
     "adult": shipped("adult", adult_files, clustering_samples=200),
     "bank": shipped("bank", bank_file, clustering_samples=200),
     "mini": mini_spec,
+    "mini_quoted": mini_quoted,
+    **{case: LOAD_CASES[case] for case in (
+        "crlf", "crlf_train_only", "cr_only", "no_final_newline", "blank_lines_mid_file",
+        "missing_token_inside_longer_tokens", "missing_token_quoted", "skip_rows_short_header",
+        "padded_tokens", "padded_quoted_tokens")},
+    "census_wide_tiny": census("census_wide", clustering_samples=200),
 }
 
 
@@ -139,6 +226,26 @@ class TestMatchesReference:
         assert records(caplog) == want_log
         assert_same_array(got[0], want[0])
         assert_same_array(got[1], want[1])
+
+
+class TestNoReferenceCycles:
+    """The reader leaves no reference cycles, so a load's tokens are freed as it
+    returns rather than at some later cyclic collection, where they would sit
+    under the next load of a sweep and raise its peak memory."""
+
+    @pytest.mark.parametrize("case", ["bank", "census_wide_tiny", "german", "mini_quoted"])
+    def test_load_and_view_leave_no_garbage(self, case, tmp_path):
+        runs = [(data.load_dataset, LOAD_CASES[case](tmp_path))]
+        if case in VIEW_CASES:
+            runs.append((data.clustering_view, VIEW_CASES[case](tmp_path)))
+        gc.collect()
+        gc.disable()
+        try:
+            for load, spec in runs:
+                load(spec, root=str(tmp_path))
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSpecKeys:
@@ -218,6 +325,88 @@ class TestMalformedRows:
             data.clustering_view(spec, root=str(tmp_path))
         with pytest.raises(ValueError, match=r"^mini: non-numeric token in column 'age'"):
             data.load_dataset(spec, root=str(tmp_path))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("skip, header", [(0, ""), (2, "# export\nage, sex\n")])
+    @pytest.mark.parametrize("short, fields", [("38, Private, Male", 3),
+                                               ("38, Private, Male, >50K, x", 5)])
+    def test_wrong_width_after_blank_lines_names_physical_row(self, tmp_path, newline, skip,
+                                                             header, short, fields):
+        rows = header + TRAIN_ROWS.replace("38, Private, Male, >50K", "\n  \n" + short)
+        spec = dataclasses.replace(mini_spec(tmp_path), skip_rows=skip)
+        (tmp_path / "mini_train.csv").write_text(rows.replace("\n", newline), newline="")
+        # Rows 1-2, a blank and a whitespace-only line, then the bad row.
+        for load in (data.load_dataset, data.clustering_view):
+            with pytest.raises(ValueError, match=rf"mini_train\.csv: row {5 + skip} has "
+                                                 rf"{fields} fields, expected 4$"):
+                load(spec, root=str(tmp_path))
+
+    def test_spec_without_feature_columns_rejected(self, tmp_path):
+        spec = dataclasses.replace(mini_spec(tmp_path), drop=("age", "workclass"))
+        with pytest.raises(ValueError, match=r"^mini: no feature columns \(every column is "
+                                             r"the label, a sensitive column or dropped\)$"):
+            data.load_dataset(spec, root=str(tmp_path))
+
+    def test_whitespace_delimited_ragged_row_names_file_and_row(self, tmp_path):
+        rng = np.random.default_rng(2)
+        rows = [fake_german_row(rng) for _ in range(30)]
+        rows[3] = rows[3].rsplit(" ", 1)[0]
+        (tmp_path / "german.data").write_text("\n".join(rows[:2] + ["", "  "] + rows[2:]) + "\n")
+        with pytest.raises(ValueError, match=r"german\.data: row 6 has 20 fields, expected 21$"):
+            data.load_dataset(REPO / "specs" / "german.spec", root=str(tmp_path))
+
+
+# Blanks around tokens: float skips all but the \x1c-\x1f separators, which
+# str.strip also removes.
+BLANKS = [" ", "\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c", "\x1f", "\x85"]
+pads = st.lists(st.sampled_from(BLANKS), max_size=3).map("".join)
+
+
+@st.composite
+def padded_tokens(draw, core):
+    token = draw(core)
+    if draw(st.booleans()):
+        token = f'"{token}"'
+    return draw(pads) + token + draw(pads)
+
+
+def stripped_route(tokens):
+    return [t.strip().strip('"') for t in tokens]
+
+
+class TestTokenRoutes:
+    """The whole-column routes against stripping every token, as the reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(padded_tokens(st.floats(allow_nan=False).map(repr)
+                                  | st.integers(-10**6, 10**6).map(str)), max_size=12))
+    def test_numeric_same_bits_as_stripped_tokens(self, tokens):
+        spec = data.DatasetSpec(name="n", columns=("v",), label="v", positive_label="",
+                                sensitive=("v",))
+        want = np.array([float(t) for t in stripped_route(tokens)])
+        assert_same_array(data._numeric(tokens, spec, "v"), want)
+
+    @pytest.mark.parametrize("bad", ["4o", " 4o\t", '"4o"', '\u2003 "4o"', "\x1c4o"])
+    def test_bad_numeric_token_raises_the_reference_message(self, tmp_path, bad):
+        spec = mini_spec(tmp_path, train_rows=TRAIN_ROWS.replace("50,", bad + ","))
+        with pytest.raises(ValueError) as want:
+            oracles.load_dataset_reference(spec, root=str(tmp_path))
+        for load in (data.load_dataset, data.clustering_view):
+            with pytest.raises(ValueError) as got:
+                load(spec, root=str(tmp_path))
+            assert str(got.value) == str(want.value) == (
+                "mini: non-numeric token in column 'age': could not convert string to "
+                "float: '4o'")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(padded_tokens(st.sampled_from(["a", "b", "?", "a b", "", ">50K."])),
+                    max_size=20),
+           st.sets(st.sampled_from(["a", "b", "?", "a b", "", ">50K."])))
+    def test_codes_match_stripping_every_token(self, tokens, known):
+        index = {tok: i + 3 for i, tok in enumerate(sorted(known))}
+        want = np.array([index.get(t, 0) for t in stripped_route(tokens)], dtype=np.int64)
+        assert_same_array(data._encode(tokens, index, 0), want)
+        assert data._distinct(tokens) == set(stripped_route(tokens))
 
 
 class TestUnmatchedPositive:
