@@ -14,12 +14,17 @@ through ``csv.reader``, and the ``whitespace`` delimiter through
 ``str.split`` per line.  Each distinct token is stripped of blanks and
 quotes once, numeric columns are parsed with ``float`` straight from the
 raw tokens, and the one-hot blocks are written into one preallocated
-matrix.  Categorical features are one-hot encoded
-with category lists collected from the training split (plus an explicit
-unseen bucket for test-time surprises); continuous features are z-scored
-with training-split statistics only.  Labels map to {1, 2} with 2 the positive class; sensitive
-columns map to {1..d} with 2 the privileged group in the binary case.  A
-declared positive token that matches no training row is an error.
+matrix.  ``load_dataset`` encodes every column first (one-hot codes,
+numeric values, labels and sensitive codes) and lets go of the lines and
+tokens before it allocates the two feature matrices, which ``Batch`` then
+takes over without a copy: the tokens and the matrices are never alive
+at once, nor are two copies of a matrix.  Categorical features are
+one-hot encoded with category lists collected from the training split
+(plus an explicit unseen bucket for test-time surprises); continuous
+features are z-scored with training-split statistics only.  Labels map
+to {1, 2} with 2 the positive class; sensitive columns map to {1..d} with
+2 the privileged group in the binary case.  A declared positive token
+that matches no training row is an error.
 
 Nothing here touches the network: source files are resolved against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -439,14 +444,16 @@ def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> 
     return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuple(tuples))
 
 
-def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
-    """Parse, split, and encode a dataset per its spec file.
+def _encode_splits(spec: DatasetSpec, root: str | None):
+    """Codes of every column of the spec's train and test splits.
 
-    Categorical one-hot category lists, normalization statistics, and
-    sensitive/label token maps all come from the training split alone, so
-    altering a test row can never change the training encoding.
+    Returns the feature names; per categorical feature column, train then
+    test, the matrix column of each row's one-hot 1.0; per continuous one,
+    its matrix column and train and test values; the train and test labels
+    and sensitive values; and the sensitive tuples.  Records and tokens
+    are locals here, so they are freed by the time the caller builds the
+    feature matrices from these codes.
     """
-    spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     train, test = _split(spec, _read_source(spec, root))
 
     reserved = {spec.label, *spec.sensitive, *spec.drop}
@@ -457,10 +464,9 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
     categorical = set(spec.categorical)
     names = [*feature_cols, spec.label, *spec.sensitive]
     train_cols, test_cols = _columns(train, spec, names), _columns(test, spec, names)
+    del train, test  # the lines; only their tokens are read from here on
 
     feature_names: list[str] = []
-    # Per feature column, train then test: the matrix column of each row's
-    # one-hot 1.0, or a continuous column's index and values.
     onehot: list[tuple[np.ndarray, np.ndarray]] = []
     numeric: list[tuple[int, tuple[np.ndarray, np.ndarray]]] = []
     for col in feature_cols:
@@ -483,25 +489,6 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         else:
             numeric.append((len(feature_names), (_numeric(tr, spec, col), _numeric(te, spec, col))))
             feature_names.append(col)
-
-    x_train = np.zeros((len(train), len(feature_names)))
-    x_test = np.zeros((len(test), len(feature_names)))
-    for k, x in enumerate((x_train, x_test)):
-        cells, starts = x.reshape(-1), np.arange(len(x)) * x.shape[1]
-        for codes in onehot:
-            cells[starts + codes[k]] = 1.0
-        for j, values in numeric:
-            x[:, j] = values[k]
-    # Continuous columns are standardized with train statistics; one-hot
-    # blocks stay 0/1.
-    if spec.normalization == "zscore" and numeric:
-        cols = np.array([j for j, _ in numeric])
-        block = x_train[:, cols]
-        mean = block.mean(axis=0)
-        std = block.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        for x in (x_train, x_test):
-            x[:, cols] = (x[:, cols] - mean) / std
 
     clean = (lambda t: _strip(t).rstrip(".")) if spec.strip_label_period else _strip
     labels = [_encode(cols[spec.label], {spec.positive_label: 2}, 1, clean)
@@ -529,18 +516,50 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         s_train_cols.append(_encode(tr, index, 1))
         s_test_cols.append(_encode(te, index, 1))
     if len(spec.sensitive) == 1:
-        s_train, s_test = s_train_cols[0], s_test_cols[0]
+        sensitive = s_train_cols[0], s_test_cols[0]
         tuples = tuple((v,) for v in range(1, sizes[0] + 1))
     else:
         combined_train = combine_sensitive(s_train_cols, sizes)
         combined_test = combine_sensitive(s_test_cols, sizes)
-        s_train, s_test = combined_train.values, combined_test.values
+        sensitive = combined_train.values, combined_test.values
         tuples = combined_train.tuples
+    return feature_names, onehot, numeric, labels, sensitive, tuples
 
+
+def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
+    """Parse, split, and encode a dataset per its spec file.
+
+    Categorical one-hot category lists, normalization statistics, and
+    sensitive/label token maps all come from the training split alone, so
+    altering a test row can never change the training encoding.
+    """
+    spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
+    feature_names, onehot, numeric, labels, sensitive, tuples = _encode_splits(spec, root)
+
+    x_train = np.zeros((len(labels[0]), len(feature_names)))
+    x_test = np.zeros((len(labels[1]), len(feature_names)))
+    for k, x in enumerate((x_train, x_test)):
+        cells, starts = x.reshape(-1), np.arange(len(x)) * x.shape[1]
+        for codes in onehot:
+            cells[starts + codes[k]] = 1.0
+        for j, values in numeric:
+            x[:, j] = values[k]
+    # Continuous columns are standardized with train statistics; one-hot
+    # blocks stay 0/1.
+    if spec.normalization == "zscore" and numeric:
+        cols = np.array([j for j, _ in numeric])
+        block = x_train[:, cols]
+        mean = block.mean(axis=0)
+        std = block.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        for x in (x_train, x_test):
+            x[:, cols] = (x[:, cols] - mean) / std
+
+    # Batch takes over these fresh arrays without a copy.
     return EncodedDataset(
         spec=spec,
-        train=Batch(x_train, labels[0], s_train),
-        test=Batch(x_test, labels[1], s_test),
+        train=Batch(x_train, labels[0], sensitive[0]),
+        test=Batch(x_test, labels[1], sensitive[1]),
         feature_names=tuple(feature_names),
         sensitive_tuples=tuples,
     )
@@ -595,4 +614,4 @@ def synth_yequalss(n: int, seed: int = 0) -> Batch:
     x[half:] += np.array([-3.0, 0.0])
     labels = np.concatenate([np.full(half, 2), np.full(half, 1)])
     order = rng.permutation(n)
-    return Batch(x[order], labels[order], labels[order].copy())
+    return Batch(x[order], labels[order], labels[order])

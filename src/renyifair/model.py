@@ -84,7 +84,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Batch:
-    """Feature matrix with labels in {1..c} and sensitive groups in {1..d}."""
+    """Feature matrix with labels in {1..c} and sensitive groups in {1..d}.
+
+    Every stored array is C-contiguous, float64 features and int64 labels
+    and sensitive values, and read-only.  An array that owns its data and
+    is already C-contiguous of that dtype is taken over, not copied: it is
+    marked read-only in place and stored.  So a caller that hands one over
+    must not write through another view of it afterwards.  Anything else
+    (a view or slice, another layout or dtype, a list) is copied.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -102,7 +110,8 @@ class Batch:
         if n and (y.min() < 1 or s.min() < 1):
             raise ValueError("labels and sensitive values are 1-based")
         for name, arr in (("features", x), ("labels", y), ("sensitive", s)):
-            arr = arr.copy()
+            if not (arr.flags.owndata and arr.flags.c_contiguous):
+                arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import importlib.util
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,24 @@ class TestNoReferenceCycles:
                 assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestOneCopyAtATime:
+    """``load_dataset`` lets go of its lines and tokens before it allocates the
+    feature matrices, and ``Batch`` takes those over without a copy, so what a
+    load allocates on top of its result stays below one copy of the matrices."""
+
+    def test_transient_memory_below_one_matrix_copy(self, tmp_path):
+        gen_table.generate(3, str(tmp_path), n_train=2000, n_test=1000)
+        spec = data.parse_spec(REPO / "perfbench" / "specs" / "census_wide.spec")
+        gc.collect()
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            got = data.load_dataset(spec, root=str(tmp_path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < got.train.features.nbytes + got.test.features.nbytes
 
 
 class TestSpecKeys:

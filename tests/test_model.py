@@ -302,6 +302,69 @@ class TestColumnReductions:
         assert got.tobytes() == want.tobytes()
 
 
+FIELDS = ("features", "labels", "sensitive")
+
+
+class TestBatchHandOver:
+    """``Batch`` takes over an owned C-contiguous array of its dtype and copies anything else."""
+
+    def owned(self, rng, n=12, p=3):
+        return rng.normal(size=(n, p)), rng.integers(1, 3, n), rng.integers(1, 4, n)
+
+    def test_owned_arrays_taken_over_read_only(self):
+        given = self.owned(np.random.default_rng(0))
+        batch = md.Batch(*given)
+        for name, arr in zip(FIELDS, given):
+            stored = getattr(batch, name)
+            assert np.shares_memory(stored, arr)
+            assert not stored.flags.writeable and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("part", ["row_slice", "column_slice", "fortran", "list",
+                                      "float32", "int32"])
+    def test_anything_else_copied_to_c_order(self, part):
+        x, y, s = self.owned(np.random.default_rng(1))
+        wide = np.random.default_rng(2).normal(size=(12, 5))
+        given = {"row_slice": (x[::2], y[::2], s[::2]),
+                 "column_slice": (wide[:, 1:4], y, s),
+                 "fortran": (np.asfortranarray(x), y, s),
+                 "list": (x.tolist(), y.tolist(), s.tolist()),
+                 "float32": (x.astype(np.float32), y, s),
+                 "int32": (x, y.astype(np.int32), s.astype(np.int32))}[part]
+        copied = {"row_slice": FIELDS, "column_slice": ("features",),
+                  "fortran": ("features",), "list": FIELDS, "float32": ("features",),
+                  "int32": ("labels", "sensitive")}[part]
+        batch = md.Batch(*given)
+        for name, arr in zip(FIELDS, given):
+            stored = getattr(batch, name)
+            assert stored.flags.c_contiguous and not stored.flags.writeable
+            np.testing.assert_array_equal(stored, arr)
+            if name in copied:
+                assert not np.shares_memory(stored, np.asarray(arr))
+                if isinstance(arr, np.ndarray):
+                    assert arr.flags.writeable
+
+    def test_subset_shares_nothing_with_its_parent(self):
+        batch = md.Batch(*self.owned(np.random.default_rng(3)))
+        for idx in (np.array([4, 0, 7]), np.arange(12) % 3 == 0):
+            sub = batch.subset(idx)
+            for name in FIELDS:
+                assert not np.shares_memory(getattr(sub, name), getattr(batch, name))
+                assert not getattr(sub, name).flags.writeable
+
+    @pytest.mark.parametrize("given,message", [
+        ((np.zeros(4), np.ones(4), np.ones(4)), "features must be N x p"),
+        ((np.zeros((4, 2)), np.ones(3), np.ones(4)), "lengths do not match"),
+        ((np.zeros((4, 2)), np.ones(4), np.ones((4, 1))), "lengths do not match"),
+        ((np.zeros((4, 2)), np.array([1, 0, 1, 1]), np.ones(4)), "1-based"),
+        ((np.zeros((4, 2)), np.ones(4), np.array([1, 2, 0, 1])), "1-based"),
+    ])
+    def test_checks_still_raise(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            md.Batch(*given)
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 3)])
     def test_round_trip(self, tmp_path, arch, hid):
