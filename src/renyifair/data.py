@@ -7,14 +7,17 @@ clustering view; a key outside that list is an error.  ``load_dataset``
 and ``clustering_view`` read the source files through one reader
 (``_read_source``), which the first splits and the second pools.  The
 reader is columnar: it reads each file whole and checks every line's
-delimiter count; ``_columns`` then joins a block of lines, splits it with
-one ``str.split`` and keeps a stride of the fields for each column a
-caller uses.  A file holding a ``"`` or a carriage return still goes
-through ``csv.reader``, and the ``whitespace`` delimiter through
-``str.split`` per line.  Each distinct token is stripped of blanks and
-quotes once, numeric columns are parsed with ``float`` straight from the
-raw tokens, and the one-hot blocks are written into one preallocated
-matrix.  ``load_dataset`` encodes every column first (one-hot codes,
+delimiter count.  ``_numeric_columns`` parses the continuous columns of
+those lines with numpy's C reader (``np.loadtxt``); every other column,
+and every continuous one the C reader refuses, goes through ``_columns``,
+which joins a block of lines, splits it with one ``str.split`` and keeps a
+stride of the fields for each column a caller uses.  A file holding a
+``"`` or a carriage return still goes through ``csv.reader``, and the
+``whitespace`` delimiter through ``str.split`` per line.  Each distinct
+token is stripped of blanks and quotes once, numeric tokens are parsed
+with ``float`` straight from the raw tokens, and the one-hot blocks are
+written into one preallocated matrix.  ``load_dataset`` encodes every
+column first (one-hot codes,
 numeric values, labels and sensitive codes) and lets go of the lines and
 tokens before it allocates the two feature matrices, which ``Batch`` then
 takes over without a copy: the tokens and the matrices are never alive
@@ -379,6 +382,33 @@ def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 
 
+def _numeric_columns(records: list, spec: DatasetSpec, names: Sequence[str]) -> np.ndarray:
+    """N x k float64 values of the continuous columns ``names``, in that order.
+
+    Lines (the unquoted case of ``_read_file``, never blank) go through
+    numpy's C reader unless a column asked for is derived.  It skips the
+    blanks ``str.strip`` removes and parses the rest with
+    ``PyOS_string_to_double``, as ``float`` does.  What it refuses
+    (underscores, non-ASCII digits, quotes, bad tokens) goes, like field
+    rows, derived columns and empty input, through the token route
+    (``_columns`` and ``_numeric``), which accepts it or raises the
+    non-numeric error.  The two routes give the same bits.
+    """
+    derived = {rule.name for rule in spec.derive}
+    if _is_lines(records) and derived.isdisjoint(names):
+        try:
+            return np.loadtxt(records, delimiter=_DELIMITERS[spec.delimiter],
+                              usecols=[spec.columns.index(name) for name in names],
+                              dtype=np.float64, ndmin=2, comments=None, quotechar=None)
+        except ValueError:
+            pass
+    cols = _columns(records, spec, names)
+    values = np.empty((len(records), len(names)))
+    for j, name in enumerate(names):
+        values[:, j] = _numeric(cols[name], spec, name)
+    return values
+
+
 def _unmatched(spec: DatasetSpec, key: str, token: str, col: str, rows: str) -> ValueError:
     return ValueError(f"{spec.name}: {key} {token!r} matches no {rows} in column {col!r}")
 
@@ -448,11 +478,11 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
     """Codes of every column of the spec's train and test splits.
 
     Returns the feature names; per categorical feature column, train then
-    test, the matrix column of each row's one-hot 1.0; per continuous one,
-    its matrix column and train and test values; the train and test labels
-    and sensitive values; and the sensitive tuples.  Records and tokens
-    are locals here, so they are freed by the time the caller builds the
-    feature matrices from these codes.
+    test, the matrix column of each row's one-hot 1.0; the matrix columns
+    of the continuous features and their train and test values; the train
+    and test labels and sensitive values; and the sensitive tuples.
+    Records and tokens are locals here, so they are freed by the time the
+    caller builds the feature matrices from these codes.
     """
     train, test = _split(spec, _read_source(spec, root))
 
@@ -461,17 +491,19 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
     if not feature_cols:
         raise ValueError(f"{spec.name}: no feature columns (every column is the label, "
                          f"a sensitive column or dropped)")
-    categorical = set(spec.categorical)
-    names = [*feature_cols, spec.label, *spec.sensitive]
+    categorical = [c for c in feature_cols if c in spec.categorical]
+    continuous = [c for c in feature_cols if c not in spec.categorical]
+    values = _numeric_columns(train, spec, continuous), _numeric_columns(test, spec, continuous)
+    names = [*categorical, spec.label, *spec.sensitive]
     train_cols, test_cols = _columns(train, spec, names), _columns(test, spec, names)
     del train, test  # the lines; only their tokens are read from here on
 
     feature_names: list[str] = []
     onehot: list[tuple[np.ndarray, np.ndarray]] = []
-    numeric: list[tuple[int, tuple[np.ndarray, np.ndarray]]] = []
+    numeric: list[int] = []
     for col in feature_cols:
-        tr, te = train_cols[col], test_cols[col]
         if col in categorical:
+            tr, te = train_cols[col], test_cols[col]
             cats = sorted(_distinct(tr))
             index = {tok: i for i, tok in enumerate(cats)}
             offset = len(feature_names)
@@ -487,7 +519,7 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
                 codes.append(code + offset)
             onehot.append(tuple(codes))
         else:
-            numeric.append((len(feature_names), (_numeric(tr, spec, col), _numeric(te, spec, col))))
+            numeric.append(len(feature_names))
             feature_names.append(col)
 
     clean = (lambda t: _strip(t).rstrip(".")) if spec.strip_label_period else _strip
@@ -523,7 +555,7 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
         combined_test = combine_sensitive(s_test_cols, sizes)
         sensitive = combined_train.values, combined_test.values
         tuples = combined_train.tuples
-    return feature_names, onehot, numeric, labels, sensitive, tuples
+    return feature_names, onehot, (numeric, values), labels, sensitive, tuples
 
 
 def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
@@ -534,7 +566,7 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
     altering a test row can never change the training encoding.
     """
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
-    feature_names, onehot, numeric, labels, sensitive, tuples = _encode_splits(spec, root)
+    feature_names, onehot, (numeric, values), labels, sensitive, tuples = _encode_splits(spec, root)
 
     x_train = np.zeros((len(labels[0]), len(feature_names)))
     x_test = np.zeros((len(labels[1]), len(feature_names)))
@@ -542,18 +574,16 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         cells, starts = x.reshape(-1), np.arange(len(x)) * x.shape[1]
         for codes in onehot:
             cells[starts + codes[k]] = 1.0
-        for j, values in numeric:
-            x[:, j] = values[k]
+        x[:, numeric] = values[k]
     # Continuous columns are standardized with train statistics; one-hot
     # blocks stay 0/1.
     if spec.normalization == "zscore" and numeric:
-        cols = np.array([j for j, _ in numeric])
-        block = x_train[:, cols]
+        block = x_train[:, numeric]
         mean = block.mean(axis=0)
         std = block.std(axis=0)
         std = np.where(std > 0, std, 1.0)
         for x in (x_train, x_test):
-            x[:, cols] = (x[:, cols] - mean) / std
+            x[:, numeric] = (x[:, numeric] - mean) / std
 
     # Batch takes over these fresh arrays without a copy.
     return EncodedDataset(
@@ -576,14 +606,12 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     if not spec.clustering_features or not spec.clustering_sensitive:
         raise ValueError(f"{spec.name}: no clustering view configured")
     records = _read_source(spec, root, pool=True)[0]
-    cols = _columns(records, spec, [*spec.clustering_features, spec.clustering_sensitive])
-    points = np.stack([_numeric(cols[col], spec, col) for col in spec.clustering_features],
-                      axis=1)
+    points = _numeric_columns(records, spec, spec.clustering_features)
+    col = spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
-    sensitive = _encode(cols[spec.clustering_sensitive], {pos: 1}, 0)
+    sensitive = _encode(_columns(records, spec, [col])[col], {pos: 1}, 0)
     if not sensitive.any():
-        raise _unmatched(spec, "clustering_sensitive_positive", pos,
-                         spec.clustering_sensitive, "row")
+        raise _unmatched(spec, "clustering_sensitive_positive", pos, col, "row")
 
     n = len(records)
     size = spec.clustering_samples or n

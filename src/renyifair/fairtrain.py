@@ -148,7 +148,7 @@ def _binary_inner_value(soft_probs, stilde, w) -> tuple[float, float]:
 
 def _binary_means(f, st):
     """``(mean(F), mean(stilde * F))`` down the columns: all the closed form reads of F."""
-    return _column_mean(f), _column_mean(st[:, None] * f)
+    return _column_mean(f), _column_mean(st[:, None] * f, overwrite=True)
 
 
 def _maximizer(m, t, floor):
@@ -191,7 +191,7 @@ def _discrete_penalty(probs, groups: GroupIndex, floor):
     active = p_class > floor
     a = 2.0 * r / np.sqrt(p_class)
     b = np.where(active, r * r / p_class, 0.0)
-    g = (v / np.sqrt(p_group))[groups.codes]
+    g = (v / np.sqrt(p_group)).take(groups.codes)
     seed = (np.outer(g, a) - b[None, :]) / n
     return value, seed, sigma2, v
 
@@ -267,10 +267,10 @@ def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tup
     if groups is None:
         s = np.asarray(sensitive)
         groups = maxcorr.group_index(s, int(s.max()))
-    totals = [float(xc[rows].sum()) for rows in groups.rows]
+    totals = [float(xc.take(rows).sum()) for rows in groups.rows]
     value = sum(t * t for t in totals) / (n * n)
     mix = sum(t * rows.size for t, rows in zip(totals, groups.rows)) / n
-    seed[:, 1] = 2.0 * (np.array(totals)[groups.codes] - mix) / (n * n)
+    seed[:, 1] = 2.0 * (np.array(totals).take(groups.codes) - mix) / (n * n)
     return float(value), seed
 
 
@@ -324,9 +324,9 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
         def penalty(probs):
             total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
             for idx, dp in slices:
-                value, sl_seed, sl_sq = dp(probs[idx])
+                value, sl_seed, sl_sq = dp(probs.take(idx, axis=0))
                 total += value
-                seed[idx] += sl_seed
+                seed[idx] += sl_seed  # += onto zeros, not =: a -0.0 seed lands as 0.0
                 sq_sum += sl_sq
             return total, seed, float(np.sqrt(sq_sum))
         return penalty

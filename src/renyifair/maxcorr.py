@@ -338,7 +338,7 @@ def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> Q
     py = _column_mean(soft_probs)
     joint = np.empty((soft_probs.shape[1], groups.n_groups))
     for j, rows in enumerate(groups.rows):
-        joint[:, j] = _column_mean(soft_probs.take(rows, axis=0)) * pi[j]
+        joint[:, j] = _column_mean(soft_probs.take(rows, axis=0), overwrite=True) * pi[j]
     py_f = np.maximum(py, floor)
     pi_f = np.maximum(pi, floor)
     q = joint / np.sqrt(np.outer(py_f, pi_f))

@@ -32,7 +32,8 @@ order, so it gives numpy's bits for a C-contiguous array with at least one
 row and 2 to 11 columns (the widths tested; a single column numpy sums
 pairwise from 9 rows on).  It is faster only up to 5 columns, so only those
 take it: one column, any other layout, zero rows and 6 or more columns take
-the generic reduce.
+the generic reduce.  A caller done with its N x c temporary lets the running
+sum overwrite it (``overwrite=True``), so no second N x c array is made.
 """
 
 from __future__ import annotations
@@ -215,25 +216,27 @@ def _row_reduce(ufunc: np.ufunc, m: np.ndarray) -> np.ndarray:
     return out[:, None]
 
 
-def _column_reduce(ufunc: np.ufunc, m: np.ndarray) -> np.ndarray:
+def _column_reduce(ufunc: np.ufunc, m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """``ufunc.reduce(m, axis=0)``, bit for bit.
 
     For a C-contiguous ``m`` with 2 to 5 columns numpy reduces down the
     columns one row at a time from the ufunc's identity, which a running
     ``accumulate`` repeats in fewer calls.  One column (a pairwise sum from
     9 rows on), any other layout, wider rows and zero rows take the generic
-    reduce.
+    reduce.  With ``overwrite`` the running ``accumulate`` is written into
+    ``m`` itself, a temporary the caller owns, rather than into a new
+    N x c array.
     """
     n, c = m.shape
     if n == 0 or not 2 <= c <= _ACCUMULATE_MAX_C or not m.flags.c_contiguous:
         return ufunc.reduce(m, axis=0)
-    last = ufunc.accumulate(m, axis=0)[-1]
+    last = ufunc.accumulate(m, axis=0, out=m if overwrite else None)[-1]
     return last if ufunc.identity is None else ufunc(ufunc.identity, last)
 
 
-def _column_mean(m: np.ndarray) -> np.ndarray:
+def _column_mean(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """``m.mean(axis=0)``, bit for bit: numpy's mean is the sum over N."""
-    return _column_reduce(np.add, m) / m.shape[0]
+    return _column_reduce(np.add, m, overwrite) / m.shape[0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

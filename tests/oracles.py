@@ -310,6 +310,19 @@ def load_dataset_reference(path_or_spec, root: str | None = None) -> EncodedData
     )
 
 
+def numeric_columns_reference(rows: list[list[str]], spec: DatasetSpec, names) -> np.ndarray:
+    """Continuous columns ``names`` of field rows as the reference reads them:
+    every token stripped of blanks and quotes, then ``float``; N x k float64."""
+    table = _Table([[tok.strip().strip('"') for tok in row] for row in rows], spec)
+    cols = []
+    for col in names:
+        try:
+            cols.append(np.array([float(t) for t in table.column(col)]))
+        except ValueError as exc:
+            raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}")
+    return np.stack(cols, axis=1)
+
+
 def clustering_view_reference(path_or_spec, root: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Continuous-feature matrix and a {0,1} sensitive column for clustering.
 

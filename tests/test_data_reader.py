@@ -11,6 +11,7 @@ import gc
 import importlib.util
 import logging
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +177,21 @@ LOAD_CASES = {
     "census_wide_pair_tiny": census("census_wide_pair"),
 }
 
+
+def mini_derived_feature(tmp_path):
+    # A clustering feature derived from the age column: 1 for two of its tokens.
+    return dataclasses.replace(mini_spec(tmp_path), clustering_features=("older", "age"),
+                               derive=(data.DeriveRule("older", "age", ("50", "45")),))
+
+
 VIEW_CASES = {
     "adult": shipped("adult", adult_files, clustering_samples=200),
     "bank": shipped("bank", bank_file, clustering_samples=200),
+    # Whitespace-delimited, with a derived sensitive column.
+    "german": shipped("german", german_file, clustering_features=("duration", "amount", "age"),
+                      clustering_sensitive="gender", clustering_sensitive_positive="1",
+                      clustering_samples=300),
+    "mini_derived_feature": mini_derived_feature,
     "mini": mini_spec,
     "mini_quoted": mini_quoted,
     **{case: LOAD_CASES[case] for case in (
@@ -426,6 +439,105 @@ class TestTokenRoutes:
         want = np.array([index.get(t, 0) for t in stripped_route(tokens)], dtype=np.int64)
         assert_same_array(data._encode(tokens, index, 0), want)
         assert data._distinct(tokens) == set(stripped_route(tokens))
+
+
+# Numeric tokens in the grammar of float and beyond it: signs, exponents,
+# nan/inf, overflow to inf, underscores and non-ASCII digits (which float
+# takes and numpy's C reader refuses), blanks and malformed tokens.
+NUMERIC_CORES = (st.floats().map(repr) | st.integers(-10**30, 10**30).map(str)
+                 | st.sampled_from(["+7", "-0", "-0.0", ".5", "5.", "1E5", "-2.5e-3", "NaN", "-nan",
+                                    "+Infinity", "-iNF", "1e999", "-1e400", "1e-400", "1_0",
+                                    "-1_000.5", "\u0661\u0662", "\uff13.5", "", "4o", "1e", "--1",
+                                    "0x10"]))
+# Blanks str.strip removes that can sit inside a line: no \n, \r or delimiter.
+LINE_BLANKS = [" ", "\t", "\x0b", "\xa0", "\u2003", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f",
+               "\x85"]
+line_pads = st.lists(st.sampled_from(LINE_BLANKS), max_size=2).map("".join)
+NUMERIC_SPEC = data.DatasetSpec(name="n", columns=("a", "b", "c"), label="b", positive_label="",
+                                sensitive=("b",))
+
+
+@st.composite
+def numeric_grid(draw):
+    """Rows of three fields, once as lines and once as field rows that
+    quote some tokens inside their blanks; both strip to the same core."""
+    lines, rows = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [(draw(line_pads), draw(NUMERIC_CORES), draw(line_pads), draw(st.booleans()))
+                  for _ in range(3)]
+        lines.append(",".join(a + core + b for a, core, b, _ in fields))
+        rows.append([a + (f'"{core}"' if quoted else core) + b for a, core, b, quoted in fields])
+    return lines, rows
+
+
+class TestNumericColumns:
+    """``_numeric_columns`` through numpy's C reader and through the token
+    route: the reference's bits and error message either way."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(numeric_grid())
+    def test_matches_reference_bits_and_message(self, grid):
+        lines, rows = grid
+        names = ["c", "a"]
+        try:
+            want = oracles.numeric_columns_reference(rows, NUMERIC_SPEC, names)
+        except ValueError as exc:
+            want = str(exc)
+        for records in (lines, rows):
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as got:
+                    data._numeric_columns(records, NUMERIC_SPEC, names)
+                assert str(got.value) == want
+            else:
+                assert_same_array(data._numeric_columns(records, NUMERIC_SPEC, names), want)
+
+    @pytest.mark.parametrize("case, loads", [
+        ("mini", 1), ("census_wide_tiny", 1), ("padded_tokens", 1),
+        ("mini_quoted", 0), ("crlf", 0), ("german", 0), ("mini_derived_feature", 0)])
+    def test_view_takes_the_c_reader_on_lines_only(self, case, loads, tmp_path, monkeypatch):
+        # Quoted files and \r line ends (field rows), the whitespace delimiter
+        # and derived columns take the token route.
+        spec = VIEW_CASES[case](tmp_path)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        data.clustering_view(spec, root=str(tmp_path))
+        assert len(calls) == loads
+
+    def test_load_dataset_reads_each_split_through_the_c_reader(self, tmp_path, monkeypatch):
+        spec = LOAD_CASES["census_wide_tiny"](tmp_path)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["usecols"])
+                            or loadtxt(*a, **k))
+        data.load_dataset(spec, root=str(tmp_path))
+        continuous = [i for i, c in enumerate(spec.columns)
+                      if c not in spec.categorical and c not in (spec.label, *spec.sensitive)]
+        assert calls == [continuous, continuous]
+
+    def test_bad_token_in_any_pooled_row_raises(self, tmp_path):
+        # The view keeps 4 of the 8 pooled rows; a bad token fails it whether
+        # the sample keeps its row or not.
+        spec = mini_spec(tmp_path)
+        lines = (TRAIN_ROWS + TEST_ROWS).splitlines()
+        for k, line in enumerate(lines):
+            if "?" in line:
+                continue  # the row drop_row removes
+            bad = lines[:k] + ["4o" + line[2:]] + lines[k + 1:]
+            (tmp_path / "mini_train.csv").write_text("\n".join(bad[:6]) + "\n")
+            (tmp_path / "mini_test.csv").write_text("\n".join(bad[6:]) + "\n")
+            with pytest.raises(ValueError, match=r"^mini: non-numeric token in column 'age': "
+                                                 r"could not convert string to float: '4o'$"):
+                data.clustering_view(spec, root=str(tmp_path))
+
+    def test_empty_pooled_view_raises_unmatched_without_numpy_warning(self, tmp_path):
+        # Every row holds the missing token, so drop_row leaves no row to parse.
+        spec = rewritten(lambda t: t.replace("Male,", "?,").replace("Female,", "?,"))(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mini: clustering_sensitive_positive 'Male' "
+                                                 "matches no row in column 'sex'$"):
+                data.clustering_view(spec, root=str(tmp_path))
 
 
 class TestUnmatchedPositive:

@@ -1,6 +1,7 @@
 """Soft classifiers: forward contracts, analytic gradients, checkpoints."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,27 @@ class TestColumnReductions:
             # _ACCUMULATE_MAX_C it is only slower.
             running = 0.0 + np.add.accumulate(case, axis=0)[-1]
             assert running.tobytes() == case.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 9, 2000])
+    @pytest.mark.parametrize("c", [1, 2, 5, 7])
+    def test_overwrite_bitwise_equal_axis0_reduce_without_a_copy(self, c, n):
+        m = awkward_matrix(np.random.default_rng(7 * c + n), n, c)
+        for case in (m, special_columns(m)) if c > 1 else (m,):
+            for ufunc in (np.add, np.maximum):
+                want = ufunc.reduce(case, axis=0)
+                scratch = case.copy()
+                tracemalloc.start()
+                try:
+                    got = md._column_reduce(ufunc, scratch, overwrite=True)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert got.tobytes() == want.tobytes()
+                if n == 2000:
+                    # Only c-long results: no N x c array beside the caller's.
+                    assert peak < case.nbytes / 4
+            scratch = case.copy()
+            assert md._column_mean(scratch, overwrite=True).tobytes() == case.mean(axis=0).tobytes()
 
     @pytest.mark.parametrize("layout", ["one column", "6 columns", "10 columns", "fortran",
                                         "strided rows", "column slice", "zero rows"])
