@@ -118,6 +118,15 @@ class DatasetSpec:
         for col in (self.label, *self.sensitive, *self.categorical, *self.drop, *clustering):
             if col not in known:
                 raise ValueError(f"column {col!r} not declared in the spec")
+        rules = {rule.name: rule for rule in reversed(self.derive)}  # as _columns reads them
+        for rule in filter(lambda r: rules[r.name] is r, self.derive):
+            chain = [rule.name]
+            while chain[-1] in rules and len(chain) <= len(rules):
+                chain.append(rules[chain[-1]].source)
+            if chain[-1] not in self.columns or chain[-1] in rules:
+                raise ValueError(
+                    f"derive rule {rule.name}:{rule.source} does not end at a source-file "
+                    f"column: {' -> '.join(chain)}")
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

@@ -27,10 +27,15 @@ gave the cross entropy.
 The logged sigma2 comes from the step's own inner solve: the second singular
 value of Q on the SVD route, ``sqrt(max(rho^2, 0))`` on the closed-form
 route, and for ``eo`` the root of the summed squares over label slices.
-``none``, ``pearson`` and ``hsic`` take it from an SVD of the empirical Q.
-The marginal floor clamps Q's marginals on the SVD route and each class's
-predicted mass in the denominator of ``w`` on the closed-form route; while
-it clamps nothing the two routes agree to rounding.
+``none``, ``pearson`` and ``hsic`` only log it, from
+``maxcorr.second_singular_value`` of the empirical Q: with two classes or
+two groups and no marginal floored that is the Frobenius norm of the
+deflated Q, within 1e-15 of the SVD, and an SVD otherwise.  On a minibatch
+that lacks a group their Q is taken over the groups present (logged once
+per run), and sigma2 is 0.0 when only one is left.  The marginal floor
+clamps Q's marginals on the SVD route and each class's predicted mass in
+the denominator of ``w`` on the closed-form route; while it clamps nothing
+the two routes agree to rounding.
 """
 
 from __future__ import annotations
@@ -334,11 +339,17 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
     baseline = {"none": lambda probs: (0.0, None),
                 "pearson": lambda probs: pearson_penalty(probs, sub.sensitive),
                 "hsic": lambda probs: hsic_penalty(probs, sub.sensitive, groups)}[mode]
+    present = groups if groups.complete else maxcorr.present_groups(groups)
+    if present is not groups and "sigma2" not in warned:
+        warned.add("sigma2")
+        logger.warning("sigma2 diagnostic on a minibatch that lacks a sensitive group: "
+                       "Q is taken over the %d of %d groups present",
+                       present.n_groups, n_groups)
 
     def penalty(probs):
         value, seed = baseline(probs)
         return value, seed, maxcorr.second_singular_value(
-            maxcorr.q_from_groups(probs, groups, cfg.floor))
+            maxcorr.q_from_groups(probs, present, cfg.floor))
     return penalty
 
 

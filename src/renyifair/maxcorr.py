@@ -23,6 +23,19 @@ The SVD is a hand-rolled one-sided Jacobi: the matrices involved never
 exceed 64 x 64 (class count x sensitive-group count), and a dependency-free,
 bit-deterministic decomposition matters more than speed at that size.
 
+:func:`second_singular_value` skips the SVD where a closed form is exact.
+With no marginal floored, ``Q = sqrt(p) sqrt(pi)^T + Qt``, where
+``Qt_ij = (P_ij - p_i pi_j) / sqrt(p_i pi_j)`` is orthogonal to that top
+singular pair, so sigma2 is the spectral norm of ``Qt``.  With two classes
+or two groups ``Qt`` has rank one and sigma2 is its Frobenius norm, which
+agrees with the SVD within 1e-15 (with :func:`svd_small` once sigma2 is at
+least 1e-9 below 1; closer to 1 the Jacobi's own stopping error is larger,
+up to about 5e-13).  Only Q estimated by :func:`q_from_groups`
+takes that route, i.e. the sigma2 that the training baselines log and that
+evaluation reports.  A floored Q, one with more than two rows and columns,
+and every other caller (``renyi_discrete``, the SVD adversary of training)
+keep :func:`svd_small`.
+
 Inputs are validated at the API boundary only.  :func:`q_from_joint` checks
 a joint table and :func:`empirical_q` shapes, simplex rows, groups and
 marginals on every call; training indexes each batch's groups once
@@ -33,6 +46,7 @@ marginals on every call; training indexes each batch's groups once
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +79,18 @@ class QMatrix:
 
     ``row_marginal`` and ``col_marginal`` are the (possibly floored)
     marginals actually used in the normalization, so the identity above
-    holds exactly for the stored fields.
+    holds exactly for the stored fields.  ``deflatable`` is True when they
+    are also the row and column sums of a joint that sums to 1 to rounding,
+    so that ``Q = sqrt(p) sqrt(pi)^T + Qt`` with ``Qt`` orthogonal to that
+    top singular pair: :func:`q_from_groups` sets it when the floor clamped
+    no marginal.  Any other Q (a hand-built one, or :func:`q_from_joint`'s,
+    whose table need only sum to 1 within 1e-9) keeps the SVD.
     """
 
     q: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
+    deflatable: bool = False
 
 
 @dataclass(frozen=True)
@@ -242,9 +262,18 @@ def second_singular_value(qm: QMatrix) -> float:
     """Second singular value of Q, i.e. the maximal correlation it encodes.
 
     0.0 when Q has fewer than two singular values (one class or one group).
+    A deflatable Q with two rows or two columns has a rank-one ``Qt`` (see
+    :class:`QMatrix`), so sigma2 is its Frobenius norm and no SVD runs; it
+    agrees with the SVD within 1e-15 (see the module docstring).  Every
+    other Q takes :func:`svd_small`.
     """
-    sv = svd_small(qm.q).singular_values
-    return float(sv[1]) if len(sv) > 1 else 0.0
+    q = qm.q
+    if min(q.shape) < 2:
+        return 0.0
+    if qm.deflatable and min(q.shape) == 2:
+        qt = q - np.sqrt(qm.row_marginal)[:, None] * np.sqrt(qm.col_marginal)
+        return math.sqrt(np.vdot(qt, qt))
+    return float(svd_small(q).singular_values[1])
 
 
 def renyi_discrete(joint, floor: float = 0.0) -> float:
@@ -284,6 +313,21 @@ def group_index(sensitive, n_groups: int) -> GroupIndex:
         shares=counts[:n_groups] / s.size,
         complete=len(counts) == n_groups and bool(np.all(counts > 0)),
     )
+
+
+def present_groups(groups: GroupIndex) -> GroupIndex:
+    """``groups`` without its empty groups, the others renumbered in order.
+
+    The index is complete again, so Q can be estimated over the groups a
+    sample holds; with one group left that Q has one column and sigma2 0.0.
+    Every label of the indexed sample must lie in 1..d.
+    """
+    keep = np.flatnonzero(groups.shares)
+    renumber = np.zeros(groups.n_groups, dtype=groups.codes.dtype)
+    renumber[keep] = np.arange(keep.size)
+    return GroupIndex(codes=renumber.take(groups.codes),
+                      rows=tuple(groups.rows[j] for j in keep),
+                      shares=groups.shares.take(keep), complete=True)
 
 
 def empirical_q(
@@ -342,4 +386,5 @@ def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> Q
     py_f = np.maximum(py, floor)
     pi_f = np.maximum(pi, floor)
     q = joint / np.sqrt(np.outer(py_f, pi_f))
-    return QMatrix(q=q, row_marginal=py_f, col_marginal=pi_f)
+    return QMatrix(q=q, row_marginal=py_f, col_marginal=pi_f,
+                   deflatable=bool(py.min() >= floor and pi.min() >= floor))

@@ -38,7 +38,7 @@ sum overwrite it (``overwrite=True``), so no second N x c array is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -98,6 +98,7 @@ class Batch:
     features: np.ndarray
     labels: np.ndarray
     sensitive: np.ndarray
+    _label_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=np.float64)
@@ -134,6 +135,23 @@ class Batch:
 
     def subset(self, idx: np.ndarray) -> "Batch":
         return Batch(self.features[idx], self.labels[idx], self.sensitive[idx])
+
+    def label_index(self, n_classes: int) -> np.ndarray:
+        """Flat position ``n * n_classes + labels[n] - 1`` of each row's label
+        in an N x n_classes array.
+
+        Built once per class count and kept with the batch, so a run checks
+        its labels and builds the index once, not on every step.  A label
+        above ``n_classes`` raises.
+        """
+        flat = self._label_index.get(n_classes)
+        if flat is None:
+            if self.labels.max() > n_classes:
+                raise ValueError("label outside the model's class range")
+            flat = np.arange(self.n) * n_classes + (self.labels - 1)
+            flat.flags.writeable = False
+            self._label_index[n_classes] = flat
+        return flat
 
 
 def n_params(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> int:
@@ -303,17 +321,18 @@ def loss_grad_and_vjp(
     Returns ``(probs, loss, grad, vjp)``: the soft outputs, the mean cross
     entropy and its gradient, and the pullback :func:`jacobian_probs`
     would return.  ``grad`` and each ``vjp(u)`` are separate backward passes.
+    The labels are picked out through the batch's flat
+    :meth:`Batch.label_index`, a gather and a scatter with the bits of a
+    2-D fancy index.
     """
     x = batch.features
     n = batch.n
     probs, hidden = _forward_internals(params, x)
-    if batch.labels.max() > params.n_classes:
-        raise ValueError("label outside the model's class range")
-    y0 = batch.labels - 1
-    picked = probs[np.arange(n), y0]
+    flat = batch.label_index(probs.shape[1])
+    picked = probs.take(flat)
     loss = float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
     dlogits = probs.copy()
-    dlogits[np.arange(n), y0] -= 1.0
+    dlogits.reshape(-1)[flat] -= 1.0
     dlogits /= n
     grad = _backward_from_dlogits(params, x, dlogits, hidden)
     return probs, loss, grad, _pullback(params, x, probs, hidden)

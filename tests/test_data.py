@@ -77,6 +77,32 @@ class TestSpecParsing:
         assert spec.derive[0].name == "sex"
         assert spec.derive[0].positive_tokens == ("A92", "A95")
 
+    @pytest.mark.parametrize("derive,rule,chain", [
+        ("w:w:a", "w:w", "w -> w"),
+        ("u:v:a v:u:b", "u:v", "u -> v -> u"),
+        ("u:zzz:a", "u:zzz", "u -> zzz"),
+    ], ids=["self", "two_rule_cycle", "unknown_source"])
+    def test_derive_chain_must_end_at_a_source_column(self, tmp_path, derive, rule, chain):
+        (tmp_path / "spec.txt").write_text(
+            "columns = w x cls\nlabel = cls\npositive_label = 1\nsensitive = x\n"
+            "categorical = w\nsplit = head\nfile = t.csv\ntrain_count = 2\ntest_count = 1\n"
+            f"derive = {derive}\n")
+        (tmp_path / "t.csv").write_text("a,1,1\nb,2,0\na,1,1\n")
+        message = f"derive rule {rule} does not end at a source-file column: {chain}"
+        for parse in (data.parse_spec,
+                      lambda path: data.load_dataset(path, root=str(tmp_path))):
+            with pytest.raises(ValueError, match=message):
+                parse(tmp_path / "spec.txt")
+
+    def test_derive_chain_through_a_derived_column(self, tmp_path):
+        (tmp_path / "spec.txt").write_text(
+            "columns = w x cls\nlabel = cls\npositive_label = 1\nsensitive = v\n"
+            "categorical = w\nsplit = head\nfile = t.csv\ntrain_count = 2\ntest_count = 1\n"
+            "derive = v:u:1 u:w:a\n")
+        (tmp_path / "t.csv").write_text("a,1,1\nb,2,0\na,1,1\n")
+        enc = data.load_dataset(tmp_path / "spec.txt", root=str(tmp_path))
+        assert enc.train.sensitive.tolist() + enc.test.sensitive.tolist() == [2, 1, 2]
+
 
 class TestLoadDataset:
     def test_missing_rows_dropped(self, mini_dataset):

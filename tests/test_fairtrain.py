@@ -1,6 +1,7 @@
 """Min-max trainers: inner solves, penalty gradients, reductions, baselines."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -468,8 +469,14 @@ def test_single_pass_step_matches_three_pass_reference_bitwise(mode, d, arch, hi
     theta, rows = reference_train(p0, batch, cfg)
     assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
     np.testing.assert_array_equal(trace.final_params.theta, theta.theta)
-    for got, want in zip((trace.loss, trace.penalty, trace.grad_norm, trace.sigma2), zip(*rows)):
+    loss, penalty, grad_norm, sigma2 = zip(*rows)
+    for got, want in zip((trace.loss, trace.penalty, trace.grad_norm), (loss, penalty, grad_norm)):
         np.testing.assert_array_equal(got, want)
+    if mode in ("none", "pearson", "hsic"):
+        # The baselines log sigma2 from the deflated Q (d = 2), not an SVD.
+        np.testing.assert_allclose(trace.sigma2, sigma2, rtol=0, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(trace.sigma2, sigma2)
     assert any(p != 0.0 for p in trace.penalty) or mode == "none"
 
 
@@ -545,14 +552,36 @@ def test_eo_min_group_below_one_rejected_and_one_trains():
     assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
 
 
-@pytest.mark.parametrize("mode,d", [("none", 2), ("pearson", 2), ("hsic", 2),
-                                    ("dp_discrete", 2), ("dp_discrete", 3)])
+@pytest.mark.parametrize("mode,d", [("dp_discrete", 2), ("dp_discrete", 3)])
 def test_minibatch_lacking_a_group_still_raises(mode, d):
     batch = rare_group_batch(500, d, every=50, seed=3)
     cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode=mode,
                          batch_size=32, seed=4)
     with pytest.raises(ValueError, match=f"every sensitive group in 1..{d} must be nonempty"):
         ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+
+
+@pytest.mark.parametrize("mode", ["none", "pearson", "hsic"])
+def test_baseline_minibatches_lacking_a_group_log_sigma2_over_the_groups_present(mode, caplog):
+    batch = rare_group_batch(500, 2, every=50, seed=3)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode=mode,
+                         batch_size=32, seed=4)
+    with caplog.at_level(logging.WARNING, logger="renyifair.fairtrain"):
+        trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+    assert all(np.isfinite(trace.sigma2)) and all(np.isfinite(trace.penalty))
+    # One group left: nothing to correlate with.
+    assert 0.0 in trace.sigma2[:-1] and trace.sigma2[-1] > 0.0
+    warnings = [rec.message for rec in caplog.records if "lacks a sensitive group" in rec.message]
+    assert warnings == ["sigma2 diagnostic on a minibatch that lacks a sensitive group: "
+                        "Q is taken over the 1 of 2 groups present"]
+    # Full batches hold both groups, so a full-batch run keeps every bit but sigma2's.
+    p0, full_cfg = md.init_params("linear", 2, 2, seed=0), replace(cfg, batch_size=None)
+    full = ft.train(p0, batch, full_cfg)
+    theta, rows = reference_train(p0, batch, full_cfg)
+    np.testing.assert_array_equal(full.final_params.theta, theta.theta)
+    np.testing.assert_array_equal(full.loss, [row[0] for row in rows])
+    np.testing.assert_allclose(full.sigma2, [row[3] for row in rows], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode,d,module,builder", [

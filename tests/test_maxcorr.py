@@ -350,3 +350,82 @@ class TestSecondRightSingularVector:
         assert abs(v @ res.right_vectors[:, 0]) <= 1e-9
         attained = v @ (qm.q.T @ qm.q) @ v
         assert abs(attained - res.singular_values[1] ** 2) <= 1e-9
+
+
+def softmax_rows(rng, n, c, scale, s=None, tie=0.0):
+    """Random simplex rows; ``tie`` pulls row n towards class ``(s[n] - 1) % c``."""
+    z = rng.normal(scale=scale, size=(n, c))
+    if s is not None:
+        z[np.arange(n), (s - 1) % c] += tie
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestDeflatedSigma2:
+    """``second_singular_value`` skips the SVD only on a deflatable Q with two rows or columns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5),
+           st.integers(20, 400), st.sampled_from([0.1, 1.0, 4.0, 12.0]),
+           st.sampled_from([0.0, 1.0, 4.0, 30.0]), st.sampled_from([1e-6, 0.05, 0.3]))
+    def test_matches_svd_small(self, seed, c, d, n, scale, tie, floor):
+        rng = np.random.default_rng(seed)
+        s = rng.permutation(np.concatenate([np.arange(1, d + 1), rng.integers(1, d + 1, n - d)]))
+        probs = softmax_rows(rng, n, c, scale, s, tie)
+        qm = mc.empirical_q(probs, s, floor=floor, n_groups=d)
+        svd = float(mc.svd_small(qm.q).singular_values[1])
+        got = mc.second_singular_value(qm)
+        clamped = probs.mean(axis=0).min() < floor or np.bincount(s - 1).min() / n < floor
+        assert qm.deflatable == (not clamped)
+        if clamped or min(c, d) > 2:
+            assert got == svd
+            return
+        lapack = np.linalg.svd(qm.q, compute_uv=False)
+        assert abs(got - lapack[1]) <= 1e-15
+        # The Jacobi stops rotating once two columns are orthogonal to 1e-12
+        # relative.  The coupling it leaves moves its sigma2 by up to about
+        # (1e-12)^2 / (4 (sigma1 - sigma2)), more than 1e-15 once sigma2 is
+        # within 2.5e-10 of sigma1 = 1 (4e-13 seen there); the check above
+        # against LAPACK covers that end.
+        if lapack[0] - lapack[1] >= 1e-9:
+            assert abs(got - svd) <= 1e-15
+
+    def test_only_q_from_groups_is_deflatable(self):
+        jt = np.array([[0.4, 0.1], [0.1, 0.4]])
+        assert not mc.q_from_joint(jt).deflatable
+        assert not mc.QMatrix(np.eye(2), np.array([0.5, 0.5]), np.array([0.5, 0.5])).deflatable
+        assert mc.empirical_q(np.array([[0.8, 0.2], [0.2, 0.8]]), np.array([1, 2])).deflatable
+
+    @pytest.mark.parametrize("c,d,calls", [(2, 2, 0), (3, 2, 0), (2, 10, 0), (3, 3, 1), (2, 1, 0)])
+    def test_svd_runs_only_where_needed(self, c, d, calls, monkeypatch):
+        rng = np.random.default_rng(c * 10 + d)
+        n = 60
+        s = np.arange(n) % d + 1
+        qm = mc.empirical_q(softmax_rows(rng, n, c, 1.0), s, n_groups=d)
+        seen = []
+        svd_small = mc.svd_small
+        monkeypatch.setattr(mc, "svd_small", lambda m: seen.append(m.shape) or svd_small(m))
+        sigma2 = mc.second_singular_value(qm)
+        assert len(seen) == calls
+        assert sigma2 == 0.0 if d == 1 else sigma2 > 0.0
+
+
+class TestPresentGroups:
+    def test_drops_empty_groups_and_renumbers(self):
+        groups = mc.group_index(np.array([3, 1, 3, 1, 1]), 3)
+        assert not groups.complete
+        present = mc.present_groups(groups)
+        assert present.complete and present.n_groups == 2
+        np.testing.assert_array_equal(present.codes, [1, 0, 1, 0, 0])
+        assert [r.tolist() for r in present.rows] == [[1, 3, 4], [0, 2]]
+        np.testing.assert_array_equal(present.shares, [0.6, 0.4])
+        probs = softmax_rows(np.random.default_rng(0), 5, 2, 1.0)
+        want = mc.empirical_q(probs, present.codes + 1)
+        got = mc.q_from_groups(probs, present, mc.DEFAULT_MARGINAL_FLOOR)
+        assert got.q.tobytes() == want.q.tobytes()
+
+    def test_one_group_left_has_sigma2_zero(self):
+        present = mc.present_groups(mc.group_index(np.array([2, 2, 2]), 2))
+        assert present.n_groups == 1
+        probs = softmax_rows(np.random.default_rng(1), 3, 2, 1.0)
+        assert mc.second_singular_value(mc.q_from_groups(probs, present, 1e-6)) == 0.0

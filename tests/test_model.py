@@ -118,6 +118,48 @@ class TestLossAndGrad:
         assert abs(loss - shifted) <= 1e-10
 
 
+def fancy_index_loss_and_dlogits(probs, labels):
+    """Cross entropy and its dlogits through a 2-D fancy index of the labels."""
+    n = len(labels)
+    picked = probs[np.arange(n), labels - 1]
+    loss = float(-np.mean(np.log(np.maximum(picked, md.PROB_FLOOR))))
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels - 1] -= 1.0
+    return loss, dlogits / n
+
+
+class TestLabelIndex:
+    """``loss_grad_and_vjp`` picks the labels through the batch's flat index."""
+
+    @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 4)])
+    def test_top_label_below_class_count_matches_fancy_index(self, arch, hid):
+        rng = np.random.default_rng(4)
+        batch = md.Batch(rng.normal(size=(40, 4)), rng.integers(1, 3, 40), np.ones(40, dtype=int))
+        assert batch.n_classes == 2
+        params = md.init_params(arch, 4, 3, hidden_dim=hid, seed=5)
+        probs, loss, grad, _ = md.loss_grad_and_vjp(params, batch)
+        want_loss, dlogits = fancy_index_loss_and_dlogits(probs, batch.labels)
+        _, hidden = md._forward_internals(params, batch.features)
+        want_grad = md._backward_from_dlogits(params, batch.features, dlogits, hidden)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+        np.testing.assert_array_equal(batch.label_index(3), np.arange(40) * 3 + batch.labels - 1)
+
+    def test_index_built_once_per_class_count(self):
+        rng = np.random.default_rng(6)
+        batch = random_batch(rng, c=2)
+        assert batch.label_index(2) is batch.label_index(2)
+        assert batch.label_index(3) is not batch.label_index(2)
+        assert batch.subset(np.arange(5)).label_index(2) is not batch.label_index(2)
+
+    def test_label_above_class_count_raises(self):
+        rng = np.random.default_rng(7)
+        batch = random_batch(rng, c=3)
+        assert batch.n_classes == 3
+        with pytest.raises(ValueError, match="label outside the model's class range"):
+            md.loss_grad_and_vjp(md.init_params("linear", 4, 2, seed=0), batch)
+
+
 class TestJacobianProbs:
     @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 5)])
     def test_one_hot_columns_match_fd(self, arch, hid):
