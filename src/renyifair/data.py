@@ -26,8 +26,11 @@ one-hot encoded with category lists collected from the training split
 (plus an explicit unseen bucket for test-time surprises); continuous
 features are z-scored with training-split statistics only.  Labels map
 to {1, 2} with 2 the positive class; sensitive columns map to {1..d} with
-2 the privileged group in the binary case.  A declared positive token
-that matches no training row is an error.
+2 the privileged group in the binary case, and several sensitive columns
+to their product code (``combine_sensitive``; one column is its own
+code).  Each split's ``Batch`` declares c = 2 and d = the number of
+sensitive tuples, so a split that lacks a group keeps the full alphabet.
+A declared positive token that matches no training row is an error.
 
 Nothing here touches the network: source files are resolved against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -39,7 +42,7 @@ import csv
 import logging
 import os
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import product, repeat
 from typing import Sequence
 
 import numpy as np
@@ -470,17 +473,8 @@ def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> 
     for c, size in zip(cols, sizes):
         values = values * size + (c - 1)
     values += 1
-
-    tuples = []
-    total = int(np.prod(sizes))
-    for code in range(total):
-        digits = []
-        rem = code
-        for size in reversed(sizes):
-            digits.append(rem % size + 1)
-            rem //= size
-        tuples.append(tuple(reversed(digits)))
-    return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuple(tuples))
+    tuples = tuple(product(*(range(1, size + 1) for size in sizes)))
+    return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuples)
 
 
 def _encode_splits(spec: DatasetSpec, root: str | None):
@@ -556,15 +550,9 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
         sizes.append(max(index.values()))
         s_train_cols.append(_encode(tr, index, 1))
         s_test_cols.append(_encode(te, index, 1))
-    if len(spec.sensitive) == 1:
-        sensitive = s_train_cols[0], s_test_cols[0]
-        tuples = tuple((v,) for v in range(1, sizes[0] + 1))
-    else:
-        combined_train = combine_sensitive(s_train_cols, sizes)
-        combined_test = combine_sensitive(s_test_cols, sizes)
-        sensitive = combined_train.values, combined_test.values
-        tuples = combined_train.tuples
-    return feature_names, onehot, (numeric, values), labels, sensitive, tuples
+    combined = [combine_sensitive(cols, sizes) for cols in (s_train_cols, s_test_cols)]
+    sensitive = combined[0].values, combined[1].values
+    return feature_names, onehot, (numeric, values), labels, sensitive, combined[0].tuples
 
 
 def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
@@ -594,11 +582,12 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         for x in (x_train, x_test):
             x[:, numeric] = (x[:, numeric] - mean) / std
 
-    # Batch takes over these fresh arrays without a copy.
+    # Batch takes over these fresh arrays without a copy.  Both splits
+    # declare the encoders' alphabets, whichever values they hold.
     return EncodedDataset(
         spec=spec,
-        train=Batch(x_train, labels[0], sensitive[0]),
-        test=Batch(x_test, labels[1], sensitive[1]),
+        train=Batch(x_train, labels[0], sensitive[0], 2, len(tuples)),
+        test=Batch(x_test, labels[1], sensitive[1], 2, len(tuples)),
         feature_names=tuple(feature_names),
         sensitive_tuples=tuples,
     )

@@ -259,8 +259,8 @@ def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tup
     With a linear kernel on the score and a delta kernel on the groups the
     statistic reduces to a sum of squared centered within-group score sums.
     Nonnegative, and zero for a constant score.  ``groups`` indexes
-    ``sensitive`` (built here over 1..max when not given); an empty group
-    adds exact zeros.
+    ``sensitive`` (built here over the binary groups 1..2 when not given,
+    and a label outside them raises); an empty group adds exact zeros.
     """
     f = np.asarray(soft_probs, dtype=np.float64)
     x = f[:, 1]
@@ -270,8 +270,8 @@ def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tup
     if float(np.mean(xc * xc)) <= VARIANCE_FLOOR:
         return 0.0, seed
     if groups is None:
-        s = np.asarray(sensitive)
-        groups = maxcorr.group_index(s, int(s.max()))
+        s_tilde(sensitive)  # rejects a label outside {1, 2}
+        groups = maxcorr.group_index(sensitive, 2)
     totals = [float(xc.take(rows).sum()) for rows in groups.rows]
     value = sum(t * t for t in totals) / (n * n)
     mix = sum(t * rows.size for t, rows in zip(totals, groups.rows)) / n
@@ -303,14 +303,15 @@ def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> l
     return slices
 
 
-def _penalty_on(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
+def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
     """The configured penalty on ``sub``'s rows: ``probs -> (value, seed, sigma2)``.
 
     ``value`` is unscaled and ``seed`` is d(value)/dF with the adversary held
-    fixed (None for ``none``).  The rows are indexed once here, so the
-    returned function serves every step on ``sub``.
+    fixed (None for ``none``).  Groups range over ``sub``'s declared
+    alphabet.  The rows are indexed once here, so the returned function
+    serves every step on ``sub``.
     """
-    mode = cfg.fairness_mode
+    mode, n_groups = cfg.fairness_mode, sub.n_groups
     if mode in ("dp_binary", "pearson", "hsic") and n_groups != 2:
         raise ValueError(f"{mode} requires a binary sensitive attribute, got d={n_groups}")
     if mode == "dp_discrete" and n_groups < 2:
@@ -339,7 +340,7 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, n_groups: int, warned: set):
     baseline = {"none": lambda probs: (0.0, None),
                 "pearson": lambda probs: pearson_penalty(probs, sub.sensitive),
                 "hsic": lambda probs: hsic_penalty(probs, sub.sensitive, groups)}[mode]
-    present = groups if groups.complete else maxcorr.present_groups(groups)
+    present = maxcorr.present_groups(groups)
     if present is not groups and "sigma2" not in warned:
         warned.add("sigma2")
         logger.warning("sigma2 diagnostic on a minibatch that lacks a sensitive group: "
@@ -371,7 +372,6 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     indexed once per batch: once per run on the full batch, once per step on
     minibatches.
     """
-    n_groups = batch.n_groups
     warned: set = set()
     trace = TrainTrace()
     rng = np.random.default_rng(cfg.seed)
@@ -391,12 +391,12 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
 
     @functools.cache
     def full_penalty():
-        return _penalty_on(batch, cfg, n_groups, warned)
+        return _penalty_on(batch, cfg, warned)
 
     def step(theta: ModelParams, sub: Batch):
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
         probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
-        penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, n_groups, warned)
+        penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, warned)
         value, seed, sigma2 = penalty(probs)
         if cfg.lam != 0.0 and seed is not None:
             grad = grad + vjp(cfg.lam * seed)

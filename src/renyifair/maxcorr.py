@@ -14,10 +14,10 @@ where gamma is the minimum of the separable quadratic
     sum_i w_i^2 P(a=i) - sum_i w_i (P(a=i, b=1) - P(a=i, b=0)) + 1/4,
 
 attained at w_i = (P(a=i, b=1) - P(a=i, b=0)) / (2 P(a=i)).  This module
-implements the SVD route.  The closed form lives where training runs it, on
-soft classifier outputs (``fairtrain.inner_w_closed_form`` and
-``fairtrain._binary_inner_value``); the test suite checks it against
-:func:`renyi_discrete`.
+implements the SVD route.  Training runs the closed form on soft outputs
+in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
+``_centered_value``); the test suite holds its checked entry points
+``inner_w_closed_form`` and ``_binary_inner_value`` to :func:`renyi_discrete`.
 
 The SVD is a hand-rolled one-sided Jacobi: the matrices involved never
 exceed 64 x 64 (class count x sensitive-group count), and a dependency-free,
@@ -320,8 +320,10 @@ def present_groups(groups: GroupIndex) -> GroupIndex:
 
     The index is complete again, so Q can be estimated over the groups a
     sample holds; with one group left that Q has one column and sigma2 0.0.
-    Every label of the indexed sample must lie in 1..d.
+    A complete index is returned as it is.  Labels must lie in 1..d.
     """
+    if groups.complete:
+        return groups
     keep = np.flatnonzero(groups.shares)
     renumber = np.zeros(groups.n_groups, dtype=groups.codes.dtype)
     renumber[keep] = np.arange(keep.size)

@@ -28,16 +28,10 @@ def hard_predictions(soft_probs) -> np.ndarray:
 
 
 def _positive_rates(hard_preds, sensitive, positive_class: int):
+    """Positive-prediction rate of each sensitive group present, by group."""
     preds = np.asarray(hard_preds)
     s = np.asarray(sensitive)
-    rates = {}
-    for g in range(1, int(s.max()) + 1):
-        mask = s == g
-        if not mask.any():
-            logger.warning("sensitive group %d is empty; excluded from rate table", g)
-            continue
-        rates[g] = float(np.mean(preds[mask] == positive_class))
-    return rates
+    return {int(g): float(np.mean(preds[s == g] == positive_class)) for g in np.unique(s)}
 
 
 def p_percent(hard_preds, sensitive) -> float:
@@ -141,20 +135,29 @@ def evaluate(params: ModelParams, batch: Batch,
 
     ``sigma2`` is the soft-output maximal correlation (the quantity the
     fair trainers regularize); the remaining fairness metrics are computed
-    on hard argmax predictions.  Binary-only metrics are None when the
-    label or group alphabet is larger.
+    on hard argmax predictions.  The alphabets are the batch's declared
+    ``n_classes`` and ``n_groups``.  On a batch that lacks a declared group
+    sigma2 is taken over the groups present (logged once, 0.0 when one is
+    left), as the training baselines log it, and the rates and DP gap over
+    the groups present.  Binary-only metrics are None unless the batch
+    declares two classes (EO) and two groups, both present.
     """
     probs = forward(params, batch.features)
     preds = hard_predictions(probs)
     acc = float(np.mean(preds == batch.labels))
     d = batch.n_groups
-    sigma2 = maxcorr.second_singular_value(
-        maxcorr.empirical_q(probs, batch.sensitive, floor=floor, n_groups=d))
+    groups = maxcorr.group_index(batch.sensitive, d)
+    present = maxcorr.present_groups(groups)
+    if present is not groups:
+        logger.warning("sigma2 on a split that lacks a sensitive group: "
+                       "Q is taken over the %d of %d groups present", present.n_groups, d)
+    sigma2 = maxcorr.second_singular_value(maxcorr.q_from_groups(probs, present, floor))
     rates = _positive_rates(preds, batch.sensitive, POSITIVE_CLASS)
-    pp = p_percent(preds, batch.sensitive) if d == 2 else None
+    binary = d == 2 and len(rates) == 2
+    pp = p_percent(preds, batch.sensitive) if binary else None
     dp = dp_violation(preds, batch.sensitive) if len(rates) >= 2 else None
     eo = None
-    if d == 2 and batch.n_classes == 2:
+    if binary and batch.n_classes == 2:
         try:
             eo = eo_violation(preds, batch.sensitive, batch.labels)
         except ValueError:

@@ -87,6 +87,11 @@ class ModelParams:
 class Batch:
     """Feature matrix with labels in {1..c} and sensitive groups in {1..d}.
 
+    The batch owns its alphabet sizes ``n_classes`` (c) and ``n_groups``
+    (d), which :meth:`subset` carries.  The dataset reader declares them;
+    left unset they are the largest label and group present.  A value
+    above a declared size is rejected.
+
     Every stored array is C-contiguous, float64 features and int64 labels
     and sensitive values, and read-only.  An array that owns its data and
     is already C-contiguous of that dtype is taken over, not copied: it is
@@ -98,6 +103,8 @@ class Batch:
     features: np.ndarray
     labels: np.ndarray
     sensitive: np.ndarray
+    n_classes: int | None = None
+    n_groups: int | None = None
     _label_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,6 +118,11 @@ class Batch:
             raise ValueError("labels/sensitive lengths do not match features")
         if n and (y.min() < 1 or s.min() < 1):
             raise ValueError("labels and sensitive values are 1-based")
+        for size, arr in (("n_classes", y), ("n_groups", s)):
+            top, declared = int(arr.max()) if n else 0, getattr(self, size)
+            if declared is not None and top > declared:
+                raise ValueError(f"a value {top} exceeds the declared {size}={declared}")
+            object.__setattr__(self, size, top if declared is None else int(declared))
         for name, arr in (("features", x), ("labels", y), ("sensitive", s)):
             if not (arr.flags.owndata and arr.flags.c_contiguous):
                 arr = arr.copy()
@@ -125,29 +137,23 @@ class Batch:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max())
-
-    @property
-    def n_groups(self) -> int:
-        return int(self.sensitive.max())
-
     def subset(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.features[idx], self.labels[idx], self.sensitive[idx])
+        return Batch(self.features[idx], self.labels[idx], self.sensitive[idx],
+                     self.n_classes, self.n_groups)
 
     def label_index(self, n_classes: int) -> np.ndarray:
         """Flat position ``n * n_classes + labels[n] - 1`` of each row's label
         in an N x n_classes array.
 
-        Built once per class count and kept with the batch, so a run checks
-        its labels and builds the index once, not on every step.  A label
-        above ``n_classes`` raises.
+        Built once per class count and kept with the batch, so a run builds
+        the index once, not on every step.  A batch that declares more than
+        ``n_classes`` classes raises.
         """
         flat = self._label_index.get(n_classes)
         if flat is None:
-            if self.labels.max() > n_classes:
-                raise ValueError("label outside the model's class range")
+            if self.n_classes > n_classes:
+                raise ValueError(f"label outside the model's class range: the batch "
+                                 f"declares {self.n_classes} classes, the model has {n_classes}")
             flat = np.arange(self.n) * n_classes + (self.labels - 1)
             flat.flags.writeable = False
             self._label_index[n_classes] = flat

@@ -257,6 +257,21 @@ class TestCombineSensitive:
         combo = data.combine_sensitive([col])
         np.testing.assert_array_equal(combo.values, col)
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_single_column_keeps_its_declared_size(self, size):
+        # One sensitive column is its own product code, tuples over the
+        # whole alphabet even when the column lacks its top value.
+        col = np.array([1, 1, 2, 1], dtype=np.int64)
+        combo = data.combine_sensitive([col], [size])
+        assert combo.values.dtype == np.int64 and combo.values.tobytes() == col.tobytes()
+        assert combo.tuples == tuple((v,) for v in range(1, size + 1))
+
+    def test_mixed_sizes_most_significant_first(self):
+        combo = data.combine_sensitive([np.array([2, 1]), np.array([3, 2])], sizes=[2, 3])
+        assert combo.tuples == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
+        np.testing.assert_array_equal(combo.values, [6, 2])
+        assert [combo.decode(int(v)) for v in combo.values] == [(2, 3), (1, 2)]
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
                     min_size=1, max_size=30))

@@ -228,6 +228,7 @@ class TestMatchesReference:
                                   getattr(getattr(want, part), field))
         assert got.feature_names == want.feature_names
         assert got.sensitive_tuples == want.sensitive_tuples
+        assert got.train.n_groups == got.test.n_groups == len(want.sensitive_tuples)
 
     @pytest.mark.parametrize("case", sorted(VIEW_CASES))
     def test_clustering_view_bit_identical(self, case, tmp_path, caplog):

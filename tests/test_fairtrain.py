@@ -229,6 +229,14 @@ class TestBaselinePenalties:
         np.testing.assert_array_equal(seed[:, 1], expected)
         np.testing.assert_array_equal(seed[:, 0], 0.0)
 
+    def test_hsic_without_a_group_index_is_binary(self):
+        probs = np.tile([0.3, 0.7], (4, 1))
+        probs[0] = [0.6, 0.4]
+        with pytest.raises(ValueError, match=r"binary sensitive labels must be in \{1, 2\}"):
+            ft.hsic_penalty(probs, np.array([1, 2, 3, 1]))
+        lacking_2, _ = ft.hsic_penalty(probs, np.array([1, 1, 1, 1]))
+        assert abs(lacking_2) <= 1e-30  # one group: the centered total, squared
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(10)
         params = md.init_params("linear", 3, 2, seed=11)
