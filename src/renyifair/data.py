@@ -8,8 +8,9 @@ and ``clustering_view`` read the source files through one reader
 (``_read_source``), which the first splits and the second pools.  The
 reader is columnar: it reads each file whole and checks every line's
 delimiter count.  ``_numeric_columns`` parses the continuous columns of
-those lines with numpy's C reader (``np.loadtxt``); every other column,
-and every continuous one the C reader refuses, goes through ``_columns``,
+those lines with numpy's C reader (``np.loadtxt``), and ``clustering_view``
+reads its one sensitive column with it as text; every other column, and
+every column the C reader refuses, goes through ``_columns``,
 which joins a block of lines, splits it with one ``str.split`` and keeps a
 stride of the fields for each column a caller uses.  A file holding a
 ``"`` or a carriage return still goes through ``csv.reader``, and the
@@ -394,26 +395,39 @@ def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 
 
-def _numeric_columns(records: list, spec: DatasetSpec, names: Sequence[str]) -> np.ndarray:
-    """N x k float64 values of the continuous columns ``names``, in that order.
+def _c_reader(records: list, spec: DatasetSpec, names: Sequence[str], dtype):
+    """N x k array of the columns ``names`` read by numpy's C reader, or None.
 
-    Lines (the unquoted case of ``_read_file``, never blank) go through
-    numpy's C reader unless a column asked for is derived.  It skips the
-    blanks ``str.strip`` removes and parses the rest with
-    ``PyOS_string_to_double``, as ``float`` does.  What it refuses
-    (underscores, non-ASCII digits, quotes, bad tokens) goes, like field
-    rows, derived columns and empty input, through the token route
-    (``_columns`` and ``_numeric``), which accepts it or raises the
-    non-numeric error.  The two routes give the same bits.
+    Only lines (the unquoted case of ``_read_file``, never blank) whose
+    columns asked for are all source-file columns are tried.  None means
+    the caller reads them through the token route (``_columns``): field
+    rows, derived columns, empty input, and lines the C reader refuses.
     """
     derived = {rule.name for rule in spec.derive}
     if _is_lines(records) and derived.isdisjoint(names):
         try:
             return np.loadtxt(records, delimiter=_DELIMITERS[spec.delimiter],
                               usecols=[spec.columns.index(name) for name in names],
-                              dtype=np.float64, ndmin=2, comments=None, quotechar=None)
+                              dtype=dtype, ndmin=2, comments=None, quotechar=None)
         except ValueError:
             pass
+    return None
+
+
+def _numeric_columns(records: list, spec: DatasetSpec, names: Sequence[str]) -> np.ndarray:
+    """N x k float64 values of the continuous columns ``names``, in that order.
+
+    Lines go through numpy's C reader (``_c_reader``).  It skips the blanks
+    ``str.strip`` removes and parses the rest with
+    ``PyOS_string_to_double``, as ``float`` does.  What it refuses
+    (underscores, non-ASCII digits, quotes, bad tokens) goes, like field
+    rows, derived columns and empty input, through the token route
+    (``_columns`` and ``_numeric``), which accepts it or raises the
+    non-numeric error.  The two routes give the same bits.
+    """
+    values = _c_reader(records, spec, names, np.float64)
+    if values is not None:
+        return values
     cols = _columns(records, spec, names)
     values = np.empty((len(records), len(names)))
     for j, name in enumerate(names):
@@ -607,7 +621,10 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     points = _numeric_columns(records, spec, spec.clustering_features)
     col = spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
-    sensitive = _encode(_columns(records, spec, [col])[col], {pos: 1}, 0)
+    # The C reader keeps the blanks around a token, which _encode strips.
+    tokens = _c_reader(records, spec, [col], str)
+    tokens = _columns(records, spec, [col])[col] if tokens is None else tokens[:, 0].tolist()
+    sensitive = _encode(tokens, {pos: 1}, 0)
     if not sensitive.any():
         raise _unmatched(spec, "clustering_sensitive_positive", pos, col, "row")
 

@@ -23,7 +23,11 @@ scoring the points one at a time:
   the first point whose choice differs from its cluster is moved, and the
   scan resumes after it with refreshed proportions.  Every point before
   that move saw exactly the proportions the one-at-a-time loop would have
-  used, so nothing else in the block needs redoing.
+  used, so nothing else in the block needs redoing.  A move touches only
+  its two clusters, so the sweep keeps the counts and proportions as
+  Python numbers and rewrites two columns of the penalty table; those
+  are the same IEEE-double operations as the array form, so the bits
+  agree too (see ``_per_point_pass``).
 
 The combined objective (clustering loss minus ``lam`` times the squared
 balance residuals) is not guaranteed monotone under this interleaving, so
@@ -42,10 +46,11 @@ W_UPDATE_MODES = ("per_point", "per_sweep")
 INIT_MODES = ("random_assignment", "kmeanspp")
 
 # Points scored per argmin call in a ``per_point`` sweep (see _per_point_pass).
-# Median of 7 interleaved calls on the 10k x 5 census clustering view (K=14,
-# kmeanspp, 8 sweeps, lam 1/10/100; one core of a 2-vCPU Xeon, numpy 2.4.6):
-# 16 -> 0.22-0.23 s, 32 -> 0.20-0.21 s, 64 -> 0.19-0.21 s, 128 -> 0.20-0.23 s,
-# 256 -> 0.24-0.25 s, 512 -> 0.27-0.35 s; the point-by-point loop took 0.73-0.75 s.
+# Median of 15 interleaved rounds on the 10k x 5 census clustering view, a
+# round being the three calls at lam 1/10/100 (K=14, kmeanspp, 8 sweeps; one
+# pinned core of a 2-vCPU Xeon, numpy 2.4.6), once per core:
+# 16 -> 0.31/0.31 s, 32 -> 0.28/0.29 s, 64 -> 0.29/0.29 s, 128 -> 0.30/0.31 s,
+# 256 -> 0.37/0.38 s.  32 and 64 lie within the host's spread of each other.
 _SCAN_BLOCK = 64
 # Row g of the balance penalty belongs to sensitive value g.
 _GROUP_VALUES = np.array([[0.0], [1.0]])
@@ -106,30 +111,6 @@ class ClusterTrace:
     cycle_period: int = 0
 
 
-def update_proportions_incremental(state: ClusterState, s: int,
-                                   from_k: int, to_k: int) -> ClusterState:
-    """O(1) refresh of counts and proportions after moving one point.
-
-    ``s`` is the moved point's attribute (0 or 1); ``from_k``/``to_k`` are
-    1-based.  Matches a full recomputation from the assignments exactly.
-    """
-    if from_k == to_k:
-        return state
-    f, t = from_k - 1, to_k - 1
-    if state.counts[f] <= 0:
-        raise ValueError("count underflow: cluster bookkeeping is inconsistent")
-    state.counts[f] -= 1
-    state.priv_counts[f] -= s
-    state.counts[t] += 1
-    state.priv_counts[t] += s
-    for k in (f, t):
-        if state.counts[k] > 0:
-            state.proportions[k] = state.priv_counts[k] / state.counts[k]
-        else:
-            state.proportions[k] = state.global_priv
-    return state
-
-
 def _tally(assignments, sensitive, k: int, global_priv: float):
     """Counts, privileged counts and proportions recomputed from assignments."""
     counts = np.bincount(assignments - 1, minlength=k)
@@ -172,7 +153,8 @@ def _sq_distances(points, centers) -> np.ndarray:
     d2 = np.zeros((points.shape[0], centers.shape[0]))
     for j in range(points.shape[1]):
         d = points[:, j, None] - centers[None, :, j]
-        d2 += d * d
+        d *= d
+        d2 += d
     return d2
 
 
@@ -217,25 +199,51 @@ def _per_point_pass(d2, s_int, state: ClusterState, lam: float) -> None:
 
     ``pen[g]`` is ``lam * (w - g) ** 2``, the same elementwise operations as
     the one-point score ``d2[i] - lam * (w - s_i) ** 2``, so each scored row
-    is bit-identical to scoring that point alone.
+    is bit-identical to scoring that point alone.  A move from ``f`` to
+    ``t`` changes only ``w[f]``, ``w[t]`` and those two columns of ``pen``,
+    so the sweep keeps the counts and proportions in Python lists and
+    rewrites just the four penalty entries.  That is bit-identical to the
+    array bookkeeping: Python ints and floats do the same IEEE-double
+    operations as numpy's int64 and float64, int true division is correctly
+    rounded for counts below 2**53 (as numpy's int64 division is), and
+    ``lam * (d * d)`` is how numpy evaluates ``lam * d ** 2``.
     """
     n = d2.shape[0]
+    counts = state.counts.tolist()
+    priv = state.priv_counts.tolist()
+    w = state.proportions.tolist()
     pen = lam * (state.proportions[None, :] - _GROUP_VALUES) ** 2
+    assigned = state.assignments - 1
     i = 0
     while i < n:
         stop = min(i + _SCAN_BLOCK, n)
-        choice = (d2[i:stop] - pen[s_int[i:stop]]).argmin(axis=1) + 1
-        changed = choice != state.assignments[i:stop]
-        if not changed.any():
+        choice = (d2[i:stop] - pen.take(s_int[i:stop], axis=0)).argmin(axis=1)
+        changed = choice != assigned[i:stop]
+        first = int(changed.argmax())
+        if not changed[first]:
             i = stop
             continue
-        first = int(changed.argmax())
         i += first
-        k_old, k_new = int(state.assignments[i]), int(choice[first])
-        state.assignments[i] = k_new
-        update_proportions_incremental(state, int(s_int[i]), k_old, k_new)
-        pen = lam * (state.proportions[None, :] - _GROUP_VALUES) ** 2
+        f, t, s = int(assigned[i]), int(choice[first]), int(s_int[i])
+        if counts[f] <= 0:
+            raise ValueError("count underflow: cluster bookkeeping is inconsistent")
+        assigned[i] = t
+        counts[f] -= 1
+        priv[f] -= s
+        counts[t] += 1
+        priv[t] += s
+        for k in (f, t):
+            wk = priv[k] / counts[k] if counts[k] > 0 else state.global_priv
+            w[k] = wk
+            # Rows 0 and 1 of pen: (w - 0) ** 2 is w * w, (w - 1) ** 2 is d * d.
+            d = wk - 1.0
+            pen[0, k] = lam * (wk * wk)
+            pen[1, k] = lam * (d * d)
         i += 1
+    state.assignments = assigned + 1
+    state.counts = np.array(counts, dtype=np.int64)
+    state.priv_counts = np.array(priv, dtype=np.int64)
+    state.proportions = np.array(w, dtype=np.float64)
 
 
 def fair_kmeans(points, sensitive, cfg: ClusterConfig,

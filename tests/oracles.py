@@ -10,6 +10,7 @@ import numpy as np
 from renyifair import fairtrain as ft, maxcorr as mc, model as md
 from renyifair.data import (
     UNSEEN, DatasetSpec, EncodedDataset, _DELIMITERS, combine_sensitive, data_root, parse_spec)
+from renyifair.faircluster import ClusterState
 from renyifair.model import Batch
 
 
@@ -94,6 +95,30 @@ def check_consistent(state) -> None:
     counts = np.bincount(state.assignments - 1, minlength=k)
     if not np.array_equal(counts, state.counts):
         raise AssertionError("counts inconsistent with assignments")
+
+
+def update_proportions_incremental(state: ClusterState, s: int,
+                                   from_k: int, to_k: int) -> ClusterState:
+    """O(1) refresh of counts and proportions after moving one point.
+
+    ``s`` is the moved point's attribute (0 or 1); ``from_k``/``to_k`` are
+    1-based.  Matches a full recomputation from the assignments exactly.
+    """
+    if from_k == to_k:
+        return state
+    f, t = from_k - 1, to_k - 1
+    if state.counts[f] <= 0:
+        raise ValueError("count underflow: cluster bookkeeping is inconsistent")
+    state.counts[f] -= 1
+    state.priv_counts[f] -= s
+    state.counts[t] += 1
+    state.priv_counts[t] += s
+    for k in (f, t):
+        if state.counts[k] > 0:
+            state.proportions[k] = state.priv_counts[k] / state.counts[k]
+        else:
+            state.proportions[k] = state.global_priv
+    return state
 
 
 # The dataset reader and encoder as they stood before the column-addressed

@@ -493,17 +493,20 @@ class TestNumericColumns:
                 assert_same_array(data._numeric_columns(records, NUMERIC_SPEC, names), want)
 
     @pytest.mark.parametrize("case, loads", [
-        ("mini", 1), ("census_wide_tiny", 1), ("padded_tokens", 1),
-        ("mini_quoted", 0), ("crlf", 0), ("german", 0), ("mini_derived_feature", 0)])
+        ("mini", [np.float64, str]), ("census_wide_tiny", [np.float64, str]),
+        ("padded_tokens", [np.float64, str]), ("mini_quoted", []), ("crlf", []),
+        ("german", []), ("mini_derived_feature", [str])])
     def test_view_takes_the_c_reader_on_lines_only(self, case, loads, tmp_path, monkeypatch):
-        # Quoted files and \r line ends (field rows), the whitespace delimiter
-        # and derived columns take the token route.
+        # On lines the features and the sensitive column each take one C
+        # read.  Quoted files and \r line ends (field rows), the whitespace
+        # delimiter and derived columns take the token route.
         spec = VIEW_CASES[case](tmp_path)
         calls = []
         loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["dtype"])
+                            or loadtxt(*a, **k))
         data.clustering_view(spec, root=str(tmp_path))
-        assert len(calls) == loads
+        assert calls == loads
 
     def test_load_dataset_reads_each_split_through_the_c_reader(self, tmp_path, monkeypatch):
         spec = LOAD_CASES["census_wide_tiny"](tmp_path)
@@ -539,6 +542,40 @@ class TestNumericColumns:
             with pytest.raises(ValueError, match="^mini: clustering_sensitive_positive 'Male' "
                                                  "matches no row in column 'sex'$"):
                 data.clustering_view(spec, root=str(tmp_path))
+
+
+text_cells = st.tuples(line_pads, st.sampled_from(["Male", "Female", "a b", "", "?", '"x"', "#x"]),
+                      line_pads).map("".join)
+
+
+class TestViewSensitiveColumn:
+    """``clustering_view`` reads its sensitive column as text through numpy's
+    C reader on lines; the codes must be the token route's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(text_cells, text_cells, text_cells), min_size=1, max_size=8),
+           st.sampled_from(NUMERIC_SPEC.columns))
+    def test_c_reader_keeps_the_raw_tokens(self, rows, col):
+        # The padding stays on both routes, and _encode strips it.
+        lines = [",".join(row) for row in rows]
+        tokens = data._columns(lines, NUMERIC_SPEC, [col])[col]
+        assert data._c_reader(lines, NUMERIC_SPEC, [col], str)[:, 0].tolist() == tokens
+
+    @pytest.mark.parametrize("case", ["mini", "padded_tokens", "padded_quoted_tokens",
+                                      "mini_quoted", "german", "census_wide_tiny"])
+    def test_same_codes_and_error_as_the_token_route(self, case, tmp_path, monkeypatch):
+        spec = VIEW_CASES[case](tmp_path)
+        typo = dataclasses.replace(spec, clustering_sensitive_positive="nobody")
+        got = data.clustering_view(spec, root=str(tmp_path))
+        with pytest.raises(ValueError) as got_error:
+            data.clustering_view(typo, root=str(tmp_path))
+        monkeypatch.setattr(data, "_c_reader", lambda *args: None)
+        want = data.clustering_view(spec, root=str(tmp_path))
+        with pytest.raises(ValueError) as want_error:
+            data.clustering_view(typo, root=str(tmp_path))
+        assert_same_array(got[1], want[1])
+        assert str(got_error.value) == str(want_error.value)
+        assert "clustering_sensitive_positive 'nobody' matches no row" in str(got_error.value)
 
 
 class TestUnmatchedPositive:

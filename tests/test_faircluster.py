@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import assign_point, check_consistent
+from oracles import assign_point, check_consistent, update_proportions_incremental
 from renyifair import faircluster as fc
 
 
@@ -63,7 +63,7 @@ def reference_fair_kmeans(points, sensitive, cfg, initial_assignments=None):
                 k_old = int(state.assignments[i])
                 if k_new != k_old:
                     state.assignments[i] = k_new
-                    fc.update_proportions_incremental(state, int(s[i]), k_old, k_new)
+                    update_proportions_incremental(state, int(s[i]), k_old, k_new)
                     moves += 1
         else:
             w = state.proportions.copy()
@@ -160,7 +160,7 @@ class TestIncrementalProportions:
         rng = np.random.default_rng(1)
         state, _ = self.make_state(rng)
         before = state.proportions.copy()
-        fc.update_proportions_incremental(state, 1, 2, 2)
+        update_proportions_incremental(state, 1, 2, 2)
         np.testing.assert_array_equal(state.proportions, before)
 
     def test_underflow_detected(self):
@@ -168,7 +168,7 @@ class TestIncrementalProportions:
         state, _ = self.make_state(rng)
         state.counts[0] = 0
         with pytest.raises(ValueError, match="underflow"):
-            fc.update_proportions_incremental(state, 1, 1, 2)
+            update_proportions_incremental(state, 1, 1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
@@ -181,7 +181,7 @@ class TestIncrementalProportions:
             target = int(rng.integers(1, k + 1))
             src = int(state.assignments[i])
             state.assignments[i] = target
-            fc.update_proportions_incremental(state, int(s[i]), src, target)
+            update_proportions_incremental(state, int(s[i]), src, target)
         counts = np.bincount(state.assignments - 1, minlength=k)
         priv = np.bincount(state.assignments - 1, weights=s, minlength=k)
         np.testing.assert_array_equal(state.counts, counts)
@@ -405,6 +405,26 @@ class TestBlockScanMatchesReference:
         assert longest_run(state.assignments != a0) > b
         cfg = fc.ClusterConfig(n_clusters=2, lam=1000.0, max_sweeps=30)
         self.run_both(points, sensitive, cfg, initial_assignments=a0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3 * fc._SCAN_BLOCK + 5), st.floats(0.0, 1.0),
+           st.sampled_from([1e-3, 1.0, 1000.0]), st.sampled_from(fc.INIT_MODES),
+           st.sampled_from([0.05, 0.5, 0.95]), st.integers(0, 2**32 - 1))
+    def test_property_bookkeeping_matches_tally(self, n, k_frac, lam, init, share, seed):
+        # n crosses block edges; K runs up to n, where clusters empty within
+        # a sweep and take the global share; the group shares are skewed.
+        rng = np.random.default_rng(seed)
+        k = 1 + int(k_frac * (n - 1))
+        points = rng.normal(size=(n, 2))
+        sensitive = (rng.random(n) < share).astype(np.int64)
+        cfg = fc.ClusterConfig(n_clusters=k, lam=lam, max_sweeps=6, seed=seed, init=init)
+        state, _ = self.run_both(points, sensitive, cfg)
+        counts, priv, w = fc._tally(state.assignments, sensitive.astype(np.float64), k,
+                                    state.global_priv)
+        assert state.counts.dtype == state.priv_counts.dtype == np.int64
+        np.testing.assert_array_equal(state.counts, counts)
+        np.testing.assert_array_equal(state.priv_counts, priv)
+        assert state.proportions.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
     def test_census_view_shape(self, lam):
