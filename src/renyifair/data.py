@@ -1,37 +1,36 @@
 """Dataset ingestion driven by declarative spec files.
 
 A dataset spec is a plain ``key = value`` text file (see ``specs/`` in the
-repository) describing the source files, column roles, categorical columns,
-label and sensitive encodings, the train/test split policy, and the
-clustering view; a key outside that list is an error.  ``load_dataset``
+repository).  Its keys are the fields of ``DatasetSpec``, which holds each
+key's type and its one default; ``parse_spec`` reads every value by its
+field's type, and a key outside that list is an error.  ``load_dataset``
 and ``clustering_view`` read the source files through one reader
 (``_read_source``), which the first splits and the second pools.  The
-reader is columnar: it reads each file whole and checks every line's
-delimiter count.  ``_numeric_columns`` parses the continuous columns of
-those lines with numpy's C reader (``np.loadtxt``), and ``clustering_view``
-reads its one sensitive column with it as text; every other column, and
-every column the C reader refuses, goes through ``_columns``,
-which joins a block of lines, splits it with one ``str.split`` and keeps a
-stride of the fields for each column a caller uses.  A file holding a
-``"`` or a carriage return still goes through ``csv.reader``, and the
-``whitespace`` delimiter through ``str.split`` per line.  Each distinct
-token is stripped of blanks and quotes once, numeric tokens are parsed
-with ``float`` straight from the raw tokens, and the one-hot blocks are
-written into one preallocated matrix.  ``load_dataset`` encodes every
-column first (one-hot codes,
-numeric values, labels and sensitive codes) and lets go of the lines and
-tokens before it allocates the two feature matrices, which ``Batch`` then
-takes over without a copy: the tokens and the matrices are never alive
-at once, nor are two copies of a matrix.  Categorical features are
-one-hot encoded with category lists collected from the training split
-(plus an explicit unseen bucket for test-time surprises); continuous
-features are z-scored with training-split statistics only.  Labels map
-to {1, 2} with 2 the positive class; sensitive columns map to {1..d} with
-2 the privileged group in the binary case, and several sensitive columns
-to their product code (``combine_sensitive``; one column is its own
-code).  Each split's ``Batch`` declares c = 2 and d = the number of
-sensitive tuples, so a split that lacks a group keeps the full alphabet.
-A declared positive token that matches no training row is an error.
+reader reads each file whole and checks every line's delimiter count; a
+file holding a ``"`` or a carriage return goes through ``csv.reader``, and
+the ``whitespace`` delimiter through ``str.split`` per line, into field
+rows.  Numeric columns of lines go through numpy's C reader
+(``np.loadtxt``), as does the one sensitive column of ``clustering_view``
+(as text).  Every other column, and everything the C reader refuses
+(field rows, derived columns, refused tokens), takes the one token route:
+``_columns`` joins a block of lines, splits it with one ``str.split`` and
+keeps a stride of the fields for each column a caller uses; each distinct
+token is stripped of blanks and quotes once, and numeric tokens are
+stripped and parsed with ``float``.  ``load_dataset`` encodes every column
+first (one-hot codes, numeric values, labels and sensitive codes) and lets
+go of the lines and tokens before it allocates the two feature matrices,
+which ``Batch`` then takes over without a copy: the tokens and the
+matrices are never alive at once, nor are two copies of a matrix.
+Categorical features are one-hot encoded with category lists collected
+from the training split (plus an explicit unseen bucket for test-time
+surprises); continuous features are z-scored with training-split
+statistics only.  Labels map to {1, 2} with 2 the positive class;
+sensitive columns map to {1..d} with 2 the privileged group in the binary
+case, and several sensitive columns to their product code
+(``combine_sensitive``; one column is its own code).  Each split's
+``Batch`` declares c = 2 and d = the number of sensitive tuples, so a
+split that lacks a group keeps the full alphabet.  A declared positive
+token that matches no training row is an error.
 
 Nothing here touches the network: source files are resolved against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -42,9 +41,9 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import product, repeat
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -136,8 +135,37 @@ class DatasetSpec:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _derive_rules(value: str) -> tuple[DeriveRule, ...]:
+    rules = []
+    for item in value.split():
+        parts = item.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"bad derive rule {item!r}, expected name:source:tok|tok")
+        rules.append(DeriveRule(parts[0], parts[1], tuple(parts[2].split("|"))))
+    return tuple(rules)
+
+
+# How a spec value is read, by the type of its ``DatasetSpec`` field: the
+# reader, and what a value it refuses must be (None: the reader's own error).
+_READERS = {
+    str: (str, None),
+    tuple[str, ...]: (lambda v: tuple(v.split()), None),
+    tuple[DeriveRule, ...]: (_derive_rules, None),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda v: _BOOLEANS[v.lower()], "one of 1/0, true/false, yes/no"),
+}
+
+
 def parse_spec(path) -> DatasetSpec:
-    """Read a ``key = value`` dataset spec file."""
+    """Read a ``key = value`` dataset spec file.
+
+    The keys are the fields of ``DatasetSpec``, each value read by its
+    field's type (``_READERS``).  A key the file leaves out is not passed,
+    so it takes the field's default; of the fields without one, ``name``
+    falls back to the file's base name and the others to the empty value,
+    which ``DatasetSpec.__post_init__`` then judges.
+    """
     raw: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -148,65 +176,30 @@ def parse_spec(path) -> DatasetSpec:
                 raise ValueError(f"bad spec line (expected key = value): {line!r}")
             key, value = line.split("=", 1)
             raw[key.strip()] = value.strip()
-    unknown = sorted(raw.keys() - {f.name for f in fields(DatasetSpec)})
+    spec_fields = fields(DatasetSpec)
+    unknown = sorted(raw.keys() - {f.name for f in spec_fields})
     if unknown:
         raise ValueError(f"{path}: unknown spec keys {', '.join(unknown)}")
+    raw = {**{f.name: "" for f in spec_fields if f.default is MISSING},
+           "name": os.path.basename(str(path)), **raw}
 
-    def words(key: str) -> tuple[str, ...]:
-        return tuple(raw.get(key, "").split())
-
-    def number(key: str, kind: type):
-        try:
-            return kind(raw.get(key, "0"))
-        except ValueError:
-            expected = "an integer" if kind is int else "a number"
-            raise ValueError(f"{path}: {key} must be {expected}, got {raw[key]!r}") from None
-
-    def flag(key: str) -> bool:
-        try:
-            return _BOOLEANS[raw.get(key, "false").lower()]
-        except KeyError:
-            raise ValueError(f"{path}: {key} must be one of 1/0, true/false, yes/no, "
-                             f"got {raw[key]!r}") from None
-
-    derive = []
-    for item in words("derive"):
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad derive rule {item!r}, expected name:source:tok|tok")
-        derive.append(DeriveRule(parts[0], parts[1], tuple(parts[2].split("|"))))
-
-    return DatasetSpec(
-        name=raw.get("name", os.path.basename(str(path))),
-        columns=words("columns"),
-        label=raw.get("label", ""),
-        positive_label=raw.get("positive_label", ""),
-        sensitive=words("sensitive"),
-        categorical=words("categorical"),
-        drop=words("drop"),
-        derive=tuple(derive),
-        sensitive_positive=words("sensitive_positive"),
-        delimiter=raw.get("delimiter", "comma"),
-        split=raw.get("split", "files"),
-        file=raw.get("file", ""),
-        train_file=raw.get("train_file", ""),
-        test_file=raw.get("test_file", ""),
-        train_count=number("train_count", int),
-        test_count=number("test_count", int),
-        train_fraction=number("train_fraction", float),
-        split_seed=number("split_seed", int),
-        skip_rows=number("skip_rows", int),
-        test_skip_rows=number("test_skip_rows", int),
-        missing_token=raw.get("missing_token", ""),
-        missing_policy=raw.get("missing_policy", "drop_row"),
-        normalization=raw.get("normalization", "zscore"),
-        strip_label_period=flag("strip_label_period"),
-        clustering_features=words("clustering_features"),
-        clustering_samples=number("clustering_samples", int),
-        clustering_sensitive=raw.get("clustering_sensitive", ""),
-        clustering_sensitive_positive=raw.get("clustering_sensitive_positive", ""),
-        clustering_seed=number("clustering_seed", int),
-    )
+    types = get_type_hints(DatasetSpec)
+    values = {}
+    for f in spec_fields:
+        reader = _READERS.get(types[f.name])
+        if reader is None:
+            raise TypeError(f"DatasetSpec.{f.name} has type {types[f.name]}, "
+                            f"which parse_spec cannot read")
+        if f.name in raw:
+            read, expected = reader
+            try:
+                values[f.name] = read(raw[f.name])
+            except (ValueError, KeyError):
+                if expected is None:
+                    raise
+                raise ValueError(f"{path}: {f.name} must be {expected}, "
+                                 f"got {raw[f.name]!r}") from None
+    return DatasetSpec(**values)
 
 
 def _read_file(path: str, delim: str | None, width: int, skip: int) -> list:
@@ -383,14 +376,8 @@ def _encode(tokens: Sequence[str], index: dict[str, int], default: int,
 
 
 def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
-    # ``float`` skips the blanks that ``str.strip`` would; a token it refuses
-    # (quoted, or padded with \x1c-\x1f) takes the stripped route.
     try:
-        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        pass
-    try:
-        return np.array([float(_strip(t)) for t in tokens])
+        return np.fromiter(map(float, map(_strip, tokens)), dtype=np.float64, count=len(tokens))
     except ValueError as exc:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 

@@ -138,19 +138,6 @@ def inner_w_closed_form(soft_probs, stilde, floor: float = DEFAULT_MARGINAL_FLOO
     return _maximizer(*_binary_means(f, st), floor)
 
 
-def _binary_inner_value(soft_probs, stilde, w) -> tuple[float, float]:
-    """Centered inner value and the implied squared correlation.
-
-    Returns ``(q(1-q) - gamma(w), rho_sq)`` where ``gamma`` is the quadratic
-    the inner problem minimizes and ``q`` the empirical P(S=1).  Centering by
-    the independence value ``q(1-q)`` makes the penalty zero for predictors
-    independent of the attribute.
-    """
-    f = np.asarray(soft_probs, dtype=np.float64)
-    st = np.asarray(stilde, dtype=np.float64)
-    return _centered_value(*_binary_means(f, st), w, float((st.mean() + 1.0) / 2.0))
-
-
 def _binary_means(f, st):
     """``(mean(F), mean(stilde * F))`` down the columns: all the closed form reads of F."""
     return _column_mean(f), _column_mean(st[:, None] * f, overwrite=True)
@@ -162,7 +149,13 @@ def _maximizer(m, t, floor):
 
 
 def _centered_value(m, t, w, q):
-    """:func:`_binary_inner_value` from the column means and ``q = P(S=1)``."""
+    """Centered inner value and the implied squared correlation.
+
+    Returns ``(q(1-q) - gamma(w), rho_sq)`` from the column means, where
+    ``gamma`` is the quadratic the inner problem minimizes and ``q`` the
+    empirical P(S=1).  Centering by the independence value ``q(1-q)`` makes
+    the penalty zero for predictors independent of the attribute.
+    """
     gamma = float(np.sum(w * w * m) - np.sum(w * t) + 0.25)
     qq = q * (1.0 - q)
     centered = qq - gamma

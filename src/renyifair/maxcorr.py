@@ -16,8 +16,8 @@ where gamma is the minimum of the separable quadratic
 attained at w_i = (P(a=i, b=1) - P(a=i, b=0)) / (2 P(a=i)).  This module
 implements the SVD route.  Training runs the closed form on soft outputs
 in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
-``_centered_value``); the test suite holds its checked entry points
-``inner_w_closed_form`` and ``_binary_inner_value`` to :func:`renyi_discrete`.
+``_centered_value``); the test suite holds that penalty to
+:func:`renyi_discrete`.
 
 The SVD is a hand-rolled one-sided Jacobi: the matrices involved never
 exceed 64 x 64 (class count x sensitive-group count), and a dependency-free,

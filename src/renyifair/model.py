@@ -191,12 +191,6 @@ def init_params(
                        n_classes=n_classes, hidden_dim=hidden_dim)
 
 
-def zero_params(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> ModelParams:
-    theta = np.zeros(n_params(arch, input_dim, n_classes, hidden_dim))
-    return ModelParams(arch=arch, theta=theta, input_dim=input_dim,
-                       n_classes=n_classes, hidden_dim=hidden_dim)
-
-
 def _unpack_linear(params: ModelParams):
     c, p = params.n_classes, params.input_dim
     w = params.theta[: c * p].reshape(c, p)

@@ -28,6 +28,13 @@ def binary_objective(params, batch, lam, w):
     return loss + lam * pen
 
 
+def zero_params(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> md.ModelParams:
+    """All-zero parameters: every class equally likely for every input."""
+    theta = np.zeros(md.n_params(arch, input_dim, n_classes, hidden_dim))
+    return md.ModelParams(arch=arch, theta=theta, input_dim=input_dim,
+                          n_classes=n_classes, hidden_dim=hidden_dim)
+
+
 def second_right_singular_vector(qm):
     """Adversarial direction for the fairness penalty.
 

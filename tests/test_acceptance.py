@@ -123,8 +123,7 @@ def test_c01_estimator_equivalence():
         logits = rng.normal(size=(n, c)) + np.outer(s == 2, shift)
         f = np.exp(logits)
         f /= f.sum(axis=1, keepdims=True)
-        st = ft.s_tilde(s)
-        _, rho_sq = ft._binary_inner_value(f, st, ft.inner_w_closed_form(f, st, 1e-12))
+        _, _, rho_sq = ft._dp_penalty(s, 1e-12, 2, True)(f)
         joint = np.stack([f[s == 1].sum(axis=0), f[s == 2].sum(axis=0)], axis=1) / n
         sigma2 = mc.renyi_discrete(joint)
         worst_sq = max(worst_sq, abs(rho_sq - sigma2 ** 2))

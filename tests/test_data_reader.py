@@ -343,6 +343,63 @@ class TestSpecKeys:
                 load(spec, root=str(tmp_path))
 
 
+# A value other than the default for every DatasetSpec field, valid together.
+NON_DEFAULT_SPEC = data.DatasetSpec(
+    name="every-key", columns=("a", "b", "c", "d"), label="c", positive_label="yes",
+    sensitive=("b", "e"), categorical=("a",), drop=("d",),
+    derive=(data.DeriveRule("e", "d", ("x", "y")), data.DeriveRule("f", "e", ("1",))),
+    sensitive_positive=("m",), delimiter="semicolon", split="fraction", file="all.csv",
+    train_file="train.csv", test_file="test.csv", train_count=7, test_count=3,
+    train_fraction=0.625, split_seed=11, skip_rows=2, test_skip_rows=1, missing_token="NA",
+    missing_policy="keep", normalization="none", strip_label_period=True,
+    clustering_features=("a", "f"), clustering_samples=50, clustering_sensitive="e",
+    clustering_sensitive_positive="1", clustering_seed=5)
+REQUIRED_KEYS = "columns = a b\nlabel = a\npositive_label = 1\nsensitive = b\n"
+
+
+def spec_line(name, value):
+    if isinstance(value, bool):
+        value = "yes" if value else "no"
+    elif isinstance(value, tuple):
+        value = " ".join(f"{v.name}:{v.source}:{'|'.join(v.positive_tokens)}"
+                         if isinstance(v, data.DeriveRule) else v for v in value)
+    return f"{name} = {value}\n"
+
+
+class TestSpecFieldTypes:
+    """``parse_spec`` reads each key by its ``DatasetSpec`` field's type and
+    leaves an absent key to the field's default."""
+
+    def test_every_field_round_trips(self, tmp_path):
+        for f in dataclasses.fields(data.DatasetSpec):
+            assert getattr(NON_DEFAULT_SPEC, f.name) != f.default, f.name
+        text = "".join(spec_line(f.name, getattr(NON_DEFAULT_SPEC, f.name))
+                       for f in dataclasses.fields(data.DatasetSpec))
+        (tmp_path / "all.spec").write_text(text)
+        assert data.parse_spec(tmp_path / "all.spec") == NON_DEFAULT_SPEC
+
+    def test_absent_keys_take_the_field_defaults(self, tmp_path):
+        (tmp_path / "least.spec").write_text(REQUIRED_KEYS)
+        spec = data.parse_spec(tmp_path / "least.spec")
+        assert (spec.name, spec.columns, spec.label, spec.positive_label, spec.sensitive) == (
+            "least.spec", ("a", "b"), "a", "1", ("b",))
+        for f in dataclasses.fields(data.DatasetSpec):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(spec, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize("line", ["", "weights = a:1\n"])
+    def test_field_of_an_unread_type_is_an_error(self, tmp_path, monkeypatch, line):
+        @dataclasses.dataclass(frozen=True)
+        class WeightedSpec(data.DatasetSpec):
+            weights: dict = dataclasses.field(default_factory=dict)
+
+        monkeypatch.setattr(data, "DatasetSpec", WeightedSpec)
+        (tmp_path / "w.spec").write_text(REQUIRED_KEYS + line)
+        with pytest.raises(TypeError, match=r"^DatasetSpec\.weights has type <class 'dict'>, "
+                                            r"which parse_spec cannot read$"):
+            data.parse_spec(tmp_path / "w.spec")
+
+
 class TestMalformedRows:
     def test_wrong_field_count_names_file_and_row(self, tmp_path):
         rows = TRAIN_ROWS.replace("38, Private, Male, >50K", "38, Private, Male")

@@ -426,6 +426,33 @@ class TestBlockScanMatchesReference:
         np.testing.assert_array_equal(state.priv_counts, priv)
         assert state.proportions.tobytes() == w.tobytes()
 
+    def test_refreshed_penalty_ties_with_the_reference(self):
+        # Point 0 must move from cluster f to t, which refreshes those two
+        # penalty columns.  Point 1 sits in cluster 1 with distances equal
+        # to the reference penalties lam * (w - s) ** 2 after that move, so
+        # every score it sees is 0 and it stays.  A refresh one ulp off the
+        # reference breaks the tie, and the point moves in about a tenth of
+        # these configurations.  The other points are pinned where they are.
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            k = int(rng.integers(2, 7))
+            lam = float(rng.uniform(0.5, 50.0))
+            f, t = rng.choice(k, 2, replace=False)
+            assigned = np.concatenate([[f + 1, 1], rng.integers(1, k + 1, rng.integers(0, 40))])
+            s = rng.integers(0, 2, assigned.size)
+            global_priv = float(s.mean())
+            counts, priv, w = fc._tally(assigned, s, k, global_priv)
+            state = fc.ClusterState(assigned.copy(), np.zeros((k, 1)), w, counts, priv,
+                                    global_priv)
+            moved = assigned.copy()
+            moved[0] = t + 1
+            d2 = np.where(np.arange(1, k + 1) == assigned[:, None], -1e9, 0.0)
+            d2[0] = 1e9
+            d2[0, t] = 0.0
+            d2[1] = lam * (fc._tally(moved, s, k, global_priv)[2] - s[1]) ** 2
+            fc._per_point_pass(d2, s, state, lam)
+            np.testing.assert_array_equal(state.assignments, moved)
+
     @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
     def test_census_view_shape(self, lam):
         # K=14 on z-scored 5-D points with a 2:1 privileged share, as the

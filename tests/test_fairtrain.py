@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import binary_objective
+from oracles import binary_objective, zero_params
 from renyifair import data, maxcorr as mc, model as md, fairtrain as ft
 
 
@@ -105,7 +105,7 @@ class TestInnerWClosedForm:
 
 class TestClosedFormPenalty:
     """The training penalty takes each column mean once; its bits must equal
-    the public closed form's, with the floor active or not."""
+    the ``mean(axis=0)`` formula's, with the floor active or not."""
 
     @pytest.mark.parametrize("floor_active", [False, True])
     @pytest.mark.parametrize("c", [2, 3, 7, 9])
@@ -120,10 +120,13 @@ class TestClosedFormPenalty:
         sensitive = rng.integers(1, 3, n)
         value, seed, sigma2_sq = ft._dp_penalty(sensitive, floor, 2, True)(probs)
         stv = ft.s_tilde(sensitive)
-        w = ft.inner_w_closed_form(probs, stv, floor)
-        centered, rho_sq = ft._binary_inner_value(probs, stv, w)
         m, t = probs.mean(axis=0), (stv[:, None] * probs).mean(axis=0)
-        assert w.tobytes() == (t / (2.0 * np.maximum(m, floor))).tobytes()
+        w = t / (2.0 * np.maximum(m, floor))
+        q = (stv.mean() + 1.0) / 2.0
+        qq = q * (1.0 - q)
+        centered = qq - (np.sum(w * w * m) - np.sum(w * t) + 0.25)
+        rho_sq = centered / qq
+        assert ft.inner_w_closed_form(probs, stv, floor).tobytes() == w.tobytes()
         assert np.float64(value).tobytes() == np.float64(centered).tobytes()
         assert np.float64(sigma2_sq).tobytes() == np.float64(max(rho_sq, 0.0)).tobytes()
         assert seed.tobytes() == ft._binary_seed(stv, w, 1.0 / n).tobytes()
@@ -286,7 +289,7 @@ class TestTrainers:
     def test_binary_mode_requires_two_groups(self):
         batch = md.Batch(np.zeros((6, 2)), np.array([1, 2] * 3), np.array([1, 2, 3] * 2))
         with pytest.raises(ValueError, match="binary"):
-            ft.train(md.zero_params("linear", 2, 2), batch,
+            ft.train(zero_params("linear", 2, 2), batch,
                      ft.TrainConfig(fairness_mode="dp_binary", lam=1.0))
 
     def test_equalized_odds_reduces_conditional_dependence(self):
@@ -314,7 +317,7 @@ class TestTrainers:
         cfg = ft.TrainConfig(lam=1.0, eta=0.1, iters=2, fairness_mode="eo",
                              eo_min_group=10, seed=0)
         with caplog.at_level(logging.WARNING, logger="renyifair.fairtrain"):
-            ft.train(md.zero_params("linear", 2, 2), batch, cfg)
+            ft.train(zero_params("linear", 2, 2), batch, cfg)
         assert any("skipped" in rec.message for rec in caplog.records)
 
     def test_sigma2_non_increasing_in_lambda_up_to_one_inversion(self):
@@ -350,7 +353,7 @@ class TestTrainers:
 
     def test_grad_tol_stops_early(self):
         batch = tiny_batch(n=100, seed=9)
-        p0 = md.zero_params("linear", 2, 2)
+        p0 = zero_params("linear", 2, 2)
         cfg = ft.TrainConfig(lam=0.0, eta=0.5, iters=5000, fairness_mode="none",
                              grad_tol=1e-3, seed=0)
         trace = ft.train(p0, batch, cfg)
@@ -362,15 +365,13 @@ class TestTrainers:
         rng = np.random.default_rng(12)
         probs = np.tile([0.35, 0.65], (50, 1))
         s = np.array([1, 2] * 25)
-        stv = ft.s_tilde(s)
-        w = ft.inner_w_closed_form(probs, stv, 1e-9)
-        centered, _ = ft._binary_inner_value(probs, stv, w)
+        penalty = ft._dp_penalty(s, 1e-9, 2, True)
+        centered = penalty(probs)[0]
         assert abs(centered) <= 1e-12
         value, _, sigma2, _ = ft._discrete_penalty(probs, mc.group_index(s, 2), 1e-9)
         assert value <= 1e-12 and sigma2 <= 1e-9
         varied = random_probs(rng, 50, 2)
-        w = ft.inner_w_closed_form(varied, stv, 1e-9)
-        centered, _ = ft._binary_inner_value(varied, stv, w)
+        centered = penalty(varied)[0]
         assert centered >= -1e-12
 
 
@@ -392,21 +393,17 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
             probs, mc.group_index(sub.sensitive, n_groups), cfg.floor)
         return lam * value, lam * seed, sigma2
     if mode == "dp_binary":
-        stv = ft.s_tilde(sub.sensitive)
-        w = ft.inner_w_closed_form(probs, stv, cfg.floor)
-        centered, rho_sq = ft._binary_inner_value(probs, stv, w)
-        return (lam * centered, lam * ft._binary_seed(stv, w, 1.0 / sub.n),
-                float(np.sqrt(max(rho_sq, 0.0))))
+        value, seed, sigma2_sq = ft._dp_penalty(sub.sensitive, cfg.floor, 2, True)(probs)
+        return lam * value, lam * seed, float(np.sqrt(sigma2_sq))
     if mode == "eo":
         total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
         for idx in ft._eo_slices(sub, n_groups, cfg.eo_min_group, warned):
             if n_groups == 2:
-                stv = ft.s_tilde(sub.sensitive[idx])
-                w = ft.inner_w_closed_form(probs[idx], stv, cfg.floor)
-                centered, rho_sq = ft._binary_inner_value(probs[idx], stv, w)
-                seed[idx] += ft._binary_seed(stv, w, 1.0 / idx.size)
-                total += centered
-                sq_sum += max(rho_sq, 0.0)
+                value, sl_seed, sigma2_sq = ft._dp_penalty(
+                    sub.sensitive[idx], cfg.floor, 2, True)(probs[idx])
+                seed[idx] += sl_seed
+                total += value
+                sq_sum += sigma2_sq
             else:
                 value, sl_seed, sigma2, _ = ft._discrete_penalty(
                     probs[idx], mc.group_index(sub.sensitive[idx], n_groups), cfg.floor)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import zero_params
 from renyifair import metrics as mt, model as md
 
 
@@ -197,7 +198,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         batch = md.Batch(rng.normal(size=(40, 2)),
                          rng.integers(1, 3, 40), rng.integers(1, 3, 40))
-        report = mt.evaluate(md.zero_params("linear", 2, 2), batch)
+        report = mt.evaluate(zero_params("linear", 2, 2), batch)
         assert report.dp_violation == 0.0
         assert report.sigma2 <= 1e-9
         assert report.nmi == 0.0

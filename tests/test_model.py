@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import zero_params
 from renyifair import model as md
 
 
@@ -55,7 +56,7 @@ def naive_forward(params, x):
 
 class TestForward:
     def test_zero_params_uniform(self):
-        params = md.zero_params("linear", 3, 4)
+        params = zero_params("linear", 3, 4)
         probs = md.forward(params, np.random.default_rng(0).normal(size=(6, 3)))
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
@@ -76,7 +77,7 @@ class TestForward:
         np.testing.assert_allclose(probs, naive_forward(params, x), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        params = md.zero_params("linear", 3, 2)
+        params = zero_params("linear", 3, 2)
         with pytest.raises(ValueError, match="shape"):
             md.forward(params, np.zeros((2, 5)))
 
@@ -85,7 +86,7 @@ class TestLossAndGrad:
     def test_zero_params_binary_loss_is_ln2(self):
         rng = np.random.default_rng(2)
         batch = random_batch(rng, c=2)
-        loss, _ = md.loss_and_grad(md.zero_params("linear", 4, 2), batch)
+        loss, _ = md.loss_and_grad(zero_params("linear", 4, 2), batch)
         assert abs(loss - np.log(2)) <= 1e-12
 
     def test_separated_saturated_loss_small(self):
