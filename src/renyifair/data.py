@@ -160,11 +160,12 @@ _READERS = {
 def parse_spec(path) -> DatasetSpec:
     """Read a ``key = value`` dataset spec file.
 
-    The keys are the fields of ``DatasetSpec``, each value read by its
-    field's type (``_READERS``).  A key the file leaves out is not passed,
-    so it takes the field's default; of the fields without one, ``name``
-    falls back to the file's base name and the others to the empty value,
-    which ``DatasetSpec.__post_init__`` then judges.
+    The keys are the fields of ``DatasetSpec``, each set at most once and
+    its value read by its field's type (``_READERS``).  A key the file
+    leaves out is not passed, so it takes the field's default; of the
+    fields without one, ``name`` falls back to the file's base name and the
+    others to the empty value, which ``DatasetSpec.__post_init__`` then
+    judges.
     """
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -174,8 +175,10 @@ def parse_spec(path) -> DatasetSpec:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad spec line (expected key = value): {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise ValueError(f"{path}: repeated spec key {key}")
+            raw[key] = value
     spec_fields = fields(DatasetSpec)
     unknown = sorted(raw.keys() - {f.name for f in spec_fields})
     if unknown:

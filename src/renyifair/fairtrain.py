@@ -30,9 +30,11 @@ route, and for ``eo`` the root of the summed squares over label slices.
 ``none``, ``pearson`` and ``hsic`` only log it, from
 ``maxcorr.second_singular_value`` of the empirical Q: with two classes or
 two groups and no marginal floored that is the Frobenius norm of the
-deflated Q, within 1e-15 of the SVD, and an SVD otherwise.  On a minibatch
-that lacks a group their Q is taken over the groups present (logged once
-per run), and sigma2 is 0.0 when only one is left.  The marginal floor
+deflated Q, within 1e-15 of the SVD, and an SVD otherwise.  On a batch
+that lacks a group (a minibatch, or a training split without some declared
+group), ``dp_discrete`` and the three baselines take Q over the groups
+present (logged once per run); with one group left sigma2 is 0.0, and so
+are ``dp_discrete``'s value and seed.  The marginal floor
 clamps Q's marginals on the SVD route and each class's predicted mass in
 the denominator of ``w`` on the closed-form route; while it clamps nothing
 the two routes agree to rounding.
@@ -213,11 +215,30 @@ def _dp_penalty(sensitive, floor, n_groups, closed_form):
             value, rho_sq = _centered_value(m, t, w, q)
             return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0)
         return penalty
-    groups = maxcorr.group_index(sensitive, n_groups)
+    return _svd_penalty(maxcorr.group_index(sensitive, n_groups), floor)
+
+
+def _svd_penalty(groups: GroupIndex, floor):
+    """The SVD route of :func:`_dp_penalty` on the rows a complete ``groups`` indexes.
+
+    With one group there is nothing to correlate with: the value, the seed
+    and sigma2 are zero.
+    """
+    if groups.n_groups < 2:
+        return lambda probs: (0.0, np.zeros_like(probs), 0.0)
 
     def penalty(probs):
         value, seed, sigma2, _ = _discrete_penalty(probs, groups, floor)
         return value, seed, sigma2 * sigma2
+    return penalty
+
+
+def _sigma2_from_square(dp):
+    """A :func:`_dp_penalty` that gives sigma2 rather than its square."""
+
+    def penalty(probs):
+        value, seed, sigma2_sq = dp(probs)
+        return value, seed, float(np.sqrt(sigma2_sq))
     return penalty
 
 
@@ -309,13 +330,8 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
         raise ValueError(f"{mode} requires a binary sensitive attribute, got d={n_groups}")
     if mode == "dp_discrete" and n_groups < 2:
         raise ValueError("dp_discrete requires at least two sensitive groups")
-    if mode in ("dp_binary", "dp_discrete"):
-        dp = _dp_penalty(sub.sensitive, cfg.floor, n_groups, mode == "dp_binary")
-
-        def penalty(probs):
-            value, seed, sigma2_sq = dp(probs)
-            return value, seed, float(np.sqrt(sigma2_sq))
-        return penalty
+    if mode == "dp_binary":
+        return _sigma2_from_square(_dp_penalty(sub.sensitive, cfg.floor, n_groups, True))
     if mode == "eo":
         slices = [(idx, _dp_penalty(sub.sensitive[idx], cfg.floor, n_groups, n_groups == 2))
                   for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)]
@@ -330,15 +346,18 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
             return total, seed, float(np.sqrt(sq_sum))
         return penalty
     groups = maxcorr.group_index(sub.sensitive, n_groups)
+    present = maxcorr.present_groups(groups)
+    if present is not groups and "groups" not in warned:
+        warned.add("groups")
+        logger.warning("%s on a batch that lacks a sensitive group: "
+                       "Q is taken over the %d of %d groups present",
+                       "dp_discrete penalty" if mode == "dp_discrete" else "sigma2 diagnostic",
+                       present.n_groups, n_groups)
+    if mode == "dp_discrete":
+        return _sigma2_from_square(_svd_penalty(present, cfg.floor))
     baseline = {"none": lambda probs: (0.0, None),
                 "pearson": lambda probs: pearson_penalty(probs, sub.sensitive),
                 "hsic": lambda probs: hsic_penalty(probs, sub.sensitive, groups)}[mode]
-    present = maxcorr.present_groups(groups)
-    if present is not groups and "sigma2" not in warned:
-        warned.add("sigma2")
-        logger.warning("sigma2 diagnostic on a minibatch that lacks a sensitive group: "
-                       "Q is taken over the %d of %d groups present",
-                       present.n_groups, n_groups)
 
     def penalty(probs):
         value, seed = baseline(probs)

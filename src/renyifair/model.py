@@ -6,10 +6,13 @@ Two architectures, both producing probability-simplex rows:
 * ``one_hidden``: softmax(W2 tanh(W1 x + b1) + b2), a single tanh hidden
   layer.
 
-Parameters live in one flat float64 vector so optimizers and checkpoints
-never deal with shapes; gradients are hand-derived and checked against
-central finite differences in the test suite.  No autodiff framework is
-used anywhere.
+Both are stacks of layers, so a linear model is a one-layer stack.  The
+architecture is read once, into the layer widths (``[p, c]`` or
+``[p, h, c]``); one forward loop and one backward loop serve both.
+Parameters live in one flat float64 vector, each layer's W then b, input
+layer first, so optimizers and checkpoints never deal with shapes;
+gradients are hand-derived and checked against central finite differences
+in the test suite.  No autodiff framework is used anywhere.
 
 A training step needs the soft outputs, the cross-entropy gradient and the
 pullback of a penalty through the outputs; :func:`loss_grad_and_vjp`
@@ -160,10 +163,18 @@ class Batch:
         return flat
 
 
-def n_params(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> int:
+def _widths(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> list[int]:
+    """Layer widths from input to output: ``[p, c]`` or ``[p, h, c]``."""
     if arch == "linear":
-        return n_classes * input_dim + n_classes
-    return hidden_dim * input_dim + hidden_dim + n_classes * hidden_dim + n_classes
+        return [input_dim, n_classes]
+    if arch == "one_hidden":
+        return [input_dim, hidden_dim, n_classes]
+    raise ValueError(f"unknown architecture {arch!r}")
+
+
+def n_params(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> int:
+    widths = _widths(arch, input_dim, n_classes, hidden_dim)
+    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 def init_params(
@@ -173,40 +184,27 @@ def init_params(
     hidden_dim: int = 0,
     seed: int = 0,
 ) -> ModelParams:
-    """Seeded uniform(-r, r) weights with r = sqrt(6 / (fan_in + fan_out)); zero biases."""
+    """Seeded uniform(-r, r) weights, r = sqrt(6 / (fan_in + fan_out)), per layer; zero biases."""
     rng = np.random.default_rng(seed)
-    if arch == "linear":
-        r = np.sqrt(6.0 / (input_dim + n_classes))
-        w = rng.uniform(-r, r, size=(n_classes, input_dim))
-        theta = np.concatenate([w.ravel(), np.zeros(n_classes)])
-    elif arch == "one_hidden":
-        r1 = np.sqrt(6.0 / (input_dim + hidden_dim))
-        r2 = np.sqrt(6.0 / (hidden_dim + n_classes))
-        w1 = rng.uniform(-r1, r1, size=(hidden_dim, input_dim))
-        w2 = rng.uniform(-r2, r2, size=(n_classes, hidden_dim))
-        theta = np.concatenate([w1.ravel(), np.zeros(hidden_dim), w2.ravel(), np.zeros(n_classes)])
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
-    return ModelParams(arch=arch, theta=theta, input_dim=input_dim,
+    widths = _widths(arch, input_dim, n_classes, hidden_dim)
+    blocks = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        r = np.sqrt(6.0 / (fan_in + fan_out))
+        blocks += [rng.uniform(-r, r, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return ModelParams(arch=arch, theta=np.concatenate(blocks), input_dim=input_dim,
                        n_classes=n_classes, hidden_dim=hidden_dim)
 
 
-def _unpack_linear(params: ModelParams):
-    c, p = params.n_classes, params.input_dim
-    w = params.theta[: c * p].reshape(c, p)
-    b = params.theta[c * p :]
-    return w, b
-
-
-def _unpack_hidden(params: ModelParams):
-    c, p, h = params.n_classes, params.input_dim, params.hidden_dim
-    t = params.theta
-    o = 0
-    w1 = t[o : o + h * p].reshape(h, p); o += h * p
-    b1 = t[o : o + h]; o += h
-    w2 = t[o : o + c * h].reshape(c, h); o += c * h
-    b2 = t[o : o + c]
-    return w1, b1, w2, b2
+def _layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(W, b)`` views of theta, input layer first."""
+    widths = _widths(params.arch, params.input_dim, params.n_classes, params.hidden_dim)
+    layers, o = [], 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        w_end = o + fan_out * fan_in
+        layers.append((params.theta[o:w_end].reshape(fan_out, fan_in),
+                       params.theta[w_end:w_end + fan_out]))
+        o = w_end + fan_out
+    return layers
 
 
 # Widest output reduced column by column (see the module docstring).
@@ -264,15 +262,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_internals(params: ModelParams, x: np.ndarray):
-    """Probabilities plus the hidden activations the backward pass needs."""
+    """Probabilities plus each layer's input: ``x``, then the tanh activations."""
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"features have shape {x.shape}, expected (N, {params.input_dim})")
-    if params.arch == "linear":
-        w, b = _unpack_linear(params)
-        return _softmax(x @ w.T + b), None
-    w1, b1, w2, b2 = _unpack_hidden(params)
-    hidden = np.tanh(x @ w1.T + b1)
-    return _softmax(hidden @ w2.T + b2), hidden
+    *hidden, (w, b) = _layers(params)
+    inputs = [x]
+    for wk, bk in hidden:
+        inputs.append(np.tanh(inputs[-1] @ wk.T + bk))
+    return _softmax(inputs[-1] @ w.T + b), inputs
 
 
 def forward(params: ModelParams, features) -> np.ndarray:
@@ -282,24 +279,21 @@ def forward(params: ModelParams, features) -> np.ndarray:
     return probs
 
 
-def _backward_from_dlogits(params: ModelParams, x: np.ndarray,
-                           dlogits: np.ndarray, hidden) -> np.ndarray:
-    """Accumulate d(objective)/d(theta) given d(objective)/d(logits)."""
-    if params.arch == "linear":
-        gw = dlogits.T @ x
-        gb = _column_reduce(np.add, dlogits)
-        return np.concatenate([gw.ravel(), gb])
-    w1, b1, w2, b2 = _unpack_hidden(params)
-    gw2 = dlogits.T @ hidden
-    gb2 = _column_reduce(np.add, dlogits)
-    dhidden = (dlogits @ w2) * (1.0 - hidden * hidden)
-    gw1 = dhidden.T @ x
-    gb1 = _column_reduce(np.add, dhidden)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+def _backward_from_dlogits(params: ModelParams, inputs: list[np.ndarray],
+                           dlogits: np.ndarray) -> np.ndarray:
+    """Accumulate d(objective)/d(theta) given d(objective)/d(logits), output layer first."""
+    grads = []
+    for k in reversed(range(len(inputs))):
+        a = inputs[k]
+        grads[:0] = [(dlogits.T @ a).ravel(), _column_reduce(np.add, dlogits)]
+        if k:
+            w, _ = _layers(params)[k]
+            dlogits = (dlogits @ w) * (1.0 - a * a)
+    return np.concatenate(grads)
 
 
-def _pullback(params: ModelParams, x: np.ndarray, probs: np.ndarray,
-              hidden) -> Callable[[np.ndarray], np.ndarray]:
+def _pullback(params: ModelParams, probs: np.ndarray,
+              inputs: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Vector-Jacobian product of the soft outputs of one forward pass."""
 
     def vjp(u: np.ndarray) -> np.ndarray:
@@ -308,7 +302,7 @@ def _pullback(params: ModelParams, x: np.ndarray, probs: np.ndarray,
             raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
         inner = _row_reduce(np.add, u * probs)
         dlogits = (u - inner) * probs
-        return _backward_from_dlogits(params, x, dlogits, hidden)
+        return _backward_from_dlogits(params, inputs, dlogits)
 
     return vjp
 
@@ -325,17 +319,15 @@ def loss_grad_and_vjp(
     :meth:`Batch.label_index`, a gather and a scatter with the bits of a
     2-D fancy index.
     """
-    x = batch.features
-    n = batch.n
-    probs, hidden = _forward_internals(params, x)
+    probs, inputs = _forward_internals(params, batch.features)
     flat = batch.label_index(probs.shape[1])
     picked = probs.take(flat)
     loss = float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
     dlogits = probs.copy()
     dlogits.reshape(-1)[flat] -= 1.0
-    dlogits /= n
-    grad = _backward_from_dlogits(params, x, dlogits, hidden)
-    return probs, loss, grad, _pullback(params, x, probs, hidden)
+    dlogits /= batch.n
+    grad = _backward_from_dlogits(params, inputs, dlogits)
+    return probs, loss, grad, _pullback(params, probs, inputs)
 
 
 def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]:
@@ -353,7 +345,7 @@ def jacobian_probs(params: ModelParams, features) -> Callable[[np.ndarray], np.n
     ``(u - (u . F) 1) * F`` row by row.
     """
     x = np.asarray(features, dtype=np.float64)
-    return _pullback(params, x, *_forward_internals(params, x))
+    return _pullback(params, *_forward_internals(params, x))
 
 
 def save_params(params: ModelParams, path) -> None:

@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import importlib.util
 import logging
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -65,6 +66,13 @@ def mini_spec(tmp_path, spec_text=ADULT_LIKE_SPEC, train_rows=TRAIN_ROWS):
     (tmp_path / "mini_train.csv").write_text(train_rows)
     (tmp_path / "mini_test.csv").write_text(TEST_ROWS)
     return data.parse_spec(tmp_path / "spec.txt")
+
+
+def with_key(spec_text, key, value):
+    """``spec_text`` with ``key = value``: the key's line replaced, or one appended."""
+    line = f"{key} = {value}\n"
+    text, found = re.subn(rf"^{key} = .*\n", line, spec_text, flags=re.M)
+    return text if found else spec_text + line
 
 
 def mini_two_sensitive(tmp_path):
@@ -292,9 +300,15 @@ class TestSpecKeys:
         with pytest.raises(ValueError, match=r"typo\.spec: unknown spec keys catgorical, colour"):
             data.parse_spec(tmp_path / "typo.spec")
 
+    def test_repeated_key_named_with_the_file(self, tmp_path):
+        assert "\nsensitive = sex\n" in ADULT_LIKE_SPEC
+        (tmp_path / "twice.spec").write_text(ADULT_LIKE_SPEC + "sensitive = sex\n")
+        with pytest.raises(ValueError, match=r"twice\.spec: repeated spec key sensitive$"):
+            data.parse_spec(tmp_path / "twice.spec")
+
     @pytest.mark.parametrize("key", ["clustering_features", "clustering_sensitive"])
     def test_undeclared_clustering_column_rejected(self, tmp_path, key):
-        (tmp_path / "s.spec").write_text(ADULT_LIKE_SPEC + f"{key} = agee\n")
+        (tmp_path / "s.spec").write_text(with_key(ADULT_LIKE_SPEC, key, "agee"))
         with pytest.raises(ValueError, match="column 'agee' not declared in the spec"):
             data.parse_spec(tmp_path / "s.spec")
 
@@ -306,7 +320,7 @@ class TestSpecKeys:
     ])
     @pytest.mark.parametrize("value", ["", "1.5x"])
     def test_bad_numeric_value_named_with_key_and_file(self, tmp_path, key, kind, value):
-        (tmp_path / "num.spec").write_text(ADULT_LIKE_SPEC + f"{key} = {value}\n")
+        (tmp_path / "num.spec").write_text(with_key(ADULT_LIKE_SPEC, key, value))
         with pytest.raises(ValueError,
                            match=rf"num\.spec: {key} must be {kind}, got '{value}'$"):
             data.parse_spec(tmp_path / "num.spec")

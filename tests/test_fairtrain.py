@@ -557,13 +557,43 @@ def test_eo_min_group_below_one_rejected_and_one_trains():
     assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
 
 
-@pytest.mark.parametrize("mode,d", [("dp_discrete", 2), ("dp_discrete", 3)])
-def test_minibatch_lacking_a_group_still_raises(mode, d):
+@pytest.mark.parametrize("mode,d", [(mode, 2) for mode in ft.FAIRNESS_MODES] + [("dp_discrete", 3)])
+def test_minibatches_lacking_a_group_train_in_every_mode(mode, d):
     batch = rare_group_batch(500, d, every=50, seed=3)
     cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode=mode,
                          batch_size=32, seed=4)
-    with pytest.raises(ValueError, match=f"every sensitive group in 1..{d} must be nonempty"):
-        ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+    assert all(np.isfinite(trace.sigma2)) and all(np.isfinite(trace.penalty))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dp_discrete_minibatches_lacking_a_group_take_q_over_the_groups_present(d, caplog):
+    batch = rare_group_batch(500, d, every=50, seed=3)
+    cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=40, fairness_mode="dp_discrete",
+                         batch_size=32, seed=4)
+    with caplog.at_level(logging.WARNING, logger="renyifair.fairtrain"):
+        trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    warnings = [rec.message for rec in caplog.records if "lacks a sensitive group" in rec.message]
+    assert warnings == ["dp_discrete penalty on a batch that lacks a sensitive group: "
+                        f"Q is taken over the {d - 1} of {d} groups present"]
+    # One group left: no penalty, and nothing to correlate with.
+    one_left = [k for k, sigma2 in enumerate(trace.sigma2) if sigma2 == 0.0]
+    assert bool(one_left) == (d == 2)
+    assert all(trace.penalty[k] == 0.0 for k in one_left) and trace.sigma2[-1] > 0.0
+
+
+def test_dp_discrete_minibatch_lacking_a_group_renumbers_the_rest():
+    rng = np.random.default_rng(8)
+    s = rng.choice([1, 3], size=40)
+    sub = md.Batch(rng.normal(size=(40, 2)), rng.integers(1, 3, 40), s, n_groups=3)
+    probs = md.forward(md.init_params("linear", 2, 2, seed=1), sub.features)
+    cfg = ft.TrainConfig(fairness_mode="dp_discrete")
+    value, seed, sigma2 = ft._penalty_on(sub, cfg, set())(probs)
+    want = ft._dp_penalty(np.where(s == 3, 2, 1), cfg.floor, 2, False)
+    want_value, want_seed, want_sq = want(probs)
+    assert (value, sigma2) == (want_value, float(np.sqrt(want_sq))) and want_sq > 0.0
+    assert seed.tobytes() == want_seed.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["none", "pearson", "hsic"])
@@ -578,7 +608,7 @@ def test_baseline_minibatches_lacking_a_group_log_sigma2_over_the_groups_present
     # One group left: nothing to correlate with.
     assert 0.0 in trace.sigma2[:-1] and trace.sigma2[-1] > 0.0
     warnings = [rec.message for rec in caplog.records if "lacks a sensitive group" in rec.message]
-    assert warnings == ["sigma2 diagnostic on a minibatch that lacks a sensitive group: "
+    assert warnings == ["sigma2 diagnostic on a batch that lacks a sensitive group: "
                         "Q is taken over the 1 of 2 groups present"]
     # Full batches hold both groups, so a full-batch run keeps every bit but sigma2's.
     p0, full_cfg = md.init_params("linear", 2, 2, seed=0), replace(cfg, batch_size=None)

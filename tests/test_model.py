@@ -76,6 +76,23 @@ class TestForward:
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs, naive_forward(params, x), atol=1e-12)
 
+    @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 5)])
+    def test_bitwise_equal_explicit_formulas(self, arch, hid):
+        rng = np.random.default_rng(12)
+        p, c = 4, 3
+        params = md.init_params(arch, p, c, hidden_dim=hid, seed=13)
+        t = rng.normal(size=params.theta.size)  # nonzero biases too
+        x = 3.0 * rng.normal(size=(200, p))
+        if arch == "linear":
+            logits = x @ t[:c * p].reshape(c, p).T + t[c * p:]
+        else:
+            o = hid * p + hid
+            hidden = np.tanh(x @ t[:hid * p].reshape(hid, p).T + t[hid * p:o])
+            logits = hidden @ t[o:o + c * hid].reshape(c, hid).T + t[o + c * hid:]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want = e / e.sum(axis=1, keepdims=True)
+        assert md.forward(params.with_theta(t), x).tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self):
         params = zero_params("linear", 3, 2)
         with pytest.raises(ValueError, match="shape"):
@@ -140,8 +157,8 @@ class TestLabelIndex:
         params = md.init_params(arch, 4, 3, hidden_dim=hid, seed=5)
         probs, loss, grad, _ = md.loss_grad_and_vjp(params, batch)
         want_loss, dlogits = fancy_index_loss_and_dlogits(probs, batch.labels)
-        _, hidden = md._forward_internals(params, batch.features)
-        want_grad = md._backward_from_dlogits(params, batch.features, dlogits, hidden)
+        _, inputs = md._forward_internals(params, batch.features)
+        want_grad = md._backward_from_dlogits(params, inputs, dlogits)
         assert loss == want_loss
         assert grad.tobytes() == want_grad.tobytes()
         np.testing.assert_array_equal(batch.label_index(3), np.arange(40) * 3 + batch.labels - 1)
@@ -238,10 +255,10 @@ class TestRowReductions:
             e = np.exp(z)
             assert md._softmax(logits).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
-            probs, hidden = md._forward_internals(params, x)
+            probs, inputs = md._forward_internals(params, x)
             u = awkward_matrix(rng, 500, c)
             dlogits = (u - np.sum(u * probs, axis=1, keepdims=True)) * probs
-            want = md._backward_from_dlogits(params, x, dlogits, hidden)
+            want = md._backward_from_dlogits(params, inputs, dlogits)
             assert md.jacobian_probs(params, x)(u).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("c", [1, 2, 3, 5, 7])
@@ -354,13 +371,14 @@ class TestColumnReductions:
         rng = np.random.default_rng(hid)
         params = md.init_params(arch, 3, 3, hidden_dim=hid, seed=hid)
         x = 3.0 * rng.normal(size=(500, 3))
-        probs, hidden = md._forward_internals(params, x)
+        probs, inputs = md._forward_internals(params, x)
         dlogits = awkward_matrix(rng, 500, 3)
-        got = md._backward_from_dlogits(params, x, dlogits, hidden)
+        got = md._backward_from_dlogits(params, inputs, dlogits)
         if arch == "linear":
             want = np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
         else:
-            w1, b1, w2, b2 = md._unpack_hidden(params)
+            _, hidden = inputs
+            w2 = params.theta[4 * hid:7 * hid].reshape(3, hid)
             dhidden = (dlogits @ w2) * (1.0 - hidden * hidden)
             want = np.concatenate([(dhidden.T @ x).ravel(), dhidden.sum(axis=0),
                                    (dlogits.T @ hidden).ravel(), dlogits.sum(axis=0)])
@@ -467,6 +485,20 @@ class TestCheckpoints:
         a = md.init_params("one_hidden", 4, 3, hidden_dim=5, seed=1)
         b = md.init_params("one_hidden", 4, 3, hidden_dim=5, seed=1)
         np.testing.assert_array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 5)])
+    def test_init_bitwise_equal_explicit_draws(self, arch, hid):
+        p, c, seed = 4, 3, 7
+        rng = np.random.default_rng(seed)
+        if arch == "linear":
+            r = np.sqrt(6.0 / (p + c))
+            blocks = [rng.uniform(-r, r, (c, p)).ravel(), np.zeros(c)]
+        else:
+            r1, r2 = np.sqrt(6.0 / (p + hid)), np.sqrt(6.0 / (hid + c))
+            blocks = [rng.uniform(-r1, r1, (hid, p)).ravel(), np.zeros(hid),
+                      rng.uniform(-r2, r2, (c, hid)).ravel(), np.zeros(c)]
+        got = md.init_params(arch, p, c, hidden_dim=hid, seed=seed).theta
+        assert got.tobytes() == np.concatenate(blocks).tobytes()
 
     def test_param_count_validation(self):
         with pytest.raises(ValueError, match="length"):
