@@ -30,7 +30,8 @@ with columns covering accuracy, error, p%, DP and EO violations, sigma2,
 NMI, losses and the w statistics), per-run trace CSVs, parameter
 checkpoints in a text format (header line ``arch=... input_dim=...
 n_classes=... hidden_dim=...`` followed by one parameter repr per line),
-and a ``manifest.json`` with the config hash and library versions.  One
+and a ``manifest.json`` with the config hash (over a spec file's bytes,
+not its path) and library versions.  One
 writer, ``write_csv``, renders every CSV.  Outputs contain no timestamps:
 rerunning a config with the same seeds produces byte-identical CSVs.
 """
@@ -90,7 +91,14 @@ class ExperimentConfig:
         return [_convert("seeds", _integer, s) for s in self.raw.get("seeds", [0])]
 
     def config_hash(self) -> str:
-        text = json.dumps(self.raw, sort_keys=True)
+        """Hash of the config, a spec file path in ``dataset`` replaced by the
+        SHA-256 of the file's bytes, so the hash does not depend on where the
+        spec lies but does on what it says."""
+        raw = self.raw
+        if isinstance(raw.get("dataset"), str) and os.path.isfile(raw["dataset"]):
+            with open(raw["dataset"], "rb") as fh:
+                raw = {**raw, "dataset": hashlib.sha256(fh.read()).hexdigest()}
+        text = json.dumps(raw, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

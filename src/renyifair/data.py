@@ -6,21 +6,23 @@ key's type and its one default; ``parse_spec`` reads every value by its
 field's type, and a key outside that list is an error.  ``load_dataset``
 and ``clustering_view`` read the source files through one reader
 (``_read_source``), which the first splits and the second pools.  The
-reader reads each file whole and checks every line's delimiter count; a
-file holding a ``"`` or a carriage return goes through ``csv.reader``, and
-the ``whitespace`` delimiter through ``str.split`` per line, into field
-rows.  Numeric columns of lines go through numpy's C reader
-(``np.loadtxt``), as does the one sensitive column of ``clustering_view``
-(as text).  Every other column, and everything the C reader refuses
-(field rows, derived columns, refused tokens), takes the one token route:
-``_columns`` joins a block of lines, splits it with one ``str.split`` and
-keeps a stride of the fields for each column a caller uses; each distinct
-token is stripped of blanks and quotes once, and numeric tokens are
-stripped and parsed with ``float``.  ``load_dataset`` encodes every column
-first (one-hot codes, numeric values, labels and sensitive codes) and lets
-go of the lines and tokens before it allocates the two feature matrices,
-which ``Batch`` then takes over without a copy: the tokens and the
-matrices are never alive at once, nor are two copies of a matrix.
+reader reads each file whole in universal-newline mode, keeps its lines
+and checks every line's field count: delimiters for ``comma`` and
+``semicolon``, words for ``whitespace``.  Quotes are not parsed, so a
+delimiter or a line break inside a quoted field fails that check, and a
+field that opens with a quote must be one quoted run followed by blanks.
+Numeric columns go through numpy's C reader (``np.loadtxt``), as does the
+one sensitive column of ``clustering_view`` (as text).  Every other
+column, and everything the C reader refuses (derived columns, quoted or
+refused tokens), takes the one token route: ``_columns`` joins a block of
+lines, splits it with one ``str.split`` and keeps a stride of the fields
+for each column a caller uses; each distinct token is stripped of blanks
+and quotes once, and numeric tokens are stripped and parsed with
+``float``.  ``load_dataset`` encodes every column first (one-hot codes,
+numeric values, labels and sensitive codes) and lets go of the lines and
+tokens before it allocates the two feature matrices, which ``Batch`` then
+takes over without a copy: the tokens and the matrices are never alive at
+once, nor are two copies of a matrix.
 Categorical features are one-hot encoded with category lists collected
 from the training split (plus an explicit unseen bucket for test-time
 surprises); continuous features are z-scored with training-split
@@ -38,7 +40,6 @@ Nothing here touches the network: source files are resolved against the
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from dataclasses import MISSING, dataclass, fields
@@ -205,37 +206,27 @@ def parse_spec(path) -> DatasetSpec:
     return DatasetSpec(**values)
 
 
-def _read_file(path: str, delim: str | None, width: int, skip: int) -> list:
-    """Kept records of one source file, after its first ``skip`` rows.
+def _read_file(path: str, delim: str | None, width: int, skip: int) -> list[str]:
+    """Kept lines of one source file, after its first ``skip`` rows.
 
-    Unquoted delimited text, the common case, is read whole and comes back
-    as its lines, each holding ``width - 1`` delimiters.  Text that holds a
-    ``"`` or a carriage return still goes through ``csv.reader``, the only
-    parser here of quoted fields and of ``\\r`` line ends, and
-    whitespace-delimited text through ``str.split``; their records come
-    back as field rows.
+    The file is read whole in universal-newline mode, so ``\\r\\n`` and
+    ``\\r`` line ends both read as ``\\n``; only ``\\n`` splits rows, so no
+    other line-break character does.  Blank lines are left out, and a line
+    of the wrong width (``width - 1`` delimiters, or ``width`` words for the
+    ``whitespace`` delimiter) is an error naming the file and its physical
+    1-based row.  Quotes are not parsed: a delimiter or a line break inside
+    a quoted field makes a row of the wrong width.
     """
-    with open(path, newline="") as fh:
-        text = "" if delim is None else fh.read()
-        if delim is None or '"' in text or "\r" in text:
-            fh.seek(0)
-            if delim is None:
-                reader = (line.split() for line in fh)
-            else:
-                reader = csv.reader(fh, delimiter=delim)
-            rows = []
-            for i, row in enumerate(reader):
-                if i < skip or not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != width:
-                    raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
-                rows.append(row)
-            return rows
+    with open(path) as fh:
+        text = fh.read()
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the empty tail after a final newline, not a blank row
     lines = lines[skip:]
-    counts = list(map(str.count, lines, repeat(delim)))
+    if delim is None:
+        counts = [len(line.split()) - 1 for line in lines]
+    else:
+        counts = list(map(str.count, lines, repeat(delim)))
     if width == 1 or counts.count(width - 1) < len(lines):
         # Blank lines (whose count is right when width is 1) or rows of the
         # wrong width: go line by line.
@@ -244,23 +235,21 @@ def _read_file(path: str, delim: str | None, width: int, skip: int) -> list:
             if not line.strip():
                 continue
             if count != width - 1:
-                raise ValueError(f"{path}: row {i + 1} has {count + 1} fields, expected {width}")
+                note = " (a quoted field may hold the delimiter or a line break)"
+                raise ValueError(f"{path}: row {i + 1} has {count + 1} fields, expected "
+                                 f"{width}" + (note if '"' in text else ""))
             kept.append(line)
         lines = kept
     return lines
 
 
-def _is_lines(records: list) -> bool:
-    return bool(records) and isinstance(records[0], str)
-
-
-def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> list[list]:
-    """Records of the spec's source files, one list per file (see ``_read_file``).
+def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> list[list[str]]:
+    """Lines of the spec's source files, one list per file (see ``_read_file``).
 
     ``split = files`` reads ``train_file`` then ``test_file``, any other
     split ``file``, and an unset one is an error.  Skipped and blank rows are
     left out, a row of the wrong width is an error naming its file and
-    1-based row number, and under ``drop_row`` the records holding
+    1-based row number, and under ``drop_row`` the lines holding
     ``missing_token`` as a stripped field are dropped after ``pool`` has
     joined the files.
     """
@@ -276,30 +265,24 @@ def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> lis
     parts = [_read_file(os.path.join(data_root() if root is None else root, getattr(spec, key)),
                         delim, len(spec.columns), skip) for key, skip in sources]
     if pool:
-        if len({_is_lines(p) for p in parts if p}) > 1:
-            parts = [[r.split(delim) for r in p] if _is_lines(p) else p for p in parts]
-        parts = [[r for records in parts for r in records]]
+        parts = [[line for lines in parts for line in lines]]
     token = spec.missing_token
     if not token or spec.missing_policy != "drop_row":
         return parts
-    for k, records in enumerate(parts):
-        # A field that strips to the token holds it, so only records whose
-        # text holds it need their fields stripped.
-        if _is_lines(records):
-            kept = [r for r in records if token not in r
-                    or token not in map(_strip, r.split(delim))]
-        else:
-            kept = [r for r in records if token not in "".join(r)
-                    or token not in map(_strip, r)]
-        if len(kept) < len(records):
+    for k, lines in enumerate(parts):
+        # A field that strips to the token holds it, so only lines that
+        # hold it need their fields stripped.
+        kept = [line for line in lines if token not in line
+                or token not in map(_strip, line.split(delim))]
+        if len(kept) < len(lines):
             logger.info("%s: dropped %d rows with missing values",
-                        spec.name, len(records) - len(kept))
+                        spec.name, len(lines) - len(kept))
         parts[k] = kept
     return parts
 
 
-def _split(spec: DatasetSpec, parts: list[list]):
-    """Train and test records of the reader's files, per the spec's split policy."""
+def _split(spec: DatasetSpec, parts: list[list[str]]):
+    """Train and test lines of the reader's files, per the spec's split policy."""
     if spec.split == "files":
         train, test = parts
     else:
@@ -322,27 +305,23 @@ def _split(spec: DatasetSpec, parts: list[list]):
     return train, test
 
 
-def _columns(records: list, spec: DatasetSpec, names) -> dict[str, list[str]]:
+def _columns(lines: list[str], spec: DatasetSpec, names) -> dict[str, list[str]]:
     """Raw tokens of each column in ``names``, a derived one built from its source.
 
     Lines are split ``_BLOCK`` at a time by one ``str.split`` of the joined
-    block, and column ``i`` of a block is the stride ``[i::width]`` of its
-    fields; only the columns asked for are kept, so the fields of the
-    others never pile up.
+    block (on runs of blanks for the ``whitespace`` delimiter), and column
+    ``i`` of a block is the stride ``[i::width]`` of its fields; only the
+    columns asked for are kept, so the fields of the others never pile up.
     """
     rules = {rule.name: rule for rule in reversed(spec.derive)}  # the first of a name wins
     raw: dict[str, list[str]] = {_source(name, rules): [] for name in names}
     width = len(spec.columns)
     wanted = [(spec.columns.index(name), tokens) for name, tokens in raw.items()]
-    if _is_lines(records):
-        delim = _DELIMITERS[spec.delimiter]
-        for start in range(0, len(records), _BLOCK):
-            fields = delim.join(records[start:start + _BLOCK]).split(delim)
-            for i, tokens in wanted:
-                tokens += fields[i::width]
-    else:
+    delim = _DELIMITERS[spec.delimiter]
+    for start in range(0, len(lines), _BLOCK):
+        fields = (delim or " ").join(lines[start:start + _BLOCK]).split(delim)
         for i, tokens in wanted:
-            tokens += [r[i] for r in records]
+            tokens += fields[i::width]
     return {name: _derived(name, rules, raw) for name in names}
 
 
@@ -363,7 +342,19 @@ def _derived(name: str, rules: dict[str, DeriveRule], raw: dict[str, list[str]])
 
 
 def _strip(token: str) -> str:
-    return token.strip().strip('"')
+    """The value of a raw field: blanks stripped, then its quotes.
+
+    A field that opens with ``"`` must be one quoted run followed only by
+    blanks, whose inner text is stripped of blanks too; a doubled quote or
+    text after the closing quote is an error naming the token.
+    """
+    if token[:1] != '"':
+        return token.strip().strip('"')
+    inner, closed, rest = token[1:].partition('"')
+    if not closed or rest.strip():
+        raise ValueError(f"quoted field {token!r} is not one quoted run followed by blanks; "
+                         f"doubled quotes and text after the closing quote are not read")
+    return inner.strip()
 
 
 def _distinct(tokens: Sequence[str]) -> set[str]:
@@ -385,18 +376,18 @@ def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 
 
-def _c_reader(records: list, spec: DatasetSpec, names: Sequence[str], dtype):
+def _c_reader(lines: list[str], spec: DatasetSpec, names: Sequence[str], dtype):
     """N x k array of the columns ``names`` read by numpy's C reader, or None.
 
-    Only lines (the unquoted case of ``_read_file``, never blank) whose
-    columns asked for are all source-file columns are tried.  None means
-    the caller reads them through the token route (``_columns``): field
-    rows, derived columns, empty input, and lines the C reader refuses.
+    Only source-file columns of a nonempty list of lines are tried, split
+    on the spec's delimiter (on runs of blanks for ``whitespace``).  None
+    means the caller reads them through the token route (``_columns``):
+    derived columns, empty input, and lines the C reader refuses.
     """
     derived = {rule.name for rule in spec.derive}
-    if _is_lines(records) and derived.isdisjoint(names):
+    if lines and derived.isdisjoint(names):
         try:
-            return np.loadtxt(records, delimiter=_DELIMITERS[spec.delimiter],
+            return np.loadtxt(lines, delimiter=_DELIMITERS[spec.delimiter],
                               usecols=[spec.columns.index(name) for name in names],
                               dtype=dtype, ndmin=2, comments=None, quotechar=None)
         except ValueError:
@@ -404,22 +395,22 @@ def _c_reader(records: list, spec: DatasetSpec, names: Sequence[str], dtype):
     return None
 
 
-def _numeric_columns(records: list, spec: DatasetSpec, names: Sequence[str]) -> np.ndarray:
+def _numeric_columns(lines: list[str], spec: DatasetSpec, names: Sequence[str]) -> np.ndarray:
     """N x k float64 values of the continuous columns ``names``, in that order.
 
     Lines go through numpy's C reader (``_c_reader``).  It skips the blanks
     ``str.strip`` removes and parses the rest with
     ``PyOS_string_to_double``, as ``float`` does.  What it refuses
-    (underscores, non-ASCII digits, quotes, bad tokens) goes, like field
-    rows, derived columns and empty input, through the token route
-    (``_columns`` and ``_numeric``), which accepts it or raises the
-    non-numeric error.  The two routes give the same bits.
+    (underscores, non-ASCII digits, quotes, bad tokens), like derived
+    columns and empty input, goes through the token route (``_columns``
+    and ``_numeric``), which accepts it or raises the non-numeric error.
+    The two routes give the same bits.
     """
-    values = _c_reader(records, spec, names, np.float64)
+    values = _c_reader(lines, spec, names, np.float64)
     if values is not None:
         return values
-    cols = _columns(records, spec, names)
-    values = np.empty((len(records), len(names)))
+    cols = _columns(lines, spec, names)
+    values = np.empty((len(lines), len(names)))
     for j, name in enumerate(names):
         values[:, j] = _numeric(cols[name], spec, name)
     return values
@@ -488,7 +479,7 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
     test, the matrix column of each row's one-hot 1.0; the matrix columns
     of the continuous features and their train and test values; the train
     and test labels and sensitive values; and the sensitive tuples.
-    Records and tokens are locals here, so they are freed by the time the
+    Lines and tokens are locals here, so they are freed by the time the
     caller builds the feature matrices from these codes.
     """
     train, test = _split(spec, _read_source(spec, root))
@@ -607,18 +598,18 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     if not spec.clustering_features or not spec.clustering_sensitive:
         raise ValueError(f"{spec.name}: no clustering view configured")
-    records = _read_source(spec, root, pool=True)[0]
-    points = _numeric_columns(records, spec, spec.clustering_features)
+    lines = _read_source(spec, root, pool=True)[0]
+    points = _numeric_columns(lines, spec, spec.clustering_features)
     col = spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
     # The C reader keeps the blanks around a token, which _encode strips.
-    tokens = _c_reader(records, spec, [col], str)
-    tokens = _columns(records, spec, [col])[col] if tokens is None else tokens[:, 0].tolist()
+    tokens = _c_reader(lines, spec, [col], str)
+    tokens = _columns(lines, spec, [col])[col] if tokens is None else tokens[:, 0].tolist()
     sensitive = _encode(tokens, {pos: 1}, 0)
     if not sensitive.any():
         raise _unmatched(spec, "clustering_sensitive_positive", pos, col, "row")
 
-    n = len(records)
+    n = len(lines)
     size = spec.clustering_samples or n
     if size > n:
         raise ValueError(f"{spec.name}: clustering_samples={size} exceeds {n} rows")

@@ -1,5 +1,6 @@
 """CLI orchestration: sweeps, determinism, artifacts, failure handling."""
 
+import hashlib
 import json
 import os
 import re
@@ -96,6 +97,39 @@ class TestTrainCommand:
         cfg = write_config(tmp_path / "cfg.json", lambda_grid=[1.0, 0.5])
         with pytest.raises(ValueError, match="ascending"):
             run(["train", "--config", cfg, "--out", tmp_path / "x"])
+
+
+class TestConfigHash:
+    """The hash covers a spec file's contents, not the path it is named by."""
+
+    def test_same_spec_in_two_directories_one_hash(self, tmp_path, monkeypatch):
+        rows = ["%d, %s, %s" % (i, "a" if i % 2 else "b", "yes" if i % 3 else "no")
+                for i in range(40)]
+        (tmp_path / "mini.csv").write_text("\n".join(rows) + "\n")
+        monkeypatch.setenv("RENYIFAIR_DATA", str(tmp_path))
+        manifests = []
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            spec = tmp_path / where / "mini.spec"
+            spec.write_text("name = mini\ncolumns = v g cls\nlabel = cls\npositive_label = yes\n"
+                            "sensitive = g\nsplit = head\ntrain_count = 30\ntest_count = 10\n"
+                            "file = mini.csv\n")
+            cfg = write_config(tmp_path / where / "cfg.json", dataset=str(spec),
+                               lambda_grid=[0.0], iters=5)
+            assert run(["train", "--config", cfg, "--out", tmp_path / where / "out"]) == 0
+            manifests.append(json.loads((tmp_path / where / "out" / "manifest.json").read_text()))
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+        assert [m["config"]["dataset"] for m in manifests] == [
+            str(tmp_path / "a" / "mini.spec"), str(tmp_path / "b" / "mini.spec")]
+        spec.write_text(spec.read_text().replace("test_count = 10", "test_count = 9"))
+        assert cli.ExperimentConfig(manifests[1]["config"]).config_hash() != (
+            manifests[0]["config_hash"])
+
+    def test_dataset_that_names_no_file_hashed_as_written(self):
+        raw = {"dataset": "synth:yequalss:300", "lambda_grid": [0.0, 1.0]}
+        text = json.dumps(raw, sort_keys=True)
+        assert cli.ExperimentConfig(raw).config_hash() == (
+            hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 class TestConfigKeys:

@@ -460,6 +460,70 @@ class TestMalformedRows:
             data.load_dataset(REPO / "specs" / "german.spec", root=str(tmp_path))
 
 
+class TestQuotes:
+    """The reader splits lines without parsing quotes.  A field that opens
+    with a quote reads as one quoted run followed by blanks, as the CSV
+    reference reads it; quoting beyond that fails loudly."""
+
+    @pytest.mark.parametrize("row", [
+        '38, Private,"Ma""le", >50K', '38, Private,"Ma"le, >50K',
+        '"3""8", Private, Male, >50K', '"3"8, Private, Male, >50K', '38, Private,", >50K'])
+    def test_misquoted_field_named(self, tmp_path, row):
+        spec = mini_spec(tmp_path, train_rows=TRAIN_ROWS.replace("38, Private, Male, >50K", row))
+        token = next(t for t in row.split(",") if t.startswith('"'))
+        for load in (data.load_dataset, data.clustering_view):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"quoted field {token!r} is not one quoted run followed by blanks")):
+                load(spec, root=str(tmp_path))
+
+    @pytest.mark.parametrize("quoted, fields", [('"Pri,vate"', 5), ('"Pri\nvate"', 2)])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_delimiter_or_line_break_inside_quotes_names_file_and_row(
+            self, tmp_path, quoted, fields, newline):
+        rows = TRAIN_ROWS.replace("38, Private,", f"38,{quoted},").replace("\n", newline)
+        spec = mini_spec(tmp_path)
+        (tmp_path / "mini_train.csv").write_text(rows, newline="")
+        for load in (data.load_dataset, data.clustering_view):
+            with pytest.raises(ValueError, match=rf"^\S*mini_train\.csv: row 3 has {fields} fields, "
+                                                 rf"expected 4 \(a quoted field may hold the "
+                                                 rf"delimiter or a line break\)$"):
+                load(spec, root=str(tmp_path))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_ragged_row_names_its_physical_row_under_any_line_end(self, tmp_path, newline,
+                                                                  quote):
+        rows = TRAIN_ROWS.replace("Self-emp", f"{quote}Self-emp{quote}").replace(
+            "38, Private, Male, >50K", "\n\n38, Private, Male")
+        spec = mini_spec(tmp_path)
+        (tmp_path / "mini_train.csv").write_text(rows.replace("\n", newline), newline="")
+        note = " (a quoted field may hold the delimiter or a line break)" if quote else ""
+        for load in (data.load_dataset, data.clustering_view):
+            with pytest.raises(ValueError) as got:
+                load(spec, root=str(tmp_path))
+            assert str(got.value).endswith(f"mini_train.csv: row 5 has 3 fields, expected 4{note}")
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace(" Private,", '" Private ",'), lambda t: t.replace(" Male,", '"Male"\t,'),
+        lambda t: t.replace(" Private,", '"",'), lambda t: t.replace("28,", '" 28 ",'),
+        lambda t: t.replace(" Female,", ' " Female ",')])
+    def test_quoted_runs_match_the_reference(self, tmp_path, edit):
+        # Blanks inside the quotes are stripped, as the CSV reference strips
+        # its fields; a quote after a blank is literal there and stripped here.
+        spec = rewritten(edit)(tmp_path)
+        want = oracles.load_dataset_reference(spec, root=str(tmp_path))
+        got = data.load_dataset(spec, root=str(tmp_path))
+        for part in ("train", "test"):
+            for field in ("features", "labels", "sensitive"):
+                assert_same_array(getattr(getattr(got, part), field),
+                                  getattr(getattr(want, part), field))
+        assert got.feature_names == want.feature_names
+        for got_array, want_array in zip(
+                data.clustering_view(spec, root=str(tmp_path)),
+                oracles.clustering_view_reference(spec, root=str(tmp_path))):
+            assert_same_array(got_array, want_array)
+
+
 # Blanks around tokens: float skips all but the \x1c-\x1f separators, which
 # str.strip also removes.
 BLANKS = [" ", "\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c", "\x1f", "\x85"]
@@ -542,6 +606,20 @@ def numeric_grid(draw):
     return lines, rows
 
 
+WHITESPACE_SPEC = dataclasses.replace(NUMERIC_SPEC, delimiter="whitespace")
+
+
+@st.composite
+def whitespace_grid(draw):
+    """Lines of three nonempty cores split by runs of blanks, blanks around."""
+    runs = st.lists(st.sampled_from(LINE_BLANKS), min_size=1, max_size=2).map("".join)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b, c = (draw(NUMERIC_CORES.filter(bool)) for _ in range(3))
+        lines.append(draw(line_pads) + a + draw(runs) + b + draw(runs) + c + draw(line_pads))
+    return lines
+
+
 class TestNumericColumns:
     """``_numeric_columns`` through numpy's C reader and through the token
     route: the reference's bits and error message either way."""
@@ -555,7 +633,7 @@ class TestNumericColumns:
             want = oracles.numeric_columns_reference(rows, NUMERIC_SPEC, names)
         except ValueError as exc:
             want = str(exc)
-        for records in (lines, rows):
+        for records in (lines, [",".join(row) for row in rows]):
             if isinstance(want, str):
                 with pytest.raises(ValueError) as got:
                     data._numeric_columns(records, NUMERIC_SPEC, names)
@@ -563,14 +641,30 @@ class TestNumericColumns:
             else:
                 assert_same_array(data._numeric_columns(records, NUMERIC_SPEC, names), want)
 
+    @settings(max_examples=400, deadline=None)
+    @given(whitespace_grid())
+    def test_whitespace_matches_reference_bits_and_message(self, lines):
+        # numpy's C reader splits on the blanks that str.split splits on.
+        names = ["c", "a"]
+        try:
+            want = oracles.numeric_columns_reference(
+                [line.split() for line in lines], WHITESPACE_SPEC, names)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                data._numeric_columns(lines, WHITESPACE_SPEC, names)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_array(data._numeric_columns(lines, WHITESPACE_SPEC, names), want)
+
     @pytest.mark.parametrize("case, loads", [
         ("mini", [np.float64, str]), ("census_wide_tiny", [np.float64, str]),
-        ("padded_tokens", [np.float64, str]), ("mini_quoted", []), ("crlf", []),
-        ("german", []), ("mini_derived_feature", [str])])
+        ("padded_tokens", [np.float64, str]), ("mini_quoted", [np.float64, str]),
+        ("crlf", [np.float64, str]), ("german", [np.float64]),
+        ("mini_derived_feature", [str])])
     def test_view_takes_the_c_reader_on_lines_only(self, case, loads, tmp_path, monkeypatch):
-        # On lines the features and the sensitive column each take one C
-        # read.  Quoted files and \r line ends (field rows), the whitespace
-        # delimiter and derived columns take the token route.
+        # The features and the sensitive column each take one C read, quoted
+        # files, \r line ends and the whitespace delimiter too.  Derived
+        # columns (german's sensitive one) take the token route.
         spec = VIEW_CASES[case](tmp_path)
         calls = []
         loadtxt = np.loadtxt
