@@ -30,11 +30,11 @@ route, and for ``eo`` the root of the summed squares over label slices.
 ``none``, ``pearson`` and ``hsic`` only log it, from
 ``maxcorr.second_singular_value`` of the empirical Q: with two classes or
 two groups and no marginal floored that is the Frobenius norm of the
-deflated Q, within 1e-15 of the SVD, and an SVD otherwise.  On a batch
-that lacks a group (a minibatch, or a training split without some declared
-group), ``dp_discrete`` and the three baselines take Q over the groups
-present (logged once per run); with one group left sigma2 is 0.0, and so
-are ``dp_discrete``'s value and seed.  The marginal floor
+deflated Q, within 1e-15 of LAPACK, and LAPACK's sigma2 otherwise.  On a
+batch that lacks a group (a minibatch, or a training split without some
+declared group), ``dp_discrete`` and the three baselines take Q over the
+groups present (logged once per run); with one group left sigma2 is 0.0,
+and so are ``dp_discrete``'s value and seed.  The marginal floor
 clamps Q's marginals on the SVD route and each class's predicted mass in
 the denominator of ``w`` on the closed-form route; while it clamps nothing
 the two routes agree to rounding.
@@ -219,7 +219,7 @@ def _dp_penalty(sensitive, floor, n_groups, closed_form):
 
 
 def _svd_penalty(groups: GroupIndex, floor):
-    """The SVD route of :func:`_dp_penalty` on the rows a complete ``groups`` indexes.
+    """The SVD route of :func:`_dp_penalty` on the rows ``groups`` indexes.
 
     With one group there is nothing to correlate with: the value, the seed
     and sigma2 are zero.
@@ -274,7 +274,7 @@ def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tup
     statistic reduces to a sum of squared centered within-group score sums.
     Nonnegative, and zero for a constant score.  ``groups`` indexes
     ``sensitive`` (built here over the binary groups 1..2 when not given,
-    and a label outside them raises); an empty group adds exact zeros.
+    and a label outside them raises).
     """
     f = np.asarray(soft_probs, dtype=np.float64)
     x = f[:, 1]
@@ -346,15 +346,14 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
             return total, seed, float(np.sqrt(sq_sum))
         return penalty
     groups = maxcorr.group_index(sub.sensitive, n_groups)
-    present = maxcorr.present_groups(groups)
-    if present is not groups and "groups" not in warned:
+    if groups.n_groups < n_groups and "groups" not in warned:
         warned.add("groups")
         logger.warning("%s on a batch that lacks a sensitive group: "
                        "Q is taken over the %d of %d groups present",
                        "dp_discrete penalty" if mode == "dp_discrete" else "sigma2 diagnostic",
-                       present.n_groups, n_groups)
+                       groups.n_groups, n_groups)
     if mode == "dp_discrete":
-        return _sigma2_from_square(_svd_penalty(present, cfg.floor))
+        return _sigma2_from_square(_svd_penalty(groups, cfg.floor))
     baseline = {"none": lambda probs: (0.0, None),
                 "pearson": lambda probs: pearson_penalty(probs, sub.sensitive),
                 "hsic": lambda probs: hsic_penalty(probs, sub.sensitive, groups)}[mode]
@@ -362,7 +361,7 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
     def penalty(probs):
         value, seed = baseline(probs)
         return value, seed, maxcorr.second_singular_value(
-            maxcorr.q_from_groups(probs, present, cfg.floor))
+            maxcorr.q_from_groups(probs, groups, cfg.floor))
     return penalty
 
 

@@ -19,28 +19,29 @@ in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
 ``_centered_value``); the test suite holds that penalty to
 :func:`renyi_discrete`.
 
-The SVD is a hand-rolled one-sided Jacobi: the matrices involved never
-exceed 64 x 64 (class count x sensitive-group count), and a dependency-free,
-bit-deterministic decomposition matters more than speed at that size.
+:func:`svd_small` is a hand-rolled one-sided Jacobi for the adversary of
+training (``fairtrain._discrete_penalty``, its one library caller), which
+needs singular vectors with a fixed sign and tie rule: the matrices never
+exceed 64 x 64 and a bit-deterministic decomposition matters more than
+speed at that size.
 
-:func:`second_singular_value` skips the SVD where a closed form is exact.
-With no marginal floored, ``Q = sqrt(p) sqrt(pi)^T + Qt``, where
-``Qt_ij = (P_ij - p_i pi_j) / sqrt(p_i pi_j)`` is orthogonal to that top
-singular pair, so sigma2 is the spectral norm of ``Qt``.  With two classes
-or two groups ``Qt`` has rank one and sigma2 is its Frobenius norm, which
-agrees with the SVD within 1e-15 (with :func:`svd_small` once sigma2 is at
-least 1e-9 below 1; closer to 1 the Jacobi's own stopping error is larger,
-up to about 5e-13).  Only Q estimated by :func:`q_from_groups`
-takes that route, i.e. the sigma2 that the training baselines log and that
-evaluation reports.  A floored Q, one with more than two rows and columns,
-and every other caller (``renyi_discrete``, the SVD adversary of training)
-keep :func:`svd_small`.
+:func:`second_singular_value` (the diagnostic that training logs and
+evaluation reports, and :func:`renyi_discrete`) skips the SVD where a closed
+form is exact.  With no marginal floored, ``Q = sqrt(p) sqrt(pi)^T + Qt``,
+where ``Qt_ij = (P_ij - p_i pi_j) / sqrt(p_i pi_j)`` is orthogonal to that
+top singular pair; with two classes or two groups ``Qt`` has rank one and
+sigma2 is its Frobenius norm, within 1e-15 of LAPACK.  Only a
+:func:`q_from_groups` Q takes that route; any other (floored, more than two
+rows and columns, hand-built or from :func:`q_from_joint`) takes LAPACK's
+singular values, within 5e-13 of :func:`svd_small`.
 
 Inputs are validated at the API boundary only.  :func:`q_from_joint` checks
 a joint table and :func:`empirical_q` shapes, simplex rows, groups and
-marginals on every call; training indexes each batch's groups once
-(:func:`group_index`) and estimates Q on every step with
-:func:`q_from_groups`, which does the same arithmetic without the checks.
+marginals on every call.  :func:`group_index` names a label not in 1..d
+and indexes only the groups a sample holds, so Q over it is always defined:
+the one rule for a minibatch or split that lacks a group.  Training indexes
+each batch once and estimates Q on every step with :func:`q_from_groups`,
+which skips the checks.
 :class:`QMatrix` itself is a plain record of the arrays its builders compute.
 """
 
@@ -264,8 +265,8 @@ def second_singular_value(qm: QMatrix) -> float:
     0.0 when Q has fewer than two singular values (one class or one group).
     A deflatable Q with two rows or two columns has a rank-one ``Qt`` (see
     :class:`QMatrix`), so sigma2 is its Frobenius norm and no SVD runs; it
-    agrees with the SVD within 1e-15 (see the module docstring).  Every
-    other Q takes :func:`svd_small`.
+    agrees with LAPACK within 1e-15 (see the module docstring).  Every
+    other Q takes LAPACK's singular values.
     """
     q = qm.q
     if min(q.shape) < 2:
@@ -273,7 +274,7 @@ def second_singular_value(qm: QMatrix) -> float:
     if qm.deflatable and min(q.shape) == 2:
         qt = q - np.sqrt(qm.row_marginal)[:, None] * np.sqrt(qm.col_marginal)
         return math.sqrt(np.vdot(qt, qt))
-    return float(svd_small(q).singular_values[1])
+    return float(np.linalg.svd(q, compute_uv=False)[1])
 
 
 def renyi_discrete(joint, floor: float = 0.0) -> float:
@@ -283,19 +284,18 @@ def renyi_discrete(joint, floor: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class GroupIndex:
-    """Where each sensitive group 1..d sits in one sample of N rows.
+    """Where each sensitive group a sample holds sits in its N rows.
 
-    ``codes`` is the 0-based group of every row, ``rows[j]`` the indices of
-    the rows in group ``j + 1`` and ``shares[j]`` their fraction of N.
-    ``complete`` is False when a group is empty or a label exceeds d; Q is
-    undefined then.  A training run builds one index per batch and reuses it
-    for every Q estimate on those rows.
+    Only the nonempty groups of 1..d are listed, in alphabet order:
+    ``codes`` is every row's 0-based position in that list, ``rows[j]`` the
+    rows of its ``j``-th group and ``shares[j]`` their fraction of N, so Q
+    over the index is always defined.  A training run builds one index per
+    batch and reuses it for every Q estimate on those rows.
     """
 
     codes: np.ndarray
     rows: tuple[np.ndarray, ...]
     shares: np.ndarray
-    complete: bool
 
     @property
     def n_groups(self) -> int:
@@ -303,33 +303,24 @@ class GroupIndex:
 
 
 def group_index(sensitive, n_groups: int) -> GroupIndex:
-    """Index the 1-based group labels ``sensitive`` over the alphabet 1..n_groups."""
+    """Index the 1-based labels ``sensitive`` over the groups of 1..n_groups they hold.
+
+    Codes are renumbered only when a group is empty; any other label raises.
+    """
     s = np.asarray(sensitive)
     codes = s.astype(int) - 1
+    bad = (codes < 0) | (codes >= n_groups) | (codes + 1 != s)
+    if bad.any():
+        raise ValueError(f"sensitive label {s[bad][0].item()!r} is not one of 1..{n_groups}")
     counts = np.bincount(codes, minlength=n_groups)
-    return GroupIndex(
-        codes=codes,
-        rows=tuple(np.flatnonzero(s == j + 1) for j in range(n_groups)),
-        shares=counts[:n_groups] / s.size,
-        complete=len(counts) == n_groups and bool(np.all(counts > 0)),
-    )
-
-
-def present_groups(groups: GroupIndex) -> GroupIndex:
-    """``groups`` without its empty groups, the others renumbered in order.
-
-    The index is complete again, so Q can be estimated over the groups a
-    sample holds; with one group left that Q has one column and sigma2 0.0.
-    A complete index is returned as it is.  Labels must lie in 1..d.
-    """
-    if groups.complete:
-        return groups
-    keep = np.flatnonzero(groups.shares)
-    renumber = np.zeros(groups.n_groups, dtype=groups.codes.dtype)
-    renumber[keep] = np.arange(keep.size)
-    return GroupIndex(codes=renumber.take(groups.codes),
-                      rows=tuple(groups.rows[j] for j in keep),
-                      shares=groups.shares.take(keep), complete=True)
+    keep = np.flatnonzero(counts)
+    if keep.size < n_groups:
+        renumber = np.zeros(n_groups, dtype=codes.dtype)
+        renumber[keep] = np.arange(keep.size)
+        codes = renumber.take(codes)
+    return GroupIndex(codes=codes,
+                      rows=tuple(np.flatnonzero(s == j + 1) for j in keep),
+                      shares=counts.take(keep) / s.size)
 
 
 def empirical_q(
@@ -349,7 +340,8 @@ def empirical_q(
     and ``q_ij = P(Yhat=i|s_j) P(s_j) / sqrt(P(Yhat=i) P(s_j))`` with both
     marginals floored at ``floor`` before the division.
 
-    Validates its inputs, then hands over to :func:`q_from_groups`; a class
+    Validates its inputs (every group of 1..d nonempty, d being ``n_groups``
+    or the largest label), then hands over to :func:`q_from_groups`; a class
     whose floored predicted mass is not positive (``floor <= 0``) raises.
     """
     f = np.asarray(soft_probs, dtype=np.float64)
@@ -366,7 +358,10 @@ def empirical_q(
         worst = np.abs(row_sums - 1.0).max()
         raise ValueError(f"soft_probs rows are off the simplex by {worst:.3e}")
     d = int(n_groups) if n_groups is not None else int(s.max())
-    qm = q_from_groups(f, group_index(s, d), floor)
+    groups = group_index(s, d)
+    if groups.n_groups < d:
+        raise ValueError(f"every sensitive group in 1..{d} must be nonempty")
+    qm = q_from_groups(f, groups, floor)
     if np.any(qm.row_marginal <= 0):
         raise ValueError(f"marginals must be strictly positive: a class has no "
                          f"predicted mass left at floor={floor!r}")
@@ -376,10 +371,8 @@ def empirical_q(
 def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> QMatrix:
     """:func:`empirical_q` for rows already indexed by :func:`group_index`.
 
-    Does not check ``soft_probs``; it raises only when a group is empty.
+    Q has one column per group the index holds; nothing is checked.
     """
-    if not groups.complete:
-        raise ValueError(f"every sensitive group in 1..{groups.n_groups} must be nonempty")
     pi = groups.shares
     py = _column_mean(soft_probs)
     joint = np.empty((soft_probs.shape[1], groups.n_groups))

@@ -147,11 +147,10 @@ def evaluate(params: ModelParams, batch: Batch,
     acc = float(np.mean(preds == batch.labels))
     d = batch.n_groups
     groups = maxcorr.group_index(batch.sensitive, d)
-    present = maxcorr.present_groups(groups)
-    if present is not groups:
+    if groups.n_groups < d:
         logger.warning("sigma2 on a split that lacks a sensitive group: "
-                       "Q is taken over the %d of %d groups present", present.n_groups, d)
-    sigma2 = maxcorr.second_singular_value(maxcorr.q_from_groups(probs, present, floor))
+                       "Q is taken over the %d of %d groups present", groups.n_groups, d)
+    sigma2 = maxcorr.second_singular_value(maxcorr.q_from_groups(probs, groups, floor))
     rates = _positive_rates(preds, batch.sensitive, POSITIVE_CLASS)
     binary = d == 2 and len(rates) == 2
     pp = p_percent(preds, batch.sensitive) if binary else None

@@ -298,7 +298,7 @@ class TestGroupIndex:
             batch = batch.subset(rng.permutation(n)[:rows])
         probs = md.forward(md.init_params("linear", 3, 3, seed=d), batch.features)
         groups = mc.group_index(batch.sensitive, d)
-        assert groups.complete and groups.n_groups == d
+        assert groups.n_groups == d
         for floor in (1e-6, 0.2):  # 0.2 clamps every share at d = 10
             got = mc.q_from_groups(probs, groups, floor)
             public = mc.empirical_q(probs, batch.sensitive, floor=floor, n_groups=d)
@@ -312,17 +312,24 @@ class TestGroupIndex:
         np.testing.assert_array_equal(groups.codes, [1, 0, 2, 0, 1, 0])
         assert [r.tolist() for r in groups.rows] == [[1, 3, 5], [0, 4], [2]]
         np.testing.assert_array_equal(groups.shares, [0.5, 2 / 6, 1 / 6])
-        assert groups.complete
 
-    @pytest.mark.parametrize("s,d", [([1, 1, 1, 1], 2), ([1, 3, 1, 3], 3), ([1, 2, 3, 1], 2)])
+    @pytest.mark.parametrize("s,d", [([1, 1, 1, 1], 2), ([1, 3, 1, 3], 3)])
     def test_incomplete_index_raises_the_empirical_q_error(self, s, d):
         s = np.array(s)
         probs = np.full((4, 2), 0.5)
-        groups = mc.group_index(s, d)
-        assert not groups.complete
-        message = f"every sensitive group in 1..{d} must be nonempty"
+        assert mc.group_index(s, d).n_groups < d
+        with pytest.raises(ValueError, match=f"every sensitive group in 1..{d} must be nonempty"):
+            mc.empirical_q(probs, s, n_groups=d)
+
+    @pytest.mark.parametrize("s,d,label", [([1, 2, 3, 1], 2, 3), ([1, 2, 3, 4], 3, 4),
+                                           ([1, 0, 2, 1], 2, 0), ([2, -1, 1, 5], 2, -1),
+                                           ([1, 1.5, 2, 1], 2, 1.5)])
+    def test_label_outside_the_alphabet_is_named(self, s, d, label):
+        s = np.array(s)
+        probs = np.full((4, 2), 0.5)
+        message = rf"sensitive label {label} is not one of 1\.\.{d}"
         with pytest.raises(ValueError, match=message):
-            mc.q_from_groups(probs, groups, 1e-6)
+            mc.group_index(s, d)
         with pytest.raises(ValueError, match=message):
             mc.empirical_q(probs, s, n_groups=d)
 
@@ -374,13 +381,15 @@ class TestDeflatedSigma2:
         probs = softmax_rows(rng, n, c, scale, s, tie)
         qm = mc.empirical_q(probs, s, floor=floor, n_groups=d)
         svd = float(mc.svd_small(qm.q).singular_values[1])
+        lapack = np.linalg.svd(qm.q, compute_uv=False)
         got = mc.second_singular_value(qm)
         clamped = probs.mean(axis=0).min() < floor or np.bincount(s - 1).min() / n < floor
         assert qm.deflatable == (not clamped)
         if clamped or min(c, d) > 2:
-            assert got == svd
+            # LAPACK itself; the Jacobi's stopping error reaches 3.5e-13 here.
+            assert got == lapack[1]
+            assert abs(got - svd) <= 5e-13
             return
-        lapack = np.linalg.svd(qm.q, compute_uv=False)
         assert abs(got - lapack[1]) <= 1e-15
         # The Jacobi stops rotating once two columns are orthogonal to 1e-12
         # relative.  The coupling it leaves moves its sigma2 by up to about
@@ -403,19 +412,19 @@ class TestDeflatedSigma2:
         s = np.arange(n) % d + 1
         qm = mc.empirical_q(softmax_rows(rng, n, c, 1.0), s, n_groups=d)
         seen = []
-        svd_small = mc.svd_small
-        monkeypatch.setattr(mc, "svd_small", lambda m: seen.append(m.shape) or svd_small(m))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m.shape) or svd(m, **kw))
         sigma2 = mc.second_singular_value(qm)
         assert len(seen) == calls
         assert sigma2 == 0.0 if d == 1 else sigma2 > 0.0
 
 
 class TestPresentGroups:
+    """``group_index`` lists only the groups a sample holds, renumbered in alphabet order."""
+
     def test_drops_empty_groups_and_renumbers(self):
-        groups = mc.group_index(np.array([3, 1, 3, 1, 1]), 3)
-        assert not groups.complete
-        present = mc.present_groups(groups)
-        assert present.complete and present.n_groups == 2
+        present = mc.group_index(np.array([3, 1, 3, 1, 1]), 3)
+        assert present.n_groups == 2
         np.testing.assert_array_equal(present.codes, [1, 0, 1, 0, 0])
         assert [r.tolist() for r in present.rows] == [[1, 3, 4], [0, 2]]
         np.testing.assert_array_equal(present.shares, [0.6, 0.4])
@@ -425,7 +434,47 @@ class TestPresentGroups:
         assert got.q.tobytes() == want.q.tobytes()
 
     def test_one_group_left_has_sigma2_zero(self):
-        present = mc.present_groups(mc.group_index(np.array([2, 2, 2]), 2))
+        present = mc.group_index(np.array([2, 2, 2]), 2)
         assert present.n_groups == 1
         probs = softmax_rows(np.random.default_rng(1), 3, 2, 1.0)
         assert mc.second_singular_value(mc.q_from_groups(probs, present, 1e-6)) == 0.0
+
+
+@st.composite
+def labels_lacking_groups(draw):
+    """Labels in 1..d with a random set of groups left out (at least one kept)."""
+    d = draw(st.integers(2, 10))
+    held = sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=d)))
+    n = draw(st.integers(len(held), 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.permutation(np.concatenate([held, rng.choice(held, n - len(held))]))
+    return s.astype(np.int64), d, rng
+
+
+class TestGroupIndexProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(labels_lacking_groups(), st.integers(2, 3), st.sampled_from([1e-6, 0.05, 0.3]))
+    def test_matches_unique_and_the_full_alphabet(self, drawn, c, floor):
+        from renyifair import fairtrain as ft
+        s, d, rng = drawn
+        n = s.size
+        groups = mc.group_index(s, d)
+        held, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+        np.testing.assert_array_equal(groups.codes, inverse)
+        assert [r.tolist() for r in groups.rows] == [np.flatnonzero(s == g).tolist() for g in held]
+        assert groups.shares.tobytes() == (counts / n).tobytes()
+
+        probs = softmax_rows(rng, n, c, 2.0)
+        got = mc.q_from_groups(probs, groups, floor)
+        want = mc.empirical_q(probs, inverse + 1, floor=floor, n_groups=held.size)
+        for field in ("q", "row_marginal", "col_marginal"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+        # The same rows with every group of 1..d listed, the empty ones too.
+        listed = mc.GroupIndex(codes=s - 1,
+                               rows=tuple(np.flatnonzero(s == j + 1) for j in range(d)),
+                               shares=np.bincount(s - 1, minlength=d) / n)
+        value, seed = ft.hsic_penalty(probs, s, groups)
+        value_listed, seed_listed = ft.hsic_penalty(probs, s, listed)
+        assert value == value_listed
+        assert seed.tobytes() == seed_listed.tobytes()
