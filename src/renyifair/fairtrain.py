@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -142,7 +143,7 @@ def inner_w_closed_form(soft_probs, stilde, floor: float = DEFAULT_MARGINAL_FLOO
 
 def _binary_means(f, st):
     """``(mean(F), mean(stilde * F))`` down the columns: all the closed form reads of F."""
-    return _column_mean(f), _column_mean(st[:, None] * f, overwrite=True)
+    return _column_mean(f), _column_mean(st[:, None] * f)
 
 
 def _maximizer(m, t, floor):
@@ -167,8 +168,10 @@ def _centered_value(m, t, w, q):
 
 def _binary_seed(stilde, w, scale: float) -> np.ndarray:
     """d(penalty)/dF for the binary surrogate at fixed ``w``."""
-    st = np.asarray(stilde, dtype=np.float64)
-    return (np.outer(st, w) - (w * w)[None, :]) * scale
+    seed = np.asarray(stilde, dtype=np.float64)[:, None] * w
+    seed -= w * w
+    seed *= scale
+    return seed
 
 
 def _discrete_penalty(probs, groups: GroupIndex, floor):
@@ -192,7 +195,9 @@ def _discrete_penalty(probs, groups: GroupIndex, floor):
     a = 2.0 * r / np.sqrt(p_class)
     b = np.where(active, r * r / p_class, 0.0)
     g = (v / np.sqrt(p_group)).take(groups.codes)
-    seed = (np.outer(g, a) - b[None, :]) / n
+    seed = g[:, None] * a
+    seed -= b
+    seed /= n
     return value, seed, sigma2, v
 
 
@@ -249,22 +254,34 @@ def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
     matrix (nonzero only in the positive-class column).  A score column with
     variance below the floor counts as independent and yields exactly 0.
     """
-    f = np.asarray(soft_probs, dtype=np.float64)
+    return _pearson(sensitive)(soft_probs)
+
+
+def _pearson(sensitive):
+    """:func:`pearson_penalty` on one set of rows: ``probs -> (value, seed)``.
+
+    The sensitive side (signs, centred signs, their variance) is built
+    here, once.
+    """
     st = s_tilde(sensitive)
-    x = f[:, 1]
-    n = len(x)
-    xc = x - x.mean()
     yc = st - st.mean()
-    vx = float(np.mean(xc * xc))
     vy = float(np.mean(yc * yc))
-    seed = np.zeros_like(f)
-    if vx <= VARIANCE_FLOOR or vy <= VARIANCE_FLOOR:
-        return 0.0, seed
-    cxy = float(np.mean(xc * yc))
-    rho = cxy / np.sqrt(vx * vy)
-    drho_dx = (yc - (cxy / vx) * xc) / (n * np.sqrt(vx * vy))
-    seed[:, 1] = 2.0 * rho * drho_dx
-    return float(rho * rho), seed
+
+    def penalty(soft_probs):
+        f = np.asarray(soft_probs, dtype=np.float64)
+        x = f[:, 1]
+        n = len(x)
+        xc = x - np.add.reduce(x) / n
+        vx = float(np.add.reduce(xc * xc) / n)
+        seed = np.zeros_like(f)
+        if vx <= VARIANCE_FLOOR or vy <= VARIANCE_FLOOR:
+            return 0.0, seed
+        cxy = float(np.add.reduce(xc * yc) / n)
+        rho = cxy / np.sqrt(vx * vy)
+        drho_dx = (yc - (cxy / vx) * xc) / (n * np.sqrt(vx * vy))
+        seed[:, 1] = 2.0 * rho * drho_dx
+        return float(rho * rho), seed
+    return penalty
 
 
 def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tuple[float, np.ndarray]:
@@ -279,9 +296,9 @@ def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tup
     f = np.asarray(soft_probs, dtype=np.float64)
     x = f[:, 1]
     n = len(x)
-    xc = x - x.mean()
+    xc = x - np.add.reduce(x) / n
     seed = np.zeros_like(f)
-    if float(np.mean(xc * xc)) <= VARIANCE_FLOOR:
+    if float(np.add.reduce(xc * xc) / n) <= VARIANCE_FLOOR:
         return 0.0, seed
     if groups is None:
         s_tilde(sensitive)  # rejects a label outside {1, 2}
@@ -354,9 +371,12 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
                        groups.n_groups, n_groups)
     if mode == "dp_discrete":
         return _sigma2_from_square(_svd_penalty(groups, cfg.floor))
-    baseline = {"none": lambda probs: (0.0, None),
-                "pearson": lambda probs: pearson_penalty(probs, sub.sensitive),
-                "hsic": lambda probs: hsic_penalty(probs, sub.sensitive, groups)}[mode]
+    if mode == "pearson":
+        baseline = _pearson(sub.sensitive)
+    elif mode == "hsic":
+        baseline = lambda probs: hsic_penalty(probs, sub.sensitive, groups)
+    else:
+        baseline = lambda probs: (0.0, None)
 
     def penalty(probs):
         value, seed = baseline(probs)
@@ -411,7 +431,7 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         value, seed, sigma2 = penalty(probs)
         if cfg.lam != 0.0 and seed is not None:
             grad = grad + vjp(cfg.lam * seed)
-        return grad, (loss, float(cfg.lam * value), float(np.linalg.norm(grad)), sigma2)
+        return grad, (loss, float(cfg.lam * value), math.sqrt(grad.dot(grad)), sigma2)
 
     def record(t: int, row) -> None:
         trace.iteration.append(t)
@@ -422,7 +442,7 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     for t in range(cfg.iters):
         grad, row = step(theta, next_batch())
         loss, _, grad_norm, _ = row
-        if not np.isfinite(loss) or not np.isfinite(grad_norm):
+        if not math.isfinite(loss) or not math.isfinite(grad_norm):
             trace.diverged = True
             break
         record(t, row)
@@ -432,7 +452,7 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         theta = theta.with_theta(theta.theta - cfg.eta * grad)
     else:
         _, row = step(theta, batch)
-        if np.isfinite(row[0]):
+        if math.isfinite(row[0]):
             record(cfg.iters, row)
 
     trace.final_params = theta

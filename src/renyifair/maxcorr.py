@@ -137,6 +137,9 @@ def _one_sided_jacobi(m: np.ndarray):
     Returns ``(a, v, converged)`` where ``a = m @ v`` has mutually orthogonal
     columns (to ``_JACOBI_TOL`` relative) and ``v`` is orthogonal.
     """
+    # The copy is C-ordered on purpose: astype alone keeps a transposed
+    # input's Fortran order, and the column dot products below would then
+    # run over other strides and round differently.
     a = m.astype(np.float64).copy()
     n_cols = a.shape[1]
     v = np.eye(n_cols)
@@ -340,9 +343,10 @@ def empirical_q(
     and ``q_ij = P(Yhat=i|s_j) P(s_j) / sqrt(P(Yhat=i) P(s_j))`` with both
     marginals floored at ``floor`` before the division.
 
-    Validates its inputs (every group of 1..d nonempty, d being ``n_groups``
-    or the largest label), then hands over to :func:`q_from_groups`; a class
-    whose floored predicted mass is not positive (``floor <= 0``) raises.
+    Validates its inputs (a nonempty sample, every group of 1..d nonempty,
+    d being ``n_groups`` or the largest label), then hands over to
+    :func:`q_from_groups`; a class whose floored predicted mass is not
+    positive (``floor <= 0``) raises.
     """
     f = np.asarray(soft_probs, dtype=np.float64)
     s = np.asarray(sensitive)
@@ -351,6 +355,8 @@ def empirical_q(
     n = f.shape[0]
     if s.shape != (n,):
         raise ValueError("sensitive length does not match soft_probs")
+    if n == 0:
+        raise ValueError("empirical_q needs a nonempty sample: soft_probs has 0 rows")
     if np.any(f < -1e-12):
         raise ValueError("soft_probs has negative entries")
     row_sums = f.sum(axis=1)
@@ -377,9 +383,9 @@ def q_from_groups(soft_probs: np.ndarray, groups: GroupIndex, floor: float) -> Q
     py = _column_mean(soft_probs)
     joint = np.empty((soft_probs.shape[1], groups.n_groups))
     for j, rows in enumerate(groups.rows):
-        joint[:, j] = _column_mean(soft_probs.take(rows, axis=0), overwrite=True) * pi[j]
+        joint[:, j] = _column_mean(soft_probs.take(rows, axis=0)) * pi[j]
     py_f = np.maximum(py, floor)
     pi_f = np.maximum(pi, floor)
-    q = joint / np.sqrt(np.outer(py_f, pi_f))
+    q = joint / np.sqrt(py_f[:, None] * pi_f)
     return QMatrix(q=q, row_marginal=py_f, col_marginal=pi_f,
                    deflatable=bool(py.min() >= floor and pi.min() >= floor))

@@ -29,14 +29,14 @@ in another order, so wider outputs keep the generic reduce.
 Sums down the columns of a tall N x c array (the bias gradients here, the
 column means of the penalties) have the mirror problem: numpy's ``axis=0``
 reduce of a C-contiguous array walks it one row at a time with an inner
-loop only c long.  :func:`_column_reduce` takes the last row of a running
-``accumulate`` instead, plus the identity (``0.0 +``).  That is numpy's own
-order, so it gives numpy's bits for a C-contiguous array with at least one
-row and 2 to 11 columns (the widths tested; a single column numpy sums
-pairwise from 9 rows on).  It is faster only up to 5 columns, so only those
-take it: one column, any other layout, zero rows and 6 or more columns take
-the generic reduce.  A caller done with its N x c temporary lets the running
-sum overwrite it (``overwrite=True``), so no second N x c array is made.
+loop only c long.  :func:`_column_sum` hands such an array with at least
+two columns to ``np.einsum("ij->j", m)`` instead.  The output's stride along
+the rows is 0, so einsum's iterator keeps the row axis outermost; its inner
+loop runs along the c columns and adds each row into c sums that start at
+0.0.  That is numpy's own left-to-right order from the identity, so the
+bits are numpy's, and no N x c temporary is made.  A single column (numpy
+sums it pairwise from 9 rows on), any other layout and zero rows take
+numpy's ``sum(axis=0)``.
 """
 
 from __future__ import annotations
@@ -209,11 +209,6 @@ def _layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # Widest output reduced column by column (see the module docstring).
 _COLUMNWISE_MAX_C = 7
-# Widest array summed down its columns by a running accumulate.  Best of 7
-# timeit runs against ``sum(axis=0)`` on one core of a 2-vCPU Xeon (numpy
-# 2.4.6), N = 2000: c=2 19 vs 46 us, c=5 42 vs 49, c=6 49 vs 51, c=7 56 vs
-# 52; N = 29378: c=5 581 vs 690, c=6 725 vs 709, c=7 1054 vs 738.
-_ACCUMULATE_MAX_C = 5
 
 
 def _row_reduce(ufunc: np.ufunc, m: np.ndarray) -> np.ndarray:
@@ -232,32 +227,21 @@ def _row_reduce(ufunc: np.ufunc, m: np.ndarray) -> np.ndarray:
     return out[:, None]
 
 
-def _column_reduce(ufunc: np.ufunc, m: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """``ufunc.reduce(m, axis=0)``, bit for bit.
-
-    For a C-contiguous ``m`` with 2 to 5 columns numpy reduces down the
-    columns one row at a time from the ufunc's identity, which a running
-    ``accumulate`` repeats in fewer calls.  One column (a pairwise sum from
-    9 rows on), any other layout, wider rows and zero rows take the generic
-    reduce.  With ``overwrite`` the running ``accumulate`` is written into
-    ``m`` itself, a temporary the caller owns, rather than into a new
-    N x c array.
-    """
-    n, c = m.shape
-    if n == 0 or not 2 <= c <= _ACCUMULATE_MAX_C or not m.flags.c_contiguous:
-        return ufunc.reduce(m, axis=0)
-    last = ufunc.accumulate(m, axis=0, out=m if overwrite else None)[-1]
-    return last if ufunc.identity is None else ufunc(ufunc.identity, last)
+def _column_sum(m: np.ndarray) -> np.ndarray:
+    """``m.sum(axis=0)``, bit for bit (see the module docstring)."""
+    if m.shape[0] and m.shape[1] >= 2 and m.flags.c_contiguous:
+        return np.einsum("ij->j", m)
+    return m.sum(axis=0)
 
 
-def _column_mean(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _column_mean(m: np.ndarray) -> np.ndarray:
     """``m.mean(axis=0)``, bit for bit: numpy's mean is the sum over N."""
-    return _column_reduce(np.add, m, overwrite) / m.shape[0]
+    return _column_sum(m) / m.shape[0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - _row_reduce(np.maximum, logits)
-    e = np.exp(z)
+    e = logits - _row_reduce(np.maximum, logits)
+    np.exp(e, out=e)
     return e / _row_reduce(np.add, e)
 
 
@@ -269,7 +253,9 @@ def _forward_internals(params: ModelParams, x: np.ndarray):
     inputs = [x]
     for wk, bk in hidden:
         inputs.append(np.tanh(inputs[-1] @ wk.T + bk))
-    return _softmax(inputs[-1] @ w.T + b), inputs
+    logits = inputs[-1] @ w.T
+    logits += b
+    return _softmax(logits), inputs
 
 
 def forward(params: ModelParams, features) -> np.ndarray:
@@ -285,7 +271,7 @@ def _backward_from_dlogits(params: ModelParams, inputs: list[np.ndarray],
     grads = []
     for k in reversed(range(len(inputs))):
         a = inputs[k]
-        grads[:0] = [(dlogits.T @ a).ravel(), _column_reduce(np.add, dlogits)]
+        grads[:0] = [(dlogits.T @ a).ravel(), _column_sum(dlogits)]
         if k:
             w, _ = _layers(params)[k]
             dlogits = (dlogits @ w) * (1.0 - a * a)
@@ -322,7 +308,7 @@ def loss_grad_and_vjp(
     probs, inputs = _forward_internals(params, batch.features)
     flat = batch.label_index(probs.shape[1])
     picked = probs.take(flat)
-    loss = float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
+    loss = float(-(np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR))) / batch.n))
     dlogits = probs.copy()
     dlogits.reshape(-1)[flat] -= 1.0
     dlogits /= batch.n

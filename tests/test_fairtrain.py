@@ -292,6 +292,19 @@ class TestTrainers:
             ft.train(zero_params("linear", 2, 2), batch,
                      ft.TrainConfig(fairness_mode="dp_binary", lam=1.0))
 
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_unfair_baseline_trains_on_more_than_two_groups(self, batch_size):
+        # Only pearson and hsic need a binary attribute; none just logs sigma2.
+        rng = np.random.default_rng(4)
+        batch = md.Batch(rng.normal(size=(12, 2)), np.array([1, 2] * 6), np.array([1, 2, 3] * 4))
+        trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch,
+                         ft.TrainConfig(fairness_mode="none", iters=5, batch_size=batch_size))
+        assert len(trace.sigma2) == 6 and np.all(np.isfinite(trace.sigma2))
+        for mode in ("pearson", "hsic"):
+            with pytest.raises(ValueError, match="binary"):
+                ft.train(md.init_params("linear", 2, 2, seed=0), batch,
+                         ft.TrainConfig(fairness_mode=mode, iters=5, batch_size=batch_size))
+
     def test_equalized_odds_reduces_conditional_dependence(self):
         # S independent of Y, but one feature copies the group so the
         # model can pick up within-slice dependence.

@@ -258,6 +258,11 @@ class TestEmpiricalQ:
         with pytest.raises(ValueError, match="nonempty"):
             mc.empirical_q(np.full((4, 2), 0.5), np.array([1, 1, 1, 1]), n_groups=2)
 
+    @pytest.mark.parametrize("n_groups", [None, 2])
+    def test_rejects_empty_sample(self, n_groups):
+        with pytest.raises(ValueError, match="empirical_q needs a nonempty sample: soft_probs has 0 rows"):
+            mc.empirical_q(np.zeros((0, 2)), np.array([], dtype=int), n_groups=n_groups)
+
     def test_floor_zero_rejects_class_without_mass(self):
         probs = np.tile([1.0, 0.0], (4, 1))
         s = np.array([1, 2, 1, 2])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import zero_params
 from renyifair import model as md
@@ -224,10 +225,6 @@ class _UfuncSpy:
         self.used.append("reduce")
         return self.ufunc.reduce(*args, **kwargs)
 
-    def accumulate(self, *args, **kwargs):
-        self.used.append("accumulate")
-        return self.ufunc.accumulate(*args, **kwargs)
-
     def __call__(self, *args):
         self.used.append("call")
         return self.ufunc(*args)
@@ -298,73 +295,80 @@ def special_columns(m):
     return m
 
 
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """Records the subscripts of every ``np.einsum`` call."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
 class TestColumnReductions:
-    """The running accumulate must give the bits of numpy's ``axis=0`` reduce."""
+    """``_column_sum`` must give the bits of numpy's ``axis=0`` sum."""
 
     @pytest.mark.parametrize("n", [1, 8, 9, 2000])
-    @pytest.mark.parametrize("c", [2, 3, 5, 7, 11])
-    def test_bitwise_equal_axis0_reduce(self, c, n):
+    @pytest.mark.parametrize("c", [2, 3, 5, 7, 11, 112])
+    def test_einsum_bitwise_equal_axis0_sum(self, c, n, einsum_calls):
         m = awkward_matrix(np.random.default_rng(100 * c + n), n, c)
         for case in (m, special_columns(m)):
-            for ufunc in (np.add, np.maximum):
-                spy = _UfuncSpy(ufunc)
-                got = md._column_reduce(spy, case)
-                if c <= md._ACCUMULATE_MAX_C:
-                    assert spy.used == ["accumulate"] + (["call"] if ufunc.identity is not None else [])
-                else:
-                    assert spy.used == ["reduce"]
-                assert got.tobytes() == ufunc.reduce(case, axis=0).tobytes()
+            einsum_calls.clear()
+            assert md._column_sum(case).tobytes() == case.sum(axis=0).tobytes()
+            assert einsum_calls == ["ij->j"]
             assert md._column_mean(case).tobytes() == case.mean(axis=0).tobytes()
-            assert md._column_reduce(np.add, case).tobytes() == case.sum(axis=0).tobytes()
-            # The running sum has numpy's bits at every width; past
-            # _ACCUMULATE_MAX_C it is only slower.
-            running = 0.0 + np.add.accumulate(case, axis=0)[-1]
-            assert running.tobytes() == case.sum(axis=0).tobytes()
 
     @pytest.mark.parametrize("n", [1, 9, 2000])
     @pytest.mark.parametrize("c", [1, 2, 5, 7])
-    def test_overwrite_bitwise_equal_axis0_reduce_without_a_copy(self, c, n):
+    def test_no_n_by_c_temporary(self, c, n):
         m = awkward_matrix(np.random.default_rng(7 * c + n), n, c)
         for case in (m, special_columns(m)) if c > 1 else (m,):
-            for ufunc in (np.add, np.maximum):
-                want = ufunc.reduce(case, axis=0)
-                scratch = case.copy()
-                tracemalloc.start()
-                try:
-                    got = md._column_reduce(ufunc, scratch, overwrite=True)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert got.tobytes() == want.tobytes()
-                if n == 2000:
-                    # Only c-long results: no N x c array beside the caller's.
-                    assert peak < case.nbytes / 4
-            scratch = case.copy()
-            assert md._column_mean(scratch, overwrite=True).tobytes() == case.mean(axis=0).tobytes()
+            tracemalloc.start()
+            try:
+                got = md._column_sum(case)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == case.sum(axis=0).tobytes()
+            if n == 2000:
+                # Only c-long results: no N x c array beside the input.
+                assert peak < case.nbytes / 4
 
-    @pytest.mark.parametrize("layout", ["one column", "6 columns", "10 columns", "fortran",
-                                        "strided rows", "column slice", "zero rows"])
-    def test_generic_reduce_otherwise(self, layout):
+    @pytest.mark.parametrize("layout", ["one column", "fortran", "strided rows",
+                                        "column slice", "zero rows"])
+    def test_numpy_sum_otherwise(self, layout, einsum_calls):
         m = awkward_matrix(np.random.default_rng(5), 300, 4)
         case = {"one column": m[:, :1].copy(),
-                "6 columns": awkward_matrix(np.random.default_rng(6), 300, 6),
-                "10 columns": awkward_matrix(np.random.default_rng(10), 300, 10),
                 "fortran": np.asfortranarray(m),
                 "strided rows": m[::2],
                 "column slice": m[:, 1:3],
                 "zero rows": m[:0]}[layout]
-        spy = _UfuncSpy(np.add)
-        got = md._column_reduce(spy, case)
-        assert spy.used == ["reduce"]
-        assert got.tobytes() == case.sum(axis=0).tobytes()
+        assert md._column_sum(case).tobytes() == case.sum(axis=0).tobytes()
+        assert einsum_calls == []
         if case.shape[0]:
             assert md._column_mean(case).tobytes() == case.mean(axis=0).tobytes()
 
-    def test_one_column_from_nine_rows_needs_the_generic_reduce(self):
-        # numpy sums a single contiguous column pairwise, so a running sum
-        # rounds differently there.
-        m = awkward_matrix(np.random.default_rng(1), 300, 1)
-        assert np.add.accumulate(m, axis=0)[-1].tobytes() != m.sum(axis=0).tobytes()
+    @pytest.mark.parametrize("layout", ["one column", "fortran"])
+    def test_einsum_rounds_differently_there(self, layout):
+        # A single column einsum sums pairwise, and a Fortran-order array
+        # puts the row axis innermost: neither is numpy's C-order sum.
+        m = awkward_matrix(np.random.default_rng(1), 300, 1 if layout == "one column" else 4)
+        case = np.asfortranarray(m) if layout == "fortran" else m
+        assert np.einsum("ij->j", case).tobytes() != m.sum(axis=0).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), c=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+           special=st.booleans())
+    def test_property_bitwise_equal_axis0_sum_and_mean(self, n, c, seed, special):
+        m = awkward_matrix(np.random.default_rng(seed), n, c)
+        if special and c > 1:
+            m = special_columns(m)
+        assert md._column_sum(m).tobytes() == m.sum(axis=0).tobytes()
+        assert md._column_mean(m).tobytes() == m.mean(axis=0).tobytes()
 
     @pytest.mark.parametrize("arch,hid", [("linear", 0), ("one_hidden", 4), ("one_hidden", 9)])
     def test_backward_bitwise_equal_axis0_sums(self, arch, hid):
@@ -383,6 +387,61 @@ class TestColumnReductions:
             want = np.concatenate([(dhidden.T @ x).ravel(), dhidden.sum(axis=0),
                                    (dlogits.T @ hidden).ravel(), dlogits.sum(axis=0)])
         assert got.tobytes() == want.tobytes()
+
+
+class TestWithTheta:
+    """``with_theta`` checks and stores ``theta`` as construction does."""
+
+    def params(self):
+        return md.init_params("one_hidden", 3, 2, hidden_dim=4, seed=3)
+
+    def build(self, params, theta):
+        return md.ModelParams(params.arch, theta, params.input_dim, params.n_classes,
+                              params.hidden_dim)
+
+    def test_equals_construction(self):
+        params = self.params()
+        before = params.theta.tobytes()
+        theta = params.theta - 0.5
+        got, want = params.with_theta(theta), self.build(params, theta)
+        assert type(got) is md.ModelParams
+        for name in ("arch", "input_dim", "n_classes", "hidden_dim"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.theta.dtype == np.float64
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert not got.theta.flags.writeable and not np.shares_memory(got.theta, theta)
+        theta[0] = 7.0
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert params.theta.tobytes() == before
+
+    def test_converts_like_construction(self):
+        params = self.params()
+        theta = [1] * params.theta.size
+        got, want = params.with_theta(theta), self.build(params, theta)
+        assert got.theta.dtype == np.float64
+        assert got.theta.tobytes() == want.theta.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_raises_the_construction_error(self, bad):
+        params = self.params()
+        theta = params.theta.copy()
+        theta[5] = bad
+        with pytest.raises(ValueError) as want:
+            self.build(params, theta)
+        with pytest.raises(ValueError) as got:
+            params.with_theta(theta)
+        assert str(got.value) == str(want.value) == "theta has non-finite entries"
+
+    @pytest.mark.parametrize("shape", [(25,), (27,), (26, 1), ()])
+    def test_other_shape_raises_the_construction_error(self, shape):
+        params = self.params()
+        assert params.theta.shape == (26,)
+        theta = np.zeros(shape)
+        with pytest.raises(ValueError) as want:
+            self.build(params, theta)
+        with pytest.raises(ValueError) as got:
+            params.with_theta(theta)
+        assert str(got.value) == str(want.value)
 
 
 FIELDS = ("features", "labels", "sensitive")
