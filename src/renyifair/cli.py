@@ -34,6 +34,11 @@ and a ``manifest.json`` with the config hash (over a spec file's bytes,
 not its path) and library versions.  One
 writer, ``write_csv``, renders every CSV.  Outputs contain no timestamps:
 rerunning a config with the same seeds produces byte-identical CSVs.
+
+A failed run is listed in the manifest's ``failures``, its traceback goes
+to stderr and the command exits 1.  A diverged training run (non-finite
+loss) is a failed run with no ``sweep.csv`` rows, so the ``diverged``
+column reads 0 on every row.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -67,9 +73,9 @@ CLUSTER_COLUMNS = (
 
 DEFAULT_LAMBDA_GRID = [0.0] + [10.0 ** e for e in range(-3, 4)]
 
-# A ``--jobs N`` worker's copy of the sweep's data, set once per worker by
-# the pool initializer (see ``_run_tasks``).
-_worker_data = None
+# A ``--jobs N`` worker's run function, bound to the sweep's data, set once
+# per worker by the pool initializer (see ``_sweep``).
+_worker_run = None
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ class ExperimentConfig:
     def lambda_grid(self) -> list[float]:
         grid = [_convert("lambda_grid", float, v)
                 for v in self.raw.get("lambda_grid", DEFAULT_LAMBDA_GRID)]
-        if not grid or any(v < 0 for v in grid) or sorted(grid) != grid:
-            raise ValueError("lambda_grid must be nonempty, nonnegative, ascending")
+        if not grid or not all(0 <= v < math.inf for v in grid) or sorted(grid) != grid:
+            raise ValueError("lambda_grid must be nonempty, finite, nonnegative, ascending")
         return grid
 
     @property
@@ -205,9 +211,9 @@ def _load_train_batches(name: str) -> tuple[model.Batch, model.Batch]:
     return enc.train, enc.test
 
 
-def _train_one(tcfg: fairtrain.TrainConfig, batches, dataset: str, out_dir: str,
-               arch: str, hidden: int) -> list[dict]:
-    train_batch, test_batch = batches or _load_train_batches(dataset)
+def _train_one(batches, tcfg: fairtrain.TrainConfig, out_dir: str, arch: str,
+               hidden: int) -> list[dict]:
+    train_batch, test_batch = batches
     params0 = model.init_params(arch, train_batch.n_features, train_batch.n_classes,
                                 hidden_dim=hidden, seed=tcfg.seed)
     trace = fairtrain.train(params0, train_batch, tcfg)
@@ -273,9 +279,8 @@ def _cluster_row(lam: float, seed: int, state: faircluster.ClusterState,
     }
 
 
-def _cluster_one(ccfg: faircluster.ClusterConfig, view, dataset: str,
-                 out_dir: str) -> list[dict]:
-    points, sensitive = view or _load_cluster_view(dataset)
+def _cluster_one(view, ccfg: faircluster.ClusterConfig, out_dir: str) -> list[dict]:
+    points, sensitive = view
     state, trace = faircluster.fair_kmeans(points, sensitive, ccfg)
     tag = f"lam{ccfg.lam:g}_seed{ccfg.seed}"
     write_csv(os.path.join(out_dir, f"cluster_trace_{tag}.csv"),
@@ -296,13 +301,32 @@ def cmd_cluster(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
 
 def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
            columns) -> int:
-    """Run ``run`` on ``base`` at each lambda and seed; write sweep.csv and the manifest."""
-    dataset = cfg.raw["dataset"]
+    """Load the dataset once, run ``run`` on ``base`` at each lambda and seed,
+    and write sweep.csv and the manifest.
+
+    ``run(loaded, task, out_dir=...)`` returns one run's rows.  Under
+    ``jobs > 1`` each worker receives ``run`` bound to the loaded data once,
+    through the pool initializer, so the data is never pickled per task.
+    Runs are isolated: a run that raises becomes one failure and the others
+    go on.  If the load fails, every run fails with that one error and
+    traceback; the load is not retried.
+    """
     tasks = [dataclasses.replace(base, lam=lam, seed=seed)
              for lam in cfg.lambda_grid for seed in cfg.seeds]
     os.makedirs(out_dir, exist_ok=True)
-    run = functools.partial(run, dataset=dataset, out_dir=out_dir)
-    rows, failures = _run_tasks(run, load, dataset, tasks, jobs)
+    ok, loaded = _safe_call(load, cfg.raw["dataset"])
+    if not ok:
+        results = [(False, loaded)] * len(tasks)
+    else:
+        run = functools.partial(run, loaded, out_dir=out_dir)
+        if jobs > 1:
+            with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(run,)) as pool:
+                results = pool.map(_call_in_worker, tasks)
+        else:
+            results = [_safe_call(run, t) for t in tasks]
+    rows = [row for ok, payload in results if ok for row in payload]
+    failures = [(f"lam={task.lam} seed={task.seed}: {payload[0]}", payload[1])
+                for task, (ok, payload) in zip(tasks, results) if not ok]
     rows.sort(key=lambda r: (r["lambda"], r["seed"], r.get("split", "")))
     write_csv(os.path.join(out_dir, "sweep.csv"), columns,
               [[r[c] for c in columns] for r in rows])
@@ -313,51 +337,19 @@ def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
     return 1 if failures else 0
 
 
-def _run_tasks(fn, load, dataset: str, tasks, jobs: int):
-    """Load the sweep's data once, then run every task on it, isolating failures.
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
 
-    ``fn(task, loaded)`` gets the loaded data as an argument in a serial
-    sweep.  Under ``jobs > 1`` each worker receives it once through the
-    pool initializer, so it is never pickled per task.  If the load fails,
-    ``loaded`` is None: every task loads again and reports the failure with
-    its own traceback, as a run that failed on its own would.
 
-    Returns the rows of the runs that succeeded and one
-    ``(summary, traceback)`` pair per failed run.
-    """
+def _call_in_worker(task):
+    return _safe_call(_worker_run, task)
+
+
+def _safe_call(fn, arg):
+    """``(True, fn(arg))``, or ``(False, (summary, traceback))`` if it raises."""
     try:
-        loaded = load(dataset)
-    except Exception:  # noqa: BLE001 - each task retries and reports the failure
-        loaded = None
-    if jobs > 1:
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(loaded,)) as pool:
-            results = pool.map(_call_in_worker, [(fn, t) for t in tasks])
-    else:
-        results = [_safe_call(fn, t, loaded) for t in tasks]
-    rows: list[dict] = []
-    failures: list[tuple[str, str]] = []
-    for task, (ok, payload) in zip(tasks, results):
-        if ok:
-            rows.extend(payload)
-        else:
-            message, tb = payload
-            failures.append((f"lam={task.lam} seed={task.seed}: {message}", tb))
-    return rows, failures
-
-
-def _init_worker(loaded) -> None:
-    global _worker_data
-    _worker_data = loaded
-
-
-def _call_in_worker(bundle):
-    fn, task = bundle
-    return _safe_call(fn, task, _worker_data)
-
-
-def _safe_call(fn, task, loaded):
-    try:
-        return True, fn(task, loaded)
+        return True, fn(arg)
     except Exception as exc:  # noqa: BLE001 - runs are isolated; report and continue
         return False, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 

@@ -38,6 +38,7 @@ fixed points.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,8 @@ class ClusterConfig:
             raise ValueError("n_clusters must be at least 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.w_update_mode not in W_UPDATE_MODES:
@@ -141,15 +144,14 @@ def _state_from_assignments(points, sensitive, k: int, assignments) -> ClusterSt
 
 
 def _sq_distances(points, centers) -> np.ndarray:
-    """``((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)``, bit for bit.
+    """The N x K squared distances, summed over the features left to right from 0.0.
 
-    numpy sums fewer than 8 features left to right from 0.0, so below 8 the
-    N x K matrix is accumulated one feature at a time without the N x K x p
-    temporary; from 8 on its pairwise sum adds in another order and the
-    generic expression stays.
+    One feature at a time, without the N x K x p temporary of
+    ``((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)``.
+    Below 8 features that is numpy's own order, so the bits match the
+    expression; from 8 on numpy sums pairwise, and the two differ by at
+    most p ulps relative.
     """
-    if points.shape[1] >= 8:
-        return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     d2 = np.zeros((points.shape[0], centers.shape[0]))
     for j in range(points.shape[1]):
         d = points[:, j, None] - centers[None, :, j]
@@ -175,14 +177,14 @@ def _kmeanspp_centers(points, k, rng) -> np.ndarray:
     centers = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(points, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[j] = points[int(rng.integers(n))]
         else:
             centers[j] = points[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(points, centers[j:j + 1])[:, 0])
     return centers
 
 

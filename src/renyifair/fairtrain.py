@@ -43,6 +43,7 @@ the two routes agree to rounding.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import numbers
@@ -80,6 +81,9 @@ class TrainConfig:
     eo_min_group: int = 30
 
     def __post_init__(self):
+        for name in ("lam", "eta", "floor", "grad_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.eta <= 0:
@@ -385,6 +389,16 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
     return penalty
 
 
+def _batches(batch: Batch, size: int | None, rng):
+    """Each step's batch: ``batch`` itself, or ``size`` rows at a time from one
+    fresh permutation per epoch (an epoch's last rows, fewer than ``size``, left out)."""
+    if size is None or size >= batch.n:
+        return itertools.repeat(batch)
+    return (batch.subset(order[i:i + size])
+            for order in map(rng.permutation, itertools.repeat(batch.n))
+            for i in range(0, batch.n - size + 1, size))
+
+
 def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     """Gradient descent on cross entropy plus the configured fairness penalty.
 
@@ -405,20 +419,6 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     """
     warned: set = set()
     trace = TrainTrace()
-    rng = np.random.default_rng(cfg.seed)
-    order = np.array([], dtype=np.int64)
-    cursor = 0
-
-    def next_batch() -> Batch:
-        nonlocal order, cursor
-        if cfg.batch_size is None or cfg.batch_size >= batch.n:
-            return batch
-        if cursor + cfg.batch_size > len(order):
-            order = rng.permutation(batch.n)
-            cursor = 0
-        idx = order[cursor: cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-        return batch.subset(idx)
 
     @functools.cache
     def full_penalty():
@@ -439,21 +439,24 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
             column.append(value)
 
     theta = params
-    for t in range(cfg.iters):
-        grad, row = step(theta, next_batch())
-        loss, _, grad_norm, _ = row
-        if not math.isfinite(loss) or not math.isfinite(grad_norm):
-            trace.diverged = True
-            break
-        record(t, row)
-        if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
-            trace.stopped_early = True
-            break
-        theta = theta.with_theta(theta.theta - cfg.eta * grad)
-    else:
-        _, row = step(theta, batch)
-        if math.isfinite(row[0]):
-            record(cfg.iters, row)
+    batches = _batches(batch, cfg.batch_size, np.random.default_rng(cfg.seed))
+    # A diverging run overflows the grad-norm product; ``diverged`` reports it.
+    with np.errstate(over="ignore"):
+        for t, sub in zip(range(cfg.iters), batches):
+            grad, row = step(theta, sub)
+            loss, _, grad_norm, _ = row
+            if not math.isfinite(loss) or not math.isfinite(grad_norm):
+                trace.diverged = True
+                break
+            record(t, row)
+            if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
+                trace.stopped_early = True
+                break
+            theta = theta.with_theta(theta.theta - cfg.eta * grad)
+        else:
+            _, row = step(theta, batch)
+            if math.isfinite(row[0]):
+                record(cfg.iters, row)
 
     trace.final_params = theta
     return trace

@@ -91,6 +91,58 @@ class TestTrainCommand:
         assert (parallel / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
         err = capsys.readouterr().err
         assert err.count("Traceback (most recent call last)") == 2
+
+    @pytest.mark.parametrize("command", ["train", "cluster"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_load_attempted_once_per_sweep(self, tmp_path, monkeypatch, capsys,
+                                                  command, jobs):
+        # Each attempt appends a line to a file, so one made in a worker counts too.
+        attempts = tmp_path / "attempts"
+
+        def load(*args, **kwargs):
+            with open(attempts, "a") as fh:
+                fh.write("load\n")
+            raise OSError("the source file is gone")
+
+        monkeypatch.setattr(data, "load_dataset", load)
+        monkeypatch.setattr(data, "clustering_view", load)
+        cfg = write_config(tmp_path / "cfg.json", dataset="gone.spec",
+                           lambda_grid=[0.0, 1.0, 10.0], seeds=[0, 1])
+        if command == "cluster":
+            cfg.write_text(json.dumps({"dataset": "gone.spec", "n_clusters": 3,
+                                       "lambda_grid": [0.0, 1.0, 10.0], "seeds": [0, 1]}))
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out, "--jobs", jobs]) == 1
+        assert attempts.read_text() == "load\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            f"lam={lam} seed={seed}: OSError: the source file is gone"
+            for lam in (0.0, 1.0, 10.0) for seed in (0, 1)]
+        err = capsys.readouterr().err
+        assert err.count("FAILED: lam=") == 6
+        assert err.count("Traceback (most recent call last)") == 6
+
+    def test_worker_failure_keeps_its_traceback(self, tmp_path, monkeypatch, capsys):
+        # Features near 1e200 with no normalisation overflow the first steps.
+        rows = ["%r, %s, %s" % ((i % 7 - 3) * 1e200, "a" if i % 2 else "b",
+                                "yes" if i % 3 else "no") for i in range(40)]
+        (tmp_path / "huge.csv").write_text("\n".join(rows) + "\n")
+        monkeypatch.setenv("RENYIFAIR_DATA", str(tmp_path))
+        spec = tmp_path / "huge.spec"
+        spec.write_text("name = huge\ncolumns = v g cls\nlabel = cls\npositive_label = yes\n"
+                        "sensitive = g\nsplit = head\ntrain_count = 30\ntest_count = 10\n"
+                        "file = huge.csv\nnormalization = none\n")
+        cfg = write_config(tmp_path / "cfg.json", dataset=str(spec), fairness_mode="none",
+                           eta=1.0)
+        out = tmp_path / "out"
+        assert run(["train", "--config", cfg, "--out", out, "--jobs", "2"]) == 1
+        assert (out / "sweep.csv").read_text() == ",".join(cli.TRAIN_COLUMNS) + "\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            f"lam={lam} seed=0: RuntimeError: run lam{lam:g}_seed0 diverged (non-finite loss)"
+            for lam in (0.0, 1.0)]
+        err = capsys.readouterr().err
+        assert err.count("Traceback (most recent call last)") == 2
         assert "_train_one" in err
 
     def test_bad_lambda_grid_rejected(self, tmp_path):
@@ -169,6 +221,13 @@ class TestConfigKeys:
         ("cluster", {"seeds": [0, 1.5]}, "config key 'seeds': expected an integer, got 1.5"),
         ("train", {"lambda_grid": [0, "x"]},
          "config key 'lambda_grid': could not convert string to float: 'x'"),
+        ("cluster", {"lambda_grid": [0.0, float("nan")]},
+         "lambda_grid must be nonempty, finite, nonnegative, ascending"),
+        ("train", {"lambda_grid": [0.0, float("inf")]},
+         "lambda_grid must be nonempty, finite, nonnegative, ascending"),
+        ("train", {"eta": float("inf")}, "eta must be finite, got inf"),
+        ("train", {"floor": float("nan")}, "floor must be finite, got nan"),
+        ("train", {"grad_tol": float("inf")}, "grad_tol must be finite, got inf"),
     ])
     def test_bad_values_raise_once_before_output(self, tmp_path, command, overrides, message):
         if command == "train":

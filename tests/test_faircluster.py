@@ -261,6 +261,11 @@ class TestFairKmeans:
             fc.fair_kmeans(np.zeros((2, 1)), np.array([0, 1]),
                            fc.ClusterConfig(n_clusters=3))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match=f"^lam must be finite, got {lam!r}$"):
+            fc.ClusterConfig(n_clusters=3, lam=lam)
+
     def test_exact_fairness_at_large_lambda(self):
         points, sensitive, _ = fc.toy_dataset(seed=1)
         cfg = fc.ClusterConfig(n_clusters=5, lam=5000.0, max_sweeps=200,
@@ -319,25 +324,54 @@ class TestVectorisedPassMatchesReference:
 
 
 class TestSquaredDistances:
-    """The per-feature accumulation must give the bits of the N x K x p sum."""
+    """One kernel for every squared distance: features summed left to right.
+
+    Below 8 features that is numpy's own order, so the kernel gives the bits
+    of the N x K x p sum; from 8 on numpy sums pairwise and the two agree to
+    p ulps relative.
+    """
 
     @staticmethod
     def points(rng, n, p):
         # Mixed magnitudes, so that a different summation order shows.
         return rng.normal(size=(n, p)) * 10.0 ** rng.integers(-4, 4, size=(n, p))
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 32, 112])
     def test_bitwise_equal_generic_expression(self, p):
         rng = np.random.default_rng(p)
         x, centers = self.points(rng, 500, p), self.points(rng, 14, p)
-        want = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assert fc._sq_distances(x, centers).tobytes() == want.tobytes()
-        loop = np.zeros_like(want)
+        got = fc._sq_distances(x, centers)
+        loop = np.zeros_like(got)
         for j in range(p):
             d = x[:, j, None] - centers[None, :, j]
             loop += d * d
-        # From 8 features on numpy's pairwise sum adds in another order.
-        assert (loop.tobytes() == want.tobytes()) == (p < 8)
+        assert got.tobytes() == loop.tobytes()
+        want = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        if p < 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= p * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 7])
+    def test_kmeanspp_centers_match_the_numpy_expression(self, p):
+        def kmeanspp(points, k, rng):
+            # ``_kmeanspp_centers`` with each distance vector taken by numpy.
+            n = points.shape[0]
+            centers = np.empty((k, points.shape[1]))
+            centers[0] = points[int(rng.integers(n))]
+            d2 = ((points - centers[0]) ** 2).sum(axis=1)
+            for j in range(1, k):
+                total = d2.sum()
+                if total <= 0:
+                    centers[j] = points[int(rng.integers(n))]
+                else:
+                    centers[j] = points[int(rng.choice(n, p=d2 / total))]
+                d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+            return centers
+
+        x = self.points(np.random.default_rng(p), 2000, p)
+        got = fc._kmeanspp_centers(x, 14, np.random.default_rng(3))
+        assert got.tobytes() == kmeanspp(x, 14, np.random.default_rng(3)).tobytes()
 
 
 def longest_run(flags) -> int:

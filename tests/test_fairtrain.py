@@ -1,6 +1,7 @@
 """Min-max trainers: inner solves, penalty gradients, reductions, baselines."""
 
 import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -350,7 +351,10 @@ class TestTrainers:
                          rng.integers(1, 3, 20), rng.integers(1, 3, 20))
         p0 = md.init_params("linear", 2, 2, seed=2)
         cfg = ft.TrainConfig(lam=0.0, eta=1.0, iters=50, fairness_mode="none", seed=0)
-        trace = ft.train(p0, batch, cfg)
+        # ``diverged`` reports the overflow; numpy's RuntimeWarning would only repeat it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = ft.train(p0, batch, cfg)
         assert trace.diverged
         assert len(trace.loss) < 50
         assert all(np.isfinite(v) for v in trace.loss)
@@ -557,6 +561,13 @@ def test_dp_binary_sigma2_matches_svd_of_q(arch, hidden, batch_size, monkeypatch
         assert abs(sigma2 ** 2 - svd ** 2) <= 1e-12
         if svd >= 1e-3:
             assert abs(sigma2 - svd) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["lam", "eta", "floor", "grad_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_hyperparameter_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        ft.TrainConfig(**{name: value})
 
 
 def test_eo_min_group_below_one_rejected_and_one_trains():
