@@ -180,7 +180,8 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
 def run_side(checkout: str, matrix_path: str, inputs: str, out_root: str) -> float:
     """Run the matrix against ``checkout``'s library; return the wall time in seconds."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    # The runner's working directory is out_root, so a relative checkout is resolved here.
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
     env["RENYIFAIR_DATA"] = os.path.join(inputs, "data")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     parser.add_argument("--work", default=None, help="work directory (default: a new temp dir)")
     parser.add_argument("--tol", type=float, default=0.0, help="largest allowed abs difference")
     args = parser.parse_args(argv)
-    work = args.work or tempfile.mkdtemp(prefix="golden_")
+    work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="golden_"))
     inputs = os.path.join(work, "inputs")
     os.makedirs(inputs, exist_ok=True)
     matrix = build_matrix(inputs)

@@ -363,20 +363,21 @@ def cmd_eval(checkpoint: str, dataset: str, split: str = "test") -> metrics.Eval
 
 def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
     """Planted-blob clustering demo: two single-group blobs, swept over lambda."""
+    # Every lambda is checked before the output directory is made.
+    configs = [faircluster.ClusterConfig(n_clusters=5, lam=float(lam), max_sweeps=200,
+                                         seed=seed, init="kmeanspp") for lam in lambdas]
     os.makedirs(out_dir, exist_ok=True)
     points, sensitive, centers = faircluster.toy_dataset(seed)
     rows = []
     tables = []
-    for lam in lambdas:
-        ccfg = faircluster.ClusterConfig(n_clusters=5, lam=float(lam), max_sweeps=200,
-                                         seed=seed, init="kmeanspp")
+    for ccfg in configs:
         state, trace = faircluster.fair_kmeans(points, sensitive, ccfg)
-        row = _cluster_row(float(lam), seed, state, trace)
+        row = _cluster_row(ccfg.lam, seed, state, trace)
         rows.append([row[c] for c in CLUSTER_COLUMNS])
         for blob in range(5):
             d2 = ((state.centers - centers[blob]) ** 2).sum(axis=1)
             k = int(np.argmin(d2))
-            tables.append((float(lam), blob + 1, k + 1, float(state.proportions[k])))
+            tables.append((ccfg.lam, blob + 1, k + 1, float(state.proportions[k])))
     write_csv(os.path.join(out_dir, "sweep.csv"), CLUSTER_COLUMNS, rows)
     write_csv(os.path.join(out_dir, "proportions.csv"),
               ("lambda", "planted_blob", "matched_cluster", "proportion"), tables)

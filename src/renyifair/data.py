@@ -11,10 +11,11 @@ and checks every line's field count: delimiters for ``comma`` and
 ``semicolon``, words for ``whitespace``.  Quotes are not parsed, so a
 delimiter or a line break inside a quoted field fails that check, and a
 field that opens with a quote must be one quoted run followed by blanks.
-Numeric columns go through numpy's C reader (``np.loadtxt``), as does the
-one sensitive column of ``clustering_view`` (as text).  Every other
-column, and everything the C reader refuses (derived columns, quoted or
-refused tokens), takes the one token route: ``_columns`` joins a block of
+Numeric columns go through numpy's C reader (``np.loadtxt``);
+``clustering_view`` reads its features and its sensitive column (as raw
+text) in one such call.  Every other column, and everything the C reader
+refuses (derived columns, quoted or refused tokens), takes the one token
+route: ``_columns`` joins a block of
 lines, splits it with one ``str.split`` and keeps a stride of the fields
 for each column a caller uses; each distinct token is stripped of blanks
 and quotes once, and numeric tokens are stripped and parsed with
@@ -379,6 +380,8 @@ def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
 def _c_reader(lines: list[str], spec: DatasetSpec, names: Sequence[str], dtype):
     """N x k array of the columns ``names`` read by numpy's C reader, or None.
 
+    A structured ``dtype`` gives N records instead, whose fields (a
+    subarray field takes one name per element) take the columns in order.
     Only source-file columns of a nonempty list of lines are tried, split
     on the spec's delimiter (on runs of blanks for ``whitespace``).  None
     means the caller reads them through the token route (``_columns``):
@@ -389,7 +392,8 @@ def _c_reader(lines: list[str], spec: DatasetSpec, names: Sequence[str], dtype):
         try:
             return np.loadtxt(lines, delimiter=_DELIMITERS[spec.delimiter],
                               usecols=[spec.columns.index(name) for name in names],
-                              dtype=dtype, ndmin=2, comments=None, quotechar=None)
+                              dtype=dtype, ndmin=1 if np.dtype(dtype).names else 2,
+                              comments=None, quotechar=None)
         except ValueError:
             pass
     return None
@@ -593,29 +597,45 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
 
     Pools every row of the dataset, drops missing values, takes a seeded
     subsample of ``clustering_samples`` rows, and z-scores the selected
-    columns on that subsample.
+    columns on that subsample.  Every pooled row is parsed and checked.
+    The features and the raw sensitive tokens take one structured C read
+    (a float64 field of the features, an object field of the token).  If
+    a column is derived or the C reader refuses a row, the features take
+    ``_numeric_columns`` and the sensitive column a C read as text or the
+    token route, so every input reads, or fails, as with those two reads.
     """
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     if not spec.clustering_features or not spec.clustering_sensitive:
         raise ValueError(f"{spec.name}: no clustering view configured")
     lines = _read_source(spec, root, pool=True)[0]
-    points = _numeric_columns(lines, spec, spec.clustering_features)
-    col = spec.clustering_sensitive
+    features, col = spec.clustering_features, spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
-    # The C reader keeps the blanks around a token, which _encode strips.
-    tokens = _c_reader(lines, spec, [col], str)
-    tokens = _columns(lines, spec, [col])[col] if tokens is None else tokens[:, 0].tolist()
+    # One C read of each line's features and raw sensitive token.  Both C
+    # routes keep the blanks around a token, which _encode strips.
+    record = _c_reader(lines, spec, [*features, col],
+                       [("x", np.float64, (len(features),)), ("s", object)])
+    if record is not None:
+        points, tokens = record["x"], record["s"]
+    else:
+        points = _numeric_columns(lines, spec, features)
+        tokens = _c_reader(lines, spec, [col], str)
+        tokens = _columns(lines, spec, [col])[col] if tokens is None else tokens[:, 0].tolist()
     sensitive = _encode(tokens, {pos: 1}, 0)
     if not sensitive.any():
         raise _unmatched(spec, "clustering_sensitive_positive", pos, col, "row")
+    # Only the points are read from here on, so the lines and tokens go.
+    del lines, record, tokens
 
-    n = len(lines)
+    n = len(sensitive)
     size = spec.clustering_samples or n
     if size > n:
         raise ValueError(f"{spec.name}: clustering_samples={size} exceeds {n} rows")
     if size < n:
         idx = np.sort(np.random.default_rng(spec.clustering_seed).choice(n, size, replace=False))
         points, sensitive = points[idx], sensitive[idx]
+    # The records' points are a strided view: the sample, or this, copies
+    # them out in C order, so the moments sum in the order they always have.
+    points = np.ascontiguousarray(points)
     mean = points.mean(axis=0)
     std = points.std(axis=0)
     std = np.where(std > 0, std, 1.0)

@@ -17,7 +17,9 @@ scoring the points one at a time:
 
 * ``per_sweep`` mode, and either mode at ``lam = 0`` (where the balance
   term vanishes): the proportions are fixed for the whole sweep, so every
-  point's choice is one row of a single vectorised argmin.
+  point's choice is one row of a single vectorised argmin.  At ``lam = 0``
+  the squared distances are the scores: ``d2 - 0.0 * (w - s) ** 2`` is
+  ``d2`` bit for bit, since ``d2 >= +0.0`` and the product is ``+0.0``.
 * ``per_point`` mode at ``lam > 0``: a block scan.  The proportions change
   only when a point moves, so a block of points is scored with one argmin,
   the first point whose choice differs from its cluster is moved, and the
@@ -28,6 +30,12 @@ scoring the points one at a time:
   Python numbers and rewrites two columns of the penalty table; those
   are the same IEEE-double operations as the array form, so the bits
   agree too (see ``_per_point_pass``).
+
+After each sweep, and at the start, a nonempty cluster's center is the
+mean of its points; from 2 features on the sums are one ``np.bincount``
+per feature, which gives the bits of numpy's masked mean (see
+``_update_centers``).  An emptied cluster keeps its last center, and one
+empty from the start sits at the grand mean.
 
 The combined objective (clustering loss minus ``lam`` times the squared
 balance residuals) is not guaranteed monotone under this interleaving, so
@@ -129,10 +137,9 @@ def _state_from_assignments(points, sensitive, k: int, assignments) -> ClusterSt
         raise ValueError("initial assignments must be length N with values in 1..K")
     global_priv = float(sensitive.mean())
     counts, priv, w = _tally(assignments, sensitive, k, global_priv)
-    centers = np.empty((k, points.shape[1]))
-    grand_mean = points.mean(axis=0)
-    for j in range(k):
-        centers[j] = points[assignments == j + 1].mean(axis=0) if counts[j] else grand_mean
+    # An empty cluster starts at the grand mean.
+    centers = np.tile(points.mean(axis=0), (k, 1))
+    _update_centers(points, assignments, counts, centers)
     return ClusterState(
         assignments=assignments.astype(np.int64),
         centers=centers,
@@ -141,6 +148,28 @@ def _state_from_assignments(points, sensitive, k: int, assignments) -> ClusterSt
         priv_counts=priv,
         global_priv=global_priv,
     )
+
+
+def _update_centers(points, assignments, counts, centers) -> None:
+    """Move each nonempty cluster's center to the mean of its points, in place.
+
+    ``counts`` are the cluster sizes of the 1-based ``assignments``; an
+    empty cluster's row is left as it is.  From 2 features on, the sums
+    are one ``np.bincount`` per feature, which adds the points in order
+    into sums that start at 0.0.  That is how numpy adds the whole rows of
+    ``points[members].mean(axis=0)`` (a C-contiguous copy), and both divide
+    by the count, so the bits agree.  With one feature numpy sums pairwise
+    from 9 rows on, so that case keeps the masked mean.
+    """
+    full = np.flatnonzero(counts)
+    if points.shape[1] < 2:
+        for j in full:
+            centers[j] = points[assignments == j + 1].mean(axis=0)
+        return
+    idx = assignments - 1
+    for f in range(points.shape[1]):
+        sums = np.bincount(idx, weights=points[:, f], minlength=centers.shape[0])
+        centers[full, f] = sums[full] / counts[full]
 
 
 def _sq_distances(points, centers) -> np.ndarray:
@@ -280,8 +309,12 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
 
     rng = np.random.default_rng(cfg.seed)
     if initial_assignments is not None:
-        state = _state_from_assignments(x, s, cfg.n_clusters,
-                                        np.asarray(initial_assignments, dtype=np.int64))
+        a = np.asarray(initial_assignments)
+        labels = a.astype(np.int64)
+        bad = labels != a
+        if bad.any():
+            raise ValueError(f"initial assignments must be integers, got {a[bad][0].item()!r}")
+        state = _state_from_assignments(x, s, cfg.n_clusters, labels)
     else:
         state = _init_state(x, s, cfg, rng)
     trace = ClusterTrace()
@@ -296,17 +329,16 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
         if per_point:
             _per_point_pass(d2, s_int, state, cfg.lam)
         else:
-            scores = d2 - cfg.lam * (state.proportions[None, :] - s[:, None]) ** 2
+            # At lam = 0 the penalty is +0.0 and d2 >= +0.0, so d2 is the score.
+            scores = d2 if cfg.lam == 0 else (
+                d2 - cfg.lam * (state.proportions[None, :] - s[:, None]) ** 2)
             state.assignments = np.argmin(scores, axis=1) + 1
             state.counts, state.priv_counts, state.proportions = _tally(
                 state.assignments, s, cfg.n_clusters, state.global_priv)
         # Each point is visited once per sweep, so the moves are the changed entries.
         moves = int(np.count_nonzero(state.assignments != prev))
 
-        for j in range(cfg.n_clusters):
-            members = state.assignments == j + 1
-            if members.any():
-                state.centers[j] = x[members].mean(axis=0)
+        _update_centers(x, state.assignments, state.counts, state.centers)
 
         loss, obj = _objective(x, s, state, cfg.lam)
         active = state.counts > 0

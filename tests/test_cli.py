@@ -561,3 +561,11 @@ class TestDemoToy:
         lam0 = {int(r[1]): float(r[3]) for r in rows if float(r[0]) == 0.0}
         assert lam0[2] == 1.0 and lam0[4] == 0.0
         assert (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("lambdas, message", [("0,-1", "^lam must be nonnegative$"),
+                                                  ("nan", "^lam must be finite, got nan$")])
+    def test_bad_lambda_raises_before_output(self, tmp_path, lambdas, message):
+        out = tmp_path / "demo"
+        with pytest.raises(ValueError, match=message):
+            run(["demo-toy", "--out", out, "--lambdas", lambdas])
+        assert not out.exists()

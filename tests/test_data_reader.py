@@ -656,22 +656,66 @@ class TestNumericColumns:
         else:
             assert_same_array(data._numeric_columns(lines, WHITESPACE_SPEC, names), want)
 
-    @pytest.mark.parametrize("case, loads", [
-        ("mini", [np.float64, str]), ("census_wide_tiny", [np.float64, str]),
-        ("padded_tokens", [np.float64, str]), ("mini_quoted", [np.float64, str]),
-        ("crlf", [np.float64, str]), ("german", [np.float64]),
-        ("mini_derived_feature", [str])])
-    def test_view_takes_the_c_reader_on_lines_only(self, case, loads, tmp_path, monkeypatch):
-        # The features and the sensitive column each take one C read, quoted
-        # files, \r line ends and the whitespace delimiter too.  Derived
-        # columns (german's sensitive one) take the token route.
-        spec = VIEW_CASES[case](tmp_path)
+    @staticmethod
+    def record_loads(monkeypatch):
+        """The dtype of each ``np.loadtxt`` call from here on; "record" for the
+        structured one of the view (the features as one float64 field, then
+        an object field for the sensitive token)."""
         calls = []
         loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["dtype"])
-                            or loadtxt(*a, **k))
+
+        def record(*args, **kwargs):
+            dtype = np.dtype(kwargs["dtype"])
+            if dtype.names:
+                features, token = (dtype.fields[name][0] for name in dtype.names)
+                assert features.base == np.float64 and len(features.shape) == 1
+                assert len(kwargs["usecols"]) == features.shape[0] + 1
+                assert token == np.dtype(object)
+                calls.append("record")
+            else:
+                calls.append(kwargs["dtype"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", record)
+        return calls
+
+    @pytest.mark.parametrize("case, loads", [
+        ("mini", ["record"]), ("census_wide_tiny", ["record"]),
+        ("padded_tokens", ["record"]), ("mini_quoted", ["record"]),
+        ("crlf", ["record"]), ("german", [np.float64]),
+        ("mini_derived_feature", [str])])
+    def test_view_takes_the_c_reader_on_lines_only(self, case, loads, tmp_path, monkeypatch):
+        # The features and the sensitive column take one structured C read,
+        # quoted files and \r line ends too.  A derived column (german's
+        # sensitive one, mini_derived_feature's feature) sends the view to
+        # the two routes, where it takes the token route.
+        spec = VIEW_CASES[case](tmp_path)
+        calls = self.record_loads(monkeypatch)
         data.clustering_view(spec, root=str(tmp_path))
         assert calls == loads
+
+    @pytest.mark.parametrize("edit", [lambda t: t.replace("28,", '"28",'),
+                                      lambda t: t.replace("39,", "3_9,"),
+                                      lambda t: t.replace("50,", "1_000,")])
+    def test_refused_row_takes_the_two_routes(self, edit, tmp_path, monkeypatch, caplog):
+        # A feature token the C reader refuses (a quoted number, an
+        # underscore) fails the structured read; the features then take the
+        # token route and the sensitive column its own C read, as before.
+        spec = rewritten(edit, files=("mini_train.csv",))(tmp_path)
+        caplog.set_level(logging.INFO)
+        want = oracles.clustering_view_reference(spec, root=str(tmp_path))
+        want_log = records(caplog)
+        caplog.clear()
+        calls = self.record_loads(monkeypatch)
+        got = data.clustering_view(spec, root=str(tmp_path))
+        assert calls == ["record", np.float64, str]
+        assert records(caplog) == want_log
+        assert_same_array(got[0], want[0])
+        assert_same_array(got[1], want[1])
+        typo = dataclasses.replace(spec, clustering_sensitive_positive="nobody")
+        with pytest.raises(ValueError, match="^mini: clustering_sensitive_positive 'nobody' "
+                                             "matches no row in column 'sex'$"):
+            data.clustering_view(typo, root=str(tmp_path))
 
     def test_load_dataset_reads_each_split_through_the_c_reader(self, tmp_path, monkeypatch):
         spec = LOAD_CASES["census_wide_tiny"](tmp_path)
@@ -715,7 +759,9 @@ text_cells = st.tuples(line_pads, st.sampled_from(["Male", "Female", "a b", "", 
 
 class TestViewSensitiveColumn:
     """``clustering_view`` reads its sensitive column as text through numpy's
-    C reader on lines; the codes must be the token route's."""
+    C reader on lines, as an object field of its one structured read or, when
+    that read is refused, as a column of ``str``; the codes must be the
+    token route's."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(text_cells, text_cells, text_cells), min_size=1, max_size=8),
@@ -725,6 +771,10 @@ class TestViewSensitiveColumn:
         lines = [",".join(row) for row in rows]
         tokens = data._columns(lines, NUMERIC_SPEC, [col])[col]
         assert data._c_reader(lines, NUMERIC_SPEC, [col], str)[:, 0].tolist() == tokens
+        # The view's object field, read after other columns as in its record.
+        record = data._c_reader(lines, NUMERIC_SPEC, [*NUMERIC_SPEC.columns, col],
+                                [("x", object, (3,)), ("s", object)])
+        assert record["s"].tolist() == tokens
 
     @pytest.mark.parametrize("case", ["mini", "padded_tokens", "padded_quoted_tokens",
                                       "mini_quoted", "german", "census_wide_tiny"])

@@ -46,10 +46,16 @@ def reference_fair_kmeans(points, sensitive, cfg, initial_assignments=None):
     s = np.asarray(sensitive).astype(np.float64)
     n, k = x.shape[0], cfg.n_clusters
     if initial_assignments is not None:
-        state = fc._state_from_assignments(
-            x, s, k, np.asarray(initial_assignments, dtype=np.int64))
+        a0 = np.asarray(initial_assignments, dtype=np.int64)
     else:
-        state = fc._init_state(x, s, cfg, np.random.default_rng(cfg.seed))
+        a0 = fc._init_state(x, s, cfg, np.random.default_rng(cfg.seed)).assignments
+    # The initial centers are the masked means, the grand mean for an empty cluster.
+    global_priv = float(s.mean())
+    counts, priv, w = fc._tally(a0, s, k, global_priv)
+    grand = x.mean(axis=0)
+    centers = np.array([x[a0 == j + 1].mean(axis=0) if counts[j] else grand
+                        for j in range(k)])
+    state = fc.ClusterState(a0.copy(), centers, w, counts, priv, global_priv)
     trace = fc.ClusterTrace()
     seen = {state.assignments.tobytes() + state.centers.tobytes(): 0}
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -261,6 +267,18 @@ class TestFairKmeans:
             fc.fair_kmeans(np.zeros((2, 1)), np.array([0, 1]),
                            fc.ClusterConfig(n_clusters=3))
 
+    def test_fractional_initial_assignments_rejected(self):
+        cfg = fc.ClusterConfig(n_clusters=3)
+        with pytest.raises(ValueError, match=r"^initial assignments must be integers, got 1\.5$"):
+            fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg, initial_assignments=[1, 1.5, 3, 2.7])
+
+    def test_integral_float_initial_assignments_accepted(self):
+        cfg = fc.ClusterConfig(n_clusters=2, lam=75.0, max_sweeps=30)
+        assert_runs_bitwise_equal(
+            fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg,
+                           initial_assignments=COUNTER_A0.astype(np.float64)),
+            fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg, initial_assignments=COUNTER_A0))
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match=f"^lam must be finite, got {lam!r}$"):
@@ -372,6 +390,52 @@ class TestSquaredDistances:
         x = self.points(np.random.default_rng(p), 2000, p)
         got = fc._kmeanspp_centers(x, 14, np.random.default_rng(3))
         assert got.tobytes() == kmeanspp(x, 14, np.random.default_rng(3)).tobytes()
+
+
+class TestUpdateCenters:
+    """Bincount center sums from 2 features, the masked mean at 1: the bits
+    of ``x[members].mean(axis=0)`` either way, and an empty cluster's row kept."""
+
+    @staticmethod
+    def masked_means(x, assignments, centers):
+        want = centers.copy()
+        for j in range(len(want)):
+            members = assignments == j + 1
+            if members.any():
+                want[j] = x[members].mean(axis=0)
+        return want
+
+    @staticmethod
+    def check(x, assignments, k, rng):
+        centers = rng.normal(size=(k, x.shape[1]))
+        want = TestUpdateCenters.masked_means(x, assignments, centers)
+        fc._update_centers(x, assignments, np.bincount(assignments - 1, minlength=k), centers)
+        assert centers.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 5, 8]), st.integers(1, 400), st.integers(1, 12),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_masked_mean(self, p, n, k, strided, seed):
+        # Mixed magnitudes, so that a different summation order shows; the
+        # last cluster is empty, and cluster 1 holds -0.0 in feature 0.
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(n, p + 1)) * 10.0 ** rng.integers(-6, 6, size=(n, p + 1))
+        raw[rng.random(raw.shape) < 0.1] = -0.0
+        assignments = rng.integers(1, k + 1, n)
+        if k > 1:
+            assignments[assignments == k] = 1
+        raw[assignments == 1, 0] = -0.0
+        # Strided points are the csv: loader's raw[:, :-1].
+        x = raw[:, :-1] if strided else np.ascontiguousarray(raw[:, :-1])
+        self.check(x, assignments, k, rng)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 8])
+    def test_bitwise_equal_on_the_census_view_size(self, p):
+        # 10k points and K = 14, one cluster empty.
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(10_000, p)) * 10.0 ** rng.integers(-6, 6, size=(10_000, p))
+        assignments = rng.integers(1, 14, 10_000)
+        self.check(x, assignments, 14, rng)
 
 
 def longest_run(flags) -> int:
