@@ -55,7 +55,7 @@ from . import maxcorr
 from .maxcorr import DEFAULT_MARGINAL_FLOOR, GroupIndex
 # ``forward`` is unused here but stays importable as ``fairtrain.forward``:
 # perfbench/smoke.py checks that its tracer wraps this binding.
-from .model import Batch, ModelParams, _column_mean, forward, loss_grad_and_vjp  # noqa: F401
+from .model import Batch, ModelParams, _column_mean, _columnwise, forward, loss_grad_and_vjp  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -147,7 +147,8 @@ def inner_w_closed_form(soft_probs, stilde, floor: float = DEFAULT_MARGINAL_FLOO
 
 def _binary_means(f, st):
     """``(mean(F), mean(stilde * F))`` down the columns: all the closed form reads of F."""
-    return _column_mean(f), _column_mean(st[:, None] * f)
+    # F * stilde has the bits of stilde * F: IEEE multiplication commutes.
+    return _column_mean(f), _column_mean(_columnwise(np.multiply, f, st[:, None]))
 
 
 def _maximizer(m, t, floor):
@@ -170,10 +171,15 @@ def _centered_value(m, t, w, q):
     return centered, rho_sq
 
 
+def _outer_minus(col, row, sub) -> np.ndarray:
+    """``col[:, None] * row - sub``, bit for bit, through the column kernels."""
+    prod = _columnwise(np.multiply, np.broadcast_to(col[:, None], (col.size, row.size)), row)
+    return _columnwise(np.subtract, prod, sub, out=prod)
+
+
 def _binary_seed(stilde, w, scale: float) -> np.ndarray:
     """d(penalty)/dF for the binary surrogate at fixed ``w``."""
-    seed = np.asarray(stilde, dtype=np.float64)[:, None] * w
-    seed -= w * w
+    seed = _outer_minus(np.asarray(stilde, dtype=np.float64), w, w * w)
     seed *= scale
     return seed
 
@@ -198,9 +204,7 @@ def _discrete_penalty(probs, groups: GroupIndex, floor):
     active = p_class > floor
     a = 2.0 * r / np.sqrt(p_class)
     b = np.where(active, r * r / p_class, 0.0)
-    g = (v / np.sqrt(p_group)).take(groups.codes)
-    seed = g[:, None] * a
-    seed -= b
+    seed = _outer_minus((v / np.sqrt(p_group)).take(groups.codes), a, b)
     seed /= n
     return value, seed, sigma2, v
 
@@ -357,14 +361,20 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
         slices = [(idx, _dp_penalty(sub.sensitive[idx], cfg.floor, n_groups, n_groups == 2))
                   for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)]
 
+        @functools.cache
+        def positions(c):
+            """Each slice's flat positions ``idx * c + j`` in a C-ordered N x c seed."""
+            return [(idx[:, None] * c + np.arange(c)).ravel() for idx, _ in slices]
+
         def penalty(probs):
-            total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
-            for idx, dp in slices:
+            total, seed, sq_sum = 0.0, np.zeros(probs.size), 0.0
+            for (idx, dp), pos in zip(slices, positions(probs.shape[1])):
                 value, sl_seed, sl_sq = dp(probs.take(idx, axis=0))
                 total += value
-                seed[idx] += sl_seed  # += onto zeros, not =: a -0.0 seed lands as 0.0
+                seed[pos] = sl_seed.reshape(-1)
                 sq_sum += sl_sq
-            return total, seed, float(np.sqrt(sq_sum))
+            seed += 0.0  # each -0.0 to 0.0 in one pass, cheaper than += per slice
+            return total, seed.reshape(probs.shape), float(np.sqrt(sq_sum))
         return penalty
     groups = maxcorr.group_index(sub.sensitive, n_groups)
     if groups.n_groups < n_groups and "groups" not in warned:

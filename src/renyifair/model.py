@@ -37,6 +37,14 @@ loop runs along the c columns and adds each row into c sums that start at
 bits are numpy's, and no N x c temporary is made.  A single column (numpy
 sums it pairwise from 9 rows on), any other layout and zero rows take
 numpy's ``sum(axis=0)``.
+
+Elementwise ops on a narrow N x c array (c classes, or the hidden width for
+the hidden bias) have the same cost: numpy broadcasts a c-long row or an
+N x 1 column with an inner loop only c long, one loop call per row.
+:func:`_columnwise` does such an op one strided column at a time up to 4
+columns, where that is measured to be faster, and leaves wider arrays to
+numpy's broadcast.  Each element meets the same IEEE operation on the same
+operands either way, so the bits are numpy's.
 """
 
 from __future__ import annotations
@@ -227,6 +235,23 @@ def _row_reduce(ufunc: np.ufunc, m: np.ndarray) -> np.ndarray:
     return out[:, None]
 
 
+# Widest array combined column by column: any width keeps the bits, and timed at
+# N = 2000 and 29,378 the column loop wins up to 4 columns (BENCH_26.json).
+_ELEMENTWISE_MAX_C = 4
+
+
+def _columnwise(ufunc: np.ufunc, m: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """``ufunc(m, v, out=out)``, bit for bit, for a float64 N x c ``m``, a c-long or N x 1 ``v``."""
+    c = m.shape[1]
+    if c > _ELEMENTWISE_MAX_C:
+        return ufunc(m, v, out=out)
+    if out is None:
+        out = np.empty(m.shape)
+    for j in range(c):
+        ufunc(m[:, j], v[j] if v.ndim == 1 else v[:, 0], out=out[:, j])
+    return out
+
+
 def _column_sum(m: np.ndarray) -> np.ndarray:
     """``m.sum(axis=0)``, bit for bit (see the module docstring)."""
     if m.shape[0] and m.shape[1] >= 2 and m.flags.c_contiguous:
@@ -240,9 +265,9 @@ def _column_mean(m: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = logits - _row_reduce(np.maximum, logits)
+    e = _columnwise(np.subtract, logits, _row_reduce(np.maximum, logits))
     np.exp(e, out=e)
-    return e / _row_reduce(np.add, e)
+    return _columnwise(np.true_divide, e, _row_reduce(np.add, e), out=e)
 
 
 def _forward_internals(params: ModelParams, x: np.ndarray):
@@ -252,10 +277,9 @@ def _forward_internals(params: ModelParams, x: np.ndarray):
     *hidden, (w, b) = _layers(params)
     inputs = [x]
     for wk, bk in hidden:
-        inputs.append(np.tanh(inputs[-1] @ wk.T + bk))
+        inputs.append(np.tanh(_columnwise(np.add, inputs[-1] @ wk.T, bk)))
     logits = inputs[-1] @ w.T
-    logits += b
-    return _softmax(logits), inputs
+    return _softmax(_columnwise(np.add, logits, b, out=logits)), inputs
 
 
 def forward(params: ModelParams, features) -> np.ndarray:
@@ -287,7 +311,8 @@ def _pullback(params: ModelParams, probs: np.ndarray,
         if u.shape != probs.shape:
             raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
         inner = _row_reduce(np.add, u * probs)
-        dlogits = (u - inner) * probs
+        dlogits = _columnwise(np.subtract, u, inner)
+        dlogits *= probs
         return _backward_from_dlogits(params, inputs, dlogits)
 
     return vjp

@@ -28,6 +28,24 @@ def binary_objective(params, batch, lam, w):
     return loss + lam * pen
 
 
+def eo_penalty_scatter_rows(sub, cfg):
+    """The ``eo`` penalty of ``fairtrain`` on ``sub``, with each slice seed
+    added into its rows by a 2-D fancy index, ``seed[idx] += sl_seed``:
+    ``probs -> (value, seed, sigma2)``."""
+    slices = [(idx, ft._dp_penalty(sub.sensitive[idx], cfg.floor, sub.n_groups, sub.n_groups == 2))
+              for idx in ft._eo_slices(sub, sub.n_groups, cfg.eo_min_group, set())]
+
+    def penalty(probs):
+        total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
+        for idx, dp in slices:
+            value, sl_seed, sl_sq = dp(probs.take(idx, axis=0))
+            total += value
+            seed[idx] += sl_seed
+            sq_sum += sl_sq
+        return total, seed, float(np.sqrt(sq_sum))
+    return penalty
+
+
 def zero_params(arch: str, input_dim: int, n_classes: int, hidden_dim: int = 0) -> md.ModelParams:
     """All-zero parameters: every class equally likely for every input."""
     theta = np.zeros(md.n_params(arch, input_dim, n_classes, hidden_dim))

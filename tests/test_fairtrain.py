@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import binary_objective, zero_params
+from oracles import binary_objective, eo_penalty_scatter_rows, zero_params
 from renyifair import data, maxcorr as mc, model as md, fairtrain as ft
 
 
@@ -131,6 +131,101 @@ class TestClosedFormPenalty:
         assert np.float64(value).tobytes() == np.float64(centered).tobytes()
         assert np.float64(sigma2_sq).tobytes() == np.float64(max(rho_sq, 0.0)).tobytes()
         assert seed.tobytes() == ft._binary_seed(stv, w, 1.0 / n).tobytes()
+
+
+class TestColumnKernelSeeds:
+    """The seeds and means built with ``model._columnwise`` must keep the bits
+    of their broadcast formulas, below and above 8 classes."""
+
+    @pytest.mark.parametrize("c", [2, 3, 9])
+    def test_binary_seed_and_means(self, c):
+        rng = np.random.default_rng(c)
+        n = 300
+        st_ = np.where(rng.random(n) < 0.4, -1.0, 1.0)
+        w = rng.normal(size=c) * 10.0 ** rng.integers(-6, 6, size=c)
+        w[0] = 0.0
+        f = random_probs(rng, n, c)
+        f[rng.random((n, c)) < 0.1] = -0.0
+        seed = ft._binary_seed(st_, w, 1.0 / n)
+        assert seed.tobytes() == ((st_[:, None] * w - w * w) * (1.0 / n)).tobytes()
+        assert np.signbit(seed[st_ < 0, 0]).all()
+        m, t = ft._binary_means(f, st_)
+        assert m.tobytes() == md._column_mean(f).tobytes()
+        assert t.tobytes() == md._column_mean(st_[:, None] * f).tobytes()
+
+    @pytest.mark.parametrize("floor_active", [False, True])
+    @pytest.mark.parametrize("c", [2, 3, 9])
+    def test_discrete_seed(self, c, floor_active):
+        rng = np.random.default_rng(10 * c + floor_active)
+        n, floor = 300, 1e-6
+        probs = random_probs(rng, n, c)
+        if floor_active:
+            probs[:, 0] *= 1e-9
+            probs /= probs.sum(axis=1, keepdims=True)
+        groups = mc.group_index(rng.integers(1, 4, n), 3)
+        _, seed, _, v = ft._discrete_penalty(probs, groups, floor)
+        qm = mc.q_from_groups(probs, groups, floor)
+        r = qm.q @ v
+        a = 2.0 * r / np.sqrt(qm.row_marginal)
+        b = np.where(qm.row_marginal > floor, r * r / qm.row_marginal, 0.0)
+        g = (v / np.sqrt(qm.col_marginal))[groups.codes]
+        assert (b == 0.0).any() == floor_active
+        assert seed.tobytes() == ((g[:, None] * a - b) / n).tobytes()
+
+
+class TestEoScatter:
+    """The ``eo`` seed, scattered through flat positions, must keep the bits
+    of ``seed[idx] += sl_seed``."""
+
+    @staticmethod
+    def assert_matches_row_scatter(sub, probs, cfg):
+        got = ft._penalty_on(sub, cfg, set())(probs)
+        want = eo_penalty_scatter_rows(sub, cfg)(probs)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].shape == probs.shape and got[1].tobytes() == want[1].tobytes()
+        return got[1]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("arch,hidden", [("linear", 0), ("one_hidden", 4)])
+    def test_full_batch_and_minibatch(self, d, arch, hidden):
+        batch = labelled_groups_batch(300, d, seed=d)
+        params = md.init_params(arch, batch.n_features, 2, hidden_dim=hidden, seed=1)
+        cfg = ft.TrainConfig(fairness_mode="eo", eo_min_group=5)
+        rng = np.random.default_rng(d)
+        for sub in (batch, batch.subset(rng.permutation(batch.n)[:64])):
+            assert self.assert_matches_row_scatter(sub, md.forward(params, sub.features), cfg).any()
+
+    def test_negative_zero_lands_as_zero(self):
+        # Balanced groups and constant columns give w = (0, 0) exactly, so
+        # every group-1 row (stilde = -1) has a slice seed of -0.0.
+        y = np.repeat([1, 2], 40)
+        s = np.tile([1, 2], 40)
+        sub = md.Batch(np.zeros((80, 1)), y, s)
+        probs = np.tile([0.25, 0.75], (80, 1))
+        cfg = ft.TrainConfig(fairness_mode="eo", eo_min_group=5)
+        _, sl_seed, _ = ft._dp_penalty(s[:40], cfg.floor, 2, True)(probs[:40])
+        assert np.signbit(sl_seed[s[:40] == 1]).all()
+        seed = self.assert_matches_row_scatter(sub, probs, cfg)
+        assert not np.signbit(seed).any() and not seed.any()
+
+    def test_rows_of_a_skipped_slice_stay_zero(self):
+        batch = rare_group_batch(300, 2, every=20, seed=4)
+        y = np.where(np.arange(300) < 100, 1, 2)
+        sub = md.Batch(batch.features, y, np.where(y == 1, 1, batch.sensitive))
+        probs = md.forward(md.init_params("linear", 2, 2, seed=3), sub.features)
+        cfg = ft.TrainConfig(fairness_mode="eo", eo_min_group=5)
+        seed = self.assert_matches_row_scatter(sub, probs, cfg)
+        assert seed[:100].tobytes() == np.zeros((100, 2)).tobytes()
+        assert seed[100:].any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_model_with_more_classes_than_the_batch_declares(self, d):
+        batch = labelled_groups_batch(300, d, seed=d)
+        assert batch.n_classes == 2
+        params = md.init_params("linear", batch.n_features, 3, seed=2)
+        cfg = ft.TrainConfig(fairness_mode="eo", eo_min_group=5)
+        seed = self.assert_matches_row_scatter(batch, md.forward(params, batch.features), cfg)
+        assert seed.shape == (300, 3) and seed[:, 2].any()
 
 
 class TestPenaltyGradients:

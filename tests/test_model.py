@@ -214,20 +214,23 @@ class TestJacobianProbs:
 
 
 class _UfuncSpy:
-    """Stands in for a ufunc and records whether it was reduced or called."""
+    """Stands in for a ufunc and records whether it was reduced or called,
+    and the operands of each call."""
 
     def __init__(self, ufunc):
         self.ufunc = ufunc
         self.identity = ufunc.identity
         self.used = []
+        self.operands = []
 
     def reduce(self, *args, **kwargs):
         self.used.append("reduce")
         return self.ufunc.reduce(*args, **kwargs)
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.used.append("call")
-        return self.ufunc(*args)
+        self.operands.append(args)
+        return self.ufunc(*args, **kwargs)
 
 
 def awkward_matrix(rng, n, c):
@@ -293,6 +296,45 @@ def special_columns(m):
     m[-1, 1] = np.inf
     m[0, -1] = np.nan
     return m
+
+
+class TestColumnwise:
+    """``_columnwise`` must give the bits of numpy's class-axis broadcast."""
+
+    UFUNCS = (np.add, np.subtract, np.multiply, np.true_divide)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 40), st.booleans(), st.booleans(),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_broadcast(self, c, n, column, alias, special, seed):
+        rng = np.random.default_rng(seed)
+        m = awkward_matrix(rng, n, c)
+        v = awkward_matrix(rng, n, 1) if column else awkward_matrix(rng, 1, c)[0]
+        if special:
+            m = special_columns(m) if c > 1 else m
+            v.reshape(-1)[rng.integers(0, v.size, 3)] = [-0.0, np.inf, np.nan]
+        for ufunc in self.UFUNCS:
+            with np.errstate(all="ignore"):
+                want = ufunc(m, v)
+                out = m.copy() if alias else None
+                got = md._columnwise(ufunc, m if out is None else out, v, out=out)
+            assert out is None or got is out
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2, 4, 5, 8, 10])
+    def test_column_calls_up_to_four_one_broadcast_from_five(self, c):
+        rng = np.random.default_rng(c)
+        m = awkward_matrix(rng, 50, c)
+        for v in (awkward_matrix(rng, 1, c)[0], awkward_matrix(rng, 50, 1)):
+            spy = _UfuncSpy(np.subtract)
+            got = md._columnwise(spy, m, v)
+            assert got.tobytes() == (m - v).tobytes()
+            if c <= md._ELEMENTWISE_MAX_C:
+                assert len(spy.operands) == c
+                assert all(np.ndim(x) <= 1 for args in spy.operands for x in args)
+            else:
+                assert spy.used == ["call"] and spy.operands[0][0] is m
 
 
 @pytest.fixture
