@@ -14,15 +14,18 @@ BLAS thread.  Every entry writes its files, its captured stdout and stderr
 
 The inputs are built once under ``WORK/inputs`` and read by both sides, so
 nothing is downloaded: the census-like tables of ``perfbench/gen_table.py``
-(full size, seed 1) and a small rare-group table written here, whose
-minibatches lack a group and whose test split lacks group ``c``.  The
-matrix holds the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
+(full size, seed 1), a small rare-group table written here, whose
+minibatches lack a group and whose test split lacks group ``c``, and a
+small whitespace-delimited table with a derived sensitive column and one
+quoted number, which the loader reads on its token route.  The matrix holds the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
 ``train`` in all six modes with ``linear`` and ``one_hidden:4`` at full
 batch and ``batch_size`` 64 (``--jobs`` 1 and 2), ``dp_discrete``, ``none``
 and ``eo`` on the product-coded pair (d=10) at ``batch_size`` 64, every
-mode on the rare-group tables at ``batch_size`` 16, ``cluster`` in both
-modes with both inits on ``toy:0`` and the census view, ``demo-toy``, and
-``eval`` on both splits, a split that lacks a group included.
+mode on the rare-group tables at ``batch_size`` 16, ``dp_discrete`` on the
+token-route table at ``batch_size`` 16, ``cluster`` in both modes with both
+inits on ``toy:0`` and the census view, ``demo-toy``, and ``eval`` on both
+splits, a split that lacks a group included, and on the token-route test
+split.
 
 Before comparing, the checkout's path and the side's output directory are
 replaced by ``<checkout>`` and ``<out>`` in every file.  Each file then gets
@@ -38,7 +41,7 @@ one verdict:
 The exit status is 1 when a file is structural or a numeric column moves by
 more than ``--tol`` (absolute, default 0), else 0.  The whole run takes
 about 40 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
-under 20 s per side for its 66 entries, plus the inputs and the diff.
+under 20 s per side for its 68 entries, plus the inputs and the diff.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 TABLE_SEED = 1
 RARE_ROWS = (300, 60)  # train, test
+TOKEN_ROWS = (160, 40)  # train, test
 
 # Run inside each side's subprocess: argv[1] is the matrix JSON, argv[2] the
 # side's output root.  ``{root}`` in an argument is that root, ``{out}`` the
@@ -113,6 +117,33 @@ def write_rare_table(where: str) -> dict:
     return specs
 
 
+def write_token_table(where: str) -> str:
+    """A small whitespace-delimited table, and a spec over it; returns the spec path.
+
+    One training row quotes its ``v`` token, which numpy's C reader refuses,
+    so the training split takes the loader's token route (the test split
+    is read on its own and stays on the C reader).  The sensitive column
+    ``grp`` is derived from ``kind``: 1 for ``k1`` and ``k2``.
+    """
+    n_train, n_test = TOKEN_ROWS
+    rows = []
+    for i in range(n_train + n_test):
+        kind = f"k{(i * 7) % 5}"
+        v, w = (i * 41) % 97 / 10.0, (i * 29) % 83 / 10.0 + (kind in ("k1", "k2"))
+        cls = "yes" if (i * 13) % 7 < 3 + (kind == "k1") else "no"
+        rows.append(f"{v} \t{w}  {kind} {cls}")
+    rows[5] = '"' + rows[5].replace(" ", '" ', 1)
+    with open(os.path.join(where, "tokens.txt"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    spec = os.path.join(where, "tokens.spec")
+    with open(spec, "w") as fh:
+        fh.write(f"name = tokens\ndelimiter = whitespace\ncolumns = v w kind cls\n"
+                 f"label = cls\npositive_label = yes\nderive = grp:kind:k1|k2\n"
+                 f"sensitive = grp\ncategorical = kind\nsplit = head\n"
+                 f"train_count = {n_train}\ntest_count = {n_test}\nfile = tokens.txt\n")
+    return spec
+
+
 def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     """Write the inputs and configs under ``inputs``; return ``(entry, argv)`` pairs."""
     sys.path.insert(0, PERFBENCH)
@@ -123,6 +154,7 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     os.makedirs(data_dir, exist_ok=True)
     gen_table.generate(TABLE_SEED, data_dir, *workloads.SCALES["full"]["rows"])
     rare = write_rare_table(data_dir)
+    tokens = write_token_table(data_dir)
     # The specs are copied so that no config names a checkout's path.
     specs = shutil.copytree(workloads.SPECS, os.path.join(inputs, "specs"), dirs_exist_ok=True)
     wide = os.path.join(specs, "census_wide.spec")
@@ -160,6 +192,7 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     for mode in ("none", "dp_discrete", "eo"):
         add(f"rare3.{mode}.b16", "train", train(rare["rare3"], mode, 60, batch_size=16,
                                                 eo_min_group=1))
+    add("tokens.dp_discrete.b16", "train", train(tokens, "dp_discrete", 60, batch_size=16))
     for w_mode in ("per_point", "per_sweep"):
         for init in ("random_assignment", "kmeanspp"):
             for dataset, tag, sweeps in (("toy:0", "toy", 50), (wide, "census", 4)):
@@ -174,6 +207,9 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
         matrix.append((f"eval.rare3.{split}", [
             "eval", "--checkpoint", "{root}/rare3.dp_discrete.b16/params_lam10_seed0.txt",
             "--dataset", rare["rare3"], "--split", split, "--out", "{out}/report.json"]))
+    matrix.append(("eval.tokens.test", [
+        "eval", "--checkpoint", "{root}/tokens.dp_discrete.b16/params_lam10_seed0.txt",
+        "--dataset", tokens, "--split", "test", "--out", "{out}/report.json"]))
     return matrix
 
 

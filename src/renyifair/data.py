@@ -11,19 +11,15 @@ and checks every line's field count: delimiters for ``comma`` and
 ``semicolon``, words for ``whitespace``.  Quotes are not parsed, so a
 delimiter or a line break inside a quoted field fails that check, and a
 field that opens with a quote must be one quoted run followed by blanks.
-Numeric columns go through numpy's C reader (``np.loadtxt``);
-``clustering_view`` reads its features and its sensitive column (as raw
-text) in one such call.  Every other column, and everything the C reader
-refuses (derived columns, quoted or refused tokens), takes the one token
-route: ``_columns`` joins a block of
-lines, splits it with one ``str.split`` and keeps a stride of the fields
-for each column a caller uses; each distinct token is stripped of blanks
-and quotes once, and numeric tokens are stripped and parsed with
-``float``.  ``load_dataset`` encodes every column first (one-hot codes,
-numeric values, labels and sensitive codes) and lets go of the lines and
-tokens before it allocates the two feature matrices, which ``Batch`` then
-takes over without a copy: the tokens and the matrices are never alive at
-once, nor are two copies of a matrix.
+Both loaders read their columns with ``_read_columns``: one structured
+call of numpy's C reader (``np.loadtxt``) per split, or of the pool, reads
+the continuous columns as float64 and the others (a derived one through
+its source) as raw text.  A row it refuses sends every column to the
+token route (``_columns``, then ``float``).  One ``set`` pass per token
+column strips each distinct token.  ``load_dataset`` encodes every column
+first and frees the lines and tokens before it allocates the two feature
+matrices, which ``Batch`` takes over without a copy: the tokens and the
+matrices are never alive at once, nor are two copies of a matrix.
 Categorical features are one-hot encoded with category lists collected
 from the training split (plus an explicit unseen bucket for test-time
 surprises); continuous features are z-scored with training-split
@@ -117,13 +113,20 @@ class DatasetSpec:
             raise ValueError(f"unknown delimiter {self.delimiter!r}")
         if not self.sensitive:
             raise ValueError("at least one sensitive column is required")
+        for key in ("train_count", "test_count", "skip_rows", "test_skip_rows",
+                    "clustering_samples"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must not be negative, got {getattr(self, key)}")
+        if self.split == "fraction" and not 0 < self.train_fraction < 1:
+            raise ValueError(f"split = fraction needs 0 < train_fraction < 1, "
+                             f"got {self.train_fraction}")
         known = set(self.columns) | {r.name for r in self.derive}
         # An empty clustering_sensitive means the spec has no clustering view.
         clustering = (*self.clustering_features, *filter(None, [self.clustering_sensitive]))
         for col in (self.label, *self.sensitive, *self.categorical, *self.drop, *clustering):
             if col not in known:
                 raise ValueError(f"column {col!r} not declared in the spec")
-        rules = {rule.name: rule for rule in reversed(self.derive)}  # as _columns reads them
+        rules = {rule.name: rule for rule in reversed(self.derive)}  # as _read_columns reads them
         for rule in filter(lambda r: rules[r.name] is r, self.derive):
             chain = [rule.name]
             while chain[-1] in rules and len(chain) <= len(rules):
@@ -307,15 +310,14 @@ def _split(spec: DatasetSpec, parts: list[list[str]]):
 
 
 def _columns(lines: list[str], spec: DatasetSpec, names) -> dict[str, list[str]]:
-    """Raw tokens of each column in ``names``, a derived one built from its source.
+    """Raw tokens of each source-file column in ``names``: the token route.
 
     Lines are split ``_BLOCK`` at a time by one ``str.split`` of the joined
     block (on runs of blanks for the ``whitespace`` delimiter), and column
     ``i`` of a block is the stride ``[i::width]`` of its fields; only the
     columns asked for are kept, so the fields of the others never pile up.
     """
-    rules = {rule.name: rule for rule in reversed(spec.derive)}  # the first of a name wins
-    raw: dict[str, list[str]] = {_source(name, rules): [] for name in names}
+    raw: dict[str, list[str]] = {name: [] for name in names}
     width = len(spec.columns)
     wanted = [(spec.columns.index(name), tokens) for name, tokens in raw.items()]
     delim = _DELIMITERS[spec.delimiter]
@@ -323,7 +325,7 @@ def _columns(lines: list[str], spec: DatasetSpec, names) -> dict[str, list[str]]
         fields = (delim or " ").join(lines[start:start + _BLOCK]).split(delim)
         for i, tokens in wanted:
             tokens += fields[i::width]
-    return {name: _derived(name, rules, raw) for name in names}
+    return raw
 
 
 def _source(name: str, rules: dict[str, DeriveRule]) -> str:
@@ -331,7 +333,7 @@ def _source(name: str, rules: dict[str, DeriveRule]) -> str:
     return _source(rules[name].source, rules) if name in rules else name
 
 
-def _derived(name: str, rules: dict[str, DeriveRule], raw: dict[str, list[str]]) -> list[str]:
+def _derived(name: str, rules: dict[str, DeriveRule], raw: dict[str, Sequence[str]]):
     """Tokens of column ``name``, built by its derive rules from the raw source column."""
     rule = rules.get(name)
     if rule is None:
@@ -358,15 +360,15 @@ def _strip(token: str) -> str:
     return inner.strip()
 
 
-def _distinct(tokens: Sequence[str]) -> set[str]:
-    """The stripped tokens, each distinct raw token stripped once."""
-    return set(map(_strip, set(tokens)))
+def _distinct(tokens: Sequence[str], clean=_strip) -> dict[str, str]:
+    """Each distinct raw token and its value ``clean(t)``, from one ``set`` pass."""
+    return {t: clean(t) for t in set(tokens)}
 
 
 def _encode(tokens: Sequence[str], index: dict[str, int], default: int,
-            clean=_strip) -> np.ndarray:
-    """Code ``index[clean(t)]`` of each raw token, ``default`` where it is not in ``index``."""
-    code = {t: index.get(clean(t), default) for t in set(tokens)}
+            values: dict[str, str] | None = None) -> np.ndarray:
+    """Code ``index[values[t]]`` of each raw token ``t``, or ``default`` if not in ``index``."""
+    code = {t: index.get(value, default) for t, value in (values or _distinct(tokens)).items()}
     return np.fromiter(map(code.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
@@ -377,47 +379,58 @@ def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 
 
-def _c_reader(lines: list[str], spec: DatasetSpec, names: Sequence[str], dtype):
-    """N x k array of the columns ``names`` read by numpy's C reader, or None.
+def _c_reader(lines: list[str], spec: DatasetSpec, numeric: Sequence[str],
+              sources: Sequence[str]):
+    """The N x k float64 values of the ``numeric`` columns and the raw tokens
+    of each ``sources`` column, from one C read, or None.
 
-    A structured ``dtype`` gives N records instead, whose fields (a
-    subarray field takes one name per element) take the columns in order.
-    Only source-file columns of a nonempty list of lines are tried, split
-    on the spec's delimiter (on runs of blanks for ``whitespace``).  None
-    means the caller reads them through the token route (``_columns``):
-    derived columns, empty input, and lines the C reader refuses.
+    ``np.loadtxt`` reads each line into one record: a float64 subarray
+    field, then one object field per source column (its tokens keep their
+    blanks and quotes).  It splits lines as ``_columns`` does and reads a
+    number as ``float`` does.  None, the one fallback, means empty input or
+    a row it refuses (underscores, non-ASCII digits, quotes, bad tokens),
+    which the token route reads with the same bits or fails loudly.
     """
-    derived = {rule.name for rule in spec.derive}
-    if lines and derived.isdisjoint(names):
-        try:
-            return np.loadtxt(lines, delimiter=_DELIMITERS[spec.delimiter],
-                              usecols=[spec.columns.index(name) for name in names],
-                              dtype=dtype, ndmin=1 if np.dtype(dtype).names else 2,
-                              comments=None, quotechar=None)
-        except ValueError:
-            pass
-    return None
+    if not lines:
+        return None
+    fields = [("", np.float64, (len(numeric),))] if numeric else []
+    try:
+        record = np.loadtxt(lines, delimiter=_DELIMITERS[spec.delimiter],
+                            usecols=[spec.columns.index(name) for name in [*numeric, *sources]],
+                            dtype=fields + [("", object)] * len(sources), ndmin=1,
+                            comments=None, quotechar=None)
+    except ValueError:
+        return None
+    parts = [record[name] for name in record.dtype.names]
+    return parts.pop(0) if numeric else np.empty((len(record), 0)), dict(zip(sources, parts))
 
 
-def _numeric_columns(lines: list[str], spec: DatasetSpec, names: Sequence[str]) -> np.ndarray:
-    """N x k float64 values of the continuous columns ``names``, in that order.
+def _read_columns(parts: list[list[str]], spec: DatasetSpec, continuous: Sequence[str],
+                  names: Sequence[str]) -> list[tuple[np.ndarray, dict]]:
+    """Per list of lines: the N x k float64 values of ``continuous`` and the tokens of ``names``.
 
-    Lines go through numpy's C reader (``_c_reader``).  It skips the blanks
-    ``str.strip`` removes and parses the rest with
-    ``PyOS_string_to_double``, as ``float`` does.  What it refuses
-    (underscores, non-ASCII digits, quotes, bad tokens), like derived
-    columns and empty input, goes through the token route (``_columns``
-    and ``_numeric``), which accepts it or raises the non-numeric error.
-    The two routes give the same bits.
+    Each list takes one ``_c_reader`` call (its values a strided view of the
+    records), or the token route (``_columns``, ``_numeric``) if it refuses.
+    A derived column is built from its source's raw tokens; every list's
+    values are read before any ``names`` are derived, as errors always came.
     """
-    values = _c_reader(lines, spec, names, np.float64)
-    if values is not None:
-        return values
-    cols = _columns(lines, spec, names)
-    values = np.empty((len(lines), len(names)))
-    for j, name in enumerate(names):
-        values[:, j] = _numeric(cols[name], spec, name)
-    return values
+    rules = {rule.name: rule for rule in reversed(spec.derive)}  # the first of a name wins
+    numeric = [c for c in continuous if c not in rules]
+    sources = list(dict.fromkeys(
+        _source(c, rules) for c in [*(c for c in continuous if c in rules), *names]))
+    reads = []
+    for lines in parts:
+        read = _c_reader(lines, spec, numeric, sources)
+        raw = _columns(lines, spec, [*numeric, *sources]) if read is None else read[1]
+        numbers = {} if read is None else dict(zip(numeric, read[0].T))
+        tokens = {c: _derived(c, rules, raw) for c in continuous if c not in numbers}
+        if read is None or tokens:  # the values, assembled column by column
+            read = np.empty((len(lines), len(continuous))), raw
+            for j, c in enumerate(continuous):
+                read[0][:, j] = numbers[c] if c in numbers else _numeric(tokens[c], spec, c)
+        reads.append(read)
+    return [(values, {name: _derived(name, rules, raw) for name in names})
+            for values, raw in reads]
 
 
 def _unmatched(spec: DatasetSpec, key: str, token: str, col: str, rows: str) -> ValueError:
@@ -495,9 +508,10 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
                          f"a sensitive column or dropped)")
     categorical = [c for c in feature_cols if c in spec.categorical]
     continuous = [c for c in feature_cols if c not in spec.categorical]
-    values = _numeric_columns(train, spec, continuous), _numeric_columns(test, spec, continuous)
-    names = [*categorical, spec.label, *spec.sensitive]
-    train_cols, test_cols = _columns(train, spec, names), _columns(test, spec, names)
+    values, (train_cols, test_cols) = zip(*_read_columns(
+        [train, test], spec, continuous, [*categorical, spec.label, *spec.sensitive]))
+    # Copies, so the records go with the tokens; F-ordered, as x_train[:, numeric] is.
+    values = [np.asfortranarray(v) for v in values]
     del train, test  # the lines; only their tokens are read from here on
 
     feature_names: list[str] = []
@@ -506,14 +520,15 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
     for col in feature_cols:
         if col in categorical:
             tr, te = train_cols[col], test_cols[col]
-            cats = sorted(_distinct(tr))
+            tr_values = _distinct(tr)
+            cats = sorted(set(tr_values.values()))
             index = {tok: i for i, tok in enumerate(cats)}
             offset = len(feature_names)
             feature_names.extend([f"{col}={tok}" for tok in cats] + [f"{col}={UNSEEN}"])
             # Tokens outside the training categories go to the last column.
             codes = []
-            for tokens, where in ((tr, "train"), (te, "test")):
-                code = _encode(tokens, index, len(cats))
+            for tokens, known, where in ((tr, tr_values, "train"), (te, None, "test")):
+                code = _encode(tokens, index, len(cats), known)
                 unseen = np.count_nonzero(code == len(cats))
                 if unseen:
                     logger.warning("%s: %d unseen %r tokens in %s mapped to the unseen bucket",
@@ -525,16 +540,16 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
             feature_names.append(col)
 
     clean = (lambda t: _strip(t).rstrip(".")) if spec.strip_label_period else _strip
-    labels = [_encode(cols[spec.label], {spec.positive_label: 2}, 1, clean)
-              for cols in (train_cols, test_cols)]
+    labels = [_encode(tokens, {spec.positive_label: 2}, 1, _distinct(tokens, clean))
+              for tokens in (train_cols[spec.label], test_cols[spec.label])]
     if not (labels[0] == 2).any():
         raise _unmatched(spec, "positive_label", spec.positive_label, spec.label, "training row")
 
     # Each sensitive token map is fit on the training tokens alone.
     s_train_cols, s_test_cols, sizes = [], [], []
     for k, col in enumerate(spec.sensitive):
-        tr, te = train_cols[col], test_cols[col]
-        tokens = sorted(_distinct(tr))
+        tr = _distinct(train_cols[col])
+        tokens = sorted(set(tr.values()))
         if k < len(spec.sensitive_positive):
             pos = spec.sensitive_positive[k]
             if pos not in tokens:
@@ -542,13 +557,14 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
             index = {tok: (2 if tok == pos else 1) for tok in tokens}
         else:
             index = {tok: i + 1 for i, tok in enumerate(tokens)}
-        unknown = sorted(_distinct(te) - index.keys())
+        te = _distinct(test_cols[col])
+        unknown = sorted(set(te.values()) - index.keys())
         if unknown:
             logger.warning("%s: unseen sensitive tokens %s mapped to group 1",
                            spec.name, unknown)
         sizes.append(max(index.values()))
-        s_train_cols.append(_encode(tr, index, 1))
-        s_test_cols.append(_encode(te, index, 1))
+        s_train_cols.append(_encode(train_cols[col], index, 1, tr))
+        s_test_cols.append(_encode(test_cols[col], index, 1, te))
     combined = [combine_sensitive(cols, sizes) for cols in (s_train_cols, s_test_cols)]
     sensitive = combined[0].values, combined[1].values
     return feature_names, onehot, (numeric, values), labels, sensitive, combined[0].tuples
@@ -564,6 +580,12 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     feature_names, onehot, (numeric, values), labels, sensitive, tuples = _encode_splits(spec, root)
 
+    # Continuous columns are standardized with train statistics (moments of the
+    # F-ordered values, as always) before they are placed; one-hot blocks stay 0/1.
+    if spec.normalization == "zscore" and numeric:
+        mean, std = values[0].mean(axis=0), values[0].std(axis=0)
+        values = [(v - mean) / np.where(std > 0, std, 1.0) for v in values]
+
     x_train = np.zeros((len(labels[0]), len(feature_names)))
     x_test = np.zeros((len(labels[1]), len(feature_names)))
     for k, x in enumerate((x_train, x_test)):
@@ -571,15 +593,6 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         for codes in onehot:
             cells[starts + codes[k]] = 1.0
         x[:, numeric] = values[k]
-    # Continuous columns are standardized with train statistics; one-hot
-    # blocks stay 0/1.
-    if spec.normalization == "zscore" and numeric:
-        block = x_train[:, numeric]
-        mean = block.mean(axis=0)
-        std = block.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        for x in (x_train, x_test):
-            x[:, numeric] = (x[:, numeric] - mean) / std
 
     # Batch takes over these fresh arrays without a copy.  Both splits
     # declare the encoders' alphabets, whichever values they hold.
@@ -597,34 +610,21 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
 
     Pools every row of the dataset, drops missing values, takes a seeded
     subsample of ``clustering_samples`` rows, and z-scores the selected
-    columns on that subsample.  Every pooled row is parsed and checked.
-    The features and the raw sensitive tokens take one structured C read
-    (a float64 field of the features, an object field of the token).  If
-    a column is derived or the C reader refuses a row, the features take
-    ``_numeric_columns`` and the sensitive column a C read as text or the
-    token route, so every input reads, or fails, as with those two reads.
+    columns on that subsample.  Every pooled row is parsed and checked:
+    the features and the raw sensitive tokens take one C read of the pool
+    (``_read_columns``), or the token route if the C reader refuses a row,
+    so every input reads, or fails, as on the token route.
     """
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     if not spec.clustering_features or not spec.clustering_sensitive:
         raise ValueError(f"{spec.name}: no clustering view configured")
-    lines = _read_source(spec, root, pool=True)[0]
     features, col = spec.clustering_features, spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
-    # One C read of each line's features and raw sensitive token.  Both C
-    # routes keep the blanks around a token, which _encode strips.
-    record = _c_reader(lines, spec, [*features, col],
-                       [("x", np.float64, (len(features),)), ("s", object)])
-    if record is not None:
-        points, tokens = record["x"], record["s"]
-    else:
-        points = _numeric_columns(lines, spec, features)
-        tokens = _c_reader(lines, spec, [col], str)
-        tokens = _columns(lines, spec, [col])[col] if tokens is None else tokens[:, 0].tolist()
-    sensitive = _encode(tokens, {pos: 1}, 0)
+    [(points, tokens)] = _read_columns(_read_source(spec, root, pool=True), spec, features, [col])
+    sensitive = _encode(tokens[col], {pos: 1}, 0)
     if not sensitive.any():
         raise _unmatched(spec, "clustering_sensitive_positive", pos, col, "row")
-    # Only the points are read from here on, so the lines and tokens go.
-    del lines, record, tokens
+    del tokens  # only the points are read from here on
 
     n = len(sensitive)
     size = spec.clustering_samples or n

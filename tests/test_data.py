@@ -194,6 +194,32 @@ class TestSplitPolicies:
         with pytest.raises(ValueError, match="larger"):
             data.load_dataset(spec, root=str(tmp_path))
 
+    @pytest.mark.parametrize("lines, message", [
+        ("split = head\ntrain_count = -5\ntest_count = 5\n",
+         "train_count must not be negative, got -5"),
+        ("split = count\ntrain_count = 15\ntest_count = -1\n",
+         "test_count must not be negative, got -1"),
+        ("split = head\ntrain_count = 15\ntest_count = 5\nskip_rows = -3\n",
+         "skip_rows must not be negative, got -3"),
+        ("split = files\ntrain_file = all.csv\ntest_file = all.csv\ntest_skip_rows = -1\n",
+         "test_skip_rows must not be negative, got -1"),
+        ("split = head\ntrain_count = 15\ntest_count = 5\nclustering_samples = -3\n",
+         "clustering_samples must not be negative, got -3"),
+    ], ids=["train_count", "test_count", "skip_rows", "test_skip_rows", "clustering_samples"])
+    def test_negative_size_rejected(self, tmp_path, lines, message):
+        # Each would load a silently wrong split or fail inside numpy.
+        self.write_single(tmp_path)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            data.parse_spec(self.make_spec(tmp_path, lines))
+
+    @pytest.mark.parametrize("fraction", ["-0.25", "0", "1", "1.5", "nan"])
+    def test_train_fraction_outside_the_open_unit_interval_rejected(self, tmp_path, fraction):
+        self.write_single(tmp_path)
+        path = self.make_spec(tmp_path, f"split = fraction\ntrain_fraction = {fraction}\n")
+        with pytest.raises(ValueError, match=rf"^split = fraction needs 0 < train_fraction < 1, "
+                                             rf"got {float(fraction)}$"):
+            data.parse_spec(path)
+
 
 class TestClusteringView:
     def test_view_shape_and_normalization(self, mini_dataset):

@@ -574,7 +574,7 @@ class TestTokenRoutes:
         index = {tok: i + 3 for i, tok in enumerate(sorted(known))}
         want = np.array([index.get(t, 0) for t in stripped_route(tokens)], dtype=np.int64)
         assert_same_array(data._encode(tokens, index, 0), want)
-        assert data._distinct(tokens) == set(stripped_route(tokens))
+        assert data._distinct(tokens) == dict(zip(tokens, stripped_route(tokens)))
 
 
 # Numeric tokens in the grammar of float and beyond it: signs, exponents,
@@ -620,9 +620,10 @@ def whitespace_grid(draw):
     return lines
 
 
-class TestNumericColumns:
-    """``_numeric_columns`` through numpy's C reader and through the token
-    route: the reference's bits and error message either way."""
+class TestReadColumns:
+    """``_read_columns`` through numpy's C reader and through the token route:
+    the reference's bits and error message either way, and the raw tokens of
+    the token columns read beside the numbers."""
 
     @settings(max_examples=400, deadline=None)
     @given(numeric_grid())
@@ -636,59 +637,64 @@ class TestNumericColumns:
         for records in (lines, [",".join(row) for row in rows]):
             if isinstance(want, str):
                 with pytest.raises(ValueError) as got:
-                    data._numeric_columns(records, NUMERIC_SPEC, names)
+                    data._read_columns([records], NUMERIC_SPEC, names, ["b"])
                 assert str(got.value) == want
             else:
-                assert_same_array(data._numeric_columns(records, NUMERIC_SPEC, names), want)
+                [(values, tokens)] = data._read_columns([records], NUMERIC_SPEC, names, ["b"])
+                assert_same_array(values, want)
+                assert list(tokens["b"]) == data._columns(records, NUMERIC_SPEC, ["b"])["b"]
 
     @settings(max_examples=400, deadline=None)
     @given(whitespace_grid())
     def test_whitespace_matches_reference_bits_and_message(self, lines):
-        # numpy's C reader splits on the blanks that str.split splits on.
+        # numpy's C reader splits on the blanks that str.split splits on,
+        # for the numbers and for the raw tokens alike.
         names = ["c", "a"]
+        if lines:  # no lines, no C read
+            _, raw = data._c_reader(lines, WHITESPACE_SPEC, [], ["b", "c", "a"])
+            assert {name: tokens.tolist() for name, tokens in raw.items()} == data._columns(
+                lines, WHITESPACE_SPEC, ["b", "c", "a"])
         try:
             want = oracles.numeric_columns_reference(
                 [line.split() for line in lines], WHITESPACE_SPEC, names)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                data._numeric_columns(lines, WHITESPACE_SPEC, names)
+                data._read_columns([lines], WHITESPACE_SPEC, names, ["b"])
             assert str(got.value) == str(exc)
         else:
-            assert_same_array(data._numeric_columns(lines, WHITESPACE_SPEC, names), want)
+            [(values, _)] = data._read_columns([lines], WHITESPACE_SPEC, names, ["b"])
+            assert_same_array(values, want)
 
     @staticmethod
     def record_loads(monkeypatch):
-        """The dtype of each ``np.loadtxt`` call from here on; "record" for the
-        structured one of the view (the features as one float64 field, then
-        an object field for the sensitive token)."""
+        """The fields of each ``np.loadtxt`` call from here on: the width of
+        its float64 subarray field (0 when it has none) and the number of
+        object fields after it, one per source column read as raw text."""
         calls = []
         loadtxt = np.loadtxt
 
         def record(*args, **kwargs):
             dtype = np.dtype(kwargs["dtype"])
-            if dtype.names:
-                features, token = (dtype.fields[name][0] for name in dtype.names)
-                assert features.base == np.float64 and len(features.shape) == 1
-                assert len(kwargs["usecols"]) == features.shape[0] + 1
-                assert token == np.dtype(object)
-                calls.append("record")
-            else:
-                calls.append(kwargs["dtype"])
+            fields = [dtype.fields[name][0] for name in dtype.names]
+            width = fields.pop(0).shape[0] if fields[0].base == np.float64 else 0
+            assert all(field == np.dtype(object) for field in fields)
+            assert len(kwargs["usecols"]) == width + len(fields)
+            calls.append((width, len(fields)))
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", record)
         return calls
 
     @pytest.mark.parametrize("case, loads", [
-        ("mini", ["record"]), ("census_wide_tiny", ["record"]),
-        ("padded_tokens", ["record"]), ("mini_quoted", ["record"]),
-        ("crlf", ["record"]), ("german", [np.float64]),
-        ("mini_derived_feature", [str])])
+        ("mini", [(1, 1)]), ("census_wide_tiny", [(5, 1)]),
+        ("padded_tokens", [(1, 1)]), ("mini_quoted", [(1, 1)]),
+        ("crlf", [(1, 1)]), ("german", [(3, 1)]),
+        ("mini_derived_feature", [(1, 2)])])
     def test_view_takes_the_c_reader_on_lines_only(self, case, loads, tmp_path, monkeypatch):
         # The features and the sensitive column take one structured C read,
         # quoted files and \r line ends too.  A derived column (german's
-        # sensitive one, mini_derived_feature's feature) sends the view to
-        # the two routes, where it takes the token route.
+        # sensitive one, mini_derived_feature's feature) is read as its
+        # source column's raw tokens in that same read.
         spec = VIEW_CASES[case](tmp_path)
         calls = self.record_loads(monkeypatch)
         data.clustering_view(spec, root=str(tmp_path))
@@ -699,8 +705,8 @@ class TestNumericColumns:
                                       lambda t: t.replace("50,", "1_000,")])
     def test_refused_row_takes_the_two_routes(self, edit, tmp_path, monkeypatch, caplog):
         # A feature token the C reader refuses (a quoted number, an
-        # underscore) fails the structured read; the features then take the
-        # token route and the sensitive column its own C read, as before.
+        # underscore) fails the structured read; every column then takes the
+        # token route, with no second C read.
         spec = rewritten(edit, files=("mini_train.csv",))(tmp_path)
         caplog.set_level(logging.INFO)
         want = oracles.clustering_view_reference(spec, root=str(tmp_path))
@@ -708,7 +714,7 @@ class TestNumericColumns:
         caplog.clear()
         calls = self.record_loads(monkeypatch)
         got = data.clustering_view(spec, root=str(tmp_path))
-        assert calls == ["record", np.float64, str]
+        assert calls == [(1, 1)]
         assert records(caplog) == want_log
         assert_same_array(got[0], want[0])
         assert_same_array(got[1], want[1])
@@ -717,16 +723,44 @@ class TestNumericColumns:
                                              "matches no row in column 'sex'$"):
             data.clustering_view(typo, root=str(tmp_path))
 
-    def test_load_dataset_reads_each_split_through_the_c_reader(self, tmp_path, monkeypatch):
+    def test_load_dataset_reads_each_split_in_one_c_read(self, tmp_path, monkeypatch):
+        # Each split's continuous columns, then its categorical, label and
+        # sensitive columns as raw text.
         spec = LOAD_CASES["census_wide_tiny"](tmp_path)
         calls = []
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["usecols"])
                             or loadtxt(*a, **k))
         data.load_dataset(spec, root=str(tmp_path))
-        continuous = [i for i, c in enumerate(spec.columns)
-                      if c not in spec.categorical and c not in (spec.label, *spec.sensitive)]
-        assert calls == [continuous, continuous]
+        reserved = (spec.label, *spec.sensitive)
+        continuous = [c for c in spec.columns if c not in spec.categorical and c not in reserved]
+        categorical = [c for c in spec.columns if c in spec.categorical and c not in reserved]
+        usecols = [spec.columns.index(c) for c in [*continuous, *categorical, *reserved]]
+        assert calls == [usecols, usecols]
+
+    @pytest.mark.parametrize("case", sorted(LOAD_CASES))
+    def test_load_dataset_same_as_the_token_route(self, case, tmp_path, monkeypatch, caplog):
+        spec = LOAD_CASES[case](tmp_path)
+        typo = dataclasses.replace(spec, positive_label="nobody")
+        caplog.set_level(logging.INFO)
+        runs = []
+        for c_reader in (data._c_reader, lambda *args: None):
+            monkeypatch.setattr(data, "_c_reader", c_reader)
+            caplog.clear()
+            got = data.load_dataset(spec, root=str(tmp_path))
+            with pytest.raises(ValueError) as error:
+                data.load_dataset(typo, root=str(tmp_path))
+            runs.append((got, records(caplog), str(error.value)))
+        (got, got_log, got_error), (want, want_log, want_error) = runs
+        for part in ("train", "test"):
+            for field in ("features", "labels", "sensitive"):
+                assert_same_array(getattr(getattr(got, part), field),
+                                  getattr(getattr(want, part), field))
+        assert (got.feature_names, got.sensitive_tuples) == (want.feature_names,
+                                                             want.sensitive_tuples)
+        assert got_log == want_log
+        assert got_error == want_error
+        assert "positive_label 'nobody' matches no training row" in got_error
 
     def test_bad_token_in_any_pooled_row_raises(self, tmp_path):
         # The view keeps 4 of the 8 pooled rows; a bad token fails it whether
@@ -758,23 +792,20 @@ text_cells = st.tuples(line_pads, st.sampled_from(["Male", "Female", "a b", "", 
 
 
 class TestViewSensitiveColumn:
-    """``clustering_view`` reads its sensitive column as text through numpy's
-    C reader on lines, as an object field of its one structured read or, when
-    that read is refused, as a column of ``str``; the codes must be the
-    token route's."""
+    """``clustering_view`` reads its sensitive column as raw text, an object
+    field of its one C read; the codes must be the token route's."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(text_cells, text_cells, text_cells), min_size=1, max_size=8),
-           st.sampled_from(NUMERIC_SPEC.columns))
-    def test_c_reader_keeps_the_raw_tokens(self, rows, col):
-        # The padding stays on both routes, and _encode strips it.
+           st.permutations(NUMERIC_SPEC.columns))
+    def test_c_reader_keeps_the_raw_tokens(self, rows, order):
+        # Several object fields in one record, in any column order: the
+        # padding stays, as on the token route, and _encode strips it.
         lines = [",".join(row) for row in rows]
-        tokens = data._columns(lines, NUMERIC_SPEC, [col])[col]
-        assert data._c_reader(lines, NUMERIC_SPEC, [col], str)[:, 0].tolist() == tokens
-        # The view's object field, read after other columns as in its record.
-        record = data._c_reader(lines, NUMERIC_SPEC, [*NUMERIC_SPEC.columns, col],
-                                [("x", object, (3,)), ("s", object)])
-        assert record["s"].tolist() == tokens
+        values, raw = data._c_reader(lines, NUMERIC_SPEC, [], order)
+        assert values.shape == (len(lines), 0)
+        assert {name: tokens.tolist() for name, tokens in raw.items()} == data._columns(
+            lines, NUMERIC_SPEC, order)
 
     @pytest.mark.parametrize("case", ["mini", "padded_tokens", "padded_quoted_tokens",
                                       "mini_quoted", "german", "census_wide_tiny"])
