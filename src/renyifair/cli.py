@@ -86,7 +86,7 @@ class ExperimentConfig:
 
     @property
     def lambda_grid(self) -> list[float]:
-        grid = [_convert("lambda_grid", float, v)
+        grid = [_convert("lambda_grid", _real, v)
                 for v in self.raw.get("lambda_grid", DEFAULT_LAMBDA_GRID)]
         if not grid or not all(0 <= v < math.inf for v in grid) or sorted(grid) != grid:
             raise ValueError("lambda_grid must be nonempty, finite, nonnegative, ascending")
@@ -169,10 +169,18 @@ def _as_is(value):
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a float with a fractional part (``40.0`` passes, ``2.7`` not)."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, refusing a boolean and a float with a fractional part
+    (``40.0`` passes, ``2.7`` and ``true`` not)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _real(value) -> float:
+    """``float(value)``, refusing a boolean (JSON ``true`` is not 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _convert(key: str, convert, value):
@@ -188,8 +196,8 @@ def _convert(key: str, convert, value):
 # value; a key in neither is an error.  Every key but ``model`` is a field of
 # the command's config dataclass, the one place that holds its default.
 _SWEEP_KEYS = frozenset({"dataset", "lambda_grid", "seeds"})
-_TRAIN_KEYS = {"model": _parse_model, "eta": float, "iters": _integer, "fairness_mode": _as_is,
-               "batch_size": _as_is, "floor": float, "grad_tol": float, "eo_min_group": _integer}
+_TRAIN_KEYS = {"model": _parse_model, "eta": _real, "iters": _integer, "fairness_mode": _as_is,
+               "batch_size": _as_is, "floor": _real, "grad_tol": _real, "eo_min_group": _integer}
 _CLUSTER_KEYS = {"n_clusters": _integer, "max_sweeps": _integer, "w_update_mode": _as_is,
                  "init": _as_is}
 

@@ -16,10 +16,12 @@ call of numpy's C reader (``np.loadtxt``) per split, or of the pool, reads
 the continuous columns as float64 and the others (a derived one through
 its source) as raw text.  A row it refuses sends every column to the
 token route (``_columns``, then ``float``).  One ``set`` pass per token
-column strips each distinct token.  ``load_dataset`` encodes every column
-first and frees the lines and tokens before it allocates the two feature
-matrices, which ``Batch`` takes over without a copy: the tokens and the
-matrices are never alive at once, nor are two copies of a matrix.
+column strips each distinct token.  A ``nan`` or ``inf`` read in a
+continuous column is refused after the read, with the column named.
+``load_dataset`` encodes every column first and frees the lines and tokens
+before it allocates the two feature matrices, which ``Batch`` takes over
+without a copy: the tokens and the matrices are never alive at once, nor
+are two copies of a matrix.
 Categorical features are one-hot encoded with category lists collected
 from the training split (plus an explicit unseen bucket for test-time
 surprises); continuous features are z-scored with training-split
@@ -379,6 +381,15 @@ def _numeric(tokens: Sequence[str], spec: DatasetSpec, col: str) -> np.ndarray:
         raise ValueError(f"{spec.name}: non-numeric token in column {col!r}: {exc}") from exc
 
 
+def _finite(values: np.ndarray, spec: DatasetSpec, names: Sequence[str]) -> None:
+    """Refuse a nan or inf among the N x k ``values`` read for the columns ``names``."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, j = np.argwhere(bad)[0]
+        raise ValueError(f"{spec.name}: non-finite value {values[row, j].item()!r} "
+                         f"in column {names[j]!r}")
+
+
 def _c_reader(lines: list[str], spec: DatasetSpec, numeric: Sequence[str],
               sources: Sequence[str]):
     """The N x k float64 values of the ``numeric`` columns and the raw tokens
@@ -512,6 +523,8 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
         [train, test], spec, continuous, [*categorical, spec.label, *spec.sensitive]))
     # Copies, so the records go with the tokens; F-ordered, as x_train[:, numeric] is.
     values = [np.asfortranarray(v) for v in values]
+    for v in values:
+        _finite(v, spec, continuous)
     del train, test  # the lines; only their tokens are read from here on
 
     feature_names: list[str] = []
@@ -621,6 +634,7 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     features, col = spec.clustering_features, spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
     [(points, tokens)] = _read_columns(_read_source(spec, root, pool=True), spec, features, [col])
+    _finite(points, spec, features)
     sensitive = _encode(tokens[col], {pos: 1}, 0)
     if not sensitive.any():
         raise _unmatched(spec, "clustering_sensitive_positive", pos, col, "row")

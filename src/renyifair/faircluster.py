@@ -299,6 +299,9 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
     s = np.asarray(sensitive)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("points must be a nonempty N x p matrix")
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"points must be finite, got {x[bad][0].item()!r}")
     n = x.shape[0]
     if s.shape != (n,) or not np.all((s == 0) | (s == 1)):
         raise ValueError("sensitive must be length N with values in {0, 1}")

@@ -95,7 +95,8 @@ class TrainConfig:
         if self.fairness_mode not in FAIRNESS_MODES:
             raise ValueError(f"unknown fairness mode {self.fairness_mode!r}")
         if self.batch_size is not None and (
-                not isinstance(self.batch_size, numbers.Integral) or self.batch_size < 1):
+                not isinstance(self.batch_size, numbers.Integral)
+                or isinstance(self.batch_size, bool) or self.batch_size < 1):
             raise ValueError(f"batch_size must be a positive integer when set, got {self.batch_size!r}")
         if self.eo_min_group < 1:
             raise ValueError(

@@ -21,9 +21,11 @@ in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
 
 :func:`svd_small` is a hand-rolled one-sided Jacobi for the adversary of
 training (``fairtrain._discrete_penalty``, its one library caller), which
-needs singular vectors with a fixed sign and tie rule: the matrices never
-exceed 64 x 64 and a bit-deterministic decomposition matters more than
-speed at that size.
+reads sigma and the right singular vectors, with a fixed sign and tie rule:
+the matrices never exceed 64 x 64 and a bit-deterministic decomposition
+matters more than speed at that size.  Where the Jacobi stalls (a class
+mass so small that a rotation angle underflows), it takes LAPACK's factor
+under the same rule instead of raising.
 
 :func:`second_singular_value` (the diagnostic that training logs and
 evaluation reports, and :func:`renyi_discrete`) skips the SVD where a closed
@@ -63,10 +65,6 @@ _JACOBI_MAX_SWEEPS = 100
 _JACOBI_TOL = 1e-12
 
 
-class SvdConvergenceError(RuntimeError):
-    """One-sided Jacobi failed to converge within the sweep cap."""
-
-
 def _as_matrix(probs) -> np.ndarray:
     m = np.asarray(probs, dtype=np.float64)
     if m.ndim != 2:
@@ -96,17 +94,17 @@ class QMatrix:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD with descending singular values.
+    """Descending singular values and their right singular vectors.
 
-    Sign convention: in each right singular vector the entry of largest
-    magnitude (lowest index on ties) is nonnegative; the paired left vector
-    is flipped together with it.  Ties in the singular values are ordered by
-    descending lexicographic comparison of the right vectors, which makes the
+    For an r x c matrix both hold min(r, c) entries: ``right_vectors`` is
+    c x min(r, c), one vector per column.  Sign convention: in each right
+    vector the entry of largest magnitude (lowest index on ties) is
+    nonnegative.  Ties in the singular values are ordered by descending
+    lexicographic comparison of the right vectors, which makes the
     decomposition of degenerate matrices reproducible.
     """
 
     singular_values: np.ndarray
-    left_vectors: np.ndarray
     right_vectors: np.ndarray
 
 
@@ -143,38 +141,41 @@ def _one_sided_jacobi(m: np.ndarray):
     a = m.astype(np.float64).copy()
     n_cols = a.shape[1]
     v = np.eye(n_cols)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n_cols - 1):
-            for q_ in range(p + 1, n_cols):
-                alpha = a[:, p] @ a[:, p]
-                beta = a[:, q_] @ a[:, q_]
-                gamma = a[:, p] @ a[:, q_]
-                if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                ap = a[:, p].copy()
-                a[:, p] = cs * ap - sn * a[:, q_]
-                a[:, q_] = sn * ap + cs * a[:, q_]
-                vp = v[:, p].copy()
-                v[:, p] = cs * vp - sn * v[:, q_]
-                v[:, q_] = sn * vp + cs * v[:, q_]
-        if not rotated:
-            return a, v, True
+    # Columns far apart in norm overflow ``zeta * zeta``: the angle reads 0,
+    # the pair never settles and svd_small takes LAPACK's factor instead.
+    with np.errstate(over="ignore"):
+        for _ in range(_JACOBI_MAX_SWEEPS):
+            rotated = False
+            for p in range(n_cols - 1):
+                for q_ in range(p + 1, n_cols):
+                    alpha = a[:, p] @ a[:, p]
+                    beta = a[:, q_] @ a[:, q_]
+                    gamma = a[:, p] @ a[:, q_]
+                    if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
+                        continue
+                    rotated = True
+                    zeta = (beta - alpha) / (2.0 * gamma)
+                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                    if zeta == 0.0:
+                        t = 1.0
+                    cs = 1.0 / np.sqrt(1.0 + t * t)
+                    sn = cs * t
+                    ap = a[:, p].copy()
+                    a[:, p] = cs * ap - sn * a[:, q_]
+                    a[:, q_] = sn * ap + cs * a[:, q_]
+                    vp = v[:, p].copy()
+                    v[:, p] = cs * vp - sn * v[:, q_]
+                    v[:, q_] = sn * vp + cs * v[:, q_]
+            if not rotated:
+                return a, v, True
     return a, v, False
 
 
-def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray:
+def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray | None:
     """Fill columns ``filled:`` of ``u`` with an orthonormal completion.
 
     Candidates are the standard basis vectors in index order, which keeps the
-    completion deterministic.
+    completion deterministic.  None if they run out first.
     """
     n, k = u.shape
     col = filled
@@ -188,78 +189,54 @@ def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray:
         if norm > 0.5:
             u[:, col] = cand / norm
             col += 1
-    if col < k:
-        raise SvdConvergenceError("could not complete orthonormal basis")
-    return u
+    return u if col >= k else None
 
 
 def svd_small(m) -> SvdResult:
-    """Deterministic thin SVD of a small dense matrix.
+    """Deterministic singular values and right vectors of a small dense matrix.
 
-    One-sided Jacobi, capped at 100 sweeps; intended for matrices up to
-    64 x 64.  Raises :class:`SvdConvergenceError` with condition diagnostics
-    if the sweep cap is hit.
+    One-sided Jacobi, capped at 100 sweeps; limited to matrices up to
+    64 x 64.  Where the sweeps stall or the wide case's completion runs out
+    of candidates, the factor comes from ``np.linalg.svd`` instead, under
+    the same sign and tie rule (see :class:`SvdResult`).
     """
     m = _as_matrix(m)
     rows, cols = m.shape
     if max(rows, cols) > 64:
         raise ValueError(f"svd_small is limited to 64x64 matrices, got {m.shape}")
-
     transposed = cols > rows
-    work = m.T if transposed else m
-
-    a, v, converged = _one_sided_jacobi(work)
-    if not converged:
-        gram = work.T @ work
-        off = np.abs(gram - np.diag(np.diag(gram))).max()
-        raise SvdConvergenceError(
-            f"Jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps: "
-            f"shape={m.shape}, frobenius={np.linalg.norm(m):.3e}, "
-            f"max off-diagonal gram residual={off:.3e}"
-        )
-
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    scale = sv.max(initial=0.0)
-    cutoff = scale * max(rows, cols) * np.finfo(np.float64).eps
-    u = np.zeros_like(a)
-    nonzero = int(np.count_nonzero(sv > cutoff))
-    # Normalize in descending order so completion happens on the tail.
-    order = np.argsort(-sv, kind="stable")
-    a = a[:, order]
-    v = v[:, order]
-    sv = sv[order]
-    for j in range(len(sv)):
-        if sv[j] > cutoff:
-            u[:, j] = a[:, j] / sv[j]
+    a, v, converged = _one_sided_jacobi(m.T if transposed else m)
+    right = None
+    if converged:
+        sv = np.sqrt(np.sum(a * a, axis=0))
+        cutoff = sv.max(initial=0.0) * max(rows, cols) * np.finfo(np.float64).eps
+        order = np.argsort(-sv, kind="stable")
+        sv = sv[order]
+        if not transposed:
+            right = v[:, order]
         else:
-            sv[j] = sv[j] if sv[j] > 0 else 0.0
-    u = _complete_orthonormal(u, nonzero)
+            # Wide m: the right vectors are the columns of ``a``, normalised above
+            # the cutoff and completed on the tail in a C-ordered buffer like ``a``.
+            nonzero = int(np.count_nonzero(sv > cutoff))
+            right = np.zeros(a.shape)
+            right[:, :nonzero] = a[:, order[:nonzero]] / sv[:nonzero]
+            right = _complete_orthonormal(right, nonzero)
+        sv = np.where(sv > 0, sv, 0.0)  # a NaN norm (one NaN column) reads 0
+    if right is None:
+        _, sv, vt = np.linalg.svd(m, full_matrices=False)
+        right = vt.T
 
-    if transposed:
-        left, right = v, u
-    else:
-        left, right = u, v
-
-    # Sign fix on right vectors, mirrored on the left to preserve m = U S V^T.
+    # Sign fix: the largest-magnitude entry of each right vector is nonnegative.
     for j in range(right.shape[1]):
         col = right[:, j]
         k = int(np.argmax(np.abs(col)))
         if col[k] < 0:
             right[:, j] = -col
-            left[:, j] = -left[:, j]
 
     # Stable tie-break: descending singular value, then descending
     # lexicographic order of the (sign-fixed) right vectors.
-    keys = sorted(
-        range(len(sv)),
-        key=lambda j: (-sv[j], tuple(-right[:, j])),
-    )
-    keys = np.array(keys)
-    return SvdResult(
-        singular_values=sv[keys],
-        left_vectors=left[:, keys],
-        right_vectors=right[:, keys],
-    )
+    keys = np.array(sorted(range(len(sv)), key=lambda j: (-sv[j], tuple(-right[:, j]))))
+    return SvdResult(singular_values=sv[keys], right_vectors=right[:, keys])
 
 
 def second_singular_value(qm: QMatrix) -> float:

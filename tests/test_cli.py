@@ -228,6 +228,17 @@ class TestConfigKeys:
         ("train", {"eta": float("inf")}, "eta must be finite, got inf"),
         ("train", {"floor": float("nan")}, "floor must be finite, got nan"),
         ("train", {"grad_tol": float("inf")}, "grad_tol must be finite, got inf"),
+        # JSON booleans are not numbers, though Python's bool is an int.
+        ("train", {"batch_size": True}, "batch_size must be a positive integer when set, got True"),
+        ("train", {"iters": True}, "config key 'iters': expected an integer, got True"),
+        ("train", {"eo_min_group": True}, "config key 'eo_min_group': expected an integer, got True"),
+        ("train", {"seeds": [False]}, "config key 'seeds': expected an integer, got False"),
+        ("cluster", {"n_clusters": True}, "config key 'n_clusters': expected an integer, got True"),
+        ("train", {"eta": True}, "config key 'eta': expected a number, got True"),
+        ("train", {"floor": True}, "config key 'floor': expected a number, got True"),
+        ("train", {"grad_tol": False}, "config key 'grad_tol': expected a number, got False"),
+        ("cluster", {"lambda_grid": [0.0, True]},
+         "config key 'lambda_grid': expected a number, got True"),
     ])
     def test_bad_values_raise_once_before_output(self, tmp_path, command, overrides, message):
         if command == "train":

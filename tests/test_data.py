@@ -152,6 +152,17 @@ class TestLoadDataset:
         np.testing.assert_array_equal(a.train.features, b.train.features)
         np.testing.assert_array_equal(a.test.features, b.test.features)
 
+    @pytest.mark.parametrize("name, rows, token, shown", [
+        ("mini_train.csv", TRAIN_ROWS, "nan", "nan"),
+        ("mini_test.csv", TEST_ROWS, "-Infinity", "-inf"),
+        ("mini_train.csv", TRAIN_ROWS, "1e999", "inf"),
+    ])
+    def test_non_finite_value_refused(self, mini_dataset, name, rows, token, shown):
+        # A nan in the train split would z-score its whole column to nan.
+        (mini_dataset / name).write_text(token + rows[2:])
+        with pytest.raises(ValueError, match=f"^mini: non-finite value {shown} in column 'age'$"):
+            data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset))
+
 
 class TestSplitPolicies:
     def write_single(self, tmp_path, n=20):
@@ -235,6 +246,12 @@ class TestClusteringView:
         b = data.clustering_view(mini_dataset / "spec.txt", root=str(mini_dataset))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_non_finite_value_refused(self, mini_dataset):
+        # Refused in the pool, whether or not the subsample would draw it.
+        (mini_dataset / "mini_test.csv").write_text(TEST_ROWS.replace("33,", "inf,"))
+        with pytest.raises(ValueError, match="^mini: non-finite value inf in column 'age'$"):
+            data.clustering_view(mini_dataset / "spec.txt", root=str(mini_dataset))
 
 
 class TestSynthYequalsS:

@@ -272,6 +272,14 @@ class TestFairKmeans:
         with pytest.raises(ValueError, match=r"^initial assignments must be integers, got 1\.5$"):
             fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg, initial_assignments=[1, 1.5, 3, 2.7])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_points_rejected(self, bad):
+        # A nan centre would take every point into one cluster and "converge".
+        points = COUNTER_X.astype(np.float64)
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match=f"^points must be finite, got {bad!r}$"):
+            fc.fair_kmeans(points, COUNTER_S, fc.ClusterConfig(n_clusters=2))
+
     def test_integral_float_initial_assignments_accepted(self):
         cfg = fc.ClusterConfig(n_clusters=2, lam=75.0, max_sweeps=30)
         assert_runs_bitwise_equal(

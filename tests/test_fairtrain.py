@@ -715,6 +715,24 @@ def test_dp_discrete_minibatch_lacking_a_group_renumbers_the_rest():
     assert seed.tobytes() == want_seed.tobytes()
 
 
+def test_dp_discrete_with_a_vanishing_class_takes_lapacks_factor():
+    # Class 2's mass 1e-170 sits under the floor, so the Jacobi's rotation
+    # angle underflows to 0 and its sweeps never settle; the adversary then
+    # comes from LAPACK, with no warning.
+    rng = np.random.default_rng(5)
+    s = np.arange(30) % 3 + 1
+    p2 = 1e-170 * rng.uniform(0.5, 1.5, 30) * s
+    probs = np.column_stack([1.0 - p2, p2])
+    groups = mc.group_index(s, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, seed, sigma2, v = ft._discrete_penalty(probs, groups, mc.DEFAULT_MARGINAL_FLOOR)
+    assert np.isfinite(value) and np.all(np.isfinite(seed)) and np.all(np.isfinite(v))
+    q = mc.q_from_groups(probs, groups, mc.DEFAULT_MARGINAL_FLOOR).q
+    want = np.linalg.svd(q, compute_uv=False)[1]
+    assert want > 0.0 and abs(sigma2 - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("mode", ["none", "pearson", "hsic"])
 def test_baseline_minibatches_lacking_a_group_log_sigma2_over_the_groups_present(mode, caplog):
     batch = rare_group_batch(500, 2, every=50, seed=3)

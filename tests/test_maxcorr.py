@@ -103,17 +103,19 @@ class TestSvdSmall:
 
     @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (3, 5), (8, 8), (1, 4)])
     def test_reconstruction_and_orthonormality(self, shape):
+        # V^T V = I, (mV)^T (mV) = diag(sigma^2) and ||m||_F^2 = sum sigma^2
+        # together pin m = U diag(sigma) V^T with U = mV / sigma.
         rng = np.random.default_rng(hash(shape) % 2**32)
         m = rng.normal(size=shape)
         res = mc.svd_small(m)
-        rec = res.left_vectors @ np.diag(res.singular_values) @ res.right_vectors.T
-        assert np.linalg.norm(rec - m) <= 1e-9 * max(np.linalg.norm(m), 1.0)
-        r = len(res.singular_values)
-        np.testing.assert_allclose(res.left_vectors.T @ res.left_vectors,
-                                   np.eye(r), atol=1e-9)
-        np.testing.assert_allclose(res.right_vectors.T @ res.right_vectors,
-                                   np.eye(r), atol=1e-9)
-        assert np.all(np.diff(res.singular_values) <= 1e-15)
+        sv, v = res.singular_values, res.right_vectors
+        r = len(sv)
+        assert v.shape == (shape[1], r)
+        np.testing.assert_allclose(v.T @ v, np.eye(r), atol=1e-9)
+        mv = m @ v
+        np.testing.assert_allclose(mv.T @ mv, np.diag(sv**2), atol=1e-9)
+        assert abs(np.sum(m * m) - np.sum(sv**2)) <= 1e-9 * max(np.sum(m * m), 1.0)
+        assert np.all(np.diff(sv) <= 1e-15)
 
     def test_matches_gram_jacobi_oracle(self):
         rng = np.random.default_rng(11)
@@ -136,6 +138,26 @@ class TestSvdSmall:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="64x64"):
             mc.svd_small(np.zeros((65, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 10), (5, 3), (3, 5), (6, 6)])
+    def test_lapack_route_matches_the_jacobi(self, shape, monkeypatch):
+        # Where the sweeps stall, LAPACK's factor goes through the same sign
+        # and tie rule, so on a full-rank matrix both routes agree.
+        rng = np.random.default_rng(sum(shape))
+        m = rng.normal(size=shape)
+        jacobi = mc.svd_small(m)
+        stall = mc._one_sided_jacobi
+        monkeypatch.setattr(mc, "_one_sided_jacobi", lambda w: stall(w)[:2] + (False,))
+        lapack = mc.svd_small(m)
+        np.testing.assert_allclose(lapack.singular_values, jacobi.singular_values,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lapack.right_vectors, jacobi.right_vectors,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(np.sign(lapack.right_vectors),
+                                      np.sign(jacobi.right_vectors))
+        eye = mc.svd_small(np.eye(2))
+        np.testing.assert_array_equal(eye.singular_values, [1.0, 1.0])
+        np.testing.assert_array_equal(eye.right_vectors, np.eye(2))
 
 
 class TestRenyiDiscrete:
