@@ -17,15 +17,17 @@ nothing is downloaded: the census-like tables of ``perfbench/gen_table.py``
 (full size, seed 1), a small rare-group table written here, whose
 minibatches lack a group and whose test split lacks group ``c``, and a
 small whitespace-delimited table with a derived sensitive column and one
-quoted number, which the loader reads on its token route.  The matrix holds the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
+quoted number, which numpy's C reader refuses, so the loader reads that
+split (and the clustering view its pool) again as text.  The matrix holds
+the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
 ``train`` in all six modes with ``linear`` and ``one_hidden:4`` at full
 batch and ``batch_size`` 64 (``--jobs`` 1 and 2), ``dp_discrete``, ``none``
 and ``eo`` on the product-coded pair (d=10) at ``batch_size`` 64, every
 mode on the rare-group tables at ``batch_size`` 16, ``dp_discrete`` on the
-token-route table at ``batch_size`` 16, ``cluster`` in both modes with both
-inits on ``toy:0`` and the census view, ``demo-toy``, and ``eval`` on both
-splits, a split that lacks a group included, and on the token-route test
-split.
+token table at ``batch_size`` 16, ``cluster`` in both modes with both
+inits on ``toy:0`` and the census view and once on the token table's view,
+``demo-toy``, and ``eval`` on both splits, a split that lacks a group
+included, and on the token table's test split.
 
 Before comparing, the checkout's path and the side's output directory are
 replaced by ``<checkout>`` and ``<out>`` in every file.  Each file then gets
@@ -41,7 +43,7 @@ one verdict:
 The exit status is 1 when a file is structural or a numeric column moves by
 more than ``--tol`` (absolute, default 0), else 0.  The whole run takes
 about 40 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
-under 20 s per side for its 68 entries, plus the inputs and the diff.
+under 20 s per side for its 69 entries, plus the inputs and the diff.
 """
 
 from __future__ import annotations
@@ -121,9 +123,10 @@ def write_token_table(where: str) -> str:
     """A small whitespace-delimited table, and a spec over it; returns the spec path.
 
     One training row quotes its ``v`` token, which numpy's C reader refuses,
-    so the training split takes the loader's token route (the test split
-    is read on its own and stays on the C reader).  The sensitive column
-    ``grp`` is derived from ``kind``: 1 for ``k1`` and ``k2``.
+    so the loader reads the training split again as text (the test split
+    is read on its own and keeps its first read), and the clustering view
+    its pool.  The sensitive column ``grp`` is derived from ``kind``: 1 for
+    ``k1`` and ``k2``; it is also the clustering view's sensitive column.
     """
     n_train, n_test = TOKEN_ROWS
     rows = []
@@ -140,7 +143,9 @@ def write_token_table(where: str) -> str:
         fh.write(f"name = tokens\ndelimiter = whitespace\ncolumns = v w kind cls\n"
                  f"label = cls\npositive_label = yes\nderive = grp:kind:k1|k2\n"
                  f"sensitive = grp\ncategorical = kind\nsplit = head\n"
-                 f"train_count = {n_train}\ntest_count = {n_test}\nfile = tokens.txt\n")
+                 f"train_count = {n_train}\ntest_count = {n_test}\nfile = tokens.txt\n"
+                 f"clustering_features = v w\nclustering_sensitive = grp\n"
+                 f"clustering_sensitive_positive = 1\n")
     return spec
 
 
@@ -199,6 +204,9 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
                 add(f"cluster.{tag}.{w_mode}.{init}", "cluster",
                     {"dataset": dataset, "n_clusters": 5, "lambda_grid": [0.0, 10.0],
                      "max_sweeps": sweeps, "init": init, "w_update_mode": w_mode, "seeds": [0]})
+    add("cluster.tokens", "cluster",
+        {"dataset": tokens, "n_clusters": 5, "lambda_grid": [0.0, 10.0], "max_sweeps": 10,
+         "init": "kmeanspp", "w_update_mode": "per_point", "seeds": [0]})
     matrix.append(("demo_toy", ["demo-toy", "--out", "{out}"]))
     for split in ("train", "test"):
         matrix.append((f"eval.pair.{split}", [

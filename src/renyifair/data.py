@@ -14,10 +14,11 @@ field that opens with a quote must be one quoted run followed by blanks.
 Both loaders read their columns with ``_read_columns``: one structured
 call of numpy's C reader (``np.loadtxt``) per split, or of the pool, reads
 the continuous columns as float64 and the others (a derived one through
-its source) as raw text.  A row it refuses sends every column to the
-token route (``_columns``, then ``float``).  One ``set`` pass per token
-column strips each distinct token.  A ``nan`` or ``inf`` read in a
-continuous column is refused after the read, with the column named.
+its source) as raw text; a number it refuses makes it read every column
+of those lines again as raw text, for ``float`` to read the continuous
+ones.  One ``set`` pass per token column strips each distinct token.  A
+``nan`` or ``inf`` read in a continuous column is refused after the read,
+with the column named.  A derive rule's name must be new.
 ``load_dataset`` encodes every column first and frees the lines and tokens
 before it allocates the two feature matrices, which ``Batch`` takes over
 without a copy: the tokens and the matrices are never alive at once, nor
@@ -55,8 +56,6 @@ DATA_ROOT_ENV = "RENYIFAIR_DATA"
 
 _DELIMITERS = {"comma": ",", "semicolon": ";", "whitespace": None}
 UNSEEN = "<unseen>"
-# Lines split at a time by the columnar reader.
-_BLOCK = 4096
 
 
 def data_root() -> str:
@@ -128,8 +127,8 @@ class DatasetSpec:
         for col in (self.label, *self.sensitive, *self.categorical, *self.drop, *clustering):
             if col not in known:
                 raise ValueError(f"column {col!r} not declared in the spec")
-        rules = {rule.name: rule for rule in reversed(self.derive)}  # as _read_columns reads them
-        for rule in filter(lambda r: rules[r.name] is r, self.derive):
+        rules = {rule.name: rule for rule in self.derive}
+        for rule in self.derive:
             chain = [rule.name]
             while chain[-1] in rules and len(chain) <= len(rules):
                 chain.append(rules[chain[-1]].source)
@@ -137,6 +136,10 @@ class DatasetSpec:
                 raise ValueError(
                     f"derive rule {rule.name}:{rule.source} does not end at a source-file "
                     f"column: {' -> '.join(chain)}")
+            if rule.name in self.columns or rules[rule.name] is not rule:
+                taken = "a source-file column" if rule.name in self.columns else "another rule"
+                raise ValueError(f"derive rule {rule.name}:{rule.source} needs a name of its "
+                                 f"own: {rule.name!r} also names {taken}")
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -311,25 +314,6 @@ def _split(spec: DatasetSpec, parts: list[list[str]]):
     return train, test
 
 
-def _columns(lines: list[str], spec: DatasetSpec, names) -> dict[str, list[str]]:
-    """Raw tokens of each source-file column in ``names``: the token route.
-
-    Lines are split ``_BLOCK`` at a time by one ``str.split`` of the joined
-    block (on runs of blanks for the ``whitespace`` delimiter), and column
-    ``i`` of a block is the stride ``[i::width]`` of its fields; only the
-    columns asked for are kept, so the fields of the others never pile up.
-    """
-    raw: dict[str, list[str]] = {name: [] for name in names}
-    width = len(spec.columns)
-    wanted = [(spec.columns.index(name), tokens) for name, tokens in raw.items()]
-    delim = _DELIMITERS[spec.delimiter]
-    for start in range(0, len(lines), _BLOCK):
-        fields = (delim or " ").join(lines[start:start + _BLOCK]).split(delim)
-        for i, tokens in wanted:
-            tokens += fields[i::width]
-    return raw
-
-
 def _source(name: str, rules: dict[str, DeriveRule]) -> str:
     """The source-file column that column ``name`` is derived from, or ``name`` itself."""
     return _source(rules[name].source, rules) if name in rules else name
@@ -391,27 +375,31 @@ def _finite(values: np.ndarray, spec: DatasetSpec, names: Sequence[str]) -> None
 
 
 def _c_reader(lines: list[str], spec: DatasetSpec, numeric: Sequence[str],
-              sources: Sequence[str]):
+              sources: Sequence[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The N x k float64 values of the ``numeric`` columns and the raw tokens
-    of each ``sources`` column, from one C read, or None.
+    of each ``sources`` column, read by numpy's C reader.
 
     ``np.loadtxt`` reads each line into one record: a float64 subarray
     field, then one object field per source column (its tokens keep their
-    blanks and quotes).  It splits lines as ``_columns`` does and reads a
-    number as ``float`` does.  None, the one fallback, means empty input or
-    a row it refuses (underscores, non-ASCII digits, quotes, bad tokens),
-    which the token route reads with the same bits or fails loudly.
+    blanks and quotes).  A number it refuses (quoted, underscores,
+    non-ASCII digits, a bad token) fails that call; a second call then reads
+    every column of those lines as raw text, and ``_numeric`` reads each
+    numeric one as ``float`` does, or names the token it refuses.  Empty
+    input gives zero rows without a call.
     """
-    if not lines:
-        return None
-    fields = [("", np.float64, (len(numeric),))] if numeric else []
+    names = [*numeric, *sources]
+    text = [("", object)] * len(sources)
+    dtype = [("", np.float64, (len(numeric),))] + text if numeric else text
+    usecols = [spec.columns.index(name) for name in names]
+    options = dict(delimiter=_DELIMITERS[spec.delimiter], usecols=usecols, ndmin=1, comments=None,
+                   quotechar=None)
     try:
-        record = np.loadtxt(lines, delimiter=_DELIMITERS[spec.delimiter],
-                            usecols=[spec.columns.index(name) for name in [*numeric, *sources]],
-                            dtype=fields + [("", object)] * len(sources), ndmin=1,
-                            comments=None, quotechar=None)
+        record = np.loadtxt(lines, dtype=dtype, **options) if lines else np.empty(0, dtype)
     except ValueError:
-        return None
+        record = np.loadtxt(lines, dtype=[("", object)] * len(names), **options)
+        tokens = [record[name] for name in record.dtype.names]
+        values = np.column_stack([_numeric(t, spec, name) for t, name in zip(tokens, numeric)])
+        return values, dict(zip(sources, tokens[len(numeric):]))
     parts = [record[name] for name in record.dtype.names]
     return parts.pop(0) if numeric else np.empty((len(record), 0)), dict(zip(sources, parts))
 
@@ -421,25 +409,23 @@ def _read_columns(parts: list[list[str]], spec: DatasetSpec, continuous: Sequenc
     """Per list of lines: the N x k float64 values of ``continuous`` and the tokens of ``names``.
 
     Each list takes one ``_c_reader`` call (its values a strided view of the
-    records), or the token route (``_columns``, ``_numeric``) if it refuses.
-    A derived column is built from its source's raw tokens; every list's
-    values are read before any ``names`` are derived, as errors always came.
+    records, unless it read them again as text).  A derived column is built
+    from its source's raw tokens, and a derived continuous one is placed
+    among the columns read; every list's values are read before any
+    ``names`` are derived, as errors always came.
     """
-    rules = {rule.name: rule for rule in reversed(spec.derive)}  # the first of a name wins
+    rules = {rule.name: rule for rule in spec.derive}
     numeric = [c for c in continuous if c not in rules]
-    sources = list(dict.fromkeys(
-        _source(c, rules) for c in [*(c for c in continuous if c in rules), *names]))
+    derived = [c for c in continuous if c in rules]
+    sources = list(dict.fromkeys(_source(c, rules) for c in [*derived, *names]))
     reads = []
     for lines in parts:
-        read = _c_reader(lines, spec, numeric, sources)
-        raw = _columns(lines, spec, [*numeric, *sources]) if read is None else read[1]
-        numbers = {} if read is None else dict(zip(numeric, read[0].T))
-        tokens = {c: _derived(c, rules, raw) for c in continuous if c not in numbers}
-        if read is None or tokens:  # the values, assembled column by column
-            read = np.empty((len(lines), len(continuous))), raw
-            for j, c in enumerate(continuous):
-                read[0][:, j] = numbers[c] if c in numbers else _numeric(tokens[c], spec, c)
-        reads.append(read)
+        values, raw = _c_reader(lines, spec, numeric, sources)
+        if derived:
+            read = iter(values.T)
+            values = np.column_stack([_numeric(_derived(c, rules, raw), spec, c) if c in rules
+                                      else next(read) for c in continuous])
+        reads.append((values, raw))
     return [(values, {name: _derived(name, rules, raw) for name in names})
             for values, raw in reads]
 
@@ -625,8 +611,8 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     subsample of ``clustering_samples`` rows, and z-scores the selected
     columns on that subsample.  Every pooled row is parsed and checked:
     the features and the raw sensitive tokens take one C read of the pool
-    (``_read_columns``), or the token route if the C reader refuses a row,
-    so every input reads, or fails, as on the token route.
+    (``_read_columns``), and a text re-read of it if that read refuses a
+    number, so every input reads, or fails, as ``load_dataset`` reads it.
     """
     spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
     if not spec.clustering_features or not spec.clustering_sensitive:

@@ -22,10 +22,10 @@ in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
 :func:`svd_small` is a hand-rolled one-sided Jacobi for the adversary of
 training (``fairtrain._discrete_penalty``, its one library caller), which
 reads sigma and the right singular vectors, with a fixed sign and tie rule:
-the matrices never exceed 64 x 64 and a bit-deterministic decomposition
-matters more than speed at that size.  Where the Jacobi stalls (a class
+it runs over min(c, d) columns of a finite Q, where a bit-deterministic
+decomposition matters more than speed.  Where the Jacobi stalls (a class
 mass so small that a rotation angle underflows), it takes LAPACK's factor
-under the same rule instead of raising.
+under the same rule after the first sweep that moves nothing.
 
 :func:`second_singular_value` (the diagnostic that training logs and
 evaluation reports, and :func:`renyi_discrete`) skips the SVD where a closed
@@ -129,6 +129,34 @@ def q_from_joint(joint, floor: float = 0.0) -> QMatrix:
     return QMatrix(q=p / np.sqrt(np.outer(row, col)), row_marginal=row, col_marginal=col)
 
 
+def _sweep(a: np.ndarray, v: np.ndarray) -> tuple[bool, bool]:
+    """Rotate each column pair of ``a`` (and of ``v``) out of tolerance once: whether any
+    was, and whether any rotation moved it (an angle ``t`` of 0 is the identity)."""
+    rotated = moved = False
+    for p in range(a.shape[1] - 1):
+        for q_ in range(p + 1, a.shape[1]):
+            alpha = a[:, p] @ a[:, p]
+            beta = a[:, q_] @ a[:, q_]
+            gamma = a[:, p] @ a[:, q_]
+            if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            if zeta == 0.0:
+                t = 1.0
+            moved = moved or t != 0.0
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = cs * t
+            ap = a[:, p].copy()
+            a[:, p] = cs * ap - sn * a[:, q_]
+            a[:, q_] = sn * ap + cs * a[:, q_]
+            vp = v[:, p].copy()
+            v[:, p] = cs * vp - sn * v[:, q_]
+            v[:, q_] = sn * vp + cs * v[:, q_]
+    return rotated, moved
+
+
 def _one_sided_jacobi(m: np.ndarray):
     """Orthogonalize the columns of ``m`` by plane rotations.
 
@@ -139,35 +167,17 @@ def _one_sided_jacobi(m: np.ndarray):
     # input's Fortran order, and the column dot products below would then
     # run over other strides and round differently.
     a = m.astype(np.float64).copy()
-    n_cols = a.shape[1]
-    v = np.eye(n_cols)
-    # Columns far apart in norm overflow ``zeta * zeta``: the angle reads 0,
-    # the pair never settles and svd_small takes LAPACK's factor instead.
+    v = np.eye(a.shape[1])
+    # Columns far apart in norm overflow ``zeta * zeta``: the angle reads 0
+    # and the pair never settles.  A sweep that moves nothing would repeat,
+    # so the sweeps stop there and svd_small takes LAPACK's factor instead.
     with np.errstate(over="ignore"):
         for _ in range(_JACOBI_MAX_SWEEPS):
-            rotated = False
-            for p in range(n_cols - 1):
-                for q_ in range(p + 1, n_cols):
-                    alpha = a[:, p] @ a[:, p]
-                    beta = a[:, q_] @ a[:, q_]
-                    gamma = a[:, p] @ a[:, q_]
-                    if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
-                        continue
-                    rotated = True
-                    zeta = (beta - alpha) / (2.0 * gamma)
-                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                    if zeta == 0.0:
-                        t = 1.0
-                    cs = 1.0 / np.sqrt(1.0 + t * t)
-                    sn = cs * t
-                    ap = a[:, p].copy()
-                    a[:, p] = cs * ap - sn * a[:, q_]
-                    a[:, q_] = sn * ap + cs * a[:, q_]
-                    vp = v[:, p].copy()
-                    v[:, p] = cs * vp - sn * v[:, q_]
-                    v[:, q_] = sn * vp + cs * v[:, q_]
+            rotated, moved = _sweep(a, v)
             if not rotated:
                 return a, v, True
+            if not moved:
+                break
     return a, v, False
 
 
@@ -193,17 +203,17 @@ def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray | None:
 
 
 def svd_small(m) -> SvdResult:
-    """Deterministic singular values and right vectors of a small dense matrix.
+    """Deterministic singular values and right vectors of a small dense finite matrix.
 
-    One-sided Jacobi, capped at 100 sweeps; limited to matrices up to
-    64 x 64.  Where the sweeps stall or the wide case's completion runs out
-    of candidates, the factor comes from ``np.linalg.svd`` instead, under
-    the same sign and tie rule (see :class:`SvdResult`).
+    One-sided Jacobi over min(rows, cols) columns, capped at 100 sweeps; a
+    nan or inf entry is refused.  Where the sweeps stall or the wide case's
+    completion runs out of candidates, the factor comes from ``np.linalg.svd``
+    instead, under the same sign and tie rule (see :class:`SvdResult`).
     """
     m = _as_matrix(m)
+    if not np.isfinite(m).all():
+        raise ValueError(f"svd_small needs a finite matrix, got {m[~np.isfinite(m)][0].item()!r}")
     rows, cols = m.shape
-    if max(rows, cols) > 64:
-        raise ValueError(f"svd_small is limited to 64x64 matrices, got {m.shape}")
     transposed = cols > rows
     a, v, converged = _one_sided_jacobi(m.T if transposed else m)
     right = None
@@ -221,7 +231,6 @@ def svd_small(m) -> SvdResult:
             right = np.zeros(a.shape)
             right[:, :nonzero] = a[:, order[:nonzero]] / sv[:nonzero]
             right = _complete_orthonormal(right, nonzero)
-        sv = np.where(sv > 0, sv, 0.0)  # a NaN norm (one NaN column) reads 0
     if right is None:
         _, sv, vt = np.linalg.svd(m, full_matrices=False)
         right = vt.T

@@ -1,5 +1,7 @@
 """Dataset spec parsing, encoding, splits, and the synthetic generator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,24 @@ class TestSpecParsing:
         for parse in (data.parse_spec,
                       lambda path: data.load_dataset(path, root=str(tmp_path))):
             with pytest.raises(ValueError, match=message):
+                parse(tmp_path / "spec.txt")
+
+    @pytest.mark.parametrize("derive,message", [
+        ("g:a:x g:b:p", "derive rule g:a needs a name of its own: 'g' also names another rule"),
+        ("c:a:1 a:b:p",
+         "derive rule a:b needs a name of its own: 'a' also names a source-file column"),
+    ], ids=["used_twice", "a_source_column"])
+    def test_derive_name_must_be_new(self, tmp_path, derive, message):
+        # Either spec once read differently here and in the reference loader:
+        # which of two rules of one name wins, and whether a rule shadows a column.
+        (tmp_path / "spec.txt").write_text(
+            "columns = a b y\nlabel = y\npositive_label = 1\ncategorical = a b\n"
+            f"sensitive = {derive[0]}\nderive = {derive}\nsplit = head\nfile = t.csv\n"
+            "skip_rows = 1\ntrain_count = 4\ntest_count = 2\n")
+        (tmp_path / "t.csv").write_text("a,b,y\nx,p,1\nz,q,0\nx,q,1\nz,p,0\nx,p,1\nz,q,0\n")
+        for parse in (data.parse_spec,
+                      lambda path: data.load_dataset(path, root=str(tmp_path))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse(tmp_path / "spec.txt")
 
     def test_derive_chain_through_a_derived_column(self, tmp_path):

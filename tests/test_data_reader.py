@@ -620,10 +620,30 @@ def whitespace_grid(draw):
     return lines
 
 
+def split_columns(lines, spec, names):
+    """Raw tokens of each column in ``names``, split by ``str.split``."""
+    fields = [line.split(data._DELIMITERS[spec.delimiter]) for line in lines]
+    return {name: [row[spec.columns.index(name)] for row in fields] for name in names}
+
+
+def refuse_numbers(monkeypatch):
+    """Make ``np.loadtxt`` refuse every read that holds a float64 field, so
+    each split takes the reader's text re-read (the token route)."""
+    loadtxt = np.loadtxt
+
+    def refuse(*args, **kwargs):
+        dtype = np.dtype(kwargs["dtype"])
+        if any(dtype.fields[name][0].base == np.float64 for name in dtype.names):
+            raise ValueError("a float64 field, refused by the test")
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
 class TestReadColumns:
-    """``_read_columns`` through numpy's C reader and through the token route:
-    the reference's bits and error message either way, and the raw tokens of
-    the token columns read beside the numbers."""
+    """``_read_columns`` through numpy's C reader and through its text re-read
+    (the token route): the reference's bits and error message either way,
+    and the raw tokens of the token columns read beside the numbers."""
 
     @settings(max_examples=400, deadline=None)
     @given(numeric_grid())
@@ -642,7 +662,7 @@ class TestReadColumns:
             else:
                 [(values, tokens)] = data._read_columns([records], NUMERIC_SPEC, names, ["b"])
                 assert_same_array(values, want)
-                assert list(tokens["b"]) == data._columns(records, NUMERIC_SPEC, ["b"])["b"]
+                assert list(tokens["b"]) == split_columns(records, NUMERIC_SPEC, ["b"])["b"]
 
     @settings(max_examples=400, deadline=None)
     @given(whitespace_grid())
@@ -650,10 +670,9 @@ class TestReadColumns:
         # numpy's C reader splits on the blanks that str.split splits on,
         # for the numbers and for the raw tokens alike.
         names = ["c", "a"]
-        if lines:  # no lines, no C read
-            _, raw = data._c_reader(lines, WHITESPACE_SPEC, [], ["b", "c", "a"])
-            assert {name: tokens.tolist() for name, tokens in raw.items()} == data._columns(
-                lines, WHITESPACE_SPEC, ["b", "c", "a"])
+        _, raw = data._c_reader(lines, WHITESPACE_SPEC, [], ["b", "c", "a"])
+        assert {name: tokens.tolist() for name, tokens in raw.items()} == split_columns(
+            lines, WHITESPACE_SPEC, ["b", "c", "a"])
         try:
             want = oracles.numeric_columns_reference(
                 [line.split() for line in lines], WHITESPACE_SPEC, names)
@@ -705,8 +724,8 @@ class TestReadColumns:
                                       lambda t: t.replace("50,", "1_000,")])
     def test_refused_row_takes_the_two_routes(self, edit, tmp_path, monkeypatch, caplog):
         # A feature token the C reader refuses (a quoted number, an
-        # underscore) fails the structured read; every column then takes the
-        # token route, with no second C read.
+        # underscore) fails the structured read; one more C read then takes
+        # every column as raw text, and float reads the feature.
         spec = rewritten(edit, files=("mini_train.csv",))(tmp_path)
         caplog.set_level(logging.INFO)
         want = oracles.clustering_view_reference(spec, root=str(tmp_path))
@@ -714,7 +733,7 @@ class TestReadColumns:
         caplog.clear()
         calls = self.record_loads(monkeypatch)
         got = data.clustering_view(spec, root=str(tmp_path))
-        assert calls == [(1, 1)]
+        assert calls == [(1, 1), (0, 2)]
         assert records(caplog) == want_log
         assert_same_array(got[0], want[0])
         assert_same_array(got[1], want[1])
@@ -744,8 +763,9 @@ class TestReadColumns:
         typo = dataclasses.replace(spec, positive_label="nobody")
         caplog.set_level(logging.INFO)
         runs = []
-        for c_reader in (data._c_reader, lambda *args: None):
-            monkeypatch.setattr(data, "_c_reader", c_reader)
+        for refused in (False, True):
+            if refused:
+                refuse_numbers(monkeypatch)
             caplog.clear()
             got = data.load_dataset(spec, root=str(tmp_path))
             with pytest.raises(ValueError) as error:
@@ -793,18 +813,18 @@ text_cells = st.tuples(line_pads, st.sampled_from(["Male", "Female", "a b", "", 
 
 class TestViewSensitiveColumn:
     """``clustering_view`` reads its sensitive column as raw text, an object
-    field of its one C read; the codes must be the token route's."""
+    field of its one C read; the codes must be the text re-read's."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(text_cells, text_cells, text_cells), min_size=1, max_size=8),
            st.permutations(NUMERIC_SPEC.columns))
     def test_c_reader_keeps_the_raw_tokens(self, rows, order):
         # Several object fields in one record, in any column order: the
-        # padding stays, as on the token route, and _encode strips it.
+        # padding stays, as str.split keeps it, and _encode strips it.
         lines = [",".join(row) for row in rows]
         values, raw = data._c_reader(lines, NUMERIC_SPEC, [], order)
         assert values.shape == (len(lines), 0)
-        assert {name: tokens.tolist() for name, tokens in raw.items()} == data._columns(
+        assert {name: tokens.tolist() for name, tokens in raw.items()} == split_columns(
             lines, NUMERIC_SPEC, order)
 
     @pytest.mark.parametrize("case", ["mini", "padded_tokens", "padded_quoted_tokens",
@@ -815,10 +835,11 @@ class TestViewSensitiveColumn:
         got = data.clustering_view(spec, root=str(tmp_path))
         with pytest.raises(ValueError) as got_error:
             data.clustering_view(typo, root=str(tmp_path))
-        monkeypatch.setattr(data, "_c_reader", lambda *args: None)
+        refuse_numbers(monkeypatch)
         want = data.clustering_view(spec, root=str(tmp_path))
         with pytest.raises(ValueError) as want_error:
             data.clustering_view(typo, root=str(tmp_path))
+        assert_same_array(got[0], want[0])
         assert_same_array(got[1], want[1])
         assert str(got_error.value) == str(want_error.value)
         assert "clustering_sensitive_positive 'nobody' matches no row" in str(got_error.value)

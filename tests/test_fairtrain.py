@@ -733,6 +733,20 @@ def test_dp_discrete_with_a_vanishing_class_takes_lapacks_factor():
     assert want > 0.0 and abs(sigma2 - want) <= 1e-12 * want
 
 
+def test_dp_discrete_trains_on_seventy_groups():
+    # A sensitive attribute product-coded over three columns (5 x 2 x 7):
+    # Q is 2 x 70, one column pair for the Jacobi.
+    batch = labelled_groups_batch(2000, 70, seed=9)
+    p0 = md.init_params("linear", batch.n_features, batch.n_classes, seed=1)
+    cfg = ft.TrainConfig(lam=1.0, eta=0.5, iters=5, fairness_mode="dp_discrete", seed=2)
+    trace = ft.train(p0, batch, cfg)
+    assert not trace.diverged and trace.iteration == list(range(cfg.iters + 1))
+    q = mc.q_from_groups(md.forward(p0, batch.features), mc.group_index(batch.sensitive, 70),
+                         cfg.floor).q
+    want = np.linalg.svd(q, compute_uv=False)[1]
+    assert want > 0.0 and abs(trace.sigma2[0] - want) <= 1e-12
+
+
 @pytest.mark.parametrize("mode", ["none", "pearson", "hsic"])
 def test_baseline_minibatches_lacking_a_group_log_sigma2_over_the_groups_present(mode, caplog):
     batch = rare_group_batch(500, 2, every=50, seed=3)

@@ -135,9 +135,27 @@ class TestSvdSmall:
             col = a.right_vectors[:, j]
             assert col[np.argmax(np.abs(col))] >= 0
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="64x64"):
-            mc.svd_small(np.zeros((65, 2)))
+    @pytest.mark.parametrize("m, bad", [
+        ([[np.nan], [1.0]], "nan"), ([[1.0, 0.5], [np.nan, 0.2]], "nan"),
+        ([[0.1, 0.2, np.inf], [0.3, -np.inf, 0.4]], "inf"), ([[1.0, 2.0], [-np.inf, 0.0]], "-inf"),
+        ([[0.5, np.inf], [np.nan, 1.0], [0.2, 0.1]], "inf")])
+    def test_non_finite_input_refused(self, m, bad):
+        # Tall and wide: the first non-finite entry in row order is named.
+        with pytest.raises(ValueError, match=f"^svd_small needs a finite matrix, got {bad}$"):
+            mc.svd_small(np.array(m))
+
+    def test_stalled_sweeps_stop_at_the_first_that_moves_nothing(self, monkeypatch):
+        # Columns 1e-167 apart in norm: the rotation angle underflows to 0,
+        # which is the identity, so every later sweep would repeat the first.
+        m = np.array([[0.6, 1e-167], [0.8, -2e-167], [0.1, 3e-167]])
+        sweeps = []
+        sweep = mc._sweep
+        monkeypatch.setattr(mc, "_sweep", lambda a, v: sweeps.append(sweep(a, v)) or sweeps[-1])
+        got = mc.svd_small(m)
+        assert sweeps == [(True, False)]
+        _, sv, vt = np.linalg.svd(m, full_matrices=False)
+        np.testing.assert_array_equal(got.singular_values, sv)
+        np.testing.assert_array_equal(np.abs(got.right_vectors), np.abs(vt.T))
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 10), (5, 3), (3, 5), (6, 6)])
     def test_lapack_route_matches_the_jacobi(self, shape, monkeypatch):
