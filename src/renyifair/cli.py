@@ -4,7 +4,7 @@ Subcommands::
 
     renyifair train   --config cfg.json --out DIR [--seeds 0,1] [--jobs N]
     renyifair cluster --config cfg.json --out DIR [--seeds 0] [--jobs N]
-    renyifair eval    --checkpoint params.txt --dataset spec [--split test]
+    renyifair eval    --checkpoint params.txt --dataset NAME [--split test]
     renyifair demo-toy --out DIR [--seed 0] [--lambdas 0,1000]
 
 Every command also takes ``--log-level`` (``DEBUG``, ``INFO``, ``WARNING``
@@ -20,8 +20,10 @@ the ``TrainConfig`` fields ``eta``, ``iters``, ``fairness_mode``,
 ``w_update_mode`` and ``init``.  An unknown key, a rejected value (such as
 a fractional value of an integer key) or a bad model string raises, naming
 the key, before the output directory is written.  A training dataset is a
-spec file path or ``synth:yequalss:<n>``; a clustering one is a spec file
-with a clustering view, ``toy:<seed>`` or ``csv:<path>``.
+spec file path or ``synth:yequalss:<n>`` (``n`` even, at least 2; seed 0
+trains, seed 1 tests), and ``eval`` reads the same names; a clustering one
+is a spec file with a clustering view, ``toy:<seed>`` or ``csv:<path>``.
+``--jobs N`` (at least 1) starts at most one worker process per run.
 Dataset spec files resolve their source files against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
 
@@ -213,7 +215,7 @@ def _config_values(cfg: ExperimentConfig, keys: dict) -> dict:
 
 def _load_train_batches(name: str) -> tuple[model.Batch, model.Batch]:
     if name.startswith("synth:yequalss:"):
-        n = int(name.rsplit(":", 1)[1])
+        n = _convert("dataset", _integer, name.rsplit(":", 1)[1])
         return data.synth_yequalss(n, seed=0), data.synth_yequalss(n, seed=1)
     enc = data.load_dataset(name)
     return enc.train, enc.test
@@ -259,7 +261,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
 
 def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
     if name.startswith("toy:"):
-        points, sensitive, _ = faircluster.toy_dataset(int(name.split(":", 1)[1]))
+        points, sensitive, _ = faircluster.toy_dataset(_convert("dataset", _integer, name[4:]))
         return points, sensitive
     if name.startswith("csv:"):
         # raw numeric CSV: coordinate columns followed by a 0/1 sensitive column
@@ -313,11 +315,11 @@ def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
     and write sweep.csv and the manifest.
 
     ``run(loaded, task, out_dir=...)`` returns one run's rows.  Under
-    ``jobs > 1`` each worker receives ``run`` bound to the loaded data once,
-    through the pool initializer, so the data is never pickled per task.
-    Runs are isolated: a run that raises becomes one failure and the others
-    go on.  If the load fails, every run fails with that one error and
-    traceback; the load is not retried.
+    ``jobs > 1`` each of at most one worker per run receives ``run`` bound to
+    the loaded data once, through the pool initializer, so the data is never
+    pickled per task.  Runs are isolated: a run that raises becomes one
+    failure and the others go on.  If the load fails, every run fails with
+    that one error and traceback; the load is not retried.
     """
     tasks = [dataclasses.replace(base, lam=lam, seed=seed)
              for lam in cfg.lambda_grid for seed in cfg.seeds]
@@ -327,8 +329,9 @@ def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
         results = [(False, loaded)] * len(tasks)
     else:
         run = functools.partial(run, loaded, out_dir=out_dir)
-        if jobs > 1:
-            with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(run,)) as pool:
+        workers = min(jobs, len(tasks))
+        if workers > 1:
+            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(run,)) as pool:
                 results = pool.map(_call_in_worker, tasks)
         else:
             results = [_safe_call(run, t) for t in tasks]
@@ -364,9 +367,8 @@ def _safe_call(fn, arg):
 
 def cmd_eval(checkpoint: str, dataset: str, split: str = "test") -> metrics.EvalReport:
     params = model.load_params(checkpoint)
-    enc = data.load_dataset(dataset)
-    batch = enc.test if split == "test" else enc.train
-    return metrics.evaluate(params, batch)
+    train, test = _load_train_batches(dataset)
+    return metrics.evaluate(params, test if split == "test" else train)
 
 
 def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
@@ -394,6 +396,13 @@ def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` value: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="renyifair",
                                      description="Fairness experiments via maximal correlation.")
@@ -408,11 +417,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated seed overrides")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+        p.add_argument("--jobs", type=_jobs, default=1, help="parallel runs (at least 1)")
 
     p = sub.add_parser("eval", parents=[common])
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True, help="dataset spec file")
+    p.add_argument("--dataset", required=True, help="spec file or synth:yequalss:<n>, as for train")
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.add_argument("--out", default=None, help="optional JSON output path")
 

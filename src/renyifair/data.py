@@ -649,6 +649,8 @@ def synth_yequalss(n: int, seed: int = 0) -> Batch:
     an unregularized linear model exceeds 99% accuracy, while any
     group-independent predictor can do no better than the 50% prior.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if n % 2:
         raise ValueError("n must be even")
     rng = np.random.default_rng(seed)

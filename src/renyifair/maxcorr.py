@@ -23,9 +23,10 @@ in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
 training (``fairtrain._discrete_penalty``, its one library caller), which
 reads sigma and the right singular vectors, with a fixed sign and tie rule:
 it runs over min(c, d) columns of a finite Q, where a bit-deterministic
-decomposition matters more than speed.  Where the Jacobi stalls (a class
-mass so small that a rotation angle underflows), it takes LAPACK's factor
-under the same rule after the first sweep that moves nothing.
+decomposition matters more than speed.  It takes LAPACK's factor under the
+same rule where the Jacobi stalls (a class mass so small that a rotation
+angle underflows: at the first sweep that moves nothing) or a wide Q has a
+singular value at the rank cutoff (its right vectors there span a null space).
 
 :func:`second_singular_value` (the diagnostic that training logs and
 evaluation reports, and :func:`renyi_discrete`) skips the SVD where a closed
@@ -181,34 +182,14 @@ def _one_sided_jacobi(m: np.ndarray):
     return a, v, False
 
 
-def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray | None:
-    """Fill columns ``filled:`` of ``u`` with an orthonormal completion.
-
-    Candidates are the standard basis vectors in index order, which keeps the
-    completion deterministic.  None if they run out first.
-    """
-    n, k = u.shape
-    col = filled
-    for idx in range(n):
-        if col >= k:
-            break
-        cand = np.zeros(n)
-        cand[idx] = 1.0
-        cand -= u[:, :col] @ (u[:, :col].T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:
-            u[:, col] = cand / norm
-            col += 1
-    return u if col >= k else None
-
-
 def svd_small(m) -> SvdResult:
     """Deterministic singular values and right vectors of a small dense finite matrix.
 
     One-sided Jacobi over min(rows, cols) columns, capped at 100 sweeps; a
-    nan or inf entry is refused.  Where the sweeps stall or the wide case's
-    completion runs out of candidates, the factor comes from ``np.linalg.svd``
-    instead, under the same sign and tie rule (see :class:`SvdResult`).
+    nan or inf entry is refused.  Where the sweeps stall, or a wide matrix
+    has a singular value at or below ``sigma_max * max(rows, cols) * eps``
+    (the rank cutoff), the factor comes from ``np.linalg.svd`` instead,
+    under the same sign and tie rule (see :class:`SvdResult`).
     """
     m = _as_matrix(m)
     if not np.isfinite(m).all():
@@ -219,18 +200,11 @@ def svd_small(m) -> SvdResult:
     right = None
     if converged:
         sv = np.sqrt(np.sum(a * a, axis=0))
-        cutoff = sv.max(initial=0.0) * max(rows, cols) * np.finfo(np.float64).eps
-        order = np.argsort(-sv, kind="stable")
-        sv = sv[order]
         if not transposed:
-            right = v[:, order]
-        else:
-            # Wide m: the right vectors are the columns of ``a``, normalised above
-            # the cutoff and completed on the tail in a C-ordered buffer like ``a``.
-            nonzero = int(np.count_nonzero(sv > cutoff))
-            right = np.zeros(a.shape)
-            right[:, :nonzero] = a[:, order[:nonzero]] / sv[:nonzero]
-            right = _complete_orthonormal(right, nonzero)
+            right = v
+        elif np.all(sv > sv.max(initial=0.0) * max(rows, cols) * np.finfo(np.float64).eps):
+            # Wide m: the right vectors are the columns of ``a``, normalised.
+            right = a / sv
     if right is None:
         _, sv, vt = np.linalg.svd(m, full_matrices=False)
         right = vt.T
@@ -242,8 +216,8 @@ def svd_small(m) -> SvdResult:
         if col[k] < 0:
             right[:, j] = -col
 
-    # Stable tie-break: descending singular value, then descending
-    # lexicographic order of the (sign-fixed) right vectors.
+    # Descending singular value, then descending lexicographic order of the
+    # (sign-fixed) right vectors: no two columns of an orthonormal factor tie.
     keys = np.array(sorted(range(len(sv)), key=lambda j: (-sv[j], tuple(-right[:, j]))))
     return SvdResult(singular_values=sv[keys], right_vectors=right[:, keys])
 

@@ -266,6 +266,55 @@ class TestConfigKeys:
             run(argv + ["--out", tmp_path / "out"])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("load, name, message", [
+        (cli._load_train_batches, "synth:yequalss:0", "n must be at least 2, got 0"),
+        (cli._load_train_batches, "synth:yequalss:-4", "n must be at least 2, got -4"),
+        (cli._load_train_batches, "synth:yequalss:abc",
+         "config key 'dataset': invalid literal for int() with base 10: 'abc'"),
+        (cli._load_train_batches, "synth:yequalss:2.5",
+         "config key 'dataset': invalid literal for int() with base 10: '2.5'"),
+        (cli._load_cluster_view, "toy:x",
+         "config key 'dataset': invalid literal for int() with base 10: 'x'"),
+    ], ids=["zero", "negative", "word", "fraction", "toy_word"])
+    def test_bad_synthetic_dataset_refused_at_load(self, load, name, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load(name)
+
+    @pytest.mark.parametrize("jobs, seeds, workers", [("8", [0], []), ("8", [0, 1], [2]),
+                                                      ("2", [0, 1, 2], [2])])
+    def test_no_more_workers_than_runs(self, tmp_path, monkeypatch, jobs, seeds, workers):
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                opened.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_run", None)
+        cfg = write_config(tmp_path / "cfg.json", lambda_grid=[1.0], seeds=seeds, iters=5)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out", "--jobs", jobs]) == 0
+        assert opened == workers
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+    def test_jobs_below_one_refused_before_output(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exit_info:
+            run(["train", "--config", cfg, "--out", tmp_path / "out", f"--jobs={jobs}"])
+        assert exit_info.value.code == 2
+        assert (f"argument --jobs: expected an integer of at least 1, got {jobs!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_loose_json_values_still_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", iters=40.0, eta=1, batch_size=None)
         assert run(["train", "--config", cfg, "--out", tmp_path / "loose"]) == 0
@@ -559,6 +608,21 @@ class TestEvalCommand:
         a = cli.cmd_eval(str(datadir / "ckpt.txt"), str(datadir / "mini.spec"))
         b = cli.cmd_eval(str(datadir / "ckpt.txt"), str(datadir / "mini.spec"))
         assert a == b
+
+
+    @pytest.mark.parametrize("split, seed", [("test", 1), ("train", 0)])
+    def test_synth_checkpoint_reads_the_train_dataset(self, tmp_path, capsys, split, seed):
+        # eval reads a dataset name the way train does: seed 0 trains, seed 1 tests.
+        cfg = write_config(tmp_path / "cfg.json", dataset="synth:yequalss:200",
+                           lambda_grid=[1.0], iters=10)
+        out = tmp_path / "out"
+        assert run(["train", "--config", cfg, "--out", out]) == 0
+        checkpoint = out / "params_lam1_seed0.txt"
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", checkpoint, "--dataset", "synth:yequalss:200",
+                    "--split", split]) == 0
+        want = mt.evaluate(md.load_params(checkpoint), data.synth_yequalss(200, seed=seed))
+        assert capsys.readouterr().out == want.to_json() + "\n"
 
 
 class TestDemoToy:

@@ -306,6 +306,48 @@ class TestSynthYequalsS:
         assert abs(rho - 1.0) <= 1e-9
 
 
+SPEC_FIELDS = {"name": "m", "columns": ("a", "s", "y"), "label": "y", "positive_label": "1",
+               "sensitive": ("s",)}
+
+
+def spec_file(tmp_path, text):
+    (tmp_path / "spec.txt").write_text(text)
+    return tmp_path / "spec.txt"
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda tmp: data.DatasetSpec(**SPEC_FIELDS, split="random"),
+     "unknown split policy 'random'"),
+    (lambda tmp: data.DatasetSpec(**SPEC_FIELDS, missing_policy="impute"),
+     "unknown missing policy 'impute'"),
+    (lambda tmp: data.DatasetSpec(**SPEC_FIELDS, normalization="minmax"),
+     "unknown normalization 'minmax'"),
+    (lambda tmp: data.DatasetSpec(**SPEC_FIELDS, delimiter="pipe"), "unknown delimiter 'pipe'"),
+    (lambda tmp: data.DatasetSpec(**dict(SPEC_FIELDS, sensitive=())),
+     "at least one sensitive column is required"),
+    (lambda tmp: data.parse_spec(spec_file(tmp, "columns = a s y\nderive = g:a\n")),
+     "bad derive rule 'g:a', expected name:source:tok|tok"),
+    (lambda tmp: data.parse_spec(spec_file(tmp, "columns = a s y\nlabel y\n")),
+     "bad spec line (expected key = value): 'label y'"),
+    (lambda tmp: data.load_dataset(spec_file(tmp, ADULT_LIKE_SPEC.replace(
+        "split = files", "split = head\nfile = mini_train.csv\ntrain_count = 0\n"
+        "test_count = 2")), root=str(tmp)), "mini: empty split"),
+    (lambda tmp: data.combine_sensitive([]), "need at least one column"),
+    (lambda tmp: data.combine_sensitive([[1, 2, 1], [1, 2]]), "columns must share a common length"),
+    (lambda tmp: data.combine_sensitive([[1, 3]], sizes=[2]), "column values must lie in 1..size"),
+    (lambda tmp: data.clustering_view(data.DatasetSpec(**SPEC_FIELDS)),
+     "m: no clustering view configured"),
+    (lambda tmp: data.clustering_view(spec_file(tmp, ADULT_LIKE_SPEC.replace(
+        "clustering_samples = 4", "clustering_samples = 40")), root=str(tmp)),
+     "mini: clustering_samples=40 exceeds 8 rows"),
+], ids=["split", "missing_policy", "normalization", "delimiter", "no_sensitive", "derive_rule",
+        "spec_line", "empty_split", "no_columns", "ragged_columns", "value_above_size",
+        "no_clustering_view", "clustering_samples_above_pool"])
+def test_check_messages(mini_dataset, case, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        case(mini_dataset)
+
+
 class TestCombineSensitive:
     def test_two_binary_columns(self):
         a = np.array([1, 1, 2, 2])

@@ -1,6 +1,7 @@
 """Fair K-means: assignment rule, proportion bookkeeping, oscillation demo."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,27 @@ class TestFairKmeans:
                            initial_assignments=COUNTER_A0.astype(np.float64)),
             fc.fair_kmeans(COUNTER_X, COUNTER_S, cfg, initial_assignments=COUNTER_A0))
 
+    @pytest.mark.parametrize("case, message", [
+        (lambda: fc.ClusterConfig(n_clusters=0), "n_clusters must be at least 1"),
+        (lambda: fc.ClusterConfig(n_clusters=2, init="farthest"), "unknown init 'farthest'"),
+        (lambda: fc.fair_kmeans(COUNTER_X, COUNTER_S, fc.ClusterConfig(n_clusters=2),
+                                initial_assignments=[0, 1, 2, 1]),
+         "initial assignments must be length N with values in 1..K"),
+        (lambda: fc.fair_kmeans(COUNTER_X, COUNTER_S, fc.ClusterConfig(n_clusters=2),
+                                initial_assignments=[1, 2, 3, 1]),
+         "initial assignments must be length N with values in 1..K"),
+        (lambda: fc.fair_kmeans(np.zeros((0, 2)), np.zeros(0), fc.ClusterConfig(n_clusters=1)),
+         "points must be a nonempty N x p matrix"),
+        (lambda: fc.fair_kmeans(np.zeros(4), COUNTER_S, fc.ClusterConfig(n_clusters=1)),
+         "points must be a nonempty N x p matrix"),
+        (lambda: fc.fair_kmeans(COUNTER_X, [0, 1, 2, 0], fc.ClusterConfig(n_clusters=2)),
+         "sensitive must be length N with values in {0, 1}"),
+    ], ids=["no_clusters", "init", "assignment_zero", "assignment_above_k", "no_points",
+            "flat_points", "sensitive_two"])
+    def test_check_messages(self, case, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            case()
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match=f"^lam must be finite, got {lam!r}$"):
@@ -377,6 +399,22 @@ class TestSquaredDistances:
             assert got.tobytes() == want.tobytes()
         else:
             assert np.all(np.abs(got - want) <= p * np.finfo(float).eps * want)
+
+    def test_kmeanspp_draws_uniformly_once_every_point_sits_on_a_centre(self):
+        # Two distinct points and four centres: once both are chosen no
+        # distance is left to weight by, so the last two are uniform draws.
+        x = np.array([[0.0, 0.0], [1.0, 0.0]] * 3)
+        rng, want = np.random.default_rng(5), np.random.default_rng(5)
+        got = fc._kmeanspp_centers(x, 4, rng)
+        first = int(want.integers(6))
+        d2 = ((x - x[first]) ** 2).sum(axis=1)
+        picks = [first, int(want.choice(6, p=d2 / d2.sum())),
+                 int(want.integers(6)), int(want.integers(6))]
+        assert got.tobytes() == x[picks].tobytes()
+        assert rng.bit_generator.state == want.bit_generator.state
+        state, _ = fc.fair_kmeans(x, np.array([0, 1] * 3),
+                                  fc.ClusterConfig(n_clusters=4, init="kmeanspp", seed=5))
+        assert np.count_nonzero(state.counts) == 2
 
     @pytest.mark.parametrize("p", [1, 2, 5, 7])
     def test_kmeanspp_centers_match_the_numpy_expression(self, p):

@@ -1,6 +1,7 @@
 """Min-max trainers: inner solves, penalty gradients, reductions, baselines."""
 
 import logging
+import re
 import warnings
 from dataclasses import replace
 
@@ -656,6 +657,42 @@ def test_dp_binary_sigma2_matches_svd_of_q(arch, hidden, batch_size, monkeypatch
         assert abs(sigma2 ** 2 - svd ** 2) <= 1e-12
         if svd >= 1e-3:
             assert abs(sigma2 - svd) <= 1e-9
+
+
+def test_eo_minibatch_lacking_a_class_skips_that_slice_without_a_warning(caplog):
+    # A label with no rows has no conditional distribution to penalise.
+    rng = np.random.default_rng(8)
+    s = np.tile([1, 2], 20)
+    batch = md.Batch(rng.normal(size=(40, 2)), np.ones(40, dtype=int), s, n_classes=2)
+    warned = set()
+    with caplog.at_level(logging.WARNING, logger="renyifair.fairtrain"):
+        slices = ft._eo_slices(batch, 2, 5, warned)
+        cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=5, fairness_mode="eo", eo_min_group=5)
+        trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
+    assert len(slices) == 1 and slices[0].tolist() == list(range(40))
+    assert warned == set() and caplog.records == []
+    assert not trace.diverged and all(np.isfinite(trace.penalty))
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda: ft.TrainConfig(lam=-1.0), "lam must be nonnegative"),
+    (lambda: ft.TrainConfig(iters=0), "iters must be at least 1"),
+    (lambda: ft.TrainConfig(floor=0.0), "floor must be positive"),
+    (lambda: ft.inner_w_closed_form(np.full((3, 2), 0.5), np.ones(2)),
+     "soft_probs must be N x c with matching stilde"),
+    (lambda: ft.inner_w_closed_form(np.full(3, 0.5), np.ones(3)),
+     "soft_probs must be N x c with matching stilde"),
+    (lambda: ft.inner_w_closed_form(np.full((3, 2), 0.5), np.array([1.0, -1.0, 0.5])),
+     "stilde entries must be +1 or -1"),
+    (lambda: ft.train(md.init_params("linear", 2, 2, seed=0),
+                      md.Batch(np.zeros((4, 2)), [1, 2, 1, 2], np.ones(4, dtype=int)),
+                      ft.TrainConfig(lam=1.0, iters=2, fairness_mode="dp_discrete")),
+     "dp_discrete requires at least two sensitive groups"),
+], ids=["negative_lam", "no_iters", "zero_floor", "short_stilde", "flat_probs", "stilde_half",
+        "dp_discrete_one_group"])
+def test_check_messages(case, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        case()
 
 
 @pytest.mark.parametrize("name", ["lam", "eta", "floor", "grad_tol"])

@@ -101,12 +101,18 @@ class TestSvdSmall:
         res = mc.svd_small(np.array([[0.8, 0.2], [0.2, 0.8]]))
         np.testing.assert_allclose(res.singular_values, [1.0, 0.6], atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (3, 5), (8, 8), (1, 4)])
-    def test_reconstruction_and_orthonormality(self, shape):
+    @pytest.mark.parametrize("shape, rank", [
+        ((2, 2), None), ((5, 3), None), ((3, 5), None), ((8, 8), None), ((1, 4), None),
+        ((3, 5), 1), ((2, 6), 1), ((4, 7), 2), ((2, 4), 0)])
+    def test_reconstruction_and_orthonormality(self, shape, rank):
         # V^T V = I, (mV)^T (mV) = diag(sigma^2) and ||m||_F^2 = sum sigma^2
-        # together pin m = U diag(sigma) V^T with U = mV / sigma.
+        # together pin m = U diag(sigma) V^T with U = mV / sigma.  The wide
+        # shapes of lower rank take LAPACK's null vectors.
         rng = np.random.default_rng(hash(shape) % 2**32)
-        m = rng.normal(size=shape)
+        if rank is None:
+            m = rng.normal(size=shape)
+        else:
+            m = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
         res = mc.svd_small(m)
         sv, v = res.singular_values, res.right_vectors
         r = len(sv)
@@ -156,6 +162,44 @@ class TestSvdSmall:
         _, sv, vt = np.linalg.svd(m, full_matrices=False)
         np.testing.assert_array_equal(got.singular_values, sv)
         np.testing.assert_array_equal(np.abs(got.right_vectors), np.abs(vt.T))
+
+    @pytest.mark.parametrize("m", [
+        # Uniform predictions on three groups of unequal size: Q has rank one.
+        mc.q_from_groups(np.full((6, 2), 0.5), mc.group_index([1, 2, 2, 3, 3, 3], 3), 1e-6).q,
+        np.outer([1.0, 2.0], [1.0, 1.0, 1.0, 1.0]),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])],
+        ids=["uniform_three_groups", "rank_one_2x4", "rank_one_2x3"])
+    def test_wide_matrix_with_a_singular_value_at_the_cutoff_takes_lapacks_factor(
+            self, m, monkeypatch):
+        # Its right vectors there span a null space, which LAPACK fills; the
+        # result goes through the same sign and tie rule as every factor.
+        got = mc.svd_small(m)
+        stall = mc._one_sided_jacobi
+        monkeypatch.setattr(mc, "_one_sided_jacobi", lambda w: stall(w)[:2] + (False,))
+        lapack = mc.svd_small(m)
+        np.testing.assert_array_equal(got.singular_values, lapack.singular_values)
+        np.testing.assert_array_equal(got.right_vectors, lapack.right_vectors)
+        _, sv, _ = np.linalg.svd(m, full_matrices=False)
+        np.testing.assert_array_equal(got.singular_values, sv)
+        assert sv[-1] <= sv[0] * max(m.shape) * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("m, lapack", [
+        (np.random.default_rng(1).normal(size=(2, 10)), False),
+        (np.random.default_rng(2).normal(size=(3, 2)), False),
+        (np.random.default_rng(3).normal(size=(2, 2)), False),
+        (np.outer([1.0, 2.0, 3.0], [1.0, 1.0]), False),
+        (np.zeros((4, 2)), False),
+        (np.outer([1.0, 2.0], [1.0, 1.0, 1.0]), True),
+        (np.zeros((2, 3)), True)],
+        ids=["full_rank_2x10", "full_rank_3x2", "full_rank_2x2", "tall_rank_one",
+             "tall_zero", "wide_rank_one", "wide_zero"])
+    def test_lapack_runs_only_for_a_rank_deficient_wide_matrix(self, m, lapack, monkeypatch):
+        # Every tall input and every full-rank wide one keeps the Jacobi's factor.
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        mc.svd_small(m)
+        assert len(calls) == lapack
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 10), (5, 3), (3, 5), (6, 6)])
     def test_lapack_route_matches_the_jacobi(self, shape, monkeypatch):
@@ -316,6 +360,16 @@ class TestEmpiricalQ:
         probs = np.array([[0.6, 0.6], [0.5, 0.5]])
         with pytest.raises(ValueError, match="simplex"):
             mc.empirical_q(probs, np.array([1, 2]))
+
+    @pytest.mark.parametrize("probs, sensitive, message", [
+        (np.full(4, 0.5), [1, 2, 1, 2], "soft_probs must be N x c"),
+        (np.full((4, 2), 0.5), [1, 2, 1], "sensitive length does not match soft_probs"),
+        (np.full((4, 2), 0.5), [[1, 2, 1, 2]], "sensitive length does not match soft_probs"),
+        ([[1.5, -0.5], [0.5, 0.5]], [1, 2], "soft_probs has negative entries"),
+    ], ids=["one_dimensional", "short_sensitive", "two_dimensional_sensitive", "negative"])
+    def test_shape_and_sign_errors(self, probs, sensitive, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc.empirical_q(probs, np.array(sensitive))
 
 
 def masked_empirical_q(f, s, floor, d):

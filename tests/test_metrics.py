@@ -181,6 +181,17 @@ class TestClusterFairness:
                        float(active.mean()), float(active.std()))
 
 
+@pytest.mark.parametrize("case, message", [
+    (lambda: mt.nmi(np.array([1, 2, 1]), np.array([1, 2])),
+     "inputs must be equal-length and nonempty"),
+    (lambda: mt.nmi(np.array([]), np.array([])), "inputs must be equal-length and nonempty"),
+    (lambda: mt.cluster_fairness(np.array([0.5, 0.2]), np.array([0, 0])), "no nonempty clusters"),
+], ids=["nmi_lengths", "nmi_empty", "no_nonempty_cluster"])
+def test_check_messages(case, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        case()
+
+
 class TestEvaluate:
     def test_report_fields_and_json(self):
         rng = np.random.default_rng(2)

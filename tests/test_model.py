@@ -213,6 +213,21 @@ class TestJacobianProbs:
         np.testing.assert_allclose(md.jacobian_probs(params, x)(u), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("case, message", [
+    (lambda: md.ModelParams("cnn", np.zeros(6), 2, 2), "unknown architecture 'cnn'"),
+    (lambda: md.ModelParams("linear", np.zeros(6), 2, 2, hidden_dim=3),
+     "linear model must have hidden_dim=0"),
+    (lambda: md.ModelParams("one_hidden", np.zeros(6), 2, 2), "one_hidden model needs hidden_dim >= 1"),
+    (lambda: md.n_params("cnn", 2, 2), "unknown architecture 'cnn'"),
+    (lambda: md.jacobian_probs(md.init_params("linear", 2, 3, seed=0), np.zeros((4, 2)))(
+        np.zeros((4, 2))), "u has shape (4, 2), expected (4, 3)"),
+], ids=["architecture", "linear_hidden", "one_hidden_width", "n_params_architecture",
+        "vjp_shape"])
+def test_check_messages(case, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        case()
+
+
 class _UfuncSpy:
     """Stands in for a ufunc and records whether it was reduced or called,
     and the operands of each call."""
