@@ -23,7 +23,11 @@ the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
 ``train`` in all six modes with ``linear`` and ``one_hidden:4`` at full
 batch and ``batch_size`` 64 (``--jobs`` 1 and 2), ``dp_discrete``, ``none``
 and ``eo`` on the product-coded pair (d=10) at ``batch_size`` 64, every
-mode on the rare-group tables at ``batch_size`` 16, ``dp_discrete`` on the
+mode on the rare-group tables at ``batch_size`` 16, ``dp_discrete`` and
+``eo`` on the three-group rare table at full batch, one full-batch entry
+per penalty route (``dp_discrete`` on the three-group table, ``dp_binary``
+and ``eo`` on the binary one) at a floor of 0.45, which clamps the ``yes``
+class's mean predicted mass on nearly every step, ``dp_discrete`` on the
 token table at ``batch_size`` 16, ``cluster`` in both modes with both
 inits on ``toy:0`` and the census view and once on the token table's view,
 ``demo-toy``, and ``eval`` on both splits, a split that lacks a group
@@ -42,8 +46,8 @@ one verdict:
 
 The exit status is 1 when a file is structural or a numeric column moves by
 more than ``--tol`` (absolute, default 0), else 0.  The whole run takes
-about 40 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
-under 20 s per side for its 69 entries, plus the inputs and the diff.
+about 25 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
+under 15 s per side for its 74 entries, plus the inputs and the diff.
 """
 
 from __future__ import annotations
@@ -197,6 +201,12 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     for mode in ("none", "dp_discrete", "eo"):
         add(f"rare3.{mode}.b16", "train", train(rare["rare3"], mode, 60, batch_size=16,
                                                 eo_min_group=1))
+    for mode in ("dp_discrete", "eo"):
+        add(f"rare3.{mode}.bfull", "train", train(rare["rare3"], mode, 60, eo_min_group=1))
+    # A floor above the "yes" class's predicted mass, clamped on every step.
+    for table, mode in (("rare3", "dp_discrete"), ("rare2", "dp_binary"), ("rare2", "eo")):
+        add(f"{table}.{mode}.floor", "train", train(rare[table], mode, 60, floor=0.45,
+                                                   eo_min_group=1))
     add("tokens.dp_discrete.b16", "train", train(tokens, "dp_discrete", 60, batch_size=16))
     for w_mode in ("per_point", "per_sweep"):
         for init in ("random_assignment", "kmeanspp"):

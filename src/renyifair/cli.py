@@ -18,11 +18,14 @@ the ``TrainConfig`` fields ``eta``, ``iters``, ``fairness_mode``,
 ``batch_size``, ``floor``, ``grad_tol`` and ``eo_min_group``, or, for
 ``cluster``, the ``ClusterConfig`` fields ``n_clusters``, ``max_sweeps``,
 ``w_update_mode`` and ``init``.  An unknown key, a rejected value (such as
-a fractional value of an integer key) or a bad model string raises, naming
-the key, before the output directory is written.  A training dataset is a
-spec file path or ``synth:yequalss:<n>`` (``n`` even, at least 2; seed 0
-trains, seed 1 tests), and ``eval`` reads the same names; a clustering one
-is a spec file with a clustering view, ``toy:<seed>`` or ``csv:<path>``.
+a fractional value of an integer key or a negative seed) or a bad model
+string raises, naming the key, before the output directory is written.  A
+bad flag value, such as a negative ``--seeds`` or ``demo-toy --seed``,
+raises the same way, naming the flag.  A training dataset is a spec file path or ``synth:yequalss:<n>``
+(``n`` even, at least 2; seed 0 trains, seed 1 tests), and ``eval`` reads
+the same names; a clustering one is a spec file with a clustering view,
+``toy:<seed>`` or ``csv:<path>``.  A synthetic name's integer is parsed
+before the output directory is written.
 ``--jobs N`` (at least 1) starts at most one worker process per run.
 Dataset spec files resolve their source files against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -96,7 +99,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self) -> list[int]:
-        return [_convert("seeds", _integer, s) for s in self.raw.get("seeds", [0])]
+        return [_convert("seeds", _seed, s) for s in self.raw.get("seeds", [0])]
 
     def config_hash(self) -> str:
         """Hash of the config, a spec file path in ``dataset`` replaced by the
@@ -178,6 +181,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A random seed: :func:`_integer`, refusing a negative value."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def _real(value) -> float:
     """``float(value)``, refusing a boolean (JSON ``true`` is not 1.0)."""
     if isinstance(value, bool):
@@ -213,12 +224,20 @@ def _config_values(cfg: ExperimentConfig, keys: dict) -> dict:
             if key in cfg.raw}
 
 
-def _load_train_batches(name: str) -> tuple[model.Batch, model.Batch]:
+def _train_loader(name: str, source: str = "dataset"):
+    """A zero-argument loader of dataset ``name``'s ``(train, test)`` batches.
+
+    A synthetic name's size is parsed here, before anything is read or
+    written; a bad one raises, naming ``source`` (a config key or a flag).
+    """
     if name.startswith("synth:yequalss:"):
-        n = _convert("dataset", _integer, name.rsplit(":", 1)[1])
-        return data.synth_yequalss(n, seed=0), data.synth_yequalss(n, seed=1)
-    enc = data.load_dataset(name)
-    return enc.train, enc.test
+        n = _convert(source, _integer, name.rsplit(":", 1)[1])
+        return lambda: (data.synth_yequalss(n, seed=0), data.synth_yequalss(n, seed=1))
+
+    def load():
+        enc = data.load_dataset(name)
+        return enc.train, enc.test
+    return load
 
 
 def _train_one(batches, tcfg: fairtrain.TrainConfig, out_dir: str, arch: str,
@@ -256,14 +275,22 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     arch, hidden = values.pop("model", ("linear", 0))
     return _sweep(cfg, out_dir, jobs, fairtrain.TrainConfig(**values),
                   functools.partial(_train_one, arch=arch, hidden=hidden),
-                  _load_train_batches, TRAIN_COLUMNS)
+                  _train_loader(cfg.raw["dataset"]), TRAIN_COLUMNS)
 
 
-def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_loader(name: str):
+    """A zero-argument loader of dataset ``name``'s ``(points, sensitive)``.
+
+    A ``toy:<seed>`` name's seed is parsed here, before anything is read or
+    written.
+    """
     if name.startswith("toy:"):
-        points, sensitive, _ = faircluster.toy_dataset(_convert("dataset", _integer, name[4:]))
-        return points, sensitive
-    if name.startswith("csv:"):
+        seed = _convert("dataset", _seed, name[4:])
+        return lambda: faircluster.toy_dataset(seed)[:2]
+    if not name.startswith("csv:"):
+        return lambda: data.clustering_view(name)
+
+    def load():
         # raw numeric CSV: coordinate columns followed by a 0/1 sensitive column
         path = name.split(":", 1)[1]
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -274,7 +301,7 @@ def _load_cluster_view(name: str) -> tuple[np.ndarray, np.ndarray]:
                 f"{path}: sensitive column {raw.shape[1]} (the last) must hold 0 or 1, "
                 f"found {sensitive[bad[0]]!r} in data row {bad[0] + 1}")
         return raw[:, :-1], sensitive.astype(np.int64)
-    return data.clustering_view(name)
+    return load
 
 
 def _cluster_row(lam: float, seed: int, state: faircluster.ClusterState,
@@ -306,13 +333,13 @@ def _cluster_one(view, ccfg: faircluster.ClusterConfig, out_dir: str) -> list[di
 def cmd_cluster(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> int:
     return _sweep(cfg, out_dir, jobs,
                   faircluster.ClusterConfig(**_config_values(cfg, _CLUSTER_KEYS)),
-                  _cluster_one, _load_cluster_view, CLUSTER_COLUMNS)
+                  _cluster_one, _cluster_loader(cfg.raw["dataset"]), CLUSTER_COLUMNS)
 
 
 def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
            columns) -> int:
-    """Load the dataset once, run ``run`` on ``base`` at each lambda and seed,
-    and write sweep.csv and the manifest.
+    """Load the dataset once with ``load()``, run ``run`` on ``base`` at each
+    lambda and seed, and write sweep.csv and the manifest.
 
     ``run(loaded, task, out_dir=...)`` returns one run's rows.  Under
     ``jobs > 1`` each of at most one worker per run receives ``run`` bound to
@@ -324,7 +351,7 @@ def _sweep(cfg: ExperimentConfig, out_dir: str, jobs: int, base, run, load,
     tasks = [dataclasses.replace(base, lam=lam, seed=seed)
              for lam in cfg.lambda_grid for seed in cfg.seeds]
     os.makedirs(out_dir, exist_ok=True)
-    ok, loaded = _safe_call(load, cfg.raw["dataset"])
+    ok, loaded = _safe_call(load)
     if not ok:
         results = [(False, loaded)] * len(tasks)
     else:
@@ -357,17 +384,18 @@ def _call_in_worker(task):
     return _safe_call(_worker_run, task)
 
 
-def _safe_call(fn, arg):
-    """``(True, fn(arg))``, or ``(False, (summary, traceback))`` if it raises."""
+def _safe_call(fn, *args):
+    """``(True, fn(*args))``, or ``(False, (summary, traceback))`` if it raises."""
     try:
-        return True, fn(arg)
+        return True, fn(*args)
     except Exception as exc:  # noqa: BLE001 - runs are isolated; report and continue
         return False, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
 def cmd_eval(checkpoint: str, dataset: str, split: str = "test") -> metrics.EvalReport:
+    load = _train_loader(dataset, "--dataset")
     params = model.load_params(checkpoint)
-    train, test = _load_train_batches(dataset)
+    train, test = load()
     return metrics.evaluate(params, test if split == "test" else train)
 
 
@@ -427,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-toy", parents=[common])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0", help="toy data and K-means seed (at least 0)")
     p.add_argument("--lambdas", default="0,1000", help="comma-separated lambda values")
     return parser
 
@@ -459,7 +487,7 @@ def _run(args) -> int:
         cfg = load_config(args.config)
         if args.seeds is not None:
             raw = dict(cfg.raw)
-            raw["seeds"] = [_convert("--seeds", _integer, s) for s in args.seeds.split(",")]
+            raw["seeds"] = [_convert("--seeds", _seed, s) for s in args.seeds.split(",")]
             cfg = ExperimentConfig(raw)
         runner = cmd_train if args.command == "train" else cmd_cluster
         return runner(cfg, args.out, jobs=args.jobs)
@@ -473,7 +501,7 @@ def _run(args) -> int:
         return 0
     if args.command == "demo-toy":
         lambdas = [_convert("--lambdas", float, v) for v in args.lambdas.split(",")]
-        return cmd_demo_toy(args.out, seed=args.seed, lambdas=lambdas)
+        return cmd_demo_toy(args.out, seed=_convert("--seed", _seed, args.seed), lambdas=lambdas)
     return 2
 
 

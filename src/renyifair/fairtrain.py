@@ -24,20 +24,24 @@ and its gradient with respect to the soft outputs; :func:`train` applies
 ``lam`` once and pulls the gradient back through the same forward pass that
 gave the cross entropy.
 
-The logged sigma2 comes from the step's own inner solve: the second singular
-value of Q on the SVD route, ``sqrt(max(rho^2, 0))`` on the closed-form
-route, and for ``eo`` the root of the summed squares over label slices.
-``none``, ``pearson`` and ``hsic`` only log it, from
-``maxcorr.second_singular_value`` of the empirical Q: with two classes or
-two groups and no marginal floored that is the Frobenius norm of the
-deflated Q, within 1e-15 of LAPACK, and LAPACK's sigma2 otherwise.  On a
-batch that lacks a group (a minibatch, or a training split without some
-declared group), ``dp_discrete`` and the three baselines take Q over the
-groups present (logged once per run); with one group left sigma2 is 0.0,
-and so are ``dp_discrete``'s value and seed.  The marginal floor
-clamps Q's marginals on the SVD route and each class's predicted mass in
-the denominator of ``w`` on the closed-form route; while it clamps nothing
-the two routes agree to rounding.
+Every penalty gives ``(value, seed, sigma2_sq)`` from the step's own inner
+solve, and the logged sigma2 is ``sqrt(sigma2_sq)``: the bits of sigma2
+itself, unless sigma2 < 1.5e-154 and its square underflows.  The square
+is sigma2^2 of Q on the SVD route (:func:`_svd_route`: ``dp_discrete``, and
+``eo`` at d > 2), ``max(rho^2, 0)`` on the closed-form route
+(:func:`_closed_form`: ``dp_binary``, and ``eo`` at d = 2), summed over
+label slices for ``eo``, and for ``none``, ``pearson`` and ``hsic``, which
+only log it, the square of ``maxcorr.second_singular_value`` of the
+empirical Q.  On a batch that lacks a group (a minibatch, or a training
+split without some declared group), ``dp_discrete`` and the three baselines
+take Q over the groups present (logged once per run); with one group left
+sigma2 is 0.0, and so are ``dp_discrete``'s value and seed.  The marginal
+floor clamps Q's marginals on the SVD route and each class's predicted mass
+in the denominator of ``w`` on the closed-form route; while it clamps
+nothing the two routes agree to rounding.  Each seed is the gradient of its
+value where the inner maximizer is unique (Danskin), except on the
+closed-form route under a clamped class: ``w`` is floored but the value
+reads the unfloored mass, so there the seed is not the value's gradient.
 """
 
 from __future__ import annotations
@@ -185,74 +189,47 @@ def _binary_seed(stilde, w, scale: float) -> np.ndarray:
     return seed
 
 
-def _discrete_penalty(probs, groups: GroupIndex, floor):
-    """SVD inner maximization for the rows ``groups`` indexes.
+def _closed_form(sensitive, floor):
+    """The binary closed-form route on one set of rows: ``probs -> (value, seed, sigma2_sq)``.
 
-    Returns ``(value, seed, sigma2, v)`` where ``value = ||Q v||^2`` and
-    ``seed`` is d(value)/dF with the adversary ``v`` held fixed.
+    The signs and their share of group 2 are built here, once; each step
+    takes the two column means once, for both ``w`` and the value.
     """
-    n = probs.shape[0]
-    qm = maxcorr.q_from_groups(probs, groups, floor)
-    svd = maxcorr.svd_small(qm.q)
-    v = svd.right_vectors[:, 1].copy()
-    sigma2 = float(svd.singular_values[1])
-    r = qm.q @ v
-    value = float(r @ r)
+    st = s_tilde(sensitive)
+    q = float((st.mean() + 1.0) / 2.0)
 
-    p_class = qm.row_marginal
-    p_group = qm.col_marginal
-    # p_class is the class mean floored, so this is "mean > floor".
-    active = p_class > floor
-    a = 2.0 * r / np.sqrt(p_class)
-    b = np.where(active, r * r / p_class, 0.0)
-    seed = _outer_minus((v / np.sqrt(p_group)).take(groups.codes), a, b)
-    seed /= n
-    return value, seed, sigma2, v
+    def penalty(probs):
+        m, t = _binary_means(probs, st)
+        w = _maximizer(m, t, floor)
+        value, rho_sq = _centered_value(m, t, w, q)
+        return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0)
+    return penalty
 
 
-def _dp_penalty(sensitive, floor, n_groups, closed_form):
-    """Demographic-parity penalty on one set of rows: ``probs -> (value, seed, sigma2_sq)``.
+def _svd_route(groups: GroupIndex, floor):
+    """The SVD route on the rows ``groups`` indexes: ``probs -> (value, seed, sigma2_sq)``.
 
-    The rows are indexed here, once: ``s_tilde`` and its share of group 2
-    for the binary closed form, the group index for the SVD route.  Each
-    closed-form step takes the two column means once, for both ``w`` and
-    the value.  ``sigma2_sq`` is the square of the sigma2 the module
-    docstring defines, so that ``eo`` can sum it.
-    """
-    if closed_form:
-        st = s_tilde(sensitive)
-        q = float((st.mean() + 1.0) / 2.0)
-
-        def penalty(probs):
-            m, t = _binary_means(probs, st)
-            w = _maximizer(m, t, floor)
-            value, rho_sq = _centered_value(m, t, w, q)
-            return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0)
-        return penalty
-    return _svd_penalty(maxcorr.group_index(sensitive, n_groups), floor)
-
-
-def _svd_penalty(groups: GroupIndex, floor):
-    """The SVD route of :func:`_dp_penalty` on the rows ``groups`` indexes.
-
-    With one group there is nothing to correlate with: the value, the seed
-    and sigma2 are zero.
+    ``value = ||Q v||^2`` for the second right singular vector ``v`` of Q,
+    and ``seed`` is d(value)/dF with ``v`` and the floored marginals held
+    fixed.  With one group there is nothing to correlate with: all three
+    are zero.
     """
     if groups.n_groups < 2:
         return lambda probs: (0.0, np.zeros_like(probs), 0.0)
 
     def penalty(probs):
-        value, seed, sigma2, _ = _discrete_penalty(probs, groups, floor)
-        return value, seed, sigma2 * sigma2
-    return penalty
-
-
-def _sigma2_from_square(dp):
-    """A :func:`_dp_penalty` that gives sigma2 rather than its square."""
-
-    def penalty(probs):
-        value, seed, sigma2_sq = dp(probs)
-        return value, seed, float(np.sqrt(sigma2_sq))
+        qm = maxcorr.q_from_groups(probs, groups, floor)
+        svd = maxcorr.svd_small(qm.q)
+        v = svd.right_vectors[:, 1].copy()
+        sigma2 = float(svd.singular_values[1])
+        r = qm.q @ v
+        p_class = qm.row_marginal
+        # p_class is the class mean floored, so this is "mean > floor".
+        a = 2.0 * r / np.sqrt(p_class)
+        b = np.where(p_class > floor, r * r / p_class, 0.0)
+        seed = _outer_minus((v / np.sqrt(qm.col_marginal)).take(groups.codes), a, b)
+        seed /= probs.shape[0]
+        return float(r @ r), seed, sigma2 * sigma2
     return penalty
 
 
@@ -344,12 +321,12 @@ def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> l
 
 
 def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
-    """The configured penalty on ``sub``'s rows: ``probs -> (value, seed, sigma2)``.
+    """The configured penalty on ``sub``'s rows: ``probs -> (value, seed, sigma2_sq)``.
 
-    ``value`` is unscaled and ``seed`` is d(value)/dF with the adversary held
-    fixed (None for ``none``).  Groups range over ``sub``'s declared
-    alphabet.  The rows are indexed once here, so the returned function
-    serves every step on ``sub``.
+    ``value`` is unscaled, ``seed`` is d(value)/dF with the adversary held
+    fixed (None for ``none``) and ``sigma2_sq`` is the square of the logged
+    sigma2.  Groups range over ``sub``'s declared alphabet.  The rows are
+    indexed once here, so the returned function serves every step on ``sub``.
     """
     mode, n_groups = cfg.fairness_mode, sub.n_groups
     if mode in ("dp_binary", "pearson", "hsic") and n_groups != 2:
@@ -357,9 +334,10 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
     if mode == "dp_discrete" and n_groups < 2:
         raise ValueError("dp_discrete requires at least two sensitive groups")
     if mode == "dp_binary":
-        return _sigma2_from_square(_dp_penalty(sub.sensitive, cfg.floor, n_groups, True))
+        return _closed_form(sub.sensitive, cfg.floor)
     if mode == "eo":
-        slices = [(idx, _dp_penalty(sub.sensitive[idx], cfg.floor, n_groups, n_groups == 2))
+        slices = [(idx, _closed_form(sub.sensitive[idx], cfg.floor) if n_groups == 2
+                   else _svd_route(maxcorr.group_index(sub.sensitive[idx], n_groups), cfg.floor))
                   for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)]
 
         @functools.cache
@@ -375,7 +353,7 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
                 seed[pos] = sl_seed.reshape(-1)
                 sq_sum += sl_sq
             seed += 0.0  # each -0.0 to 0.0 in one pass, cheaper than += per slice
-            return total, seed.reshape(probs.shape), float(np.sqrt(sq_sum))
+            return total, seed.reshape(probs.shape), sq_sum
         return penalty
     groups = maxcorr.group_index(sub.sensitive, n_groups)
     if groups.n_groups < n_groups and "groups" not in warned:
@@ -385,7 +363,7 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
                        "dp_discrete penalty" if mode == "dp_discrete" else "sigma2 diagnostic",
                        groups.n_groups, n_groups)
     if mode == "dp_discrete":
-        return _sigma2_from_square(_svd_penalty(groups, cfg.floor))
+        return _svd_route(groups, cfg.floor)
     if mode == "pearson":
         baseline = _pearson(sub.sensitive)
     elif mode == "hsic":
@@ -395,8 +373,8 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
 
     def penalty(probs):
         value, seed = baseline(probs)
-        return value, seed, maxcorr.second_singular_value(
-            maxcorr.q_from_groups(probs, groups, cfg.floor))
+        s = maxcorr.second_singular_value(maxcorr.q_from_groups(probs, groups, cfg.floor))
+        return value, seed, s * s
     return penalty
 
 
@@ -439,10 +417,10 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
         probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
         penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, warned)
-        value, seed, sigma2 = penalty(probs)
+        value, seed, sigma2_sq = penalty(probs)
         if cfg.lam != 0.0 and seed is not None:
             grad = grad + vjp(cfg.lam * seed)
-        return grad, (loss, float(cfg.lam * value), math.sqrt(grad.dot(grad)), sigma2)
+        return grad, (loss, float(cfg.lam * value), math.sqrt(grad.dot(grad)), math.sqrt(sigma2_sq))
 
     def record(t: int, row) -> None:
         trace.iteration.append(t)

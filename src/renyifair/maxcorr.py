@@ -15,12 +15,12 @@ where gamma is the minimum of the separable quadratic
 
 attained at w_i = (P(a=i, b=1) - P(a=i, b=0)) / (2 P(a=i)).  This module
 implements the SVD route.  Training runs the closed form on soft outputs
-in ``fairtrain._dp_penalty`` (``_binary_means``, ``_maximizer``,
+in ``fairtrain._closed_form`` (``_binary_means``, ``_maximizer``,
 ``_centered_value``); the test suite holds that penalty to
 :func:`renyi_discrete`.
 
 :func:`svd_small` is a hand-rolled one-sided Jacobi for the adversary of
-training (``fairtrain._discrete_penalty``, its one library caller), which
+training (``fairtrain._svd_route``, its one library caller), which
 reads sigma and the right singular vectors, with a fixed sign and tie rule:
 it runs over min(c, d) columns of a finite Q, where a bit-deterministic
 decomposition matters more than speed.  It takes LAPACK's factor under the

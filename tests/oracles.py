@@ -31,9 +31,11 @@ def binary_objective(params, batch, lam, w):
 def eo_penalty_scatter_rows(sub, cfg):
     """The ``eo`` penalty of ``fairtrain`` on ``sub``, with each slice seed
     added into its rows by a 2-D fancy index, ``seed[idx] += sl_seed``:
-    ``probs -> (value, seed, sigma2)``."""
-    slices = [(idx, ft._dp_penalty(sub.sensitive[idx], cfg.floor, sub.n_groups, sub.n_groups == 2))
-              for idx in ft._eo_slices(sub, sub.n_groups, cfg.eo_min_group, set())]
+    ``probs -> (value, seed, sigma2_sq)``."""
+    d = sub.n_groups
+    slices = [(idx, ft._closed_form(sub.sensitive[idx], cfg.floor) if d == 2
+               else ft._svd_route(mc.group_index(sub.sensitive[idx], d), cfg.floor))
+              for idx in ft._eo_slices(sub, d, cfg.eo_min_group, set())]
 
     def penalty(probs):
         total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
@@ -42,7 +44,7 @@ def eo_penalty_scatter_rows(sub, cfg):
             total += value
             seed[idx] += sl_seed
             sq_sum += sl_sq
-        return total, seed, float(np.sqrt(sq_sum))
+        return total, seed, sq_sum
     return penalty
 
 

@@ -123,7 +123,7 @@ def test_c01_estimator_equivalence():
         logits = rng.normal(size=(n, c)) + np.outer(s == 2, shift)
         f = np.exp(logits)
         f /= f.sum(axis=1, keepdims=True)
-        _, _, rho_sq = ft._dp_penalty(s, 1e-12, 2, True)(f)
+        _, _, rho_sq = ft._closed_form(s, 1e-12)(f)
         joint = np.stack([f[s == 1].sum(axis=0), f[s == 2].sum(axis=0)], axis=1) / n
         sigma2 = mc.renyi_discrete(joint)
         worst_sq = max(worst_sq, abs(rho_sq - sigma2 ** 2))
@@ -193,7 +193,9 @@ def test_c03_gradient_correctness():
                       params.theta.copy())
         assert np.abs(full - ref).max() / max(np.abs(ref).max(), 1e-12) <= 1e-4
 
-        _, seed, _, v = ft._discrete_penalty(probs, mc.group_index(groups, d), 1e-9)
+        index = mc.group_index(groups, d)
+        _, seed, _ = ft._svd_route(index, 1e-9)(probs)
+        v = mc.svd_small(mc.q_from_groups(probs, index, 1e-9).q).right_vectors[:, 1]
         pen_grad = md.jacobian_probs(params, x)(lam * seed)
 
         def penalty(theta):

@@ -233,6 +233,9 @@ class TestConfigKeys:
         ("train", {"iters": True}, "config key 'iters': expected an integer, got True"),
         ("train", {"eo_min_group": True}, "config key 'eo_min_group': expected an integer, got True"),
         ("train", {"seeds": [False]}, "config key 'seeds': expected an integer, got False"),
+        ("train", {"seeds": [0, -1]}, "config key 'seeds': expected a non-negative integer, got -1"),
+        ("cluster", {"dataset": "toy:-1"},
+         "config key 'dataset': expected a non-negative integer, got '-1'"),
         ("cluster", {"n_clusters": True}, "config key 'n_clusters': expected an integer, got True"),
         ("train", {"eta": True}, "config key 'eta': expected a number, got True"),
         ("train", {"floor": True}, "config key 'floor': expected a number, got True"),
@@ -254,6 +257,8 @@ class TestConfigKeys:
         (["train", "--seeds", "0.5"], "--seeds: invalid literal for int() with base 10: '0.5'"),
         (["cluster", "--seeds", "0,x"], "--seeds: invalid literal for int() with base 10: 'x'"),
         (["demo-toy", "--lambdas", "0,x"], "--lambdas: could not convert string to float: 'x'"),
+        (["train", "--seeds", "0,-1"], "--seeds: expected a non-negative integer, got '-1'"),
+        (["demo-toy", "--seed", "-1"], "--seed: expected a non-negative integer, got '-1'"),
     ])
     def test_bad_flag_value_named_before_output(self, tmp_path, argv, message):
         if argv[0] == "train":
@@ -267,18 +272,20 @@ class TestConfigKeys:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("load, name, message", [
-        (cli._load_train_batches, "synth:yequalss:0", "n must be at least 2, got 0"),
-        (cli._load_train_batches, "synth:yequalss:-4", "n must be at least 2, got -4"),
-        (cli._load_train_batches, "synth:yequalss:abc",
+        (cli._train_loader, "synth:yequalss:0", "n must be at least 2, got 0"),
+        (cli._train_loader, "synth:yequalss:-4", "n must be at least 2, got -4"),
+        (cli._train_loader, "synth:yequalss:abc",
          "config key 'dataset': invalid literal for int() with base 10: 'abc'"),
-        (cli._load_train_batches, "synth:yequalss:2.5",
+        (cli._train_loader, "synth:yequalss:2.5",
          "config key 'dataset': invalid literal for int() with base 10: '2.5'"),
-        (cli._load_cluster_view, "toy:x",
+        (cli._cluster_loader, "toy:x",
          "config key 'dataset': invalid literal for int() with base 10: 'x'"),
-    ], ids=["zero", "negative", "word", "fraction", "toy_word"])
+        (lambda name: lambda: cli.cmd_eval("never_read.txt", name), "synth:yequalss:abc",
+         "--dataset: invalid literal for int() with base 10: 'abc'"),
+    ], ids=["zero", "negative", "word", "fraction", "toy_word", "eval_word"])
     def test_bad_synthetic_dataset_refused_at_load(self, load, name, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load(name)
+            load(name)()
 
     @pytest.mark.parametrize("jobs, seeds, workers", [("8", [0], []), ("8", [0, 1], [2]),
                                                       ("2", [0, 1, 2], [2])])
@@ -442,7 +449,7 @@ class TestClusterCommand:
         csv_path.write_text(f"0.5,1.5,1\n-0.5,2.5,0\n1.0,0.0,{bad}\n")
         with pytest.raises(ValueError, match=r"points\.csv: sensitive column 3 "
                                              r"\(the last\) must hold 0 or 1, .* data row 3"):
-            cli._load_cluster_view(f"csv:{csv_path}")
+            cli._cluster_loader(f"csv:{csv_path}")()
         cfg = tmp_path / "cfg.json"
         with open(cfg, "w") as fh:
             json.dump({"dataset": f"csv:{csv_path}", "n_clusters": 2,

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import binary_objective, eo_penalty_scatter_rows, zero_params
 from renyifair import data, maxcorr as mc, model as md, fairtrain as ft
@@ -120,7 +121,7 @@ class TestClosedFormPenalty:
             probs /= probs.sum(axis=1, keepdims=True)
         assert (probs.mean(axis=0) < floor).any() == floor_active
         sensitive = rng.integers(1, 3, n)
-        value, seed, sigma2_sq = ft._dp_penalty(sensitive, floor, 2, True)(probs)
+        value, seed, sigma2_sq = ft._closed_form(sensitive, floor)(probs)
         stv = ft.s_tilde(sensitive)
         m, t = probs.mean(axis=0), (stv[:, None] * probs).mean(axis=0)
         w = t / (2.0 * np.maximum(m, floor))
@@ -164,8 +165,9 @@ class TestColumnKernelSeeds:
             probs[:, 0] *= 1e-9
             probs /= probs.sum(axis=1, keepdims=True)
         groups = mc.group_index(rng.integers(1, 4, n), 3)
-        _, seed, _, v = ft._discrete_penalty(probs, groups, floor)
+        _, seed, _ = ft._svd_route(groups, floor)(probs)
         qm = mc.q_from_groups(probs, groups, floor)
+        v = mc.svd_small(qm.q).right_vectors[:, 1]
         r = qm.q @ v
         a = 2.0 * r / np.sqrt(qm.row_marginal)
         b = np.where(qm.row_marginal > floor, r * r / qm.row_marginal, 0.0)
@@ -204,7 +206,7 @@ class TestEoScatter:
         sub = md.Batch(np.zeros((80, 1)), y, s)
         probs = np.tile([0.25, 0.75], (80, 1))
         cfg = ft.TrainConfig(fairness_mode="eo", eo_min_group=5)
-        _, sl_seed, _ = ft._dp_penalty(s[:40], cfg.floor, 2, True)(probs[:40])
+        _, sl_seed, _ = ft._closed_form(s[:40], cfg.floor)(probs[:40])
         assert np.signbit(sl_seed[s[:40] == 1]).all()
         seed = self.assert_matches_row_scatter(sub, probs, cfg)
         assert not np.signbit(seed).any() and not seed.any()
@@ -230,13 +232,15 @@ class TestEoScatter:
 
 
 class TestPenaltyGradients:
-    def test_discrete_penalty_fixed_v_matches_fd(self):
+    def test_svd_route_fixed_v_matches_fd(self):
         rng = np.random.default_rng(5)
         params = md.init_params("linear", 3, 2, seed=5)
         x = rng.normal(size=(30, 3))
         s = rng.integers(1, 4, 30)
         probs = md.forward(params, x)
-        _, seed, _, v = ft._discrete_penalty(probs, mc.group_index(s, 3), 1e-9)
+        groups = mc.group_index(s, 3)
+        _, seed, _ = ft._svd_route(groups, 1e-9)(probs)
+        v = mc.svd_small(mc.q_from_groups(probs, groups, 1e-9).q).right_vectors[:, 1]
         lam = 3.0
         grad = md.jacobian_probs(params, x)(lam * seed)
 
@@ -280,6 +284,50 @@ class TestPenaltyGradients:
             cand -= (cand @ v1) * v1
             cand /= np.linalg.norm(cand)
             assert cand @ gram @ cand <= best + 1e-9
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["dp_discrete", "dp_binary", "eo", "pearson", "hsic"]),
+       c=st.sampled_from([2, 3, 5, 8, 9]), d=st.sampled_from([2, 3]),
+       hidden=st.sampled_from([0, 6]), lacking=st.booleans(), clamping=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_training_seed_pulls_back_to_the_fd_gradient_of_its_value(
+        mode, c, d, hidden, lacking, clamping, seed):
+    """The paper's gradient identity on the path ``train`` runs: ``vjp(seed)``
+    from ``loss_grad_and_vjp`` is the central difference of the value of
+    ``_penalty_on``, wherever the inner maximizer is unique (the top singular
+    values apart).  c crosses ``_ELEMENTWISE_MAX_C`` and ``_COLUMNWISE_MAX_C``;
+    ``lacking`` drops group d from the batch.  Only ``dp_discrete`` draws a
+    floor that clamps a class: under one, the closed form's seed is not its
+    value's gradient (see the ``fairtrain`` docstring)."""
+    d = 2 if mode in ("dp_binary", "pearson", "hsic") else d
+    rng = np.random.default_rng(seed)
+    n = 60 * d
+    s = rng.integers(1, d + 1, n)
+    x = np.stack([s + rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)], axis=1)
+    batch = md.Batch(x, rng.integers(1, c + 1, n), s, n_classes=c, n_groups=d)
+    sub = batch.subset(np.flatnonzero(s != d)) if lacking else batch
+    params = md.init_params("one_hidden" if hidden else "linear", 3, c, hidden_dim=hidden,
+                            seed=seed)
+    params = params.with_theta(3.0 * params.theta)
+    floor = 0.2 if clamping and mode == "dp_discrete" else 1e-6
+    probs, _, _, vjp = md.loss_grad_and_vjp(params, sub)
+    rows = ft._eo_slices(sub, d, 1, set()) if mode == "eo" else [np.arange(sub.n)]
+    if mode == "dp_binary" or mode == "eo" and d == 2:
+        assume(all(probs[idx].mean(axis=0).min() > floor for idx in rows))
+    if mode == "dp_discrete" or mode == "eo" and d > 2:
+        for idx in rows:
+            q = mc.q_from_groups(probs[idx], mc.group_index(sub.sensitive[idx], d), floor).q
+            assume(np.all(-np.diff(np.linalg.svd(q, compute_uv=False)[:3]) > 1e-2))
+    penalty = ft._penalty_on(sub, ft.TrainConfig(fairness_mode=mode, floor=floor,
+                                                 eo_min_group=1), set())
+    got = vjp(penalty(probs)[1])
+    fd = fd_grad(lambda t: penalty(md.forward(params.with_theta(t), sub.features))[0],
+                 params.theta.copy(), h=1e-6)
+    # Relative to the largest entry, or to 1e-4 where the gradient vanishes
+    # (a batch left with one group).
+    assert np.abs(got - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-4)
 
 
 class TestBaselinePenalties:
@@ -478,11 +526,11 @@ class TestTrainers:
         rng = np.random.default_rng(12)
         probs = np.tile([0.35, 0.65], (50, 1))
         s = np.array([1, 2] * 25)
-        penalty = ft._dp_penalty(s, 1e-9, 2, True)
+        penalty = ft._closed_form(s, 1e-9)
         centered = penalty(probs)[0]
         assert abs(centered) <= 1e-12
-        value, _, sigma2, _ = ft._discrete_penalty(probs, mc.group_index(s, 2), 1e-9)
-        assert value <= 1e-12 and sigma2 <= 1e-9
+        value, _, sigma2_sq = ft._svd_route(mc.group_index(s, 2), 1e-9)(probs)
+        assert value <= 1e-12 and np.sqrt(sigma2_sq) <= 1e-9
         varied = random_probs(rng, 50, 2)
         centered = penalty(varied)[0]
         assert centered >= -1e-12
@@ -498,28 +546,32 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
         qm = mc.empirical_q(probs, sub.sensitive, floor=cfg.floor, n_groups=n_groups)
         return float(mc.svd_small(qm.q).singular_values[1])
 
+    def svd_route(rows):
+        groups = mc.group_index(sub.sensitive[rows], n_groups)
+        value, seed, _ = ft._svd_route(groups, cfg.floor)(probs[rows])
+        qm = mc.q_from_groups(probs[rows], groups, cfg.floor)
+        return value, seed, float(mc.svd_small(qm.q).singular_values[1])
+
     mode = cfg.fairness_mode
     if mode == "none":
         return 0.0, None, sigma2_of_q()
     if mode == "dp_discrete":
-        value, seed, sigma2, _ = ft._discrete_penalty(
-            probs, mc.group_index(sub.sensitive, n_groups), cfg.floor)
+        value, seed, sigma2 = svd_route(slice(None))
         return lam * value, lam * seed, sigma2
     if mode == "dp_binary":
-        value, seed, sigma2_sq = ft._dp_penalty(sub.sensitive, cfg.floor, 2, True)(probs)
+        value, seed, sigma2_sq = ft._closed_form(sub.sensitive, cfg.floor)(probs)
         return lam * value, lam * seed, float(np.sqrt(sigma2_sq))
     if mode == "eo":
         total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
         for idx in ft._eo_slices(sub, n_groups, cfg.eo_min_group, warned):
             if n_groups == 2:
-                value, sl_seed, sigma2_sq = ft._dp_penalty(
-                    sub.sensitive[idx], cfg.floor, 2, True)(probs[idx])
+                value, sl_seed, sigma2_sq = ft._closed_form(
+                    sub.sensitive[idx], cfg.floor)(probs[idx])
                 seed[idx] += sl_seed
                 total += value
                 sq_sum += sigma2_sq
             else:
-                value, sl_seed, sigma2, _ = ft._discrete_penalty(
-                    probs[idx], mc.group_index(sub.sensitive[idx], n_groups), cfg.floor)
+                value, sl_seed, sigma2 = svd_route(idx)
                 seed[idx] += sl_seed
                 total += value
                 sq_sum += sigma2 * sigma2
@@ -745,10 +797,10 @@ def test_dp_discrete_minibatch_lacking_a_group_renumbers_the_rest():
     sub = md.Batch(rng.normal(size=(40, 2)), rng.integers(1, 3, 40), s, n_groups=3)
     probs = md.forward(md.init_params("linear", 2, 2, seed=1), sub.features)
     cfg = ft.TrainConfig(fairness_mode="dp_discrete")
-    value, seed, sigma2 = ft._penalty_on(sub, cfg, set())(probs)
-    want = ft._dp_penalty(np.where(s == 3, 2, 1), cfg.floor, 2, False)
+    value, seed, sigma2_sq = ft._penalty_on(sub, cfg, set())(probs)
+    want = ft._svd_route(mc.group_index(np.where(s == 3, 2, 1), 2), cfg.floor)
     want_value, want_seed, want_sq = want(probs)
-    assert (value, sigma2) == (want_value, float(np.sqrt(want_sq))) and want_sq > 0.0
+    assert (value, sigma2_sq) == (want_value, want_sq) and want_sq > 0.0
     assert seed.tobytes() == want_seed.tobytes()
 
 
@@ -761,11 +813,15 @@ def test_dp_discrete_with_a_vanishing_class_takes_lapacks_factor():
     p2 = 1e-170 * rng.uniform(0.5, 1.5, 30) * s
     probs = np.column_stack([1.0 - p2, p2])
     groups = mc.group_index(s, 3)
+    q = mc.q_from_groups(probs, groups, mc.DEFAULT_MARGINAL_FLOOR).q
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, seed, sigma2, v = ft._discrete_penalty(probs, groups, mc.DEFAULT_MARGINAL_FLOOR)
+        value, seed, sigma2_sq = ft._svd_route(groups, mc.DEFAULT_MARGINAL_FLOOR)(probs)
+        svd = mc.svd_small(q)
+    v, sigma2 = svd.right_vectors[:, 1], svd.singular_values[1]
     assert np.isfinite(value) and np.all(np.isfinite(seed)) and np.all(np.isfinite(v))
-    q = mc.q_from_groups(probs, groups, mc.DEFAULT_MARGINAL_FLOOR).q
+    # sigma2 ~ 6e-168 squares to 0.0, so training logs sigma2 = 0.0 here.
+    assert sigma2_sq == sigma2 * sigma2 == 0.0
     want = np.linalg.svd(q, compute_uv=False)[1]
     assert want > 0.0 and abs(sigma2 - want) <= 1e-12 * want
 
