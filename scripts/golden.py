@@ -15,7 +15,8 @@ BLAS thread.  Every entry writes its files, its captured stdout and stderr
 The inputs are built once under ``WORK/inputs`` and read by both sides, so
 nothing is downloaded: the census-like tables of ``perfbench/gen_table.py``
 (full size, seed 1), a small rare-group table written here, whose
-minibatches lack a group and whose test split lacks group ``c``, and a
+minibatches lack a group and whose test split lacks group ``c`` (so two
+of the six tuples of its product-coded spec), and a
 small whitespace-delimited table with a derived sensitive column and one
 quoted number, which numpy's C reader refuses, so the loader reads that
 split (and the clustering view its pool) again as text.  The matrix holds
@@ -23,15 +24,17 @@ the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
 ``train`` in all six modes with ``linear`` and ``one_hidden:4`` at full
 batch and ``batch_size`` 64 (``--jobs`` 1 and 2), ``dp_discrete``, ``none``
 and ``eo`` on the product-coded pair (d=10) at ``batch_size`` 64, every
-mode on the rare-group tables at ``batch_size`` 16, ``dp_discrete`` and
-``eo`` on the three-group rare table at full batch, one full-batch entry
+mode on the binary and three-group rare specs at ``batch_size`` 16, ``dp_discrete`` and
+``eo`` on the three-group rare table and ``dp_discrete`` on the
+product-coded one (d=6) at full batch, one full-batch entry
 per penalty route (``dp_discrete`` on the three-group table, ``dp_binary``
 and ``eo`` on the binary one) at a floor of 0.45, which clamps the ``yes``
 class's mean predicted mass on nearly every step, ``dp_discrete`` on the
 token table at ``batch_size`` 16, ``cluster`` in both modes with both
 inits on ``toy:0`` and the census view and once on the token table's view,
 ``demo-toy``, and ``eval`` on both splits, a split that lacks a group
-included, and on the token table's test split.
+included, on the product-coded rare table's test split and on the token
+table's test split.
 
 Before comparing, the checkout's path and the side's output directory are
 replaced by ``<checkout>`` and ``<out>`` in every file.  Each file then gets
@@ -96,11 +99,13 @@ for name, argv in matrix:
 
 
 def write_rare_table(where: str) -> dict:
-    """A small table with rare groups, and two specs over it.
+    """A small table with rare groups, and three specs over it.
 
     ``h`` is binary with ``q`` on every 25th row; ``g`` takes ``c`` on every
     30th training row, ``b`` on every 7th, ``a`` otherwise, and the test rows
-    hold only ``a`` and ``b``.  Returns the spec paths by name.
+    hold only ``a`` and ``b``.  ``rare3`` is sensitive to ``g``, ``rare2``
+    to ``h`` and ``rare6`` to their product code (d=6, two tuples of which
+    the test split lacks).  Returns the spec paths by name.
     """
     n_train, n_test = RARE_ROWS
     rows = []
@@ -113,7 +118,8 @@ def write_rare_table(where: str) -> dict:
     with open(os.path.join(where, "rare.csv"), "w") as fh:
         fh.write("\n".join(rows) + "\n")
     specs = {}
-    for name, sensitive, feature in (("rare3", "g", "h"), ("rare2", "h", "g")):
+    for name, sensitive, feature in (("rare3", "g", "h"), ("rare2", "h", "g"),
+                                     ("rare6", "g h", "")):
         specs[name] = os.path.join(where, f"{name}.spec")
         with open(specs[name], "w") as fh:
             fh.write(f"name = {name}\ncolumns = v w g h cls\nlabel = cls\npositive_label = yes\n"
@@ -203,6 +209,7 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
                                                 eo_min_group=1))
     for mode in ("dp_discrete", "eo"):
         add(f"rare3.{mode}.bfull", "train", train(rare["rare3"], mode, 60, eo_min_group=1))
+    add("rare6.dp_discrete.bfull", "train", train(rare["rare6"], "dp_discrete", 60))
     # A floor above the "yes" class's predicted mass, clamped on every step.
     for table, mode in (("rare3", "dp_discrete"), ("rare2", "dp_binary"), ("rare2", "eo")):
         add(f"{table}.{mode}.floor", "train", train(rare[table], mode, 60, floor=0.45,
@@ -225,6 +232,9 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
         matrix.append((f"eval.rare3.{split}", [
             "eval", "--checkpoint", "{root}/rare3.dp_discrete.b16/params_lam10_seed0.txt",
             "--dataset", rare["rare3"], "--split", split, "--out", "{out}/report.json"]))
+    matrix.append(("eval.rare6.test", [
+        "eval", "--checkpoint", "{root}/rare6.dp_discrete.bfull/params_lam10_seed0.txt",
+        "--dataset", rare["rare6"], "--split", "test", "--out", "{out}/report.json"]))
     matrix.append(("eval.tokens.test", [
         "eval", "--checkpoint", "{root}/tokens.dp_discrete.b16/params_lam10_seed0.txt",
         "--dataset", tokens, "--split", "test", "--out", "{out}/report.json"]))

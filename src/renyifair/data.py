@@ -25,14 +25,17 @@ without a copy: the tokens and the matrices are never alive at once, nor
 are two copies of a matrix.
 Categorical features are one-hot encoded with category lists collected
 from the training split (plus an explicit unseen bucket for test-time
-surprises); continuous features are z-scored with training-split
-statistics only.  Labels map to {1, 2} with 2 the positive class;
-sensitive columns map to {1..d} with 2 the privileged group in the binary
-case, and several sensitive columns to their product code
-(``combine_sensitive``; one column is its own code).  Each split's
-``Batch`` declares c = 2 and d = the number of sensitive tuples, so a
-split that lacks a group keeps the full alphabet.  A declared positive
-token that matches no training row is an error.
+surprises).  ``normalization`` applies to ``load_dataset``, whose
+continuous features ``zscore`` standardizes with training-split statistics
+only; ``clustering_view`` always z-scores its sample on its own moments.
+Both take ``_zscore``, which divides a constant column by 1.  Labels map
+to {1, 2} with 2 the positive class; sensitive columns map to {1..d} with
+2 the privileged group in the binary case, and several sensitive columns
+to their product code (``combine_sensitive``: the codes and the tuples;
+one column is its own code).  Each split's ``Batch`` declares c = 2 and
+d = the number of sensitive tuples, so a split that lacks a group keeps
+the full alphabet.  A declared positive token that matches no training
+row is an error.
 
 Nothing here touches the network: source files are resolved against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -430,6 +433,13 @@ def _read_columns(parts: list[list[str]], spec: DatasetSpec, continuous: Sequenc
             for values, raw in reads]
 
 
+def _zscore(fit: np.ndarray, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``arrays`` z-scored by ``fit``'s column moments; a constant column is divided by 1."""
+    mean, std = fit.mean(axis=0), fit.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return [(a - mean) / std for a in arrays]
+
+
 def _unmatched(spec: DatasetSpec, key: str, token: str, col: str, rows: str) -> ValueError:
     return ValueError(f"{spec.name}: {key} {token!r} matches no {rows} in column {col!r}")
 
@@ -443,47 +453,27 @@ class EncodedDataset:
     sensitive_tuples: tuple
 
 
-@dataclass(frozen=True)
-class CombinedSensitive:
-    """Product encoding of several discrete attributes into one column."""
+def combine_sensitive(columns: Sequence, sizes: Sequence[int]) -> tuple[np.ndarray, tuple]:
+    """Bijectively merge discrete 1-based columns into one attribute: ``(codes, tuples)``.
 
-    values: np.ndarray
-    sizes: tuple[int, ...]
-    tuples: tuple[tuple[int, ...], ...]
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.tuples)
-
-    def decode(self, value: int) -> tuple[int, ...]:
-        return self.tuples[value - 1]
-
-
-def combine_sensitive(columns: Sequence, sizes: Sequence[int] | None = None) -> CombinedSensitive:
-    """Bijectively merge discrete 1-based columns into a single attribute.
-
-    The first column is the most significant digit, so two binary columns
-    map (1,1),(1,2),(2,1),(2,2) to 1,2,3,4.  ``sizes`` pins the per-column
-    alphabet sizes; by default they are inferred from the column maxima.
+    ``sizes`` holds each column's alphabet size.  The first column is the
+    most significant digit, so two binary columns map (1,1),(1,2),(2,1),(2,2)
+    to 1,2,3,4, and ``tuples[code - 1]`` is the column values of ``code``.
     """
     cols = [np.asarray(c, dtype=np.int64) for c in columns]
     if not cols:
         raise ValueError("need at least one column")
-    n = cols[0].shape[0]
-    if sizes is None:
-        sizes = [int(c.max()) for c in cols]
     sizes = [int(v) for v in sizes]
+    if len(sizes) != len(cols):
+        raise ValueError(f"need one size per column, got {len(sizes)} for {len(cols)} columns")
+    n = cols[0].shape[0]
     for c, size in zip(cols, sizes):
         if c.shape != (n,):
             raise ValueError("columns must share a common length")
         if c.min() < 1 or c.max() > size:
             raise ValueError("column values must lie in 1..size")
-    values = np.zeros(n, dtype=np.int64)
-    for c, size in zip(cols, sizes):
-        values = values * size + (c - 1)
-    values += 1
-    tuples = tuple(product(*(range(1, size + 1) for size in sizes)))
-    return CombinedSensitive(values=values, sizes=tuple(sizes), tuples=tuples)
+    codes = np.ravel_multi_index([c - 1 for c in cols], sizes) + 1
+    return codes, tuple(product(*(range(1, size + 1) for size in sizes)))
 
 
 def _encode_splits(spec: DatasetSpec, root: str | None):
@@ -524,16 +514,12 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
             index = {tok: i for i, tok in enumerate(cats)}
             offset = len(feature_names)
             feature_names.extend([f"{col}={tok}" for tok in cats] + [f"{col}={UNSEEN}"])
-            # Tokens outside the training categories go to the last column.
-            codes = []
-            for tokens, known, where in ((tr, tr_values, "train"), (te, None, "test")):
-                code = _encode(tokens, index, len(cats), known)
-                unseen = np.count_nonzero(code == len(cats))
-                if unseen:
-                    logger.warning("%s: %d unseen %r tokens in %s mapped to the unseen bucket",
-                                   spec.name, unseen, col, where)
-                codes.append(code + offset)
-            onehot.append(tuple(codes))
+            # Test tokens outside the training categories go to the last column.
+            te_codes = _encode(te, index, len(cats))
+            if unseen := np.count_nonzero(te_codes == len(cats)):
+                logger.warning("%s: %d unseen %r tokens in test mapped to the unseen bucket",
+                               spec.name, unseen, col)
+            onehot.append((_encode(tr, index, len(cats), tr_values) + offset, te_codes + offset))
         else:
             numeric.append(len(feature_names))
             feature_names.append(col)
@@ -564,9 +550,9 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
         sizes.append(max(index.values()))
         s_train_cols.append(_encode(train_cols[col], index, 1, tr))
         s_test_cols.append(_encode(test_cols[col], index, 1, te))
-    combined = [combine_sensitive(cols, sizes) for cols in (s_train_cols, s_test_cols)]
-    sensitive = combined[0].values, combined[1].values
-    return feature_names, onehot, (numeric, values), labels, sensitive, combined[0].tuples
+    (s_train, tuples), (s_test, _) = (combine_sensitive(cols, sizes)
+                                      for cols in (s_train_cols, s_test_cols))
+    return feature_names, onehot, (numeric, values), labels, (s_train, s_test), tuples
 
 
 def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
@@ -581,9 +567,8 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
 
     # Continuous columns are standardized with train statistics (moments of the
     # F-ordered values, as always) before they are placed; one-hot blocks stay 0/1.
-    if spec.normalization == "zscore" and numeric:
-        mean, std = values[0].mean(axis=0), values[0].std(axis=0)
-        values = [(v - mean) / np.where(std > 0, std, 1.0) for v in values]
+    if spec.normalization == "zscore":
+        values = _zscore(values[0], values)
 
     x_train = np.zeros((len(labels[0]), len(feature_names)))
     x_test = np.zeros((len(labels[1]), len(feature_names)))
@@ -636,10 +621,7 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     # The records' points are a strided view: the sample, or this, copies
     # them out in C order, so the moments sum in the order they always have.
     points = np.ascontiguousarray(points)
-    mean = points.mean(axis=0)
-    std = points.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (points - mean) / std, sensitive
+    return _zscore(points, [points])[0], sensitive
 
 
 def synth_yequalss(n: int, seed: int = 0) -> Batch:

@@ -35,7 +35,8 @@ only log it, the square of ``maxcorr.second_singular_value`` of the
 empirical Q.  On a batch that lacks a group (a minibatch, or a training
 split without some declared group), ``dp_discrete`` and the three baselines
 take Q over the groups present (logged once per run); with one group left
-sigma2 is 0.0, and so are ``dp_discrete``'s value and seed.  The marginal
+sigma2 is 0.0, and so are the value and seed on both routes
+(``dp_discrete`` and ``dp_binary``; every ``eo`` slice holds every group).  The marginal
 floor clamps Q's marginals on the SVD route and each class's predicted mass
 in the denominator of ``w`` on the closed-form route; while it clamps
 nothing the two routes agree to rounding.  Each seed is the gradient of its
@@ -189,14 +190,22 @@ def _binary_seed(stilde, w, scale: float) -> np.ndarray:
     return seed
 
 
+def _no_penalty(probs):
+    """A batch left with one group has nothing to correlate with: all three are zero."""
+    return 0.0, np.zeros_like(probs), 0.0
+
+
 def _closed_form(sensitive, floor):
     """The binary closed-form route on one set of rows: ``probs -> (value, seed, sigma2_sq)``.
 
     The signs and their share of group 2 are built here, once; each step
-    takes the two column means once, for both ``w`` and the value.
+    takes the two column means once, for both ``w`` and the value.  That
+    share is exactly 0.0 or 1.0 when one group is left (see :func:`_no_penalty`).
     """
     st = s_tilde(sensitive)
     q = float((st.mean() + 1.0) / 2.0)
+    if q in (0.0, 1.0):
+        return _no_penalty
 
     def penalty(probs):
         m, t = _binary_means(probs, st)
@@ -211,11 +220,10 @@ def _svd_route(groups: GroupIndex, floor):
 
     ``value = ||Q v||^2`` for the second right singular vector ``v`` of Q,
     and ``seed`` is d(value)/dF with ``v`` and the floored marginals held
-    fixed.  With one group there is nothing to correlate with: all three
-    are zero.
+    fixed; with one group, :func:`_no_penalty`.
     """
     if groups.n_groups < 2:
-        return lambda probs: (0.0, np.zeros_like(probs), 0.0)
+        return _no_penalty
 
     def penalty(probs):
         qm = maxcorr.q_from_groups(probs, groups, floor)

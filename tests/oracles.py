@@ -348,10 +348,8 @@ def load_dataset_reference(path_or_spec, root: str | None = None) -> EncodedData
         s_train, s_test = s_train_cols[0], s_test_cols[0]
         tuples = tuple((v,) for v in range(1, sizes[0] + 1))
     else:
-        combined_train = combine_sensitive(s_train_cols, sizes)
-        combined_test = combine_sensitive(s_test_cols, sizes)
-        s_train, s_test = combined_train.values, combined_test.values
-        tuples = combined_train.tuples
+        s_train, tuples = combine_sensitive(s_train_cols, sizes)
+        s_test, _ = combine_sensitive(s_test_cols, sizes)
 
     return EncodedDataset(
         spec=spec,

@@ -332,9 +332,14 @@ def spec_file(tmp_path, text):
     (lambda tmp: data.load_dataset(spec_file(tmp, ADULT_LIKE_SPEC.replace(
         "split = files", "split = head\nfile = mini_train.csv\ntrain_count = 0\n"
         "test_count = 2")), root=str(tmp)), "mini: empty split"),
-    (lambda tmp: data.combine_sensitive([]), "need at least one column"),
-    (lambda tmp: data.combine_sensitive([[1, 2, 1], [1, 2]]), "columns must share a common length"),
+    (lambda tmp: data.combine_sensitive([], []), "need at least one column"),
+    (lambda tmp: data.combine_sensitive([[1, 2, 1], [1, 2]], [2, 2]),
+     "columns must share a common length"),
     (lambda tmp: data.combine_sensitive([[1, 3]], sizes=[2]), "column values must lie in 1..size"),
+    (lambda tmp: data.combine_sensitive([[1, 2], [1, 1]], sizes=[2]),
+     "need one size per column, got 1 for 2 columns"),
+    (lambda tmp: data.combine_sensitive([[1, 2]], sizes=[2, 3]),
+     "need one size per column, got 2 for 1 columns"),
     (lambda tmp: data.clustering_view(data.DatasetSpec(**SPEC_FIELDS)),
      "m: no clustering view configured"),
     (lambda tmp: data.clustering_view(spec_file(tmp, ADULT_LIKE_SPEC.replace(
@@ -342,6 +347,7 @@ def spec_file(tmp_path, text):
      "mini: clustering_samples=40 exceeds 8 rows"),
 ], ids=["split", "missing_policy", "normalization", "delimiter", "no_sensitive", "derive_rule",
         "spec_line", "empty_split", "no_columns", "ragged_columns", "value_above_size",
+        "fewer_sizes_than_columns", "more_sizes_than_columns",
         "no_clustering_view", "clustering_samples_above_pool"])
 def test_check_messages(mini_dataset, case, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -352,37 +358,49 @@ class TestCombineSensitive:
     def test_two_binary_columns(self):
         a = np.array([1, 1, 2, 2])
         b = np.array([1, 2, 1, 2])
-        combo = data.combine_sensitive([a, b])
-        np.testing.assert_array_equal(combo.values, [1, 2, 3, 4])
-        assert combo.alphabet_size == 4
-        assert combo.tuples == ((1, 1), (1, 2), (2, 1), (2, 2))
+        codes, tuples = data.combine_sensitive([a, b], [2, 2])
+        np.testing.assert_array_equal(codes, [1, 2, 3, 4])
+        assert len(tuples) == 4
+        assert tuples == ((1, 1), (1, 2), (2, 1), (2, 2))
 
     def test_single_column_identity(self):
         col = np.array([3, 1, 2])
-        combo = data.combine_sensitive([col])
-        np.testing.assert_array_equal(combo.values, col)
+        codes, _ = data.combine_sensitive([col], [3])
+        np.testing.assert_array_equal(codes, col)
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_single_column_keeps_its_declared_size(self, size):
         # One sensitive column is its own product code, tuples over the
         # whole alphabet even when the column lacks its top value.
         col = np.array([1, 1, 2, 1], dtype=np.int64)
-        combo = data.combine_sensitive([col], [size])
-        assert combo.values.dtype == np.int64 and combo.values.tobytes() == col.tobytes()
-        assert combo.tuples == tuple((v,) for v in range(1, size + 1))
+        codes, tuples = data.combine_sensitive([col], [size])
+        assert codes.dtype == np.int64 and codes.tobytes() == col.tobytes()
+        assert tuples == tuple((v,) for v in range(1, size + 1))
 
     def test_mixed_sizes_most_significant_first(self):
-        combo = data.combine_sensitive([np.array([2, 1]), np.array([3, 2])], sizes=[2, 3])
-        assert combo.tuples == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
-        np.testing.assert_array_equal(combo.values, [6, 2])
-        assert [combo.decode(int(v)) for v in combo.values] == [(2, 3), (1, 2)]
+        codes, tuples = data.combine_sensitive([np.array([2, 1]), np.array([3, 2])], sizes=[2, 3])
+        assert tuples == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
+        np.testing.assert_array_equal(codes, [6, 2])
+        assert [tuples[int(v) - 1] for v in codes] == [(2, 3), (1, 2)]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
                     min_size=1, max_size=30))
     def test_three_binary_round_trip(self, rows):
         cols = [np.array([r[j] for r in rows]) for j in range(3)]
-        combo = data.combine_sensitive(cols, sizes=[2, 2, 2])
-        assert combo.alphabet_size == 8
-        for i, value in enumerate(combo.values):
-            assert combo.decode(int(value)) == rows[i]
+        codes, tuples = data.combine_sensitive(cols, sizes=[2, 2, 2])
+        assert len(tuples) == 8
+        for i, value in enumerate(codes):
+            assert tuples[int(value) - 1] == rows[i]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_codes_index_the_tuples(self, draw):
+        sizes = draw.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        rows = draw.draw(st.lists(st.tuples(*(st.integers(1, size) for size in sizes)),
+                                  min_size=1, max_size=30))
+        cols = [np.array([r[j] for r in rows]) for j in range(len(sizes))]
+        codes, tuples = data.combine_sensitive(cols, sizes)
+        assert len(tuples) == int(np.prod(sizes))
+        assert codes.min() >= 1 and codes.max() <= len(tuples)
+        assert [tuples[int(v) - 1] for v in codes] == rows

@@ -791,6 +791,22 @@ def test_dp_discrete_minibatches_lacking_a_group_take_q_over_the_groups_present(
     assert all(trace.penalty[k] == 0.0 for k in one_left) and trace.sigma2[-1] > 0.0
 
 
+@pytest.mark.parametrize("mode", ["dp_binary", "dp_discrete"])
+@pytest.mark.parametrize("group", [1, 2])
+def test_a_batch_left_with_one_group_has_no_penalty_on_either_route(mode, group):
+    # Exact zeros on both routes, not the closed form's rounding noise; the
+    # seed stays an N x c array.
+    rng = np.random.default_rng(group)
+    cfg = ft.TrainConfig(fairness_mode=mode)
+    for _ in range(50):
+        sub = md.Batch(np.zeros((32, 1)), rng.integers(1, 4, 32), np.full(32, group),
+                       n_classes=3, n_groups=2)
+        probs = random_probs(rng, 32, 3)
+        value, seed, sigma2_sq = ft._penalty_on(sub, cfg, set())(probs)
+        assert value == 0.0 and sigma2_sq == 0.0
+        assert seed.shape == probs.shape and not seed.any()
+
+
 def test_dp_discrete_minibatch_lacking_a_group_renumbers_the_rest():
     rng = np.random.default_rng(8)
     s = rng.choice([1, 3], size=40)
