@@ -3,14 +3,15 @@
 
 Usage (from the repository root)::
 
-    python3 scripts/golden.py --parent DIR --change DIR [--work DIR] [--tol 0]
+    python3 scripts/golden.py --parent DIR --change DIR [--work DIR] [--tol 0] [--blas-threads 1]
 
 ``DIR`` is a checkout's root; its library is imported from ``DIR/src``.
 Each side runs the whole matrix (:func:`build_matrix`) in one subprocess, one
-``renyifair.cli.main`` call per entry, with its own ``PYTHONPATH`` and one
-BLAS thread.  Every entry writes its files, its captured stdout and stderr
-(``stdout.log``, ``stderr.log``) and its exit status (``exit.txt``) into
-``WORK/<side>/<entry>/``.
+``renyifair.cli.main`` call per entry, with its own ``PYTHONPATH`` and
+``--blas-threads`` BLAS threads (default 1; the CLI itself leaves OpenBLAS
+its default, one thread per CPU).  Every entry writes its files, its
+captured stdout and stderr (``stdout.log``, ``stderr.log``) and its exit
+status (``exit.txt``) into ``WORK/<side>/<entry>/``.
 
 The inputs are built once under ``WORK/inputs`` and read by both sides, so
 nothing is downloaded: the census-like tables of ``perfbench/gen_table.py``
@@ -241,14 +242,16 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     return matrix
 
 
-def run_side(checkout: str, matrix_path: str, inputs: str, out_root: str) -> float:
-    """Run the matrix against ``checkout``'s library; return the wall time in seconds."""
+def run_side(checkout: str, matrix_path: str, inputs: str, out_root: str,
+             blas_threads: int = 1) -> float:
+    """Run the matrix against ``checkout``'s library with ``blas_threads`` BLAS
+    threads; return the wall time in seconds."""
     env = dict(os.environ)
     # The runner's working directory is out_root, so a relative checkout is resolved here.
     env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
     env["RENYIFAIR_DATA"] = os.path.join(inputs, "data")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(blas_threads)
     os.makedirs(out_root, exist_ok=True)
     start = time.perf_counter()
     subprocess.run([sys.executable, "-c", RUNNER, matrix_path, out_root],
@@ -417,7 +420,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout root of the change")
     parser.add_argument("--work", default=None, help="work directory (default: a new temp dir)")
     parser.add_argument("--tol", type=float, default=0.0, help="largest allowed abs difference")
+    parser.add_argument("--blas-threads", type=int, default=1,
+                        help="BLAS threads of each side's run (default 1)")
     args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be at least 1")
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="golden_"))
     inputs = os.path.join(work, "inputs")
     os.makedirs(inputs, exist_ok=True)
@@ -428,9 +435,10 @@ def main(argv=None) -> int:
     roots = {}
     for side, checkout in (("parent", args.parent), ("change", args.change)):
         roots[side] = os.path.join(work, side)
-        seconds = run_side(checkout, matrix_path, inputs, roots[side])
+        seconds = run_side(checkout, matrix_path, inputs, roots[side], args.blas_threads)
         normalise(roots[side], checkout)
-        print(f"{side}: {len(matrix)} entries in {seconds:.1f} s ({checkout})")
+        print(f"{side}: {len(matrix)} entries in {seconds:.1f} s at {args.blas_threads} "
+              f"BLAS thread(s) ({checkout})")
     verdicts = compare_trees(roots["parent"], roots["change"])
     print(report(verdicts, args.tol))
     return 1 if any(beyond(v, args.tol) for v in verdicts) else 0

@@ -22,7 +22,7 @@ matching the alternation of the descent-ascent scheme; nothing
 differentiates through the SVD.  Every penalty returns its unscaled value
 and its gradient with respect to the soft outputs; :func:`train` applies
 ``lam`` once and pulls the gradient back through the same forward pass that
-gave the cross entropy.
+gave the cross entropy, in the one backward pass that takes its gradient.
 
 Every penalty gives ``(value, seed, sigma2_sq)`` from the step's own inner
 solve, and the logged sigma2 is ``sqrt(sigma2_sq)``: the bits of sigma2
@@ -125,6 +125,31 @@ class TrainTrace:
     final_params: ModelParams | None = None
     diverged: bool = False
     stopped_early: bool = False
+
+
+# A finished run settled when its last grad_norm and the range of its sigma2
+# over the last SETTLE_WINDOW rows are both below SETTLE_TOL.
+SETTLE_WINDOW = 500
+SETTLE_TOL = 1e-3
+
+
+def run_status(trace: TrainTrace) -> tuple[str, bool]:
+    """Why a finished run stopped, and whether it settled.
+
+    The reason is ``"diverged"`` (a non-finite loss or gradient norm),
+    ``"grad_tol"`` (the gradient norm reached ``grad_tol``) or ``"iters"``
+    (every step taken).  A run settled when its last logged grad_norm is
+    below ``SETTLE_TOL`` and its sigma2 moved by less than ``SETTLE_TOL``
+    (largest minus smallest) over its last ``SETTLE_WINDOW`` rows; a
+    diverged run never settled.  A fixed step can end a run that still
+    cycles, so its final iterate alone does not say that it found a fixed
+    point.
+    """
+    reason = "diverged" if trace.diverged else "grad_tol" if trace.stopped_early else "iters"
+    tail = trace.sigma2[-SETTLE_WINDOW:]
+    settled = (reason != "diverged" and bool(tail) and trace.grad_norm[-1] < SETTLE_TOL
+               and max(tail) - min(tail) < SETTLE_TOL)
+    return reason, settled
 
 
 def s_tilde(sensitive) -> np.ndarray:
@@ -401,9 +426,11 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
 
     Each iteration solves the inner maximization exactly (SVD or closed
     form), then takes one descent step on the parameters with the adversary
-    fixed.  One forward pass per step feeds the loss, the penalty and both
-    backward passes (cross entropy, then the penalty's pullback, summed in
-    that order).  With ``lam == 0`` the iterate sequence is bitwise
+    fixed.  One forward pass per step feeds the loss and the penalty, and one
+    backward pass gives the cross-entropy gradient plus the penalty's
+    pullback, with the bits of the two taken apart and summed in that order
+    (see the ``model`` module docstring).  With ``lam == 0`` the penalty is
+    not pulled back and the iterate sequence is bitwise
     identical to plain gradient descent under the same seed.  Runs for
     ``cfg.iters`` steps or until the full objective gradient norm drops to
     ``cfg.grad_tol``; a non-finite loss stops the run with the trace flagged
@@ -423,11 +450,10 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
 
     def step(theta: ModelParams, sub: Batch):
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
-        probs, loss, grad, vjp = loss_grad_and_vjp(theta, sub)
+        probs, loss, backward = loss_grad_and_vjp(theta, sub)
         penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, warned)
         value, seed, sigma2_sq = penalty(probs)
-        if cfg.lam != 0.0 and seed is not None:
-            grad = grad + vjp(cfg.lam * seed)
+        grad = backward(cfg.lam * seed if cfg.lam != 0.0 and seed is not None else None)
         return grad, (loss, float(cfg.lam * value), math.sqrt(grad.dot(grad)), math.sqrt(sigma2_sq))
 
     def record(t: int, row) -> None:

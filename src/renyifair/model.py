@@ -14,11 +14,30 @@ layer first, so optimizers and checkpoints never deal with shapes;
 gradients are hand-derived and checked against central finite differences
 in the test suite.  No autodiff framework is used anywhere.
 
-A training step needs the soft outputs, the cross-entropy gradient and the
-pullback of a penalty through the outputs; :func:`loss_grad_and_vjp`
-returns all of them from one forward pass.  :func:`forward`,
+A training step needs the soft outputs, the cross entropy, and its
+gradient plus the pullback of a penalty through the outputs;
+:func:`loss_grad_and_vjp` returns them from one forward pass and takes the
+summed gradient in one backward pass.  :func:`forward`,
 :func:`loss_and_grad` and :func:`jacobian_probs` are the same pieces one at
 a time.
+
+The one backward pass keeps the bits of two passes added.  The
+cross-entropy dlogits and the penalty's pullback dlogits, each N x c, go
+side by side into one C-ordered N x 2c array D; a layer takes ``D.T @ a``
+and :func:`_column_sum` of D once, and each gradient block is its two
+halves added, cross entropy first.  Each output row of a GEMM adds over
+the batch rows in its own order whatever the other rows hold, and the
+column sums (below) start each column from 0.0 at any width of 2 or more.
+OpenBLAS picks its kernel and thread split by shape, so that holds only in
+part, and :func:`_fused` joins the parts only where it was measured (numpy 2.4,
+scipy-openblas 0.3.31, 2-vCPU AVX-512 Xeon, 1 and 2 BLAS threads): parts 2
+to 5 wide, layer inputs at least 2 wide, and each part's own GEMM past the
+small-matrix bound M*N*K = 100^3.  The bits moved outside it: a product
+below the bound whose fused twin is above it, a part or input one column
+wide (numpy takes gemv), 6 to 8 classes from 194 input columns at one
+thread, and 9 classes up to 31 columns at two.  Elsewhere a layer takes one
+GEMM per part, as two passes did; below the bound the copy into D would
+cost about what the second GEMM saves.
 
 With a handful of classes a step costs numpy call overhead more than
 arithmetic, so the softmax and pullback reduce each row with c - 1
@@ -289,46 +308,89 @@ def forward(params: ModelParams, features) -> np.ndarray:
     return probs
 
 
+# The fused backward's reach (see the module docstring): parts up to this
+# wide, whose own GEMM is past OpenBLAS's small-matrix bound on M*N*K.
+_FUSED_MAX_C = 5
+_SMALL_GEMM_MNK = 100 ** 3
+
+
+def _fused(parts: tuple[np.ndarray, ...], a: np.ndarray) -> np.ndarray | None:
+    """The two N x c ``parts`` side by side in one C-ordered N x 2c array, or
+    None where one GEMM over it is not known to keep each part's bits.
+
+    Each row is copied as one ``8c``-byte void element: numpy's
+    ``concatenate(axis=1)`` walks such narrow rows with an inner loop only
+    c long, 349 µs against 64 µs at 29,378 x 2 (pinned timeit, 2-vCPU Xeon).
+    """
+    if len(parts) != 2:
+        return None
+    n, c = parts[0].shape
+    if (not 2 <= c <= _FUSED_MAX_C or a.shape[1] < 2 or n * c * a.shape[1] <= _SMALL_GEMM_MNK
+            or not all(part.flags.c_contiguous for part in parts)):
+        return None
+    out = np.empty((n, 2 * c))
+    row = np.dtype((np.void, 8 * c))
+    rows = out.view(row)
+    for j, part in enumerate(parts):
+        rows[:, j] = part.view(row)[:, 0]
+    return out
+
+
+def _layer_grads(parts: tuple[np.ndarray, ...], a: np.ndarray) -> list[np.ndarray]:
+    """One layer's flat W gradient and b gradient, summed over the dlogits ``parts``."""
+    d = _fused(parts, a)
+    if d is not None:
+        c = parts[0].shape[1]
+        wt, sums = d.T @ a, _column_sum(d)
+        return [(wt[:c] + wt[c:]).ravel(), sums[:c] + sums[c:]]
+    first, *rest = parts
+    w_grad, b_grad = (first.T @ a).ravel(), _column_sum(first)
+    for part in rest:
+        w_grad, b_grad = w_grad + (part.T @ a).ravel(), b_grad + _column_sum(part)
+    return [w_grad, b_grad]
+
+
 def _backward_from_dlogits(params: ModelParams, inputs: list[np.ndarray],
-                           dlogits: np.ndarray) -> np.ndarray:
-    """Accumulate d(objective)/d(theta) given d(objective)/d(logits), output layer first."""
+                           *parts: np.ndarray) -> np.ndarray:
+    """d(objective)/d(theta) given d(objective)/d(logits), output layer first.
+
+    Given two dlogits ``parts`` it returns the sum of their gradients, with
+    the bits of one call per part added, from one pass (see the module
+    docstring).
+    """
     grads = []
     for k in reversed(range(len(inputs))):
         a = inputs[k]
-        grads[:0] = [(dlogits.T @ a).ravel(), _column_sum(dlogits)]
+        grads[:0] = _layer_grads(parts, a)
         if k:
             w, _ = _layers(params)[k]
-            dlogits = (dlogits @ w) * (1.0 - a * a)
+            parts = tuple((part @ w) * (1.0 - a * a) for part in parts)
     return np.concatenate(grads)
 
 
-def _pullback(params: ModelParams, probs: np.ndarray,
-              inputs: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vector-Jacobian product of the soft outputs of one forward pass."""
-
-    def vjp(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != probs.shape:
-            raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
-        inner = _row_reduce(np.add, u * probs)
-        dlogits = _columnwise(np.subtract, u, inner)
-        dlogits *= probs
-        return _backward_from_dlogits(params, inputs, dlogits)
-
-    return vjp
+def _softmax_pullback(probs: np.ndarray, u) -> np.ndarray:
+    """The dlogits of ``sum(u * probs)``: ``(u - (u . F) 1) * F`` row by row."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != probs.shape:
+        raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
+    dlogits = _columnwise(np.subtract, u, _row_reduce(np.add, u * probs))
+    dlogits *= probs
+    return dlogits
 
 
 def loss_grad_and_vjp(
     params: ModelParams, batch: Batch,
-) -> tuple[np.ndarray, float, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[np.ndarray, float, Callable[[np.ndarray | None], np.ndarray]]:
     """Everything one training step needs, from a single forward pass.
 
-    Returns ``(probs, loss, grad, vjp)``: the soft outputs, the mean cross
-    entropy and its gradient, and the pullback :func:`jacobian_probs`
-    would return.  ``grad`` and each ``vjp(u)`` are separate backward passes.
-    The labels are picked out through the batch's flat
-    :meth:`Batch.label_index`, a gather and a scatter with the bits of a
-    2-D fancy index.
+    Returns ``(probs, loss, backward)``: the soft outputs, the mean cross
+    entropy, and ``backward(u)``, the cross-entropy gradient plus the
+    pullback of ``u`` through the soft outputs (the ``vjp(u)`` of
+    :func:`jacobian_probs`), from one backward pass.  ``backward(None)`` is
+    the cross-entropy gradient alone.  The sum has the bits of the two
+    gradients taken apart and added (see the module docstring).  The labels
+    are picked out through the batch's flat :meth:`Batch.label_index`, a
+    gather and a scatter with the bits of a 2-D fancy index.
     """
     probs, inputs = _forward_internals(params, batch.features)
     flat = batch.label_index(probs.shape[1])
@@ -337,14 +399,19 @@ def loss_grad_and_vjp(
     dlogits = probs.copy()
     dlogits.reshape(-1)[flat] -= 1.0
     dlogits /= batch.n
-    grad = _backward_from_dlogits(params, inputs, dlogits)
-    return probs, loss, grad, _pullback(params, probs, inputs)
+
+    def backward(u=None) -> np.ndarray:
+        if u is None:
+            return _backward_from_dlogits(params, inputs, dlogits)
+        return _backward_from_dlogits(params, inputs, dlogits, _softmax_pullback(probs, u))
+
+    return probs, loss, backward
 
 
 def loss_and_grad(params: ModelParams, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean cross entropy and its gradient with respect to theta."""
-    _, loss, grad, _ = loss_grad_and_vjp(params, batch)
-    return loss, grad
+    _, loss, backward = loss_grad_and_vjp(params, batch)
+    return loss, backward(None)
 
 
 def jacobian_probs(params: ModelParams, features) -> Callable[[np.ndarray], np.ndarray]:
@@ -356,7 +423,8 @@ def jacobian_probs(params: ModelParams, features) -> Callable[[np.ndarray], np.n
     ``(u - (u . F) 1) * F`` row by row.
     """
     x = np.asarray(features, dtype=np.float64)
-    return _pullback(params, *_forward_internals(params, x))
+    probs, inputs = _forward_internals(params, x)
+    return lambda u: _backward_from_dlogits(params, inputs, _softmax_pullback(probs, u))
 
 
 def save_params(params: ModelParams, path) -> None:

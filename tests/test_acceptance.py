@@ -344,6 +344,17 @@ def test_c07_baseline_saturation():
            f"hsic min dp={min(dp['hsic']):.3f})")
 
 
+@pytest.mark.parametrize("lam,settled", [(10.0, True), (30.0, False)])
+def test_c07_dp_discrete_arms_report_whether_they_settled(lam, settled):
+    """c07's only arm below a DP violation of 0.05 (lambda = 30) ends on an
+    iterate that still moves; the lambda = 10 arm settles.  ``run_status``
+    tells the two apart from the trace alone."""
+    batch = xor_style_fixture()
+    cfg = ft.TrainConfig(lam=lam, eta=0.5, iters=6000, fairness_mode="dp_discrete", seed=0)
+    trace = ft.train(md.init_params("linear", 3, 3, seed=0), batch, cfg)
+    assert ft.run_status(trace) == ("iters", settled)
+
+
 def test_c08_adult_equalized_odds():
     enc = adult_or_fail()
     reports = {}

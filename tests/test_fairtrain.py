@@ -294,8 +294,9 @@ class TestPenaltyGradients:
        seed=st.integers(0, 2**32 - 1))
 def test_training_seed_pulls_back_to_the_fd_gradient_of_its_value(
         mode, c, d, hidden, lacking, clamping, seed):
-    """The paper's gradient identity on the path ``train`` runs: ``vjp(seed)``
-    from ``loss_grad_and_vjp`` is the central difference of the value of
+    """The paper's gradient identity on the path ``train`` runs: the part of
+    ``backward(seed)`` from ``loss_grad_and_vjp`` beyond the cross-entropy
+    gradient ``backward(None)`` is the central difference of the value of
     ``_penalty_on``, wherever the inner maximizer is unique (the top singular
     values apart).  c crosses ``_ELEMENTWISE_MAX_C`` and ``_COLUMNWISE_MAX_C``;
     ``lacking`` drops group d from the batch.  Only ``dp_discrete`` draws a
@@ -312,7 +313,7 @@ def test_training_seed_pulls_back_to_the_fd_gradient_of_its_value(
                             seed=seed)
     params = params.with_theta(3.0 * params.theta)
     floor = 0.2 if clamping and mode == "dp_discrete" else 1e-6
-    probs, _, _, vjp = md.loss_grad_and_vjp(params, sub)
+    probs, _, backward = md.loss_grad_and_vjp(params, sub)
     rows = ft._eo_slices(sub, d, 1, set()) if mode == "eo" else [np.arange(sub.n)]
     if mode == "dp_binary" or mode == "eo" and d == 2:
         assume(all(probs[idx].mean(axis=0).min() > floor for idx in rows))
@@ -322,7 +323,7 @@ def test_training_seed_pulls_back_to_the_fd_gradient_of_its_value(
             assume(np.all(-np.diff(np.linalg.svd(q, compute_uv=False)[:3]) > 1e-2))
     penalty = ft._penalty_on(sub, ft.TrainConfig(fairness_mode=mode, floor=floor,
                                                  eo_min_group=1), set())
-    got = vjp(penalty(probs)[1])
+    got = backward(penalty(probs)[1]) - backward(None)
     fd = fd_grad(lambda t: penalty(md.forward(params.with_theta(t), sub.features))[0],
                  params.theta.copy(), h=1e-6)
     # Relative to the largest entry, or to 1e-4 where the gradient vanishes
@@ -534,6 +535,41 @@ class TestTrainers:
         varied = random_probs(rng, 50, 2)
         centered = penalty(varied)[0]
         assert centered >= -1e-12
+
+
+class TestRunStatus:
+    """``run_status`` reads the stop reason and settledness off a finished trace."""
+
+    @staticmethod
+    def trace(grad_norm, sigma2, **flags):
+        return ft.TrainTrace(iteration=list(range(len(sigma2))), loss=[0.5] * len(sigma2),
+                             penalty=[0.0] * len(sigma2), grad_norm=grad_norm, sigma2=sigma2,
+                             **flags)
+
+    @pytest.mark.parametrize("grad_norm,sigma2,flags,want", [
+        ([1.0, 5e-4], [0.30, 0.3005], {}, ("iters", True)),
+        ([1.0, 1e-3], [0.30, 0.3005], {}, ("iters", False)),
+        ([1.0, 5e-4], [0.30, 0.3010], {}, ("iters", False)),
+        ([1.0, 5e-4], [0.30, 0.3005], {"stopped_early": True}, ("grad_tol", True)),
+        ([1.0, 5e-4], [0.30, 0.3005], {"diverged": True}, ("diverged", False)),
+        ([], [], {"diverged": True}, ("diverged", False)),
+    ], ids=["settled", "grad_norm_at_tol", "sigma2_range_at_tol", "grad_tol", "diverged",
+            "diverged_on_the_first_step"])
+    def test_reason_and_settled(self, grad_norm, sigma2, flags, want):
+        assert ft.run_status(self.trace(grad_norm, sigma2, **flags)) == want
+
+    def test_sigma2_range_only_over_the_trailing_window(self):
+        for head, want in (([0.9, 0.2], True), ([0.9], False)):
+            sigma2 = head + [0.2] * (ft.SETTLE_WINDOW - 1)
+            assert ft.run_status(self.trace([0.0] * len(sigma2), sigma2)) == ("iters", want)
+
+    def test_runs_read_their_own_reason(self):
+        batch = tiny_batch(n=100, seed=9)
+        cfg = ft.TrainConfig(lam=0.0, eta=0.5, iters=5000, fairness_mode="none",
+                             grad_tol=1e-3, seed=0)
+        assert ft.run_status(ft.train(zero_params("linear", 2, 2), batch, cfg))[0] == "grad_tol"
+        cfg = replace(cfg, grad_tol=0.0, iters=3)
+        assert ft.run_status(ft.train(zero_params("linear", 2, 2), batch, cfg)) == ("iters", False)
 
 
 def reference_penalty(probs, sub, cfg, n_groups, warned):

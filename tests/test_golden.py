@@ -109,3 +109,21 @@ def test_normalise_replaces_the_checkout_and_output_paths(tmp_path):
     golden.normalise(str(out), str(checkout))
     assert (out / "e" / "stderr.log").read_text() == (
         'File "<checkout>/src/renyifair/cli.py" in <out>/e\n')
+
+
+@pytest.mark.parametrize("argv,threads", [([], "1"), (["--blas-threads", "2"], "2")])
+def test_each_side_runs_at_the_requested_blas_thread_count(tmp_path, monkeypatch, argv, threads):
+    seen = []
+    monkeypatch.setattr(golden, "build_matrix", lambda inputs: [])
+    monkeypatch.setattr(golden.subprocess, "run", lambda cmd, env, **kw: seen.append(env))
+    code = golden.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                        "--work", str(tmp_path / "work"), *argv])
+    assert code == 0 and len(seen) == 2
+    for env in seen:
+        assert [env[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS")] == [threads] * 3
+
+
+def test_blas_threads_below_one_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        golden.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--blas-threads", "0"])

@@ -1,11 +1,14 @@
 """Soft classifiers: forward contracts, analytic gradients, checkpoints."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import zero_params
 from renyifair import model as md
@@ -156,7 +159,8 @@ class TestLabelIndex:
         batch = md.Batch(rng.normal(size=(40, 4)), rng.integers(1, 3, 40), np.ones(40, dtype=int))
         assert batch.n_classes == 2
         params = md.init_params(arch, 4, 3, hidden_dim=hid, seed=5)
-        probs, loss, grad, _ = md.loss_grad_and_vjp(params, batch)
+        probs, loss, backward = md.loss_grad_and_vjp(params, batch)
+        grad = backward(None)
         want_loss, dlogits = fancy_index_loss_and_dlogits(probs, batch.labels)
         _, inputs = md._forward_internals(params, batch.features)
         want_grad = md._backward_from_dlogits(params, inputs, dlogits)
@@ -444,6 +448,93 @@ class TestColumnReductions:
             want = np.concatenate([(dhidden.T @ x).ravel(), dhidden.sum(axis=0),
                                    (dlogits.T @ hidden).ravel(), dlogits.sum(axis=0)])
         assert got.tobytes() == want.tobytes()
+
+
+def two_dlogits_backward(n, c, p, arch, hid, seed):
+    """One backward pass over two awkward dlogits, and the two passes added."""
+    rng = np.random.default_rng(seed)
+    params = md.init_params(arch, p, c, hidden_dim=hid, seed=seed)
+    _, inputs = md._forward_internals(params, 3.0 * rng.normal(size=(n, p)))
+    d1, d2 = awkward_matrix(rng, n, c), awkward_matrix(rng, n, c)
+    want = (md._backward_from_dlogits(params, inputs, d1)
+            + md._backward_from_dlogits(params, inputs, d2))
+    return md._backward_from_dlogits(params, inputs, d1, d2), want
+
+
+# Run in a fresh interpreter, whose BLAS reads its thread count at start-up.
+CENSUS_SHAPE_CHECK = """
+import numpy as np
+from renyifair import model as md
+rng = np.random.default_rng(23)
+x = rng.normal(size=(29378, 112))
+for c in (2, 5):
+    params = md.init_params("linear", 112, c, seed=c)
+    _, inputs = md._forward_internals(params, x)
+    d1, d2 = (rng.normal(size=(29378, c)) * 10.0 ** rng.integers(-6, 6, size=(29378, c))
+              for _ in range(2))
+    assert md._fused((d1, d2), x) is not None, c
+    want = (md._backward_from_dlogits(params, inputs, d1)
+            + md._backward_from_dlogits(params, inputs, d2))
+    assert md._backward_from_dlogits(params, inputs, d1, d2).tobytes() == want.tobytes(), c
+"""
+
+
+class TestOnePassBackward:
+    """One backward pass over two dlogits has the bits of two passes added."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), c=st.integers(2, 9), p=st.integers(1, 120),
+           layers=st.sampled_from([("linear", 0), ("one_hidden", 1), ("one_hidden", 2),
+                                   ("one_hidden", 5), ("one_hidden", 8)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # Shapes that fuse: a linear model's layer, and a one_hidden model's
+    # hidden layer (its output layer sits below the bound).
+    @example(n=3000, c=3, p=120, layers=("linear", 0), seed=1)
+    @example(n=2000, c=5, p=112, layers=("one_hidden", 5), seed=2)
+    def test_property_bitwise_equal_two_passes_added(self, n, c, p, layers, seed):
+        got, want = two_dlogits_backward(n, c, p, *layers, seed)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,c,p,arch,hid", [(600_000, 2, 1, "linear", 0),
+                                                (29_378, 2, 40, "one_hidden", 1)])
+    def test_one_column_wide_parts_and_inputs_past_the_bound(self, n, c, p, arch, hid):
+        # A 600,000 x 1 input, and a hidden part one column wide: numpy takes
+        # gemv for one part and gemm for two, which round differently.
+        got, want = two_dlogits_backward(n, c, p, arch, hid, seed=5)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,p,c,fused", [(2000, 112, 5, True), (3000, 120, 3, True),
+                                             (2000, 112, 6, False), (400, 3, 3, False),
+                                             (3000, 1, 2, False)])
+    def test_fuses_only_where_measured(self, n, p, c, fused):
+        rng = np.random.default_rng(3)
+        parts = (awkward_matrix(rng, n, c), awkward_matrix(rng, n, c))
+        assert (md._fused(parts, rng.normal(size=(n, p))) is not None) == fused
+
+    @pytest.mark.parametrize("n,p,c,arch,hid", [(3000, 120, 3, "linear", 0),
+                                                (300, 4, 3, "one_hidden", 5)])
+    def test_step_backward_is_cross_entropy_gradient_plus_vjp(self, n, p, c, arch, hid):
+        rng = np.random.default_rng(n)
+        batch = random_batch(rng, n=n, p=p, c=c)
+        params = md.init_params(arch, p, c, hidden_dim=hid, seed=4)
+        u = awkward_matrix(rng, n, c)
+        _, grad = md.loss_and_grad(params, batch)
+        _, _, backward = md.loss_grad_and_vjp(params, batch)
+        want = grad + md.jacobian_probs(params, batch.features)(u)
+        assert backward(None).tobytes() == grad.tobytes()
+        assert backward(u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_census_shape_under_each_blas_thread_count(self, threads):
+        # The thread count can move a GEMM's bits, so each count is checked
+        # on its own: one pass and two passes must agree under it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(md.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", CENSUS_SHAPE_CHECK], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestWithTheta:
