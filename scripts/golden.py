@@ -26,7 +26,8 @@ the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
 batch and ``batch_size`` 64 (``--jobs`` 1 and 2), ``dp_discrete``, ``none``
 and ``eo`` on the product-coded pair (d=10) at ``batch_size`` 64, every
 mode on the binary and three-group rare specs at ``batch_size`` 16, ``dp_discrete`` and
-``eo`` on the three-group rare table and ``dp_discrete`` on the
+``eo`` on the three-group rare table, ``none``, ``dp_binary``, ``pearson``
+and ``hsic`` on the binary one (a 4% group) and ``dp_discrete`` on the
 product-coded one (d=6) at full batch, one full-batch entry
 per penalty route (``dp_discrete`` on the three-group table, ``dp_binary``
 and ``eo`` on the binary one) at a floor of 0.45, which clamps the ``yes``
@@ -51,7 +52,7 @@ one verdict:
 The exit status is 1 when a file is structural or a numeric column moves by
 more than ``--tol`` (absolute, default 0), else 0.  The whole run takes
 about 25 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
-under 15 s per side for its 74 entries, plus the inputs and the diff.
+under 15 s per side for its 80 entries, plus the inputs and the diff.
 """
 
 from __future__ import annotations
@@ -210,6 +211,8 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
                                                 eo_min_group=1))
     for mode in ("dp_discrete", "eo"):
         add(f"rare3.{mode}.bfull", "train", train(rare["rare3"], mode, 60, eo_min_group=1))
+    for mode in ("none", "dp_binary", "pearson", "hsic"):
+        add(f"rare2.{mode}.bfull", "train", train(rare["rare2"], mode, 60))
     add("rare6.dp_discrete.bfull", "train", train(rare["rare6"], "dp_discrete", 60))
     # A floor above the "yes" class's predicted mass, clamped on every step.
     for table, mode in (("rare3", "dp_discrete"), ("rare2", "dp_binary"), ("rare2", "eo")):

@@ -45,7 +45,6 @@ fixed points.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -116,7 +115,6 @@ class ClusterTrace:
     objective: list = field(default_factory=list)
     w_std: list = field(default_factory=list)
     moves: list = field(default_factory=list)
-    assignment_hashes: list = field(default_factory=list)
     converged: bool = False
     cycled: bool = False
     cycle_period: int = 0
@@ -350,8 +348,6 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
         trace.objective.append(obj)
         trace.w_std.append(float(np.std(state.proportions[active])))
         trace.moves.append(moves)
-        trace.assignment_hashes.append(
-            hashlib.sha1(state.assignments.tobytes()).hexdigest()[:16])
 
         key = state.assignments.tobytes() + state.centers.tobytes()
         if moves == 0:

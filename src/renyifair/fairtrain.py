@@ -23,6 +23,9 @@ differentiates through the SVD.  Every penalty returns its unscaled value
 and its gradient with respect to the soft outputs; :func:`train` applies
 ``lam`` once and pulls the gradient back through the same forward pass that
 gave the cross entropy, in the one backward pass that takes its gradient.
+Each penalty's builder takes the batch's ``maxcorr.GroupIndex`` (codes and
+per-group counts; one per ``eo`` label slice), the one record of which rows
+are in which group.
 
 Every penalty gives ``(value, seed, sigma2_sq)`` from the step's own inner
 solve, and the logged sigma2 is ``sqrt(sigma2_sq)``: the bits of sigma2
@@ -35,8 +38,8 @@ only log it, the square of ``maxcorr.second_singular_value`` of the
 empirical Q.  On a batch that lacks a group (a minibatch, or a training
 split without some declared group), ``dp_discrete`` and the three baselines
 take Q over the groups present (logged once per run); with one group left
-sigma2 is 0.0, and so are the value and seed on both routes
-(``dp_discrete`` and ``dp_binary``; every ``eo`` slice holds every group).  The marginal
+(``n_groups < 2`` on the index) sigma2 is 0.0, and so are the value and
+seed on both routes (every ``eo`` slice holds every group).  The marginal
 floor clamps Q's marginals on the SVD route and each class's predicted mass
 in the denominator of ``w`` on the closed-form route; while it clamps
 nothing the two routes agree to rounding.  Each seed is the gradient of its
@@ -187,32 +190,10 @@ def _maximizer(m, t, floor):
     return t / (2.0 * np.maximum(m, floor))
 
 
-def _centered_value(m, t, w, q):
-    """Centered inner value and the implied squared correlation.
-
-    Returns ``(q(1-q) - gamma(w), rho_sq)`` from the column means, where
-    ``gamma`` is the quadratic the inner problem minimizes and ``q`` the
-    empirical P(S=1).  Centering by the independence value ``q(1-q)`` makes
-    the penalty zero for predictors independent of the attribute.
-    """
-    gamma = float(np.sum(w * w * m) - np.sum(w * t) + 0.25)
-    qq = q * (1.0 - q)
-    centered = qq - gamma
-    rho_sq = centered / qq if qq > 0 else 0.0
-    return centered, rho_sq
-
-
 def _outer_minus(col, row, sub) -> np.ndarray:
     """``col[:, None] * row - sub``, bit for bit, through the column kernels."""
     prod = _columnwise(np.multiply, np.broadcast_to(col[:, None], (col.size, row.size)), row)
     return _columnwise(np.subtract, prod, sub, out=prod)
-
-
-def _binary_seed(stilde, w, scale: float) -> np.ndarray:
-    """d(penalty)/dF for the binary surrogate at fixed ``w``."""
-    seed = _outer_minus(np.asarray(stilde, dtype=np.float64), w, w * w)
-    seed *= scale
-    return seed
 
 
 def _no_penalty(probs):
@@ -220,23 +201,28 @@ def _no_penalty(probs):
     return 0.0, np.zeros_like(probs), 0.0
 
 
-def _closed_form(sensitive, floor):
-    """The binary closed-form route on one set of rows: ``probs -> (value, seed, sigma2_sq)``.
+def _closed_form(groups: GroupIndex, floor):
+    """The binary closed form on the rows ``groups`` indexes: ``probs -> (value, seed, sigma2_sq)``.
 
-    The signs and their share of group 2 are built here, once; each step
-    takes the two column means once, for both ``w`` and the value.  That
-    share is exactly 0.0 or 1.0 when one group is left (see :func:`_no_penalty`).
+    The signs and ``q(1-q)``, q being group 2's share, are built here, once.
+    Each step takes the two column means once, for ``w`` and the value
+    ``q(1-q) - gamma(w)``, gamma being the quadratic the inner problem
+    minimizes: zero for a predictor independent of the attribute, and
+    ``q(1-q)`` times sigma2^2.  With one group, :func:`_no_penalty`.
     """
-    st = s_tilde(sensitive)
-    q = float((st.mean() + 1.0) / 2.0)
-    if q in (0.0, 1.0):
+    if groups.n_groups < 2:
         return _no_penalty
+    st = 2.0 * groups.codes - 1.0
+    q = float((st.mean() + 1.0) / 2.0)
+    qq = q * (1.0 - q)
 
     def penalty(probs):
         m, t = _binary_means(probs, st)
         w = _maximizer(m, t, floor)
-        value, rho_sq = _centered_value(m, t, w, q)
-        return value, _binary_seed(st, w, 1.0 / st.size), max(rho_sq, 0.0)
+        value = qq - float(np.sum(w * w * m) - np.sum(w * t) + 0.25)
+        seed = _outer_minus(st, w, w * w)
+        seed *= 1.0 / st.size
+        return value, seed, max(value / qq, 0.0)
     return penalty
 
 
@@ -273,16 +259,17 @@ def pearson_penalty(soft_probs, sensitive) -> tuple[float, np.ndarray]:
     matrix (nonzero only in the positive-class column).  A score column with
     variance below the floor counts as independent and yields exactly 0.
     """
-    return _pearson(sensitive)(soft_probs)
+    s_tilde(sensitive)  # rejects a label outside {1, 2}
+    return _pearson(maxcorr.group_index(sensitive, 2))(soft_probs)
 
 
-def _pearson(sensitive):
-    """:func:`pearson_penalty` on one set of rows: ``probs -> (value, seed)``.
+def _pearson(groups: GroupIndex):
+    """:func:`pearson_penalty` on the rows ``groups`` indexes: ``probs -> (value, seed)``.
 
     The sensitive side (signs, centred signs, their variance) is built
     here, once.
     """
-    st = s_tilde(sensitive)
+    st = 2.0 * groups.codes - 1.0
     yc = st - st.mean()
     vy = float(np.mean(yc * yc))
 
@@ -312,25 +299,34 @@ def hsic_penalty(soft_probs, sensitive, groups: GroupIndex | None = None) -> tup
     ``sensitive`` (built here over the binary groups 1..2 when not given,
     and a label outside them raises).
     """
-    f = np.asarray(soft_probs, dtype=np.float64)
-    x = f[:, 1]
-    n = len(x)
-    xc = x - np.add.reduce(x) / n
-    seed = np.zeros_like(f)
-    if float(np.add.reduce(xc * xc) / n) <= VARIANCE_FLOOR:
-        return 0.0, seed
     if groups is None:
         s_tilde(sensitive)  # rejects a label outside {1, 2}
         groups = maxcorr.group_index(sensitive, 2)
-    totals = [float(xc.take(rows).sum()) for rows in groups.rows]
-    value = sum(t * t for t in totals) / (n * n)
-    mix = sum(t * rows.size for t, rows in zip(totals, groups.rows)) / n
-    seed[:, 1] = 2.0 * (np.array(totals).take(groups.codes) - mix) / (n * n)
-    return float(value), seed
+    return _hsic(groups)(soft_probs)
 
 
-def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> list[np.ndarray]:
-    """Index arrays of the label slices large enough for a conditional penalty.
+def _hsic(groups: GroupIndex):
+    """:func:`hsic_penalty` on the rows of ``groups``, listed once: ``probs -> (value, seed)``."""
+    rows = [np.flatnonzero(groups.codes == j) for j in range(groups.n_groups)]
+
+    def penalty(soft_probs):
+        f = np.asarray(soft_probs, dtype=np.float64)
+        x = f[:, 1]
+        n = len(x)
+        xc = x - np.add.reduce(x) / n
+        seed = np.zeros_like(f)
+        if float(np.add.reduce(xc * xc) / n) <= VARIANCE_FLOOR:
+            return 0.0, seed
+        totals = [float(xc.take(r).sum()) for r in rows]
+        value = sum(t * t for t in totals) / (n * n)
+        mix = sum(t * r.size for t, r in zip(totals, rows)) / n
+        seed[:, 1] = 2.0 * (np.array(totals).take(groups.codes) - mix) / (n * n)
+        return float(value), seed
+    return penalty
+
+
+def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> list:
+    """``(rows, group index)`` of each label slice large enough for a conditional penalty.
 
     Groups are counted over the full alphabet ``1..n_groups``, so a slice of
     a minibatch that lacks a group is skipped like any other small slice.
@@ -340,47 +336,44 @@ def _eo_slices(batch: Batch, n_groups: int, eo_min_group: int, warned: set) -> l
         idx = np.flatnonzero(batch.labels == y)
         if idx.size == 0:
             continue
-        group_counts = np.bincount(batch.sensitive[idx] - 1, minlength=n_groups)
-        if group_counts.min() < eo_min_group:
+        groups = maxcorr.group_index(batch.sensitive[idx], n_groups)
+        smallest = int(groups.counts.min()) if groups.n_groups == n_groups else 0
+        if smallest < eo_min_group:
             if y not in warned:
                 warned.add(y)
                 logger.warning(
                     "equalized-odds slice y=%d skipped: smallest group has %d "
-                    "samples (< %d)", y, int(group_counts.min()), eo_min_group,
+                    "samples (< %d)", y, smallest, eo_min_group,
                 )
             continue
-        slices.append(idx)
+        slices.append((idx, groups))
     return slices
 
 
-def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
+def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set, n_classes: int):
     """The configured penalty on ``sub``'s rows: ``probs -> (value, seed, sigma2_sq)``.
 
-    ``value`` is unscaled, ``seed`` is d(value)/dF with the adversary held
-    fixed (None for ``none``) and ``sigma2_sq`` is the square of the logged
-    sigma2.  Groups range over ``sub``'s declared alphabet.  The rows are
-    indexed once here, so the returned function serves every step on ``sub``.
+    ``value`` is unscaled, ``seed`` is d(value)/dF (N x ``n_classes``) with
+    the adversary held fixed (None for ``none``) and ``sigma2_sq`` is the
+    square of the logged sigma2.  Groups range over ``sub``'s declared
+    alphabet.  The rows are indexed once here, so the returned function
+    serves every step on ``sub``.
     """
     mode, n_groups = cfg.fairness_mode, sub.n_groups
     if mode in ("dp_binary", "pearson", "hsic") and n_groups != 2:
         raise ValueError(f"{mode} requires a binary sensitive attribute, got d={n_groups}")
     if mode == "dp_discrete" and n_groups < 2:
         raise ValueError("dp_discrete requires at least two sensitive groups")
-    if mode == "dp_binary":
-        return _closed_form(sub.sensitive, cfg.floor)
     if mode == "eo":
-        slices = [(idx, _closed_form(sub.sensitive[idx], cfg.floor) if n_groups == 2
-                   else _svd_route(maxcorr.group_index(sub.sensitive[idx], n_groups), cfg.floor))
-                  for idx in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)]
-
-        @functools.cache
-        def positions(c):
-            """Each slice's flat positions ``idx * c + j`` in a C-ordered N x c seed."""
-            return [(idx[:, None] * c + np.arange(c)).ravel() for idx, _ in slices]
+        route = _closed_form if n_groups == 2 else _svd_route
+        # Each slice's flat positions ``idx * c + j`` in a C-ordered N x c seed.
+        slices = [(idx, (idx[:, None] * n_classes + np.arange(n_classes)).ravel(),
+                   route(groups, cfg.floor))
+                  for idx, groups in _eo_slices(sub, n_groups, cfg.eo_min_group, warned)]
 
         def penalty(probs):
             total, seed, sq_sum = 0.0, np.zeros(probs.size), 0.0
-            for (idx, dp), pos in zip(slices, positions(probs.shape[1])):
+            for idx, pos, dp in slices:
                 value, sl_seed, sl_sq = dp(probs.take(idx, axis=0))
                 total += value
                 seed[pos] = sl_seed.reshape(-1)
@@ -389,6 +382,8 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
             return total, seed.reshape(probs.shape), sq_sum
         return penalty
     groups = maxcorr.group_index(sub.sensitive, n_groups)
+    if mode == "dp_binary":
+        return _closed_form(groups, cfg.floor)
     if groups.n_groups < n_groups and "groups" not in warned:
         warned.add("groups")
         logger.warning("%s on a batch that lacks a sensitive group: "
@@ -398,9 +393,9 @@ def _penalty_on(sub: Batch, cfg: TrainConfig, warned: set):
     if mode == "dp_discrete":
         return _svd_route(groups, cfg.floor)
     if mode == "pearson":
-        baseline = _pearson(sub.sensitive)
+        baseline = _pearson(groups)
     elif mode == "hsic":
-        baseline = lambda probs: hsic_penalty(probs, sub.sensitive, groups)
+        baseline = _hsic(groups)
     else:
         baseline = lambda probs: (0.0, None)
 
@@ -437,21 +432,21 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     as diverged.  A run that uses all its steps ends with a diagnostic row
     at the last iterate on the full batch.
 
-    The rows each penalty needs (signs, group index, label slices) are
-    indexed once per batch: once per run on the full batch, once per step on
-    minibatches.
+    Each penalty reads one group index of its rows (one per label slice for
+    ``eo``), built once per batch: once per run on the full batch, once per
+    step on minibatches.
     """
     warned: set = set()
     trace = TrainTrace()
 
     @functools.cache
     def full_penalty():
-        return _penalty_on(batch, cfg, warned)
+        return _penalty_on(batch, cfg, warned, params.n_classes)
 
     def step(theta: ModelParams, sub: Batch):
         """Objective gradient at ``theta`` on ``sub`` and its trace row."""
         probs, loss, backward = loss_grad_and_vjp(theta, sub)
-        penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, warned)
+        penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, warned, theta.n_classes)
         value, seed, sigma2_sq = penalty(probs)
         grad = backward(cfg.lam * seed if cfg.lam != 0.0 and seed is not None else None)
         return grad, (loss, float(cfg.lam * value), math.sqrt(grad.dot(grad)), math.sqrt(sigma2_sq))

@@ -369,8 +369,11 @@ def _backward_from_dlogits(params: ModelParams, inputs: list[np.ndarray],
 
 
 def _softmax_pullback(probs: np.ndarray, u) -> np.ndarray:
-    """The dlogits of ``sum(u * probs)``: ``(u - (u . F) 1) * F`` row by row."""
-    u = np.asarray(u, dtype=np.float64)
+    """The dlogits of ``sum(u * probs)``: ``(u - (u . F) 1) * F`` row by row.
+
+    ``u`` is read C-ordered, so the bits do not depend on its layout.
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
     if u.shape != probs.shape:
         raise ValueError(f"u has shape {u.shape}, expected {probs.shape}")
     dlogits = _columnwise(np.subtract, u, _row_reduce(np.add, u * probs))

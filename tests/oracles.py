@@ -28,14 +28,34 @@ def binary_objective(params, batch, lam, w):
     return loss + lam * pen
 
 
+def binary_seed(stilde, w) -> np.ndarray:
+    """d(penalty)/dF of the binary surrogate at fixed ``w``, by broadcasting:
+    ``(stilde_n w_i - w_i^2) / N``, the bits of ``fairtrain._closed_form``'s seed."""
+    return (stilde[:, None] * w - w * w) * (1.0 / stilde.size)
+
+
+def q_from_groups_gather(soft_probs, groups, floor):
+    """``maxcorr.q_from_groups`` by gathering each group's rows and taking
+    their column mean: the bits its weighted bincount must keep."""
+    pi = groups.counts / groups.codes.size
+    joint = np.empty((soft_probs.shape[1], groups.n_groups))
+    for j in range(groups.n_groups):
+        rows = np.flatnonzero(groups.codes == j)
+        joint[:, j] = md._column_mean(soft_probs.take(rows, axis=0)) * pi[j]
+    py = md._column_mean(soft_probs)
+    py_f = np.maximum(py, floor)
+    pi_f = np.maximum(pi, floor)
+    return mc.QMatrix(q=joint / np.sqrt(py_f[:, None] * pi_f), row_marginal=py_f,
+                      col_marginal=pi_f, deflatable=bool(py.min() >= floor and pi.min() >= floor))
+
+
 def eo_penalty_scatter_rows(sub, cfg):
     """The ``eo`` penalty of ``fairtrain`` on ``sub``, with each slice seed
     added into its rows by a 2-D fancy index, ``seed[idx] += sl_seed``:
     ``probs -> (value, seed, sigma2_sq)``."""
-    d = sub.n_groups
-    slices = [(idx, ft._closed_form(sub.sensitive[idx], cfg.floor) if d == 2
-               else ft._svd_route(mc.group_index(sub.sensitive[idx], d), cfg.floor))
-              for idx in ft._eo_slices(sub, d, cfg.eo_min_group, set())]
+    route = ft._closed_form if sub.n_groups == 2 else ft._svd_route
+    slices = [(idx, route(groups, cfg.floor))
+              for idx, groups in ft._eo_slices(sub, sub.n_groups, cfg.eo_min_group, set())]
 
     def penalty(probs):
         total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import binary_objective, eo_penalty_scatter_rows, zero_params
+from oracles import binary_objective, binary_seed, eo_penalty_scatter_rows, zero_params
 from renyifair import data, maxcorr as mc, model as md, fairtrain as ft
 
 
@@ -121,7 +121,7 @@ class TestClosedFormPenalty:
             probs /= probs.sum(axis=1, keepdims=True)
         assert (probs.mean(axis=0) < floor).any() == floor_active
         sensitive = rng.integers(1, 3, n)
-        value, seed, sigma2_sq = ft._closed_form(sensitive, floor)(probs)
+        value, seed, sigma2_sq = ft._closed_form(mc.group_index(sensitive, 2), floor)(probs)
         stv = ft.s_tilde(sensitive)
         m, t = probs.mean(axis=0), (stv[:, None] * probs).mean(axis=0)
         w = t / (2.0 * np.maximum(m, floor))
@@ -132,7 +132,39 @@ class TestClosedFormPenalty:
         assert ft.inner_w_closed_form(probs, stv, floor).tobytes() == w.tobytes()
         assert np.float64(value).tobytes() == np.float64(centered).tobytes()
         assert np.float64(sigma2_sq).tobytes() == np.float64(max(rho_sq, 0.0)).tobytes()
-        assert seed.tobytes() == ft._binary_seed(stv, w, 1.0 / n).tobytes()
+        assert seed.tobytes() == binary_seed(stv, w).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(10, 400), c=st.integers(2, 9), share=st.floats(0.02, 0.98),
+       floor=st.sampled_from([1e-6, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_and_svd_route_agree_until_the_floor_clamps(n, c, share, floor, seed):
+    """Unbalanced binary groups: while the floor clamps no class mass and no
+    group share, the closed form's sigma2^2 is the SVD route's and its value
+    is q(1-q) times the SVD route's value.  A clamped class floors ``w``
+    away from gamma's minimiser, so the value can only drop below the one
+    at floor 1e-300; a clamped share leaves the closed form as it is."""
+    rng = np.random.default_rng(seed)
+    s = np.where(rng.random(n) < share, 2, 1)
+    assume(np.unique(s).size == 2)
+    logits = rng.normal(size=(n, c)) + rng.uniform(-8.0, 2.0, size=c)
+    logits += np.outer(s == 2, rng.normal(scale=rng.uniform(0.0, 3.0), size=c))
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    groups = mc.group_index(s, 2)
+    value, _, sigma2_sq = ft._closed_form(groups, floor)(probs)
+    unfloored, _, _ = ft._closed_form(groups, 1e-300)(probs)
+    class_clamped = probs.mean(axis=0).min() < floor
+    share_clamped = groups.counts.min() / n < floor
+    if not class_clamped and not share_clamped:
+        svd_value, _, svd_sq = ft._svd_route(groups, floor)(probs)
+        q = float(np.mean(s == 2))
+        assert abs(sigma2_sq - svd_sq) <= 1e-12
+        assert abs(value - q * (1.0 - q) * svd_value) <= 1e-12
+    elif class_clamped:
+        assert value <= unfloored + 1e-12
+    else:
+        assert value == unfloored
 
 
 class TestColumnKernelSeeds:
@@ -148,7 +180,7 @@ class TestColumnKernelSeeds:
         w[0] = 0.0
         f = random_probs(rng, n, c)
         f[rng.random((n, c)) < 0.1] = -0.0
-        seed = ft._binary_seed(st_, w, 1.0 / n)
+        seed = ft._outer_minus(st_, w, w * w) * (1.0 / n)
         assert seed.tobytes() == ((st_[:, None] * w - w * w) * (1.0 / n)).tobytes()
         assert np.signbit(seed[st_ < 0, 0]).all()
         m, t = ft._binary_means(f, st_)
@@ -182,7 +214,7 @@ class TestEoScatter:
 
     @staticmethod
     def assert_matches_row_scatter(sub, probs, cfg):
-        got = ft._penalty_on(sub, cfg, set())(probs)
+        got = ft._penalty_on(sub, cfg, set(), probs.shape[1])(probs)
         want = eo_penalty_scatter_rows(sub, cfg)(probs)
         assert got[0] == want[0] and got[2] == want[2]
         assert got[1].shape == probs.shape and got[1].tobytes() == want[1].tobytes()
@@ -206,7 +238,7 @@ class TestEoScatter:
         sub = md.Batch(np.zeros((80, 1)), y, s)
         probs = np.tile([0.25, 0.75], (80, 1))
         cfg = ft.TrainConfig(fairness_mode="eo", eo_min_group=5)
-        _, sl_seed, _ = ft._closed_form(s[:40], cfg.floor)(probs[:40])
+        _, sl_seed, _ = ft._closed_form(mc.group_index(s[:40], 2), cfg.floor)(probs[:40])
         assert np.signbit(sl_seed[s[:40] == 1]).all()
         seed = self.assert_matches_row_scatter(sub, probs, cfg)
         assert not np.signbit(seed).any() and not seed.any()
@@ -263,7 +295,7 @@ class TestPenaltyGradients:
         lam = 2.0
         _, loss_grad = md.loss_and_grad(params, batch)
         grad = loss_grad + md.jacobian_probs(params, batch.features)(
-            lam * ft._binary_seed(stv, w, 1.0 / batch.n))
+            lam * binary_seed(stv, w))
         ref = fd_grad(lambda t: binary_objective(params.with_theta(t), batch, lam, w),
                       params.theta.copy())
         assert np.abs(grad - ref).max() / max(np.abs(ref).max(), 1e-12) <= 1e-4
@@ -314,7 +346,8 @@ def test_training_seed_pulls_back_to_the_fd_gradient_of_its_value(
     params = params.with_theta(3.0 * params.theta)
     floor = 0.2 if clamping and mode == "dp_discrete" else 1e-6
     probs, _, backward = md.loss_grad_and_vjp(params, sub)
-    rows = ft._eo_slices(sub, d, 1, set()) if mode == "eo" else [np.arange(sub.n)]
+    rows = ([idx for idx, _ in ft._eo_slices(sub, d, 1, set())] if mode == "eo"
+            else [np.arange(sub.n)])
     if mode == "dp_binary" or mode == "eo" and d == 2:
         assume(all(probs[idx].mean(axis=0).min() > floor for idx in rows))
     if mode == "dp_discrete" or mode == "eo" and d > 2:
@@ -322,7 +355,7 @@ def test_training_seed_pulls_back_to_the_fd_gradient_of_its_value(
             q = mc.q_from_groups(probs[idx], mc.group_index(sub.sensitive[idx], d), floor).q
             assume(np.all(-np.diff(np.linalg.svd(q, compute_uv=False)[:3]) > 1e-2))
     penalty = ft._penalty_on(sub, ft.TrainConfig(fairness_mode=mode, floor=floor,
-                                                 eo_min_group=1), set())
+                                                 eo_min_group=1), set(), c)
     got = backward(penalty(probs)[1]) - backward(None)
     fd = fd_grad(lambda t: penalty(md.forward(params.with_theta(t), sub.features))[0],
                  params.theta.copy(), h=1e-6)
@@ -527,7 +560,7 @@ class TestTrainers:
         rng = np.random.default_rng(12)
         probs = np.tile([0.35, 0.65], (50, 1))
         s = np.array([1, 2] * 25)
-        penalty = ft._closed_form(s, 1e-9)
+        penalty = ft._closed_form(mc.group_index(s, 2), 1e-9)
         centered = penalty(probs)[0]
         assert abs(centered) <= 1e-12
         value, _, sigma2_sq = ft._svd_route(mc.group_index(s, 2), 1e-9)(probs)
@@ -595,14 +628,15 @@ def reference_penalty(probs, sub, cfg, n_groups, warned):
         value, seed, sigma2 = svd_route(slice(None))
         return lam * value, lam * seed, sigma2
     if mode == "dp_binary":
-        value, seed, sigma2_sq = ft._closed_form(sub.sensitive, cfg.floor)(probs)
+        value, seed, sigma2_sq = ft._closed_form(mc.group_index(sub.sensitive, 2),
+                                                 cfg.floor)(probs)
         return lam * value, lam * seed, float(np.sqrt(sigma2_sq))
     if mode == "eo":
         total, seed, sq_sum = 0.0, np.zeros_like(probs), 0.0
-        for idx in ft._eo_slices(sub, n_groups, cfg.eo_min_group, warned):
+        for idx, _ in ft._eo_slices(sub, n_groups, cfg.eo_min_group, warned):
             if n_groups == 2:
                 value, sl_seed, sigma2_sq = ft._closed_form(
-                    sub.sensitive[idx], cfg.floor)(probs[idx])
+                    mc.group_index(sub.sensitive[idx], 2), cfg.floor)(probs[idx])
                 seed[idx] += sl_seed
                 total += value
                 sq_sum += sigma2_sq
@@ -757,7 +791,7 @@ def test_eo_minibatch_lacking_a_class_skips_that_slice_without_a_warning(caplog)
         slices = ft._eo_slices(batch, 2, 5, warned)
         cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=5, fairness_mode="eo", eo_min_group=5)
         trace = ft.train(md.init_params("linear", 2, 2, seed=0), batch, cfg)
-    assert len(slices) == 1 and slices[0].tolist() == list(range(40))
+    assert len(slices) == 1 and slices[0][0].tolist() == list(range(40))
     assert warned == set() and caplog.records == []
     assert not trace.diverged and all(np.isfinite(trace.penalty))
 
@@ -838,7 +872,7 @@ def test_a_batch_left_with_one_group_has_no_penalty_on_either_route(mode, group)
         sub = md.Batch(np.zeros((32, 1)), rng.integers(1, 4, 32), np.full(32, group),
                        n_classes=3, n_groups=2)
         probs = random_probs(rng, 32, 3)
-        value, seed, sigma2_sq = ft._penalty_on(sub, cfg, set())(probs)
+        value, seed, sigma2_sq = ft._penalty_on(sub, cfg, set(), 3)(probs)
         assert value == 0.0 and sigma2_sq == 0.0
         assert seed.shape == probs.shape and not seed.any()
 
@@ -849,7 +883,7 @@ def test_dp_discrete_minibatch_lacking_a_group_renumbers_the_rest():
     sub = md.Batch(rng.normal(size=(40, 2)), rng.integers(1, 3, 40), s, n_groups=3)
     probs = md.forward(md.init_params("linear", 2, 2, seed=1), sub.features)
     cfg = ft.TrainConfig(fairness_mode="dp_discrete")
-    value, seed, sigma2_sq = ft._penalty_on(sub, cfg, set())(probs)
+    value, seed, sigma2_sq = ft._penalty_on(sub, cfg, set(), 2)(probs)
     want = ft._svd_route(mc.group_index(np.where(s == 3, 2, 1), 2), cfg.floor)
     want_value, want_seed, want_sq = want(probs)
     assert (value, sigma2_sq) == (want_value, want_sq) and want_sq > 0.0
@@ -915,24 +949,28 @@ def test_baseline_minibatches_lacking_a_group_log_sigma2_over_the_groups_present
     np.testing.assert_allclose(full.sigma2, [row[3] for row in rows], rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("mode,d,module,builder", [
-    ("none", 2, mc, "group_index"), ("dp_discrete", 3, mc, "group_index"),
-    ("eo", 3, mc, "group_index"), ("pearson", 2, mc, "group_index"),
-    ("hsic", 2, mc, "group_index"), ("dp_binary", 2, ft, "s_tilde"), ("eo", 2, ft, "s_tilde"),
+@pytest.mark.parametrize("mode,d", [
+    ("none", 2), ("dp_discrete", 3), ("eo", 3), ("pearson", 2), ("hsic", 2), ("dp_binary", 2),
+    ("eo", 2),
 ], ids=["none", "dp_discrete", "eo", "pearson", "hsic", "dp_binary", "eo-binary"])
 @pytest.mark.parametrize("batch_size", [None, 64])
-def test_group_index_built_once_per_batch(mode, d, module, builder, batch_size, monkeypatch):
-    """The rows' group index, or the binary closed form's signs, is built
-    once per batch, not once per step."""
+def test_group_index_built_once_per_batch(mode, d, batch_size, monkeypatch):
+    """Every penalty reads the rows' group index, built once per batch (once
+    per label slice for ``eo``), not once per step; training never builds
+    the binary signs through ``s_tilde``."""
     batch = labelled_groups_batch(300, d, seed=1)
     built = []
-    build = getattr(module, builder)
+    build = mc.group_index
 
     def counting_build(sensitive, *args):
         built.append(len(sensitive))
         return build(sensitive, *args)
 
-    monkeypatch.setattr(module, builder, counting_build)
+    def refused_s_tilde(sensitive):
+        raise AssertionError("training called s_tilde")
+
+    monkeypatch.setattr(mc, "group_index", counting_build)
+    monkeypatch.setattr(ft, "s_tilde", refused_s_tilde)
     cfg = ft.TrainConfig(lam=5.0, eta=0.5, iters=6, fairness_mode=mode,
                          batch_size=batch_size, eo_min_group=5, seed=2)
     trace = ft.train(md.init_params("linear", 3, 2, seed=1), batch, cfg)

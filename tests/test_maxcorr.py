@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import renyi_binary, second_right_singular_vector
+from oracles import q_from_groups_gather, renyi_binary, second_right_singular_vector
 from renyifair import maxcorr as mc
 
 
@@ -409,8 +409,7 @@ class TestGroupIndex:
     def test_index_fields(self):
         groups = mc.group_index(np.array([2, 1, 3, 1, 2, 1]), 3)
         np.testing.assert_array_equal(groups.codes, [1, 0, 2, 0, 1, 0])
-        assert [r.tolist() for r in groups.rows] == [[1, 3, 5], [0, 4], [2]]
-        np.testing.assert_array_equal(groups.shares, [0.5, 2 / 6, 1 / 6])
+        np.testing.assert_array_equal(groups.counts, [3, 2, 1])
 
     @pytest.mark.parametrize("s,d", [([1, 1, 1, 1], 2), ([1, 3, 1, 3], 3)])
     def test_incomplete_index_raises_the_empirical_q_error(self, s, d):
@@ -525,8 +524,7 @@ class TestPresentGroups:
         present = mc.group_index(np.array([3, 1, 3, 1, 1]), 3)
         assert present.n_groups == 2
         np.testing.assert_array_equal(present.codes, [1, 0, 1, 0, 0])
-        assert [r.tolist() for r in present.rows] == [[1, 3, 4], [0, 2]]
-        np.testing.assert_array_equal(present.shares, [0.6, 0.4])
+        np.testing.assert_array_equal(present.counts, [3, 2])
         probs = softmax_rows(np.random.default_rng(0), 5, 2, 1.0)
         want = mc.empirical_q(probs, present.codes + 1)
         got = mc.q_from_groups(probs, present, mc.DEFAULT_MARGINAL_FLOOR)
@@ -560,8 +558,7 @@ class TestGroupIndexProperty:
         groups = mc.group_index(s, d)
         held, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
         np.testing.assert_array_equal(groups.codes, inverse)
-        assert [r.tolist() for r in groups.rows] == [np.flatnonzero(s == g).tolist() for g in held]
-        assert groups.shares.tobytes() == (counts / n).tobytes()
+        assert groups.counts.tobytes() == counts.tobytes()
 
         probs = softmax_rows(rng, n, c, 2.0)
         got = mc.q_from_groups(probs, groups, floor)
@@ -570,10 +567,34 @@ class TestGroupIndexProperty:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
         # The same rows with every group of 1..d listed, the empty ones too.
-        listed = mc.GroupIndex(codes=s - 1,
-                               rows=tuple(np.flatnonzero(s == j + 1) for j in range(d)),
-                               shares=np.bincount(s - 1, minlength=d) / n)
+        listed = mc.GroupIndex(codes=s - 1, counts=np.bincount(s - 1, minlength=d))
         value, seed = ft.hsic_penalty(probs, s, groups)
         value_listed, seed_listed = ft.hsic_penalty(probs, s, listed)
         assert value == value_listed
         assert seed.tobytes() == seed_listed.tobytes()
+
+
+@st.composite
+def indexed_softmax_rows(draw):
+    """Softmax rows (N from 1 to 3000, c from 1 to 9, logits scaled x0.1 to x40)
+    and the group index of labels in 1..d (d from 1 to 11) that may lack
+    groups or hold only one."""
+    n, c, d = draw(st.integers(1, 3000)), draw(st.integers(1, 9)), draw(st.integers(1, 11))
+    held = sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=min(d, n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.permutation(np.concatenate([held, rng.choice(held, n - len(held))]))
+    probs = softmax_rows(rng, n, c, draw(st.sampled_from([0.1, 1.0, 5.0, 40.0])))
+    return probs, mc.group_index(s.astype(np.int64), d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_softmax_rows(), st.sampled_from([1e-6, 0.05, 0.3]))
+def test_q_from_groups_bitwise_equals_the_gather_oracle(drawn, floor):
+    """One weighted bincount per class keeps the bits of gathering each
+    group's rows and taking their column mean."""
+    probs, groups = drawn
+    got = mc.q_from_groups(probs, groups, floor)
+    want = q_from_groups_gather(probs, groups, floor)
+    for field in ("q", "row_marginal", "col_marginal"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.deflatable == want.deflatable

@@ -524,6 +524,19 @@ class TestOnePassBackward:
         assert backward(None).tobytes() == grad.tobytes()
         assert backward(u).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("c", [3, 5, 8])
+    def test_vjp_bits_do_not_depend_on_the_layout_of_u(self, c):
+        # From 5 classes the broadcast subtract kept u's Fortran order, and a
+        # Fortran-ordered dlogits took other sums and another GEMM operand.
+        rng = np.random.default_rng(c)
+        batch = random_batch(rng, n=500, p=4, c=c)
+        params = md.init_params("linear", 4, c, seed=c)
+        u = rng.normal(size=(500, c))
+        vjp = md.jacobian_probs(params, batch.features)
+        _, _, backward = md.loss_grad_and_vjp(params, batch)
+        for f in (vjp, backward):
+            assert f(np.asfortranarray(u)).tobytes() == f(u).tobytes()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_census_shape_under_each_blas_thread_count(self, threads):
         # The thread count can move a GEMM's bits, so each count is checked
