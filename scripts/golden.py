@@ -20,7 +20,9 @@ minibatches lack a group and whose test split lacks group ``c`` (so two
 of the six tuples of its product-coded spec), and a
 small whitespace-delimited table with a derived sensitive column and one
 quoted number, which numpy's C reader refuses, so the loader reads that
-split (and the clustering view its pool) again as text.  The matrix holds
+split (and the clustering view its pool) again as text, and two seeded raw
+``csv:`` clustering tables of 300 points, one with one coordinate column
+and one with nine.  The matrix holds
 the three perfbench workloads' sweeps, ``configs/synth_dp.json``,
 ``train`` in all six modes with ``linear`` and ``one_hidden:4`` at full
 batch and ``batch_size`` 64 (``--jobs`` 1 and 2), ``dp_discrete``, ``none``
@@ -34,7 +36,9 @@ and ``eo`` on the binary one) at a floor of 0.45, which clamps the ``yes``
 class's mean predicted mass on nearly every step, ``dp_discrete`` on the
 token table at ``batch_size`` 16, ``cluster`` in both modes with both
 inits on ``toy:0`` and the census view and once on the token table's view,
-``demo-toy``, and ``eval`` on both splits, a split that lacks a group
+``cluster`` on the one-coordinate table, on the nine-coordinate table and
+there with ``n_clusters`` 1 (the distance kernel's one-feature, p >= 8 and
+one-centre shapes), ``demo-toy``, and ``eval`` on both splits, a split that lacks a group
 included, on the product-coded rare table's test split and on the token
 table's test split.
 
@@ -52,7 +56,7 @@ one verdict:
 The exit status is 1 when a file is structural or a numeric column moves by
 more than ``--tol`` (absolute, default 0), else 0.  The whole run takes
 about 25 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
-under 15 s per side for its 80 entries, plus the inputs and the diff.
+under 15 s per side for its 83 entries, plus the inputs and the diff.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 TABLE_SEED = 1
 RARE_ROWS = (300, 60)  # train, test
 TOKEN_ROWS = (160, 40)  # train, test
+POINT_ROWS = 300
 
 # Run inside each side's subprocess: argv[1] is the matrix JSON, argv[2] the
 # side's output root.  ``{root}`` in an argument is that root, ``{out}`` the
@@ -161,6 +166,24 @@ def write_token_table(where: str) -> str:
     return spec
 
 
+def write_point_tables(where: str) -> dict:
+    """Two seeded raw ``csv:`` clustering tables, coordinates then a 0/1
+    sensitive column: ``points1`` with one coordinate, ``points9`` with nine
+    of mixed scales.  Returns their paths by name."""
+    import numpy as np
+
+    rng = np.random.default_rng(TABLE_SEED)
+    paths = {}
+    for p in (1, 9):
+        coords = rng.normal(size=(POINT_ROWS, p)) * 10.0 ** rng.integers(-2, 3, size=p)
+        sensitive = rng.integers(0, 2, POINT_ROWS)
+        paths[f"points{p}"] = os.path.join(where, f"points{p}.csv")
+        with open(paths[f"points{p}"], "w") as fh:
+            for row, s in zip(coords.tolist(), sensitive.tolist()):
+                fh.write(",".join(map(repr, row)) + f",{s}\n")
+    return paths
+
+
 def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     """Write the inputs and configs under ``inputs``; return ``(entry, argv)`` pairs."""
     sys.path.insert(0, PERFBENCH)
@@ -172,6 +195,7 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     gen_table.generate(TABLE_SEED, data_dir, *workloads.SCALES["full"]["rows"])
     rare = write_rare_table(data_dir)
     tokens = write_token_table(data_dir)
+    points = write_point_tables(data_dir)
     # The specs are copied so that no config names a checkout's path.
     specs = shutil.copytree(workloads.SPECS, os.path.join(inputs, "specs"), dirs_exist_ok=True)
     wide = os.path.join(specs, "census_wide.spec")
@@ -228,6 +252,13 @@ def build_matrix(inputs: str) -> list[tuple[str, list[str]]]:
     add("cluster.tokens", "cluster",
         {"dataset": tokens, "n_clusters": 5, "lambda_grid": [0.0, 10.0], "max_sweeps": 10,
          "init": "kmeanspp", "w_update_mode": "per_point", "seeds": [0]})
+    # The distance kernel's one-feature, p >= 8 and one-centre shapes.
+    for name, table, k, w_mode in (("csv1", "points1", 5, "per_point"),
+                                   ("csv9", "points9", 5, "per_sweep"),
+                                   ("csv9.k1", "points9", 1, "per_point")):
+        add(f"cluster.{name}", "cluster",
+            {"dataset": f"csv:{points[table]}", "n_clusters": k, "lambda_grid": [0.0, 10.0],
+             "max_sweeps": 20, "init": "kmeanspp", "w_update_mode": w_mode, "seeds": [0]})
     matrix.append(("demo_toy", ["demo-toy", "--out", "{out}"]))
     for split in ("train", "test"):
         matrix.append((f"eval.pair.{split}", [

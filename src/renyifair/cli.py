@@ -4,7 +4,7 @@ Subcommands::
 
     renyifair train   --config cfg.json --out DIR [--seeds 0,1] [--jobs N]
     renyifair cluster --config cfg.json --out DIR [--seeds 0] [--jobs N]
-    renyifair eval    --checkpoint params.txt --dataset NAME [--split test]
+    renyifair eval    --checkpoint params.txt --dataset NAME [--split test] [--floor F]
     renyifair demo-toy --out DIR [--seed 0] [--lambdas 0,1000]
 
 Every command also takes ``--log-level`` (``DEBUG``, ``INFO``, ``WARNING``
@@ -25,7 +25,10 @@ raises the same way, naming the flag.  A training dataset is a spec file path or
 (``n`` even, at least 2; seed 0 trains, seed 1 tests), and ``eval`` reads
 the same names; a clustering one is a spec file with a clustering view,
 ``toy:<seed>`` or ``csv:<path>``.  A synthetic name's integer is parsed
-before the output directory is written.
+before the output directory is written.  ``eval --floor`` (a positive
+finite number, default 1e-6) is the marginal floor of its ``sigma2``; a
+checkpoint does not record the floor it was trained at, so pass that
+floor to reproduce the run's ``sweep.csv`` value.
 ``--jobs N`` (at least 1) starts at most one worker process per run.
 Dataset spec files resolve their source files against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, data, faircluster, fairtrain, metrics, model
+from . import __version__, data, faircluster, fairtrain, maxcorr, metrics, model
 
 TRAIN_COLUMNS = (
     "lambda", "seed", "split", "accuracy", "error", "p_percent", "dp_violation",
@@ -132,13 +135,19 @@ def _fmt(value) -> str:
 _FMT_BY_TYPE = {float: repr, int: str, str: str}
 
 
+def _cell(value) -> str:
+    return _FMT_BY_TYPE.get(type(value), _fmt)(value)
+
+
 def write_csv(path, columns, rows) -> None:
-    """Write ``columns`` as the header, then each row, a sequence in column order."""
-    fmt = _FMT_BY_TYPE.get
+    """Write ``columns`` as the header, then each row, a sequence in column order.
+
+    The cells are rendered a column at a time and the file written in one call.
+    """
+    cells = [map(_cell, column) for column in zip(*rows)]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join([fmt(type(v), _fmt)(v) for v in row]) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_manifest(out_dir, cfg: ExperimentConfig, failures: list[str]) -> None:
@@ -392,11 +401,15 @@ def _safe_call(fn, *args):
         return False, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
-def cmd_eval(checkpoint: str, dataset: str, split: str = "test") -> metrics.EvalReport:
+def cmd_eval(checkpoint: str, dataset: str, split: str = "test",
+             floor: float = maxcorr.DEFAULT_MARGINAL_FLOOR) -> metrics.EvalReport:
+    """The metrics of a checkpoint on one split; ``floor`` is the marginal
+    floor of its ``sigma2``, which a checkpoint does not record, so pass the
+    training run's to reproduce its ``sweep.csv`` row."""
     load = _train_loader(dataset, "--dataset")
     params = model.load_params(checkpoint)
     train, test = load()
-    return metrics.evaluate(params, test if split == "test" else train)
+    return metrics.evaluate(params, test if split == "test" else train, floor=floor)
 
 
 def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
@@ -422,6 +435,17 @@ def cmd_demo_toy(out_dir: str, seed: int = 0, lambdas=(0.0, 1000.0)) -> int:
     for lam, planted, matched, proportion in tables:
         print(f"lambda={lam:g} blob {planted} -> cluster {matched} proportion {proportion:.3f}")
     return 0
+
+
+def _floor(text: str) -> float:
+    """The ``--floor`` value: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _jobs(text: str) -> int:
@@ -452,6 +476,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="spec file or synth:yequalss:<n>, as for train")
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.add_argument("--out", default=None, help="optional JSON output path")
+    p.add_argument("--floor", type=_floor, default=maxcorr.DEFAULT_MARGINAL_FLOOR,
+                   help="marginal floor of sigma2; pass the training run's floor "
+                        f"(default {maxcorr.DEFAULT_MARGINAL_FLOOR:g})")
 
     p = sub.add_parser("demo-toy", parents=[common])
     p.add_argument("--out", required=True)
@@ -492,7 +519,7 @@ def _run(args) -> int:
         runner = cmd_train if args.command == "train" else cmd_cluster
         return runner(cfg, args.out, jobs=args.jobs)
     if args.command == "eval":
-        report = cmd_eval(args.checkpoint, args.dataset, args.split)
+        report = cmd_eval(args.checkpoint, args.dataset, args.split, args.floor)
         text = report.to_json()
         print(text)
         if args.out:

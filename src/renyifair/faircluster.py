@@ -31,6 +31,15 @@ scoring the points one at a time:
   are the same IEEE-double operations as the array form, so the bits
   agree too (see ``_per_point_pass``).
 
+Every squared distance, in the sweeps and in k-means++, comes from one
+kernel, ``_sq_distances``, which reads a p x N C-contiguous transpose of
+the points made once per run and returns the K x N matrix, so its inner
+loop runs along the N points rather than along the K centers.  It sums
+the features left to right from the first one's square; a square is
+never -0.0, so that is the bits of summing from 0.0.  The block scan
+reads the N x K transpose of that matrix; the vectorised argmin takes it
+over the K axis as it is.
+
 After each sweep, and at the start, a nonempty cluster's center is the
 mean of its points; from 2 features on the sums are one ``np.bincount``
 per feature, which gives the bits of numpy's masked mean (see
@@ -170,48 +179,59 @@ def _update_centers(points, assignments, counts, centers) -> None:
         centers[full, f] = sums[full] / counts[full]
 
 
-def _sq_distances(points, centers) -> np.ndarray:
-    """The N x K squared distances, summed over the features left to right from 0.0.
+def _sq_distances(points_t, centers) -> np.ndarray:
+    """The K x N squared distances of the p x N ``points_t`` to the K x p centers.
 
-    One feature at a time, without the N x K x p temporary of
-    ``((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)``.
-    Below 8 features that is numpy's own order, so the bits match the
-    expression; from 8 on numpy sums pairwise, and the two differ by at
-    most p ulps relative.
+    The features are summed left to right, each squared difference added
+    into the sum of those before it, with the inner loop along the points.
+    The sum starts at the first feature's square rather than at 0.0 plus
+    it, which is the same bits: a square is never -0.0, so ``0.0 + d * d``
+    is ``d * d``.  Below 8 features that is numpy's own order, so the bits
+    match ``((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).T``;
+    from 8 on numpy sums pairwise, and the two differ by at most p ulps
+    relative.
     """
-    d2 = np.zeros((points.shape[0], centers.shape[0]))
-    for j in range(points.shape[1]):
-        d = points[:, j, None] - centers[None, :, j]
-        d *= d
-        d2 += d
+    d2 = np.subtract(points_t[0], centers[:, 0, None])
+    np.multiply(d2, d2, out=d2)
+    d = np.empty_like(d2)
+    for f in range(1, points_t.shape[0]):
+        np.subtract(points_t[f], centers[:, f, None], out=d)
+        np.multiply(d, d, out=d)
+        np.add(d2, d, out=d2)
     return d2
 
 
-def _init_state(points, sensitive, cfg: ClusterConfig, rng) -> ClusterState:
+def _init_state(points, sensitive, cfg: ClusterConfig, rng, points_t=None) -> ClusterState:
+    """The configured initial state; ``points_t`` is ``points``' p x N
+    C-contiguous transpose, made here when not given."""
     n, _ = points.shape
     k = cfg.n_clusters
     if cfg.init == "random_assignment":
         assignments = rng.integers(0, k, size=n) + 1
     else:
-        centers = _kmeanspp_centers(points, k, rng)
-        d2 = _sq_distances(points, centers)
-        assignments = np.argmin(d2, axis=1) + 1
+        if points_t is None:
+            points_t = np.ascontiguousarray(points.T)
+        centers = _kmeanspp_centers(points_t, k, rng)
+        assignments = np.argmin(_sq_distances(points_t, centers), axis=0) + 1
     return _state_from_assignments(points, sensitive, k, assignments.astype(np.int64))
 
 
-def _kmeanspp_centers(points, k, rng) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+def _kmeanspp_centers(points_t, k, rng) -> np.ndarray:
+    """k-means++ seeding from the p x N transposed points: each new center is
+    a point drawn with probability proportional to its squared distance to
+    the nearest center so far (uniformly once every distance is 0)."""
+    n = points_t.shape[1]
+    centers = np.empty((k, points_t.shape[0]))
     first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = _sq_distances(points, centers[:1])[:, 0]
+    centers[0] = points_t[:, first]
+    d2 = _sq_distances(points_t, centers[:1])[0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centers[j] = points[int(rng.integers(n))]
+            centers[j] = points_t[:, int(rng.integers(n))]
         else:
-            centers[j] = points[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, _sq_distances(points, centers[j:j + 1])[:, 0])
+            centers[j] = points_t[:, int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, _sq_distances(points_t, centers[j:j + 1])[0])
     return centers
 
 
@@ -291,7 +311,10 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
     vector revisits a previous state (a cycle), or at ``max_sweeps``.
 
     ``initial_assignments`` (1-based) overrides the configured
-    initialization; centers start at the implied cluster means.
+    initialization; centers start at the implied cluster means.  Points
+    are refused when they are not finite, or when one feature's range
+    exceeds ``sqrt(max float / (N * p))``, past which a squared distance
+    or the loss could overflow.
     """
     x = np.asarray(points, dtype=np.float64)
     s = np.asarray(sensitive)
@@ -307,6 +330,16 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds the number of points {n}")
     s_int = s.astype(np.int64)
     s = s.astype(np.float64)
+    # The sweeps and k-means++ read the points one feature row at a time.
+    points_t = np.ascontiguousarray(x.T)
+    # Every center lies within each feature's range, so no squared distance,
+    # k-means++ total or loss exceeds n * p * span ** 2.
+    bound = math.sqrt(np.finfo(np.float64).max / x.size)
+    with np.errstate(over="ignore"):
+        span = float(np.ptp(points_t, axis=1).max())
+    if span > bound:
+        raise ValueError(f"points span {span!r} along one feature, more than "
+                         f"sqrt(max float / (N * p)) = {bound!r}: squared distances could overflow")
 
     rng = np.random.default_rng(cfg.seed)
     if initial_assignments is not None:
@@ -317,7 +350,7 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
             raise ValueError(f"initial assignments must be integers, got {a[bad][0].item()!r}")
         state = _state_from_assignments(x, s, cfg.n_clusters, labels)
     else:
-        state = _init_state(x, s, cfg, rng)
+        state = _init_state(x, s, cfg, rng, points_t)
     trace = ClusterTrace()
     # Assignments alone do not determine the dynamics when a cluster is
     # empty (its kept center is history), so the cycle key includes centers.
@@ -326,14 +359,14 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
 
     for sweep in range(1, cfg.max_sweeps + 1):
         prev = state.assignments.copy()
-        d2 = _sq_distances(x, state.centers)
+        d2 = _sq_distances(points_t, state.centers)
         if per_point:
-            _per_point_pass(d2, s_int, state, cfg.lam)
+            _per_point_pass(np.ascontiguousarray(d2.T), s_int, state, cfg.lam)
         else:
             # At lam = 0 the penalty is +0.0 and d2 >= +0.0, so d2 is the score.
             scores = d2 if cfg.lam == 0 else (
-                d2 - cfg.lam * (state.proportions[None, :] - s[:, None]) ** 2)
-            state.assignments = np.argmin(scores, axis=1) + 1
+                d2 - cfg.lam * (state.proportions[:, None] - s[None, :]) ** 2)
+            state.assignments = np.argmin(scores, axis=0) + 1
             state.counts, state.priv_counts, state.proportions = _tally(
                 state.assignments, s, cfg.n_clusters, state.global_priv)
         # Each point is visited once per sweep, so the moves are the changed entries.

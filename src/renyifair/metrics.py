@@ -40,7 +40,10 @@ def p_percent(hard_preds, sensitive) -> float:
     Defined as 1 when both rates are zero (vacuous parity) and 0 when
     exactly one is zero.
     """
-    rates = _positive_rates(hard_preds, sensitive, POSITIVE_CLASS)
+    return _p_percent(_positive_rates(hard_preds, sensitive, POSITIVE_CLASS))
+
+
+def _p_percent(rates: dict) -> float:
     if set(rates) != {1, 2}:
         raise ValueError("p_percent needs both binary sensitive groups nonempty")
     r1, r2 = rates[1], rates[2]
@@ -53,10 +56,14 @@ def p_percent(hard_preds, sensitive) -> float:
 
 def dp_violation(hard_preds, sensitive, positive_class: int = POSITIVE_CLASS) -> float:
     """Largest pairwise gap in positive-prediction rates across groups."""
-    rates = list(_positive_rates(hard_preds, sensitive, positive_class).values())
-    if len(rates) < 2:
+    return _dp_violation(_positive_rates(hard_preds, sensitive, positive_class))
+
+
+def _dp_violation(rates: dict) -> float:
+    values = list(rates.values())
+    if len(values) < 2:
         raise ValueError("dp_violation needs at least two nonempty groups")
-    return float(max(rates) - min(rates))
+    return float(max(values) - min(values))
 
 
 def eo_violation(hard_preds, sensitive, labels) -> float:
@@ -89,9 +96,8 @@ def nmi(hard_preds, sensitive) -> float:
         raise ValueError("inputs must be equal-length and nonempty")
     a_vals, a_idx = np.unique(a, return_inverse=True)
     b_vals, b_idx = np.unique(b, return_inverse=True)
-    joint = np.zeros((len(a_vals), len(b_vals)))
-    np.add.at(joint, (a_idx, b_idx), 1.0)
-    joint /= joint.sum()
+    joint = np.bincount(a_idx * len(b_vals) + b_idx, minlength=len(a_vals) * len(b_vals))
+    joint = joint.reshape(len(a_vals), len(b_vals)) / a.size
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     ha, hb = _entropy(pa), _entropy(pb)
@@ -153,8 +159,8 @@ def evaluate(params: ModelParams, batch: Batch,
     sigma2 = maxcorr.second_singular_value(maxcorr.q_from_groups(probs, groups, floor))
     rates = _positive_rates(preds, batch.sensitive, POSITIVE_CLASS)
     binary = d == 2 and len(rates) == 2
-    pp = p_percent(preds, batch.sensitive) if binary else None
-    dp = dp_violation(preds, batch.sensitive) if len(rates) >= 2 else None
+    pp = _p_percent(rates) if binary else None
+    dp = _dp_violation(rates) if len(rates) >= 2 else None
     eo = None
     if binary and batch.n_classes == 2:
         try:

@@ -136,6 +136,18 @@ def assign_point(x, s: int, centers, proportions, lam: float) -> int:
     return int(np.argmin(scores)) + 1
 
 
+def sq_distances_rows(points, centers) -> np.ndarray:
+    """The N x K squared distances of the N x p ``points``, one feature at a
+    time from 0.0, the inner loop along the K centers: the bits that
+    ``faircluster._sq_distances`` keeps in its K x N layout."""
+    d2 = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        d = points[:, j, None] - centers[None, :, j]
+        d *= d
+        d2 += d
+    return d2
+
+
 def check_consistent(state) -> None:
     """Raise unless a ``ClusterState``'s counts match its assignments."""
     k = len(state.counts)

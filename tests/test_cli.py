@@ -151,6 +151,27 @@ class TestTrainCommand:
             run(["train", "--config", cfg, "--out", tmp_path / "x"])
 
 
+class TestWriteCsv:
+    """The column-at-a-time writer against rendering each row on its own."""
+
+    @staticmethod
+    def row_at_a_time(columns, rows):
+        lines = [",".join(columns)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        return "".join(line + "\n" for line in lines)
+
+    def test_bytes_equal_the_row_at_a_time_rendering(self, tmp_path):
+        rows = [(0.1, 3, "train", None, True, np.float64(1e-300), np.bool_(False), np.int64(7)),
+                (-0.0, -2, "test", 2.5, False, np.float32(0.1), np.bool_(True), 10**20),
+                (float("inf"), 0, "", None, 1, 1.0, 0.0, "x")]
+        columns = [f"c{j}" for j in range(8)]
+        cli.write_csv(tmp_path / "a.csv", columns, iter(rows))
+        assert (tmp_path / "a.csv").read_text() == self.row_at_a_time(columns, rows)
+
+    def test_no_rows_is_the_header_alone(self, tmp_path):
+        cli.write_csv(tmp_path / "a.csv", ("lambda", "seed"), [])
+        assert (tmp_path / "a.csv").read_bytes() == b"lambda,seed\n"
+
+
 class TestConfigHash:
     """The hash covers a spec file's contents, not the path it is named by."""
 
@@ -630,6 +651,46 @@ class TestEvalCommand:
                     "--split", split]) == 0
         want = mt.evaluate(md.load_params(checkpoint), data.synth_yequalss(200, seed=seed))
         assert capsys.readouterr().out == want.to_json() + "\n"
+
+
+    def test_floor_flag_reproduces_the_training_rows_sigma2(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Group a is a quarter of the rows, so a floor of 0.45 clamps its share.
+        rows = ["%d, %s, %s" % (i, "a" if i % 4 == 0 else "b", "yes" if i % 3 else "no")
+                for i in range(40)]
+        (tmp_path / "mini.csv").write_text("\n".join(rows) + "\n")
+        spec = tmp_path / "mini.spec"
+        spec.write_text("name = mini\ncolumns = v g cls\nlabel = cls\npositive_label = yes\n"
+                        "sensitive = g\nsensitive_positive = a\nsplit = head\n"
+                        "train_count = 30\ntest_count = 10\nfile = mini.csv\n")
+        monkeypatch.setenv("RENYIFAIR_DATA", str(tmp_path))
+        cfg = write_config(tmp_path / "cfg.json", dataset=str(spec), fairness_mode="dp_discrete",
+                           lambda_grid=[1.0], iters=20, floor=0.45)
+        out = tmp_path / "out"
+        assert run(["train", "--config", cfg, "--out", out]) == 0
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        row = next(dict(zip(header.split(","), line.split(","))) for line in lines
+                   if ",train," in line)
+        checkpoint = out / "params_lam1_seed0.txt"
+        capsys.readouterr()
+        reports = []
+        for extra in (["--floor", "0.45"], []):
+            assert run(["eval", "--checkpoint", checkpoint, "--dataset", spec,
+                        "--split", "train", *extra]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert repr(reports[0]["sigma2"]) == row["sigma2"]
+        assert reports[1]["sigma2"] != reports[0]["sigma2"]
+        want = cli.cmd_eval(str(checkpoint), str(spec), "train")
+        assert reports[1] == json.loads(want.to_json())
+
+    @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf", "-inf", "x"])
+    def test_floor_flag_refuses_a_non_positive_or_non_finite_value(self, tmp_path, capsys,
+                                                                    value):
+        with pytest.raises(SystemExit):
+            run(["eval", "--checkpoint", tmp_path / "none.txt", "--dataset",
+                 "synth:yequalss:20", f"--floor={value}"])
+        err = capsys.readouterr().err
+        assert f"argument --floor: expected a positive finite number, got {value!r}" in err
 
 
 class TestDemoToy:

@@ -1,5 +1,6 @@
 """Fair K-means: assignment rule, proportion bookkeeping, oscillation demo."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import assign_point, check_consistent, update_proportions_incremental
+from oracles import (
+    assign_point, check_consistent, sq_distances_rows, update_proportions_incremental)
 from renyifair import faircluster as fc
 
 
@@ -278,6 +280,34 @@ class TestFairKmeans:
         with pytest.raises(ValueError, match=f"^points must be finite, got {bad!r}$"):
             fc.fair_kmeans(points, COUNTER_S, fc.ClusterConfig(n_clusters=2))
 
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    def test_points_whose_distances_can_overflow_rejected(self, init):
+        # Finite points at +-1e200: kmeans++ would draw from nan weights and
+        # random_assignment would report an inf loss.
+        points = np.array([[-1e200, 0.0], [1e200, 1.0], [1e200, 0.0], [-1e200, 1.0]])
+        bound = math.sqrt(np.finfo(float).max / 8)
+        message = (f"points span {2e200!r} along one feature, more than sqrt(max float / "
+                   f"(N * p)) = {bound!r}: squared distances could overflow")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fc.fair_kmeans(points, COUNTER_S, fc.ClusterConfig(n_clusters=2, init=init))
+
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    def test_points_just_inside_the_overflow_bound_run(self, init):
+        # The span is the largest double below sqrt(max / (N * p)) whose
+        # N * p * span ** 2 is finite, the points reach both ends of it, and
+        # the next double past the bound is refused.
+        bound = math.sqrt(np.finfo(float).max / 8)
+        span = np.nextafter(bound, 0.0)
+        while span * span * 8 > np.finfo(float).max:
+            span = np.nextafter(span, 0.0)
+        points = np.array([[0.0, 0.0], [span, 1.0], [span, span], [0.0, 1.0]])
+        cfg = fc.ClusterConfig(n_clusters=3, lam=10.0, init=init, seed=1)
+        _, trace = fc.fair_kmeans(points, COUNTER_S, cfg)
+        assert np.all(np.isfinite(trace.kmeans_loss)) and np.all(np.isfinite(trace.objective))
+        points[2, 1] = np.nextafter(bound, np.inf)
+        with pytest.raises(ValueError, match="could overflow"):
+            fc.fair_kmeans(points, COUNTER_S, cfg)
+
     def test_integral_float_initial_assignments_accepted(self):
         cfg = fc.ClusterConfig(n_clusters=2, lam=75.0, max_sweeps=30)
         assert_runs_bitwise_equal(
@@ -369,8 +399,11 @@ class TestVectorisedPassMatchesReference:
 
 
 class TestSquaredDistances:
-    """One kernel for every squared distance: features summed left to right.
+    """One kernel for every squared distance: K x N from the p x N transposed
+    points, features summed left to right from the first one's square.
 
+    That gives the bits of the N-major loop that sums from 0.0
+    (``oracles.sq_distances_rows``), since ``0.0 + d * d`` is ``d * d``.
     Below 8 features that is numpy's own order, so the kernel gives the bits
     of the N x K x p sum; from 8 on numpy sums pairwise and the two agree to
     p ulps relative.
@@ -385,7 +418,7 @@ class TestSquaredDistances:
     def test_bitwise_equal_generic_expression(self, p):
         rng = np.random.default_rng(p)
         x, centers = self.points(rng, 500, p), self.points(rng, 14, p)
-        got = fc._sq_distances(x, centers)
+        got = fc._sq_distances(np.ascontiguousarray(x.T), centers).T
         loop = np.zeros_like(got)
         for j in range(p):
             d = x[:, j, None] - centers[None, :, j]
@@ -402,7 +435,7 @@ class TestSquaredDistances:
         # distance is left to weight by, so the last two are uniform draws.
         x = np.array([[0.0, 0.0], [1.0, 0.0]] * 3)
         rng, want = np.random.default_rng(5), np.random.default_rng(5)
-        got = fc._kmeanspp_centers(x, 4, rng)
+        got = fc._kmeanspp_centers(np.ascontiguousarray(x.T), 4, rng)
         first = int(want.integers(6))
         d2 = ((x - x[first]) ** 2).sum(axis=1)
         picks = [first, int(want.choice(6, p=d2 / d2.sum())),
@@ -412,6 +445,34 @@ class TestSquaredDistances:
         state, _ = fc.fair_kmeans(x, np.array([0, 1] * 3),
                                   fc.ClusterConfig(n_clusters=4, init="kmeanspp", seed=5))
         assert np.count_nonzero(state.counts) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 16), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_the_row_major_oracle(self, n, k, p, seed):
+        # Mixed magnitudes and -0.0 entries in both the points and the centers.
+        rng = np.random.default_rng(seed)
+        x, centers = self.points(rng, n, p), self.points(rng, k, p)
+        x[rng.random(x.shape) < 0.1] = -0.0
+        centers[rng.random(centers.shape) < 0.2] = -0.0
+        got = fc._sq_distances(np.ascontiguousarray(x.T), centers)
+        assert got.shape == (k, n)
+        assert np.ascontiguousarray(got.T).tobytes() == sq_distances_rows(x, centers).tobytes()
+
+    @pytest.mark.parametrize("mode", fc.W_UPDATE_MODES)
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    def test_fair_kmeans_keeps_its_bits_under_the_row_major_oracle(
+            self, monkeypatch, mode, init, lam):
+        rng = np.random.default_rng(21)
+        points = self.points(rng, 400, 5)
+        sensitive = rng.integers(0, 2, 400)
+        cfg = fc.ClusterConfig(n_clusters=14, lam=lam, max_sweeps=8, seed=4,
+                               w_update_mode=mode, init=init)
+        got = fc.fair_kmeans(points, sensitive, cfg)
+        monkeypatch.setattr(fc, "_sq_distances",
+                            lambda points_t, centers: sq_distances_rows(points_t.T, centers).T)
+        assert_runs_bitwise_equal(got, fc.fair_kmeans(points, sensitive, cfg))
 
     @pytest.mark.parametrize("p", [1, 2, 5, 7])
     def test_kmeanspp_centers_match_the_numpy_expression(self, p):
@@ -431,7 +492,7 @@ class TestSquaredDistances:
             return centers
 
         x = self.points(np.random.default_rng(p), 2000, p)
-        got = fc._kmeanspp_centers(x, 14, np.random.default_rng(3))
+        got = fc._kmeanspp_centers(np.ascontiguousarray(x.T), 14, np.random.default_rng(3))
         assert got.tobytes() == kmeanspp(x, 14, np.random.default_rng(3)).tobytes()
 
 

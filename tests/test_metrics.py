@@ -213,3 +213,56 @@ class TestEvaluate:
         assert report.dp_violation == 0.0
         assert report.sigma2 <= 1e-9
         assert report.nmi == 0.0
+
+    @staticmethod
+    def nmi_add_at(a, b):
+        """``nmi`` with its joint counted by ``np.add.at``, as it once was."""
+        a_vals, a_idx = np.unique(a, return_inverse=True)
+        b_vals, b_idx = np.unique(b, return_inverse=True)
+        joint = np.zeros((len(a_vals), len(b_vals)))
+        np.add.at(joint, (a_idx, b_idx), 1.0)
+        joint /= joint.sum()
+        pa, pb = joint.sum(axis=1), joint.sum(axis=0)
+        ha, hb = mt._entropy(pa), mt._entropy(pb)
+        if ha <= 0.0 or hb <= 0.0:
+            return 0.0
+        nz = joint > 0
+        mi = float((joint[nz] * np.log(joint[nz] / np.outer(pa, pb)[nz])).sum())
+        return mi / np.sqrt(ha * hb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 10]), st.integers(2, 3), st.integers(1, 400),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_fields_bitwise_equal_the_public_metrics(self, d, c, n, lack, seed):
+        # Random predictions from a random linear model; with ``lack`` the
+        # split holds no row of group d (the declared alphabet keeps it).
+        rng = np.random.default_rng(seed)
+        sensitive = rng.integers(1, d + (not lack), n)
+        batch = md.Batch(rng.normal(size=(n, 3)), rng.integers(1, c + 1, n), sensitive,
+                         n_classes=c, n_groups=d)
+        params = md.init_params("linear", 3, c, seed=int(rng.integers(1000)))
+        preds = mt.hard_predictions(md.forward(params, batch.features))
+        report = mt.evaluate(params, batch)
+
+        def same(got, call):
+            try:
+                want = call()
+            except ValueError:
+                want = None
+            assert repr(got) == repr(want)
+
+        binary = d == 2 and np.unique(sensitive).size == 2
+        if binary:
+            same(report.p_percent, lambda: mt.p_percent(preds, sensitive))
+        else:
+            assert report.p_percent is None
+        same(report.dp_violation, lambda: mt.dp_violation(preds, sensitive))
+        if binary and c == 2:
+            same(report.eo_violation, lambda: mt.eo_violation(preds, sensitive, batch.labels))
+        else:
+            assert report.eo_violation is None
+        assert repr(report.nmi) == repr(mt.nmi(preds, sensitive))
+        assert repr(mt.nmi(preds, sensitive)) == repr(self.nmi_add_at(preds, sensitive))
+        assert report.positive_rates == {
+            str(g): float(np.mean(preds[sensitive == g] == mt.POSITIVE_CLASS))
+            for g in np.unique(sensitive)}
