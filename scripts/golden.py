@@ -13,8 +13,11 @@ its default, one thread per CPU).  Every entry writes its files, its
 captured stdout and stderr (``stdout.log``, ``stderr.log``) and its exit
 status (``exit.txt``) into ``WORK/<side>/<entry>/``.
 
-The inputs are built once under ``WORK/inputs`` and read by both sides, so
-nothing is downloaded: the census-like tables of ``perfbench/gen_table.py``
+The inputs are built once, and each side runs on its own fresh copy of
+them at ``WORK/inputs`` (the configs name files there), so that each side
+starts without a dataset cache entry (``.renyifair-cache/`` beside the
+tables) and parses every table cold.  Nothing is downloaded.  The inputs
+are the census-like tables of ``perfbench/gen_table.py``
 (full size, seed 1), a small rare-group table written here, whose
 minibatches lack a group and whose test split lacks group ``c`` (so two
 of the six tuples of its product-coded spec), and a
@@ -42,6 +45,12 @@ one-centre shapes), ``demo-toy``, and ``eval`` on both splits, a split that lack
 included, on the product-coded rare table's test split and on the token
 table's test split.
 
+After its cold run the change side runs the matrix a second time on its
+own inputs, now with the cache entries its first run wrote, into
+``WORK/change.warm``; each file of that run must have the bytes of its cold
+run (``stderr.log`` included, so log records must be replayed from the
+cache), and any file that differs is structural.
+
 Before comparing, the checkout's path and the side's output directory are
 replaced by ``<checkout>`` and ``<out>`` in every file.  Each file then gets
 one verdict:
@@ -54,9 +63,10 @@ one verdict:
   a row count or a non-numeric token changed).
 
 The exit status is 1 when a file is structural or a numeric column moves by
-more than ``--tol`` (absolute, default 0), else 0.  The whole run takes
-about 25 s on a 2-vCPU Xeon (Python 3.11, numpy 2.4, one BLAS thread):
-under 15 s per side for its 83 entries, plus the inputs and the diff.
+more than ``--tol`` (absolute, default 0), or when the warm rerun differs
+from the cold run, else 0.  The whole run takes about 45 s on a 2-vCPU
+Xeon (Python 3.11, numpy 2.4, one BLAS thread): under 15 s per run for its
+83 entries, three runs, plus the inputs and the diffs.
 """
 
 from __future__ import annotations
@@ -466,16 +476,27 @@ def main(argv=None) -> int:
     matrix_path = os.path.join(inputs, "matrix.json")
     with open(matrix_path, "w") as fh:
         json.dump(matrix, fh, indent=1)
+    built = shutil.copytree(inputs, os.path.join(work, "inputs.built"), dirs_exist_ok=True)
     roots = {}
     for side, checkout in (("parent", args.parent), ("change", args.change)):
-        roots[side] = os.path.join(work, side)
-        seconds = run_side(checkout, matrix_path, inputs, roots[side], args.blas_threads)
-        normalise(roots[side], checkout)
-        print(f"{side}: {len(matrix)} entries in {seconds:.1f} s at {args.blas_threads} "
-              f"BLAS thread(s) ({checkout})")
+        # A fresh copy at the same path: no cache entry, and configs that name the same files.
+        shutil.rmtree(inputs)
+        shutil.copytree(built, inputs)
+        # The change side runs twice: cold, then warm on the cache its first run wrote.
+        for root in [side] + (["change.warm"] if side == "change" else []):
+            roots[root] = os.path.join(work, root)
+            seconds = run_side(checkout, matrix_path, inputs, roots[root], args.blas_threads)
+            normalise(roots[root], checkout)
+            print(f"{root}: {len(matrix)} entries in {seconds:.1f} s at "
+                  f"{args.blas_threads} BLAS thread(s) ({checkout})")
     verdicts = compare_trees(roots["parent"], roots["change"])
     print(report(verdicts, args.tol))
-    return 1 if any(beyond(v, args.tol) for v in verdicts) else 0
+    # Any file of the warm rerun that differs from the cold run is structural.
+    warm = [v if v["verdict"] == "identical" else
+            {"file": v["file"], "verdict": "structural", "why": v.get("why", "warm rerun differs")}
+            for v in compare_trees(roots["change"], roots["change.warm"])]
+    print("change.warm against change: " + report(warm, 0.0))
+    return 1 if any(beyond(v, args.tol) for v in verdicts + warm) else 0
 
 
 if __name__ == "__main__":

@@ -44,9 +44,9 @@ writer, ``write_csv``, renders every CSV.  Outputs contain no timestamps:
 rerunning a config with the same seeds produces byte-identical CSVs.
 
 A failed run is listed in the manifest's ``failures``, its traceback goes
-to stderr and the command exits 1.  A diverged training run (non-finite
-loss) is a failed run with no ``sweep.csv`` rows, so the ``diverged``
-column reads 0 on every row.
+to stderr and the command exits 1.  A diverged training run (a non-finite
+loss, output, gradient norm or update, in any mode) is a failed run with no
+``sweep.csv`` rows, so the ``diverged`` column reads 0 on every row.
 """
 
 from __future__ import annotations

@@ -37,14 +37,28 @@ d = the number of sensitive tuples, so a split that lacks a group keeps
 the full alphabet.  A declared positive token that matches no training
 row is an error.
 
+Both loaders parse a table once: ``_cached`` keeps what a parse returns
+in ``.renyifair-cache/`` beside the spec's first source file, one entry
+per spec name and loader, keyed by the loader, the spec, the bytes of the
+source files and of this module, and the numpy and Python versions.  A
+load whose key matches reads the arrays back, with the same bits, layout
+and flags as the parse, and logs the parse's records again; anything else
+parses.  Entries are raw arrays after a JSON header, never pickles, and
+deleting them is always safe.
+
 Nothing here touches the network: source files are resolved against the
 ``RENYIFAIR_DATA`` environment variable (default ``./data``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import logging
+import math
 import os
+import sys
+import tempfile
 from dataclasses import MISSING, dataclass, fields
 from itertools import product, repeat
 from typing import Sequence, get_type_hints
@@ -255,15 +269,12 @@ def _read_file(path: str, delim: str | None, width: int, skip: int) -> list[str]
     return lines
 
 
-def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> list[list[str]]:
-    """Lines of the spec's source files, one list per file (see ``_read_file``).
+def _source_files(spec: DatasetSpec, root: str | None) -> list[tuple[str, int]]:
+    """Path and skip count of each of the spec's source files, in reading order.
 
     ``split = files`` reads ``train_file`` then ``test_file``, any other
-    split ``file``, and an unset one is an error.  Skipped and blank rows are
-    left out, a row of the wrong width is an error naming its file and
-    1-based row number, and under ``drop_row`` the lines holding
-    ``missing_token`` as a stripped field are dropped after ``pool`` has
-    joined the files.
+    split ``file``, and an unset one is an error.  An absolute file name
+    replaces the root.
     """
     if spec.split == "files":
         sources = [("train_file", spec.skip_rows), ("test_file", spec.test_skip_rows)]
@@ -272,10 +283,24 @@ def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> lis
     missing = [key for key, _ in sources if not getattr(spec, key)]
     if missing:
         raise ValueError(f"spec {spec.name!r}: split {spec.split!r} needs {' and '.join(missing)}")
+    base = data_root() if root is None else root
+    return [(os.path.join(base, getattr(spec, key)), skip) for key, skip in sources]
+
+
+def _read_source(spec: DatasetSpec, root: str | None, notes: list,
+                 pool: bool = False) -> list[list[str]]:
+    """Lines of the spec's source files (``_source_files``), one list per file
+    (see ``_read_file``).
+
+    Skipped and blank rows are left out, a row of the wrong width is an
+    error naming its file and 1-based row number, and under ``drop_row`` the
+    lines holding ``missing_token`` as a stripped field are dropped after
+    ``pool`` has joined the files; a count of the dropped rows goes to
+    ``notes`` (see ``_cached``).
+    """
     delim = _DELIMITERS[spec.delimiter]
-    # An absolute file name replaces the root.
-    parts = [_read_file(os.path.join(data_root() if root is None else root, getattr(spec, key)),
-                        delim, len(spec.columns), skip) for key, skip in sources]
+    parts = [_read_file(path, delim, len(spec.columns), skip)
+             for path, skip in _source_files(spec, root)]
     if pool:
         parts = [[line for lines in parts for line in lines]]
     token = spec.missing_token
@@ -287,8 +312,8 @@ def _read_source(spec: DatasetSpec, root: str | None, pool: bool = False) -> lis
         kept = [line for line in lines if token not in line
                 or token not in map(_strip, line.split(delim))]
         if len(kept) < len(lines):
-            logger.info("%s: dropped %d rows with missing values",
-                        spec.name, len(lines) - len(kept))
+            notes.append((logging.INFO, "%s: dropped %d rows with missing values",
+                          (spec.name, len(lines) - len(kept))))
         parts[k] = kept
     return parts
 
@@ -476,7 +501,7 @@ def combine_sensitive(columns: Sequence, sizes: Sequence[int]) -> tuple[np.ndarr
     return codes, tuple(product(*(range(1, size + 1) for size in sizes)))
 
 
-def _encode_splits(spec: DatasetSpec, root: str | None):
+def _encode_splits(spec: DatasetSpec, root: str | None, notes: list):
     """Codes of every column of the spec's train and test splits.
 
     Returns the feature names; per categorical feature column, train then
@@ -484,9 +509,10 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
     of the continuous features and their train and test values; the train
     and test labels and sensitive values; and the sensitive tuples.
     Lines and tokens are locals here, so they are freed by the time the
-    caller builds the feature matrices from these codes.
+    caller builds the feature matrices from these codes.  The log records
+    of unseen test tokens go to ``notes``.
     """
-    train, test = _split(spec, _read_source(spec, root))
+    train, test = _split(spec, _read_source(spec, root, notes))
 
     reserved = {spec.label, *spec.sensitive, *spec.drop}
     feature_cols = [c for c in spec.columns if c not in reserved]
@@ -517,8 +543,9 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
             # Test tokens outside the training categories go to the last column.
             te_codes = _encode(te, index, len(cats))
             if unseen := np.count_nonzero(te_codes == len(cats)):
-                logger.warning("%s: %d unseen %r tokens in test mapped to the unseen bucket",
-                               spec.name, unseen, col)
+                notes.append((logging.WARNING,
+                              "%s: %d unseen %r tokens in test mapped to the unseen bucket",
+                              (spec.name, int(unseen), col)))
             onehot.append((_encode(tr, index, len(cats), tr_values) + offset, te_codes + offset))
         else:
             numeric.append(len(feature_names))
@@ -545,8 +572,8 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
         te = _distinct(test_cols[col])
         unknown = sorted(set(te.values()) - index.keys())
         if unknown:
-            logger.warning("%s: unseen sensitive tokens %s mapped to group 1",
-                           spec.name, unknown)
+            notes.append((logging.WARNING, "%s: unseen sensitive tokens %s mapped to group 1",
+                          (spec.name, unknown)))
         sizes.append(max(index.values()))
         s_train_cols.append(_encode(train_cols[col], index, 1, tr))
         s_test_cols.append(_encode(test_cols[col], index, 1, te))
@@ -555,15 +582,132 @@ def _encode_splits(spec: DatasetSpec, root: str | None):
     return feature_names, onehot, (numeric, values), labels, (s_train, s_test), tuples
 
 
-def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
-    """Parse, split, and encode a dataset per its spec file.
+# The cache of parsed tables (see ``_cached``): an entry is this line, the
+# header's length in 8 little-endian bytes, the JSON header, then the raw
+# bytes of each array in C order, of one of these dtypes.
+_CACHE_DIR = ".renyifair-cache"
+_MAGIC = b"renyifair-cache 1\n"
+_DTYPES = {np.dtype(t).str: t for t in (np.float64, np.int64)}
 
-    Categorical one-hot category lists, normalization statistics, and
-    sensitive/label token maps all come from the training split alone, so
-    altering a test row can never change the training encoding.
+
+def _cached(kind: str, spec: DatasetSpec, root: str | None, build):
+    """``build(notes)``'s ``(arrays, meta)``, parsed once per table and loader.
+
+    The entry of ``(spec.name, kind)`` lives in ``.renyifair-cache/`` beside
+    the spec's first source file.  Its key covers ``kind``, ``repr(spec)``,
+    the bytes of every source file, the bytes of this module and the numpy
+    and Python (major.minor) versions, so a change to any of them is a
+    miss.  A hit reads each array into a fresh C-contiguous array that owns
+    its data; a miss (no entry, another key, a truncated or unreadable
+    entry, source files that cannot be read) runs ``build`` and, if it
+    returns, writes the entry through a temporary file that
+    ``os.replace`` moves into place, so a reader never sees a partial
+    entry.  An entry that cannot be written is left out.  ``build`` puts
+    its log records in ``notes`` as ``(level, msg, args)``; they are logged
+    here, and stored in the entry so that a hit logs them again, the same
+    and in the same order.  ``meta`` is JSON (tuples come back as lists)
+    and nothing read is unpickled.  Errors of ``build`` are raised as they
+    are, and nothing is cached for them.
     """
-    spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
-    feature_names, onehot, (numeric, values), labels, sensitive, tuples = _encode_splits(spec, root)
+    try:
+        paths = [path for path, _ in _source_files(spec, root)]
+        key = _cache_key(kind, spec, paths)
+    except (OSError, ValueError):
+        key = None  # build() meets the same error and raises it
+    found = None
+    if key is not None:
+        name = "".join(c if c.isalnum() or c in "._-" else "_" for c in spec.name)
+        entry = os.path.join(os.path.dirname(paths[0]), _CACHE_DIR, f"{name}.{kind}")
+        found = _read_entry(entry, key)
+    notes = []
+    try:
+        if found is not None:
+            arrays, meta, notes = found
+        else:
+            arrays, meta = build(notes)
+            if key is not None:
+                _write_entry(entry, key, arrays, meta, notes)
+    finally:
+        for level, msg, args in notes:
+            logger.log(level, msg, *args)
+    return arrays, meta
+
+
+def _cache_key(kind: str, spec: DatasetSpec, paths: Sequence[str]) -> str:
+    """SHA-256 of what a parse reads: ``kind``, the spec, the source files'
+    bytes, this module's bytes, and the numpy and Python versions."""
+    import hashlib  # here, so that a process that reads no table does not import it
+
+    digests, chunk = [], bytearray(1 << 16)
+    for path in (__file__, *paths):
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while size := fh.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+        digests.append(digest.hexdigest())
+    version = "%d.%d" % sys.version_info[:2]
+    return hashlib.sha256(json.dumps([kind, repr(spec), np.__version__, version, digests])
+                          .encode()).hexdigest()
+
+
+def _read_entry(path: str, key: str):
+    """``(arrays, meta, notes)`` of the cache entry at ``path``, or None when
+    there is none, it holds another key, or it is truncated or unreadable."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(_MAGIC) + 8)
+            length = int.from_bytes(head[len(_MAGIC):], "little")
+            size = os.fstat(fh.fileno()).st_size
+            if head[:len(_MAGIC)] != _MAGIC or len(head) + length > size:
+                return None
+            header = json.loads(fh.read(length))
+            if header["key"] != key:
+                return None
+            layout = [(_DTYPES[dtype], tuple(shape)) for dtype, shape in header["arrays"]]
+            nbytes = sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout)
+            if len(head) + length + nbytes != size:
+                return None
+            arrays = [np.empty(shape, dtype) for dtype, shape in layout]
+            for a in arrays:
+                if fh.readinto(a.data) != a.nbytes:
+                    return None
+            return arrays, header["meta"], header["notes"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _write_entry(path: str, key: str, arrays: Sequence[np.ndarray], meta, notes) -> None:
+    """Write the cache entry at ``path``, or nothing if it cannot be written.
+
+    Every array is C-contiguous, of a dtype in ``_DTYPES``, and ``meta``
+    and ``notes`` are JSON: what the loaders' parses return.
+    """
+    header = json.dumps({"key": key, "arrays": [[a.dtype.str, a.shape] for a in arrays],
+                         "meta": meta, "notes": notes}).encode()
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+            for a in arrays:
+                fh.write(a.data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+
+
+def _encode_dataset(spec: DatasetSpec, root: str | None, notes: list):
+    """``load_dataset``'s parse: the train and test features, labels and
+    sensitive codes, and the feature names and sensitive tuples."""
+    feature_names, onehot, (numeric, values), labels, sensitive, tuples = _encode_splits(
+        spec, root, notes)
 
     # Continuous columns are standardized with train statistics (moments of the
     # F-ordered values, as always) before they are placed; one-hot blocks stay 0/1.
@@ -577,34 +721,40 @@ def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
         for codes in onehot:
             cells[starts + codes[k]] = 1.0
         x[:, numeric] = values[k]
+    arrays = [x_train, labels[0], sensitive[0], x_test, labels[1], sensitive[1]]
+    return arrays, {"feature_names": feature_names, "sensitive_tuples": tuples}
 
+
+def load_dataset(path_or_spec, root: str | None = None) -> EncodedDataset:
+    """Parse, split, and encode a dataset per its spec file.
+
+    Categorical one-hot category lists, normalization statistics, and
+    sensitive/label token maps all come from the training split alone, so
+    altering a test row can never change the training encoding.  A table
+    parsed before under the same spec and loader is read back from its
+    cache entry instead (``_cached``), with the same bits and log records.
+    """
+    spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
+    arrays, meta = _cached("dataset", spec, root, lambda notes: _encode_dataset(spec, root, notes))
+    x_train, y_train, s_train, x_test, y_test, s_test = arrays
+    tuples = tuple(map(tuple, meta["sensitive_tuples"]))
     # Batch takes over these fresh arrays without a copy.  Both splits
     # declare the encoders' alphabets, whichever values they hold.
     return EncodedDataset(
         spec=spec,
-        train=Batch(x_train, labels[0], sensitive[0], 2, len(tuples)),
-        test=Batch(x_test, labels[1], sensitive[1], 2, len(tuples)),
-        feature_names=tuple(feature_names),
+        train=Batch(x_train, y_train, s_train, 2, len(tuples)),
+        test=Batch(x_test, y_test, s_test, 2, len(tuples)),
+        feature_names=tuple(meta["feature_names"]),
         sensitive_tuples=tuples,
     )
 
 
-def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-feature matrix and a {0,1} sensitive column for clustering.
-
-    Pools every row of the dataset, drops missing values, takes a seeded
-    subsample of ``clustering_samples`` rows, and z-scores the selected
-    columns on that subsample.  Every pooled row is parsed and checked:
-    the features and the raw sensitive tokens take one C read of the pool
-    (``_read_columns``), and a text re-read of it if that read refuses a
-    number, so every input reads, or fails, as ``load_dataset`` reads it.
-    """
-    spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
-    if not spec.clustering_features or not spec.clustering_sensitive:
-        raise ValueError(f"{spec.name}: no clustering view configured")
+def _view(spec: DatasetSpec, root: str | None, notes: list):
+    """``clustering_view``'s parse: ``([points, sensitive], None)``."""
     features, col = spec.clustering_features, spec.clustering_sensitive
     pos = spec.clustering_sensitive_positive
-    [(points, tokens)] = _read_columns(_read_source(spec, root, pool=True), spec, features, [col])
+    [(points, tokens)] = _read_columns(_read_source(spec, root, notes, pool=True), spec,
+                                       features, [col])
     _finite(points, spec, features)
     sensitive = _encode(tokens[col], {pos: 1}, 0)
     if not sensitive.any():
@@ -621,7 +771,26 @@ def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, 
     # The records' points are a strided view: the sample, or this, copies
     # them out in C order, so the moments sum in the order they always have.
     points = np.ascontiguousarray(points)
-    return _zscore(points, [points])[0], sensitive
+    return [_zscore(points, [points])[0], sensitive], None
+
+
+def clustering_view(path_or_spec, root: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous-feature matrix and a {0,1} sensitive column for clustering.
+
+    Pools every row of the dataset, drops missing values, takes a seeded
+    subsample of ``clustering_samples`` rows, and z-scores the selected
+    columns on that subsample.  Every pooled row is parsed and checked:
+    the features and the raw sensitive tokens take one C read of the pool
+    (``_read_columns``), and a text re-read of it if that read refuses a
+    number, so every input reads, or fails, as ``load_dataset`` reads it.
+    A view parsed before under the same spec and loader is read back from
+    its cache entry instead (``_cached``), with the same bits and log records.
+    """
+    spec = path_or_spec if isinstance(path_or_spec, DatasetSpec) else parse_spec(path_or_spec)
+    if not spec.clustering_features or not spec.clustering_sensitive:
+        raise ValueError(f"{spec.name}: no clustering view configured")
+    (points, sensitive), _ = _cached("view", spec, root, lambda notes: _view(spec, root, notes))
+    return points, sensitive
 
 
 def synth_yequalss(n: int, seed: int = 0) -> Batch:

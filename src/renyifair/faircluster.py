@@ -312,9 +312,11 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
 
     ``initial_assignments`` (1-based) overrides the configured
     initialization; centers start at the implied cluster means.  Points
-    are refused when they are not finite, or when one feature's range
+    are refused when they are not finite, when one feature's range
     exceeds ``sqrt(max float / (N * p))``, past which a squared distance
-    or the loss could overflow.
+    or the loss could overflow, or when a coordinate exceeds
+    ``max float / (2 N)`` in magnitude, past which the sums behind the
+    grand mean and the centres could overflow.
     """
     x = np.asarray(points, dtype=np.float64)
     s = np.asarray(sensitive)
@@ -340,6 +342,13 @@ def fair_kmeans(points, sensitive, cfg: ClusterConfig,
     if span > bound:
         raise ValueError(f"points span {span!r} along one feature, more than "
                          f"sqrt(max float / (N * p)) = {bound!r}: squared distances could overflow")
+    # The grand mean and the centre sums add up to N points, so no partial
+    # sum exceeds N * largest |x|, here at most half the largest float.
+    limit = float(np.finfo(np.float64).max) / (2 * n)
+    magnitude = float(np.abs(points_t).max())
+    if magnitude > limit:
+        raise ValueError(f"points reach {magnitude!r} in magnitude, more than "
+                         f"max float / (2 N) = {limit!r}: sums over the points could overflow")
 
     rng = np.random.default_rng(cfg.seed)
     if initial_assignments is not None:

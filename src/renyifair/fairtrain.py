@@ -428,9 +428,14 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
     not pulled back and the iterate sequence is bitwise
     identical to plain gradient descent under the same seed.  Runs for
     ``cfg.iters`` steps or until the full objective gradient norm drops to
-    ``cfg.grad_tol``; a non-finite loss stops the run with the trace flagged
-    as diverged.  A run that uses all its steps ends with a diagnostic row
-    at the last iterate on the full batch.
+    ``cfg.grad_tol``.  A non-finite loss or soft output (checked before the
+    penalty sees the outputs), gradient norm or updated theta (one
+    ``isfinite`` scan, after which the iterate is taken over without the
+    ``ModelParams`` checks) stops the run with the trace flagged as
+    diverged, in every mode; ``final_params`` is then the last finite
+    iterate.  A run that uses all its steps ends with a diagnostic row at
+    the last iterate on the full batch, or is flagged as diverged when that
+    row is not finite.
 
     Each penalty reads one group index of its rows (one per label slice for
     ``eo``), built once per batch: once per run on the full batch, once per
@@ -444,12 +449,21 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
         return _penalty_on(batch, cfg, warned, params.n_classes)
 
     def step(theta: ModelParams, sub: Batch):
-        """Objective gradient at ``theta`` on ``sub`` and its trace row."""
+        """Objective gradient at ``theta`` on ``sub`` and its trace row.
+
+        Outputs that are not finite (overflowing logits) give no gradient
+        and a row of nan past the loss: the penalty never sees them.
+        """
         probs, loss, backward = loss_grad_and_vjp(theta, sub)
+        if not (math.isfinite(loss) and np.isfinite(probs).all()):
+            return None, (loss, math.nan, math.nan, math.nan)
         penalty = full_penalty() if sub is batch else _penalty_on(sub, cfg, warned, theta.n_classes)
         value, seed, sigma2_sq = penalty(probs)
         grad = backward(cfg.lam * seed if cfg.lam != 0.0 and seed is not None else None)
         return grad, (loss, float(cfg.lam * value), math.sqrt(grad.dot(grad)), math.sqrt(sigma2_sq))
+
+    def finite(row) -> bool:
+        return math.isfinite(row[0]) and math.isfinite(row[2])
 
     def record(t: int, row) -> None:
         trace.iteration.append(t)
@@ -458,23 +472,29 @@ def train(params: ModelParams, batch: Batch, cfg: TrainConfig) -> TrainTrace:
 
     theta = params
     batches = _batches(batch, cfg.batch_size, np.random.default_rng(cfg.seed))
-    # A diverging run overflows the grad-norm product; ``diverged`` reports it.
-    with np.errstate(over="ignore"):
+    # A diverging run overflows the logits, the softmax or the grad-norm
+    # product; ``diverged`` reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
         for t, sub in zip(range(cfg.iters), batches):
             grad, row = step(theta, sub)
-            loss, _, grad_norm, _ = row
-            if not math.isfinite(loss) or not math.isfinite(grad_norm):
+            if not finite(row):
                 trace.diverged = True
                 break
             record(t, row)
-            if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
+            if cfg.grad_tol > 0 and row[2] <= cfg.grad_tol:
                 trace.stopped_early = True
                 break
-            theta = theta.with_theta(theta.theta - cfg.eta * grad)
+            updated = theta.theta - cfg.eta * grad
+            if not np.isfinite(updated).all():
+                trace.diverged = True
+                break
+            theta = theta._with_finite_theta(updated)
         else:
             _, row = step(theta, batch)
-            if math.isfinite(row[0]):
+            if finite(row):
                 record(cfg.iters, row)
+            else:
+                trace.diverged = True
 
     trace.final_params = theta
     return trace

@@ -112,6 +112,15 @@ class ModelParams:
     def with_theta(self, theta: np.ndarray) -> "ModelParams":
         return replace(self, theta=theta)
 
+    def _with_finite_theta(self, theta: np.ndarray) -> "ModelParams":
+        """``with_theta`` for a fresh float64 vector of this length that the
+        caller has checked finite: taken over read-only, with no copy and
+        none of the constructor's checks."""
+        new = object.__new__(type(self))
+        theta.flags.writeable = False
+        new.__dict__.update(self.__dict__, theta=theta)
+        return new
+
 
 @dataclass(frozen=True)
 class Batch:

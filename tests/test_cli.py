@@ -145,6 +145,31 @@ class TestTrainCommand:
         assert err.count("Traceback (most recent call last)") == 2
         assert "_train_one" in err
 
+    @pytest.mark.parametrize("mode", ["none", "dp_discrete", "dp_binary", "eo", "pearson",
+                                      "hsic"])
+    def test_diverging_runs_fail_as_diverged_in_every_mode(self, tmp_path, monkeypatch, mode):
+        # Features near 1e20, not normalised: at eta 1e280 the second step's
+        # logits overflow, at 1e300 the first update does.
+        rng = np.random.default_rng(0)
+        rows = [f"{a!r},{b!r},{c!r},{'g' if g == 1 else 'h'},{'yes' if y == 1 else 'no'}"
+                for (a, b, c), g, y in zip((rng.standard_normal((200, 3)) * 1e20).tolist(),
+                                           rng.integers(1, 3, 200), rng.integers(1, 3, 200))]
+        (tmp_path / "huge.csv").write_text("\n".join(rows) + "\n")
+        monkeypatch.setenv("RENYIFAIR_DATA", str(tmp_path))
+        spec = tmp_path / "huge.spec"
+        spec.write_text("name = huge\ncolumns = a b c g cls\nlabel = cls\npositive_label = yes\n"
+                        "sensitive = g\nsplit = head\ntrain_count = 150\ntest_count = 50\n"
+                        "file = huge.csv\nnormalization = none\n")
+        for eta in (1e280, 1e300):
+            cfg = write_config(tmp_path / "cfg.json", dataset=str(spec), fairness_mode=mode,
+                               eta=eta, iters=3)
+            out = tmp_path / f"out{eta:g}"
+            assert run(["train", "--config", cfg, "--out", out]) == 1
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["failures"] == [
+                f"lam={lam} seed=0: RuntimeError: run lam{lam:g}_seed0 diverged (non-finite loss)"
+                for lam in (0.0, 1.0)]
+
     def test_bad_lambda_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", lambda_grid=[1.0, 0.5])
         with pytest.raises(ValueError, match="ascending"):

@@ -48,6 +48,12 @@ TEST_ROWS = """40, Never-seen, Female, >50K
 
 
 @pytest.fixture
+def parse_every_load(monkeypatch):
+    """Every load parses its table: no cache entry stands in for the parse."""
+    monkeypatch.setattr(data, "_read_entry", lambda path, key: None)
+
+
+@pytest.fixture
 def mini_dataset(tmp_path):
     (tmp_path / "spec.txt").write_text(ADULT_LIKE_SPEC)
     (tmp_path / "mini_train.csv").write_text(TRAIN_ROWS)
@@ -166,7 +172,7 @@ class TestLoadDataset:
         enc = data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset))
         assert not any(nm.startswith(("sex", "income")) for nm in enc.feature_names)
 
-    def test_deterministic(self, mini_dataset):
+    def test_deterministic(self, mini_dataset, parse_every_load):
         a = data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset))
         b = data.load_dataset(mini_dataset / "spec.txt", root=str(mini_dataset))
         np.testing.assert_array_equal(a.train.features, b.train.features)
@@ -204,7 +210,7 @@ class TestSplitPolicies:
         # ordered: first feature column of train is 0..15 before z-scoring
         assert enc.train.features[:, 0].argmin() == 0
 
-    def test_count_split_seeded(self, tmp_path):
+    def test_count_split_seeded(self, tmp_path, parse_every_load):
         self.write_single(tmp_path)
         spec = self.make_spec(tmp_path,
                               "split = count\ntrain_count = 12\ntest_count = 8\nsplit_seed = 5\n")
@@ -261,7 +267,7 @@ class TestClusteringView:
         assert abs(points.mean()) <= 1e-12
         assert abs(points.std() - 1.0) <= 1e-12
 
-    def test_seeded_subsample_deterministic(self, mini_dataset):
+    def test_seeded_subsample_deterministic(self, mini_dataset, parse_every_load):
         a = data.clustering_view(mini_dataset / "spec.txt", root=str(mini_dataset))
         b = data.clustering_view(mini_dataset / "spec.txt", root=str(mini_dataset))
         np.testing.assert_array_equal(a[0], b[0])

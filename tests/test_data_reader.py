@@ -628,7 +628,9 @@ def split_columns(lines, spec, names):
 
 def refuse_numbers(monkeypatch):
     """Make ``np.loadtxt`` refuse every read that holds a float64 field, so
-    each split takes the reader's text re-read (the token route)."""
+    each split takes the reader's text re-read (the token route), and keep
+    the cache entry of an earlier load from standing in for that parse."""
+    monkeypatch.setattr(data, "_read_entry", lambda path, key: None)
     loadtxt = np.loadtxt
 
     def refuse(*args, **kwargs):

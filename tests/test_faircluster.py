@@ -308,6 +308,36 @@ class TestFairKmeans:
         with pytest.raises(ValueError, match="could overflow"):
             fc.fair_kmeans(points, COUNTER_S, cfg)
 
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    def test_huge_points_of_small_range_rejected(self, init):
+        # Span 0 passes the distance guard, but the grand mean and the centre
+        # sums would add 400 values near 1e306 and overflow.
+        points = np.full((400, 2), 1e306)
+        limit = float(np.finfo(float).max) / 800
+        message = (f"points reach {1e306!r} in magnitude, more than max float / (2 N) = "
+                   f"{limit!r}: sums over the points could overflow")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fc.fair_kmeans(points, np.arange(400) % 2, fc.ClusterConfig(n_clusters=3, lam=1.0,
+                                                                         init=init))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fc.fair_kmeans(-points, np.arange(400) % 2, fc.ClusterConfig(n_clusters=3,
+                                                                          init=init))
+
+    @pytest.mark.parametrize("init", fc.INIT_MODES)
+    def test_points_inside_the_magnitude_bound_run(self, init):
+        # 400 points at the largest power of two below max float / 800: their
+        # sums are exact and below half the largest float, so every centre is
+        # the point itself.  Points at the next double past the bound are refused.
+        limit = float(np.finfo(float).max) / 800
+        points = np.full((400, 2), 2.0 ** math.floor(math.log2(limit)))
+        cfg = fc.ClusterConfig(n_clusters=3, lam=10.0, init=init, seed=1)
+        state, trace = fc.fair_kmeans(points, np.arange(400) % 2, cfg)
+        assert np.all(state.centers == points[0, 0])
+        assert trace.kmeans_loss[-1] == 0.0 and np.all(np.isfinite(trace.objective))
+        points[:] = np.nextafter(limit, np.inf)
+        with pytest.raises(ValueError, match="sums over the points could overflow"):
+            fc.fair_kmeans(points, np.arange(400) % 2, cfg)
+
     def test_integral_float_initial_assignments_accepted(self):
         cfg = fc.ClusterConfig(n_clusters=2, lam=75.0, max_sweeps=30)
         assert_runs_bitwise_equal(

@@ -537,6 +537,40 @@ class TestTrainers:
         assert len(trace.loss) < 50
         assert all(np.isfinite(v) for v in trace.loss)
 
+    @pytest.mark.parametrize("eta", [1e280, 1e300])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ft.FAIRNESS_MODES)
+    def test_diverging_run_reported_as_diverged_in_every_mode(self, mode, lam, eta):
+        # Features near 1e20: the first step is finite.  At eta 1e280 the next
+        # logits overflow, which no penalty may see; at 1e300 the update does.
+        rng = np.random.default_rng(0)
+        batch = md.Batch(rng.standard_normal((200, 3)) * 1e20,
+                         rng.integers(1, 3, 200), rng.integers(1, 3, 200))
+        p0 = md.init_params("linear", 3, 2, seed=0)
+        cfg = ft.TrainConfig(lam=lam, eta=eta, iters=3, fairness_mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = ft.train(p0, batch, cfg)
+        assert ft.run_status(trace) == ("diverged", False)
+        assert trace.iteration == [0]
+        assert all(np.isfinite(v) for v in (*trace.loss, *trace.penalty, *trace.grad_norm,
+                                            *trace.sigma2))
+        # The last finite iterate: after one step at 1e280, the start at 1e300.
+        theta = trace.final_params.theta
+        assert np.all(np.isfinite(theta)) and not theta.flags.writeable
+        assert (theta is p0.theta) == (eta == 1e300)
+
+    @pytest.mark.parametrize("mode", ft.FAIRNESS_MODES)
+    def test_non_finite_final_row_sets_diverged(self, mode):
+        # One finite step to an iterate whose logits overflow: the diagnostic
+        # row at that iterate is not recorded, and the run is diverged.
+        rng = np.random.default_rng(0)
+        batch = md.Batch(rng.standard_normal((200, 3)) * 1e20,
+                         rng.integers(1, 3, 200), rng.integers(1, 3, 200))
+        cfg = ft.TrainConfig(lam=1.0, eta=1e280, iters=1, fairness_mode=mode)
+        trace = ft.train(md.init_params("linear", 3, 2, seed=0), batch, cfg)
+        assert trace.diverged and trace.iteration == [0]
+
     def test_minibatch_deterministic(self):
         batch = tiny_batch(n=200, seed=8)
         p0 = md.init_params("linear", 2, 2, seed=3)

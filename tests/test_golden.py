@@ -118,7 +118,8 @@ def test_each_side_runs_at_the_requested_blas_thread_count(tmp_path, monkeypatch
     monkeypatch.setattr(golden.subprocess, "run", lambda cmd, env, **kw: seen.append(env))
     code = golden.main(["--parent", str(tmp_path), "--change", str(tmp_path),
                         "--work", str(tmp_path / "work"), *argv])
-    assert code == 0 and len(seen) == 2
+    # The parent once, the change cold and then warm.
+    assert code == 0 and len(seen) == 3
     for env in seen:
         assert [env[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                  "MKL_NUM_THREADS")] == [threads] * 3
@@ -127,3 +128,34 @@ def test_each_side_runs_at_the_requested_blas_thread_count(tmp_path, monkeypatch
 def test_blas_threads_below_one_refused(tmp_path):
     with pytest.raises(SystemExit):
         golden.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--blas-threads", "0"])
+
+
+@pytest.mark.parametrize("warm_stderr, code", [("INFO renyifair.data: dropped 1 rows\n", 0),
+                                               ("INFO renyifair.data: dropped 2 rows\n", 1)])
+def test_each_side_starts_cold_and_the_warm_rerun_must_match(tmp_path, monkeypatch, capsys,
+                                                             warm_stderr, code):
+    # Each side gets its own inputs; the change side runs again on its own,
+    # and a file of that run that differs at all, by a number too, fails.
+    runs = []
+
+    def run_side(checkout, matrix_path, inputs, out_root, blas_threads=1):
+        runs.append((os.path.relpath(inputs, tmp_path), os.path.relpath(out_root, tmp_path)))
+        text = "INFO renyifair.data: dropped 1 rows\n"
+        if out_root.endswith("change.warm"):
+            text = warm_stderr
+        write_tree(tmp_path / out_root, {"e/stderr.log": text, "e/sweep.csv": SWEEP})
+        return 0.0
+
+    monkeypatch.setattr(golden, "build_matrix", lambda inputs: [])
+    monkeypatch.setattr(golden, "run_side", run_side)
+    assert golden.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                        "--work", str(tmp_path / "work")]) == code
+    assert runs == [("work/inputs", "work/parent"), ("work/inputs", "work/change"),
+                    ("work/inputs", "work/change.warm")]
+    last = capsys.readouterr().out.splitlines()[-2:]
+    if code:
+        assert last == ["change.warm against change: 2 files: 1 identical, 1 structural",
+                        "FAIL structural e/stderr.log: warm rerun differs"]
+    else:
+        assert last[-1] == "change.warm against change: 2 files: 2 identical"
+

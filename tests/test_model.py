@@ -575,6 +575,20 @@ class TestWithTheta:
         assert got.theta.tobytes() == want.theta.tobytes()
         assert params.theta.tobytes() == before
 
+    def test_with_finite_theta_equals_with_theta_without_a_copy(self):
+        # The training update's constructor: the same fields and bytes as
+        # with_theta, the given array itself, made read-only.
+        params = self.params()
+        before = params.theta.tobytes()
+        theta = params.theta - 0.5
+        got, want = params._with_finite_theta(theta), params.with_theta(theta.copy())
+        assert type(got) is md.ModelParams
+        for name in ("arch", "input_dim", "n_classes", "hidden_dim"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.theta is theta and not theta.flags.writeable
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert params.theta.tobytes() == before
+
     def test_converts_like_construction(self):
         params = self.params()
         theta = [1] * params.theta.size
